@@ -175,8 +175,16 @@ class FleetRuntime:
                 for s in self.sessions
             }
         for shard_id in sorted(placement):
+            for sid in placement[shard_id]:
+                self._session_shard[sid] = shard_id
+        # One pass over the global stream hands every shard its slice, in
+        # arrival order (net-mode shards get none; see below).
+        arrivals: dict[int, list] = {shard_id: [] for shard_id in placement}
+        if self.transport is None:
+            for request in all_requests:
+                arrivals[self._session_shard[request.session_id]].append(request)
+        for shard_id in sorted(placement):
             shard = self.shards[shard_id]
-            members = set(placement[shard_id])
             shard.fleet = [self.sessions[sid] for sid in placement[shard_id]]
             if self.transport is not None:
                 # Frames reach shards only over the transport, so the
@@ -187,15 +195,9 @@ class FleetRuntime:
                 shard.stats = {
                     sid: SessionStats(sid) for sid in placement[shard_id]
                 }
-            for sid in placement[shard_id]:
-                self._session_shard[sid] = shard_id
             if shard.obs.enabled:
                 shard._declare_tracks()
-            shard.start(
-                []
-                if self.transport is not None
-                else [r for r in all_requests if r.session_id in members]
-            )
+            shard.start(arrivals[shard_id])
         if self.transport is not None:
             self._seed_net_schedule(all_requests)
         for kill in sorted(

@@ -403,8 +403,7 @@ class ShardRuntime(ServeRuntime):
         """
         if self._started:
             return
-        for request in requests or []:
-            self._push(request.arrival_s, _ARRIVAL, request)
+        self._seed_arrivals(requests or [])
         self._started = True
 
     # ------------------------------------------------------------------

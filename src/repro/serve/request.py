@@ -105,20 +105,23 @@ def build_fleet(config: ServeConfig) -> list[ClientSession]:
 
 
 def fleet_requests(fleet: list[ClientSession], deadline_s: float) -> list[FrameRequest]:
-    """All frames of all sessions in global arrival order."""
+    """All frames of all sessions in global arrival order.
+
+    ``fleet`` may be any list of sessions (any order, ids need not be
+    dense): each frame's path comes from its own session.  Arrival times
+    are ``start_s + arange(n) / fps`` — bit-equal to
+    :meth:`ClientSession.arrival_s` — and ties order by
+    ``(session_id, frame_index)``.
+    """
     raw = []
+    decisions = {}
     for session in fleet:
-        for f in range(session.n_frames):
-            raw.append((session.arrival_s(f), session.session_id, f))
+        sid, n = session.session_id, session.n_frames
+        decisions[sid] = session.decisions
+        arrivals = (session.start_s + np.arange(n) / session.track.fps).tolist()
+        raw.extend(zip(arrivals, [sid] * n, range(n)))
     raw.sort()
     return [
-        FrameRequest(
-            session_id=sid,
-            frame_index=f,
-            arrival_s=arrival,
-            deadline_s=arrival + deadline_s,
-            path=fleet[sid].decisions[f],
-            seq=seq,
-        )
+        FrameRequest(sid, f, arrival, arrival + deadline_s, decisions[sid][f], seq)
         for seq, (arrival, sid, f) in enumerate(raw)
     ]

@@ -205,6 +205,22 @@ class ServeRuntime:
         heapq.heappush(self._heap, (time_s, kind, self._event_seq, payload))
         self._event_seq += 1
 
+    def _seed_arrivals(self, requests: "list[FrameRequest]") -> None:
+        """Seed an empty heap with ``requests``, given in arrival order.
+
+        Equivalent to one :meth:`_push` per request, in one assignment:
+        the keys ``(arrival_s, _ARRIVAL, seq)`` strictly increase along
+        the list, so a sorted list is exactly the heap repeated pushes
+        build (and that checkpoints serialize).
+        """
+        assert not self._heap, "arrivals are seeded into an empty heap"
+        seq0 = self._event_seq
+        self._heap = [
+            (request.arrival_s, _ARRIVAL, seq0 + i, request)
+            for i, request in enumerate(requests)
+        ]
+        self._event_seq = seq0 + len(requests)
+
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
@@ -333,8 +349,7 @@ class ServeRuntime:
         """Seed the event heap with every frame arrival (idempotent)."""
         if self._started:
             return
-        for request in fleet_requests(self.fleet, self.config.deadline_s):
-            self._push(request.arrival_s, _ARRIVAL, request)
+        self._seed_arrivals(fleet_requests(self.fleet, self.config.deadline_s))
         self._started = True
 
     def peek_event(self) -> "tuple[float, int, int] | None":

@@ -10,6 +10,7 @@ event mix all fall out of one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,31 +103,48 @@ def decide_paths(
     event gating always pay the predict path.  This is shared by the
     single-session replay here and the multi-session serving runtime
     (``repro.serve``), which routes only predict frames to its worker pool.
+
+    Cost is linear in frames: the saccade gate is one numpy mask, and the
+    anchor recurrence is one pass over plain Python floats.  The reuse
+    test is strict (``distance < threshold``) and matches
+    ``np.linalg.norm`` bit for bit: BLAS may round the sum of squares
+    through a fused multiply-add, so within a 1e-12 relative band of the
+    threshold the pass defers to ``np.linalg.norm`` on the same rows.
     """
     config = config or SessionConfig()
     n = len(track)
     if n == 0:
         raise ValueError("empty gaze track")
+    if not supports_event_gating:
+        return ["predict"] * n
+    gated = track.labels == MovementType.SACCADE
+    if config.post_saccade_low_res:
+        gated |= track.post_saccade
+    threshold = config.reuse_displacement_deg
+    near_lo = threshold * (1.0 - 1e-12)
+    near_hi = threshold * (1.0 + 1e-12)
+    gaze = track.gaze_deg
     decisions: list[str] = []
-    anchor: "np.ndarray | None" = None  # gaze at the last fresh prediction
-    for i in range(n):
-        if not supports_event_gating:
-            path = "predict"
-        elif track.labels[i] == MovementType.SACCADE or (
-            config.post_saccade_low_res and track.post_saccade[i]
-        ):
-            path = "saccade"
-        elif (
-            anchor is not None
-            and float(np.linalg.norm(track.gaze_deg[i] - anchor))
-            < config.reuse_displacement_deg
-        ):
-            path = "reuse"
-        else:
-            path = "predict"
-        if path == "predict":
-            anchor = track.gaze_deg[i]
-        decisions.append(path)
+    anchor = -1  # frame of the last fresh prediction
+    ax = ay = 0.0
+    for i, (saccade, x, y) in enumerate(
+        zip(gated.tolist(), gaze[:, 0].tolist(), gaze[:, 1].tolist())
+    ):
+        if saccade:
+            decisions.append("saccade")
+            continue
+        if anchor >= 0:
+            dx = x - ax
+            dy = y - ay
+            distance = math.sqrt(dx * dx + dy * dy)
+            if distance < near_lo or (
+                distance < near_hi
+                and float(np.linalg.norm(gaze[i] - gaze[anchor])) < threshold
+            ):
+                decisions.append("reuse")
+                continue
+        decisions.append("predict")
+        anchor, ax, ay = i, x, y
     return decisions
 
 

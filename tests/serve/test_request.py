@@ -59,3 +59,34 @@ class TestFleetRequests:
     def test_paths_match_session_decisions(self, config, fleet):
         for r in fleet_requests(fleet, config.deadline_s)[:200]:
             assert r.path == fleet[r.session_id].decisions[r.frame_index]
+
+    @pytest.mark.parametrize("order", [[1, 0], [2, 3], [3, 1]])
+    def test_reordered_sparse_fleet_takes_each_sessions_paths(
+        self, config, fleet, order
+    ):
+        # A shard's slice of the fleet: any order, ids not dense.
+        subset = [fleet[i] for i in order]
+        requests = fleet_requests(subset, config.deadline_s)
+        assert len(requests) == len(order) * config.frames_per_session
+        assert {r.session_id for r in requests} == set(order)
+        for r in requests:
+            assert r.path == fleet[r.session_id].decisions[r.frame_index]
+
+    def test_arrivals_bit_equal_session_clock(self, config, fleet):
+        for r in fleet_requests(fleet, config.deadline_s):
+            session = fleet[r.session_id]
+            assert r.arrival_s == session.arrival_s(r.frame_index)
+            assert r.deadline_s == r.arrival_s + config.deadline_s
+
+    def test_arrival_ties_order_by_session_then_frame(self):
+        config = ServeConfig(
+            n_sessions=3, duration_s=0.1, fps=100.0, seed=3, stagger_s=0.0
+        )
+        fleet = build_fleet(config)
+        requests = fleet_requests(list(reversed(fleet)), config.deadline_s)
+        keys = [(r.arrival_s, r.session_id, r.frame_index) for r in requests]
+        assert keys == sorted(keys)
+        # Zero stagger: every instant is a three-way tie, in id order.
+        assert [r.session_id for r in requests[:6]] == [0, 1, 2, 0, 1, 2]
+        for r in requests:
+            assert r.arrival_s == fleet[r.session_id].arrival_s(r.frame_index)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eye import OculomotorModel
 from repro.eye.events import EventMix, MovementType
@@ -231,6 +233,92 @@ class TestDecidePathsEdgeCases:
         )
         with pytest.raises(ValueError, match="empty gaze track"):
             decide_paths(empty)
+
+
+def scalar_decide_paths(track, config, supports_event_gating=True):
+    """Reference: Algorithm 1 frame by frame, one ``np.linalg.norm`` each."""
+    decisions = []
+    anchor = None  # gaze at the last fresh prediction
+    for i in range(len(track)):
+        if not supports_event_gating:
+            path = "predict"
+        elif track.labels[i] == MovementType.SACCADE or (
+            config.post_saccade_low_res and track.post_saccade[i]
+        ):
+            path = "saccade"
+        elif (
+            anchor is not None
+            and float(np.linalg.norm(track.gaze_deg[i] - anchor))
+            < config.reuse_displacement_deg
+        ):
+            path = "reuse"
+        else:
+            path = "predict"
+        if path == "predict":
+            anchor = track.gaze_deg[i]
+        decisions.append(path)
+    return decisions
+
+
+@st.composite
+def gated_tracks(draw):
+    """A track, threshold and flags for the decide_paths oracle test.
+
+    Three gaze families: free floats; a lattice of step ``u`` with the
+    threshold at ``5u``, so (5, 0) and (3, 4) moves land exactly on it;
+    and free floats with the threshold set to one frame's
+    ``np.linalg.norm`` from frame 0 (exactly on it in numpy's rounding).
+    """
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.sampled_from(list(MovementType)), min_size=n, max_size=n))
+    family = draw(st.sampled_from(["free", "lattice", "norm"]))
+    if family == "lattice":
+        u = draw(st.integers(1, 256)) / 256.0
+        cells = st.lists(st.integers(-8, 8), min_size=2 * n, max_size=2 * n)
+        gaze = np.array(draw(cells), dtype=float).reshape(n, 2) * u
+        threshold = 5.0 * u
+    else:
+        coords = st.floats(-10.0, 10.0, allow_nan=False)
+        gaze = np.array(draw(st.lists(coords, min_size=2 * n, max_size=2 * n)))
+        gaze = gaze.reshape(n, 2)
+        threshold = draw(st.floats(0.01, 5.0))
+        if family == "norm" and n > 1:
+            j = draw(st.integers(1, n - 1))
+            distance = float(np.linalg.norm(gaze[j] - gaze[0]))
+            if distance > 0:
+                threshold = distance
+    config = SessionConfig(
+        reuse_displacement_deg=threshold,
+        post_saccade_low_res=draw(st.booleans()),
+    )
+    fps = draw(st.sampled_from([60.0, 100.0, 120.0]))
+    track = make_track(gaze, labels=[int(m) for m in labels], fps=fps)
+    return track, config, draw(st.booleans())
+
+
+class TestDecidePathsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=gated_tracks())
+    def test_matches_scalar_loop(self, case):
+        track, config, gating = case
+        assert decide_paths(track, config, supports_event_gating=gating) == (
+            scalar_decide_paths(track, config, supports_event_gating=gating)
+        )
+
+    def test_matches_scalar_loop_on_generated_traces(self, track):
+        for threshold in (0.01, 0.05, 1.0, 5.0):
+            for post_saccade in (True, False):
+                config = SessionConfig(threshold, post_saccade)
+                assert decide_paths(track, config) == scalar_decide_paths(
+                    track, config
+                )
+
+    def test_diagonal_step_on_threshold_predicts(self):
+        # A (3, 4) move against a 5-unit threshold, all in exact binary
+        # fractions, lands exactly on the boundary.
+        config = SessionConfig(reuse_displacement_deg=0.625)
+        track = make_track([[0.0, 0.0], [0.375, 0.5], [0.375, 0.5]])
+        assert decide_paths(track, config) == ["predict", "predict", "reuse"]
 
 
 class TestSessionReportDegradedMix:
