@@ -138,7 +138,7 @@ def _unit(seed: int, *key) -> float:
     A pure function of ``(seed, key)`` — the transport carries no RNG
     state, which is what keeps mid-partition checkpoints byte-identical.
     """
-    token = ":".join(str(k) for k in ("net", seed, *key))
+    token = ":".join(map(str, ("net", seed, *key)))
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
 

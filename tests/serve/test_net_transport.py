@@ -25,7 +25,27 @@ from repro.serve.fleet import (
     PartitionWindow,
     run_fleet,
 )
-from repro.serve.fleet.transport import COUNTER_NAMES
+from repro.serve.fleet.transport import COUNTER_NAMES, _unit
+
+#: ``(seed, key, draw)``: every lossy run's fault pattern rests on these
+#: exact sampler values.
+UNIT_GOLDEN = (
+    (0, ("drop", 0, 0, 0), 0.07320671697407381),
+    (1, ("delay", 2, 17, 3), 0.06707830550512521),
+    (4, ("dup", 1, 1234, 0), 0.8326998604019749),
+    (4, ("dupdelay", 3, 99, 1), 0.3915301440437375),
+    (7, ("ackdrop", 2, 511, 2, 1), 0.32769370183440594),
+    (1, ("hbdrop", 0, 12), 0.48447861925835434),
+    (2, ("hbdelay", 5, 40), 0.961459486760068),
+    (123456789, ("drop", 15, 987654, 8), 0.19707580691830676),
+    (0, (), 0.48554677893261605),
+    (3, ("x",), 0.030881254600377418),
+)
+
+
+@pytest.mark.parametrize("seed,key,draw", UNIT_GOLDEN)
+def test_unit_draws_are_pinned(seed, key, draw):
+    assert _unit(seed, *key) == draw
 
 
 def net_serve(n_sessions: int = 12, duration_s: float = 0.4) -> ServeConfig:
