@@ -17,6 +17,7 @@ from repro.recover import (
 from repro.recover.manager import build_runtime
 from repro.serve import ServeConfig
 from repro.serve.fleet import FleetConfig, FleetRuntime, run_fleet
+from tests.serve import test_fleet_migration
 
 
 def chaos_fleet() -> FleetConfig:
@@ -81,6 +82,36 @@ class TestFleetCrashRecovery:
         restored = restore_runtime(tmp_path)
         assert isinstance(restored.runtime, FleetRuntime)
         assert restored.runtime.events_processed >= 300
+
+    def test_kill_after_a_rebalancer_spawn(self, tmp_path):
+        # The latest checkpoint holds a shard the rebalancer spawned; the
+        # restored heads index must include it for the journal replay and
+        # the resumed run to regenerate the same events.
+        config = test_fleet_migration.TestRebalancer().predict_heavy()
+        runtime = FleetRuntime(config)
+        runtime.start()
+        while len(runtime.shards) == config.n_shards:
+            assert runtime.step(), "the rebalancer never spawned"
+        every = runtime.events_processed + 10
+        with pytest.raises(SimulatedCrash):
+            run_with_checkpoints(
+                FleetRuntime(config), tmp_path, every=every,
+                kill=ProcessKill(at_event=every + 300),
+            )
+        checkpoint, _ = CheckpointStore(tmp_path).latest_valid()
+        assert checkpoint.event_index == every
+        assert len(checkpoint.state["shards"]) == config.n_shards + 1
+        restored = FleetRuntime.restore(tmp_path)
+        assert restored.events_processed == every + 300
+        spawned = config.n_shards
+        assert restored.shards[spawned].spawned_at_s is not None
+        assert (
+            restored.shards[spawned]._heap[0][0], spawned
+        ) in restored._heads
+        report = resume(tmp_path)
+        assert fleet_report_bytes(report) == fleet_report_bytes(
+            run_fleet(config)
+        )
 
     def test_fleet_rejects_inference_override(self, tmp_path):
         with pytest.raises(SimulatedCrash):
