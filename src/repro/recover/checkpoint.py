@@ -30,7 +30,10 @@ from repro.recover.codec import canonical_bytes, crc32
 from repro.recover.errors import CheckpointError
 
 #: Bump when the manifest/payload schema changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: a lossy-transport fleet's control heap holds only the next
+#: frame SEND (the rest are chained), and its SEND payloads, envelopes
+#: and pending entries carry sequence numbers instead of frame dicts.
+CHECKPOINT_FORMAT_VERSION = 2
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -174,6 +177,19 @@ class CheckpointStore:
         if version < 1:
             raise CheckpointError(
                 f"manifest {manifest_path} has invalid format version {version}"
+            )
+        if (
+            version < 2
+            and manifest["kind"] == "fleet"
+            and isinstance(manifest["config"], dict)
+            and "net" in manifest["config"]
+        ):
+            raise CheckpointError(
+                f"checkpoint {manifest_path} is a format-{version} "
+                "lossy-transport fleet checkpoint: its control heap holds "
+                "every pre-pushed frame SEND, which format "
+                f"{CHECKPOINT_FORMAT_VERSION} chains one at a time — rerun "
+                "the fleet from the start"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

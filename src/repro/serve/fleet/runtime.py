@@ -53,7 +53,7 @@ from repro.serve.fleet.transport import (
     K_NET_HEARTBEAT,
     K_NET_SEND,
 )
-from repro.serve.request import build_fleet, fleet_requests
+from repro.serve.request import FrameRequest, build_fleet, fleet_requests
 from repro.serve.telemetry import FleetReport, SessionStats, publish_fleet_metrics
 
 # Control-event kinds.  Journal/peek encoding keeps them disjoint from
@@ -106,6 +106,9 @@ class FleetRuntime:
             if config.net.enabled
             else None
         )
+        #: Net mode only: the global request stream, indexed by seq.  The
+        #: transport delivers these objects; SEND payloads are indices.
+        self._net_requests: list[FrameRequest] = []
         #: Net mode only: the ONE fleet-owned stats dict every shard
         #: aliases (see ShardRuntime.stats_shared).
         self._net_stats: dict[int, SessionStats] = {}
@@ -227,8 +230,15 @@ class FleetRuntime:
         self._started = True
 
     def _seed_net_schedule(self, all_requests) -> None:
-        """Enqueue the whole net-mode schedule: every frame's SEND at
-        its arrival, heartbeat ticks per initial shard, detector ticks.
+        """Enqueue the net-mode schedule: the first frame's SEND,
+        heartbeat ticks per initial shard, detector ticks.
+
+        SENDs are chained: frame ``k``'s SEND carries control seq
+        ``base + k``, where ``base`` is the control seq the block of all
+        SENDs is reserved from here, and when it pops it pushes frame
+        ``k + 1``'s (:meth:`_chain_send`).  Arrivals are sorted, so the
+        heap pops exactly the sequence it would with every SEND pushed
+        up front, while holding at most one of them.
 
         Heartbeats and detector evaluations run for the traffic window
         (``duration_s``) only: the detector is live exactly while frames
@@ -237,8 +247,13 @@ class FleetRuntime:
         """
         net = self.config.net
         duration = self.config.serve.duration_s
-        for request in all_requests:
-            self._push_control(request.arrival_s, K_NET_SEND, request.to_dict())
+        self._net_requests = all_requests
+        if all_requests:
+            heapq.heappush(
+                self._control,
+                (all_requests[0].arrival_s, self._control_seq, K_NET_SEND, 0),
+            )
+            self._control_seq += len(all_requests)
         for shard_id in sorted(self.shards):
             self.transport.register_shard(shard_id)
             tick = 0
@@ -251,6 +266,20 @@ class FleetRuntime:
         while (at_s := (tick + 1) * net.detect_every_s) <= duration:
             self._push_control(at_s, K_NET_DETECT, None)
             tick += 1
+
+    def _chain_send(self, control_seq: int, seq: int) -> None:
+        """Frame ``seq``'s SEND popped: enqueue frame ``seq + 1``'s."""
+        seq += 1
+        if seq < len(self._net_requests):
+            heapq.heappush(
+                self._control,
+                (
+                    self._net_requests[seq].arrival_s,
+                    control_seq + 1,
+                    K_NET_SEND,
+                    seq,
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Merged event order
@@ -286,8 +315,10 @@ class FleetRuntime:
         head = self._shard_head()
         control = self._control
         if control and (head is None or control[0][0] <= head[0]):
-            now, _, kind, payload = heapq.heappop(control)
+            now, control_seq, kind, payload = heapq.heappop(control)
             if kind < 0:
+                if kind == K_NET_SEND:
+                    self._chain_send(control_seq, payload)
                 self.transport.handle(self, kind, payload, now)
             elif kind == _K_KILL:
                 self._apply_kill(payload["shard"], now)
@@ -482,12 +513,12 @@ class FleetRuntime:
                 "net_heal_bounce_sessions_total"
             ).inc(bounced)
 
-    def _net_exhaust(self, frame: dict, now: float) -> None:
+    def _net_exhaust(self, request: FrameRequest, now: float) -> None:
         """Retries exhausted on an unapplied frame: resolve it at the
         router per policy — degrade to the buffered gaze (the client-side
         fallback) or account it lost."""
         transport = self.transport
-        stats = self._net_stats[int(frame["session_id"])]
+        stats = self._net_stats[request.session_id]
         if self.config.net.on_exhaust == "degrade":
             stats.record_degraded(
                 self.config.serve.reuse_bypass_s,
@@ -505,8 +536,8 @@ class FleetRuntime:
             self.obs.tracer.instant(
                 "net.exhaust", now, cat="net", pid=PID_NET,
                 args={
-                    "seq": int(frame["seq"]),
-                    "session": int(frame["session_id"]),
+                    "seq": request.seq,
+                    "session": request.session_id,
                     "policy": self.config.net.on_exhaust,
                 },
             )
@@ -851,6 +882,10 @@ class FleetRuntime:
         for shard in self.shards.values():
             shard.heads = self._heads
         if self.transport is not None:
+            # Derived state: SEND payloads and envelopes index this list.
+            self._net_requests = fleet_requests(
+                self.sessions, self.config.serve.deadline_s
+            )
             net = state["net"]
             self.transport.load_state(net["transport"])
             self._net_stats = {}

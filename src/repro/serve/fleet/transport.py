@@ -25,8 +25,8 @@ the fleet keeps its two core guarantees anyway:
   breaker guarding both directions against stampedes.
 
 Determinism and recovery: every random decision is a pure SHA-256 hash
-of ``(seed, purpose, link, seq, attempt)`` — there is no RNG state to
-checkpoint — and the protocol state (pending envelopes, applied /
+of ``(seed, purpose, shard, seq, attempt[, dup])`` — there is no RNG
+state to checkpoint — and the protocol state (pending envelopes, applied /
 exhausted registries, detector estimates, displaced sessions, counters)
 round-trips through ``state_dict()`` / ``load_state()`` so a checkpoint
 taken mid-partition restores byte-identically.
@@ -40,16 +40,16 @@ topology, dispatching the negative control-event kinds below to
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
 from repro.obs import NULL_OBS, PID_NET
-from repro.serve.request import FrameRequest
 
 # Net control-event kinds.  Negative so the write-ahead journal encoding
 # stays disjoint from both the classic control kinds (1..3) and the
 # shard-event encoding ((shard_id + 1) * stride + kind >= 4).
-K_NET_SEND = -1        #: a frame enters the router (payload: frame dict)
+K_NET_SEND = -1        #: a frame enters the router (payload: its seq)
 K_NET_DELIVER = -2     #: a data copy reaches its shard
 K_NET_ACK = -3         #: an ack reaches the router
 K_NET_RETRY = -4       #: retransmit timer for one sequence number
@@ -143,14 +143,37 @@ def _unit(seed: int, *key) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
+_unpack_u64 = struct.Struct(">Q").unpack_from
+#: ``x * 2**-64 == x / 2**64`` exactly: scaling by a power of two only
+#: shifts the exponent.
+_INV_2_64 = 2.0**-64
+
+
 class FleetTransport:
     """Protocol state machine of the lossy router<->shard channel."""
 
     def __init__(self, config: NetConfig, obs=None):
         self.config = config
         self.obs = obs if obs is not None else NULL_OBS
-        #: seq -> {"frame": dict, "attempt": int} awaiting an ack.
-        self.pending: dict[int, dict] = {}
+        #: Every draw hashes ``_prefix + tail``: the same bytes as
+        #: ``_unit(seed, *key)`` when ``tail == ":".join(map(str, key))``.
+        self._prefix = f"net:{config.seed}:"
+        #: shard -> its partition ``(start_s, stop_s)`` windows, and its
+        #: gray ``(start_s, stop_s, delay_factor)`` windows in config
+        #: order (the order their factors multiply in).
+        self._partitions: dict[int, list[tuple[float, float]]] = {}
+        for window in config.partitions:
+            for shard_id in window.shard_ids:
+                self._partitions.setdefault(int(shard_id), []).append(
+                    (window.start_s, window.stop_s)
+                )
+        self._gray: dict[int, list[tuple[float, float, float]]] = {}
+        for window in config.gray:
+            self._gray.setdefault(int(window.shard_id), []).append(
+                (window.start_s, window.stop_s, window.delay_factor)
+            )
+        #: seq -> attempt number of the envelope awaiting an ack.
+        self.pending: dict[int, int] = {}
         #: Sequence numbers applied to some shard exactly once.
         self.applied: set[int] = set()
         #: Sequence numbers the router gave up on (degraded/lost).
@@ -178,29 +201,33 @@ class FleetTransport:
         self.mean_interval[shard_id] = self.config.heartbeat_s
 
     def partitioned(self, shard_id: int, t: float) -> bool:
-        return any(w.covers(shard_id, t) for w in self.config.partitions)
+        for start_s, stop_s in self._partitions.get(shard_id, ()):
+            if start_s <= t < stop_s:
+                return True
+        return False
 
     def _gray_factor(self, shard_id: int, t: float) -> float:
         factor = 1.0
-        for window in self.config.gray:
-            if window.covers(shard_id, t):
-                factor *= window.delay_factor
+        for start_s, stop_s, delay_factor in self._gray.get(shard_id, ()):
+            if start_s <= t < stop_s:
+                factor *= delay_factor
         return factor
 
-    def _delay(self, shard_id: int, t: float, *key) -> float:
+    def _draw(self, tail: str) -> float:
+        """``_unit(seed, *key)`` for ``tail == ":".join(map(str, key))``."""
+        digest = hashlib.sha256((self._prefix + tail).encode()).digest()
+        return _unpack_u64(digest)[0] * _INV_2_64
+
+    def _delay(self, shard_id: int, t: float, tail: str) -> float:
         link = self.config.link
-        jitter = (
-            link.jitter_s * _unit(self.config.seed, *key)
-            if link.jitter_s > 0
-            else 0.0
-        )
+        jitter = link.jitter_s * self._draw(tail) if link.jitter_s > 0 else 0.0
         return (link.delay_s + jitter) * self._gray_factor(shard_id, t)
 
-    def _dropped(self, shard_id: int, t: float, *key) -> bool:
+    def _dropped(self, shard_id: int, t: float, tail: str) -> bool:
         if self.partitioned(shard_id, t):
             return True
         rate = self.config.link.drop_rate
-        return rate > 0 and _unit(self.config.seed, *key) < rate
+        return rate > 0 and self._draw(tail) < rate
 
     # ------------------------------------------------------------------
     # Obs plumbing
@@ -236,21 +263,21 @@ class FleetTransport:
         else:  # pragma: no cover - guarded by the kind<0 dispatch
             raise ValueError(f"unknown net event kind {kind}")
 
-    def _transmit(self, fleet, frame: dict, attempt: int, now: float) -> None:
+    def _transmit(self, fleet, seq: int, attempt: int, now: float) -> None:
         """Send one envelope copy toward the session's *current* shard.
 
         Retransmissions re-resolve the target, which is how in-flight
         frames of a re-homed session reroute to the surviving shard.
         """
-        seq = int(frame["seq"])
-        shard_id = fleet._session_shard[int(frame["session_id"])]
-        self.pending[seq] = {"frame": frame, "attempt": attempt}
+        shard_id = fleet._session_shard[fleet._net_requests[seq].session_id]
+        self.pending[seq] = attempt
         self.counters["data_sent"] += 1
         timeout = (
             self.config.ack_timeout_s * self.config.backoff_factor**attempt
         )
         fleet._push_control(now + timeout, K_NET_RETRY, {"seq": seq})
-        if self._dropped(shard_id, now, "drop", shard_id, seq, attempt):
+        tail = f"{shard_id}:{seq}:{attempt}"
+        if self._dropped(shard_id, now, "drop:" + tail):
             self.counters["data_dropped"] += 1
             self._instant(
                 "net.drop", now,
@@ -258,19 +285,14 @@ class FleetTransport:
             )
             self._count("net_data_dropped_total")
             return
-        delay = self._delay(shard_id, now, "delay", shard_id, seq, attempt)
-        envelope = {"frame": frame, "shard": shard_id, "attempt": attempt,
+        delay = self._delay(shard_id, now, "delay:" + tail)
+        envelope = {"seq": seq, "shard": shard_id, "attempt": attempt,
                     "dup": 0}
         fleet._push_control(now + delay, K_NET_DELIVER, envelope)
-        if (
-            self.config.link.dup_rate > 0
-            and _unit(self.config.seed, "dup", shard_id, seq, attempt)
-            < self.config.link.dup_rate
-        ):
+        dup_rate = self.config.link.dup_rate
+        if dup_rate > 0 and self._draw("dup:" + tail) < dup_rate:
             self.counters["dup_injected"] += 1
-            dup_delay = self._delay(
-                shard_id, now, "dupdelay", shard_id, seq, attempt
-            )
+            dup_delay = self._delay(shard_id, now, "dupdelay:" + tail)
             fleet._push_control(
                 now + dup_delay, K_NET_DELIVER, {**envelope, "dup": 1}
             )
@@ -281,9 +303,8 @@ class FleetTransport:
 
     def _on_deliver(self, fleet, payload: dict, now: float) -> None:
         """One data copy reaches its shard: apply exactly once."""
-        frame = payload["frame"]
-        seq = int(frame["seq"])
-        shard_id = int(payload["shard"])
+        seq = payload["seq"]
+        shard_id = payload["shard"]
         shard = fleet.shards[shard_id]
         if not shard.alive:
             self.counters["dead_letters"] += 1
@@ -308,35 +329,32 @@ class FleetTransport:
             return
         self.applied.add(seq)
         self.counters["frames_applied"] += 1
-        shard._on_arrival(FrameRequest.from_dict(frame), now)
+        shard._on_arrival(fleet._net_requests[seq], now)
         self._send_ack(fleet, shard_id, seq, payload, now)
 
     def _send_ack(
         self, fleet, shard_id: int, seq: int, payload: dict, now: float
     ) -> None:
         self.counters["acks_sent"] += 1
-        key = ("ackdrop", shard_id, seq, payload["attempt"], payload["dup"])
-        if self._dropped(shard_id, now, *key):
+        tail = f"{shard_id}:{seq}:{payload['attempt']}:{payload['dup']}"
+        if self._dropped(shard_id, now, "ackdrop:" + tail):
             self.counters["acks_dropped"] += 1
             self._count("net_acks_dropped_total")
             return
-        delay = self._delay(
-            shard_id, now,
-            "ackdelay", shard_id, seq, payload["attempt"], payload["dup"],
-        )
+        delay = self._delay(shard_id, now, "ackdelay:" + tail)
         fleet._push_control(now + delay, K_NET_ACK, {"seq": seq})
 
     def _on_ack(self, payload: dict, now: float) -> None:
-        if self.pending.pop(int(payload["seq"]), None) is not None:
+        if self.pending.pop(payload["seq"], None) is not None:
             self.counters["acked"] += 1
 
     def _on_retry(self, fleet, payload: dict, now: float) -> None:
         """Retransmit timer: back off and re-send, or give up."""
-        seq = int(payload["seq"])
-        entry = self.pending.get(seq)
-        if entry is None:
+        seq = payload["seq"]
+        attempt = self.pending.get(seq)
+        if attempt is None:
             return  # acked (or resolved) before the timer fired
-        attempt = int(entry["attempt"]) + 1
+        attempt += 1
         if attempt > self.config.max_retransmits:
             del self.pending[seq]
             if seq in self.applied:
@@ -345,25 +363,25 @@ class FleetTransport:
                 self.counters["ack_lost_gaveup"] += 1
                 return
             self.exhausted.add(seq)
-            fleet._net_exhaust(entry["frame"], now)
+            fleet._net_exhaust(fleet._net_requests[seq], now)
             return
         self.counters["retransmits"] += 1
         self._instant(
             "net.retransmit", now, {"seq": seq, "attempt": attempt}
         )
         self._count("net_retransmits_total")
-        self._transmit(fleet, entry["frame"], attempt, now)
+        self._transmit(fleet, seq, attempt, now)
 
     def _on_heartbeat(self, fleet, payload: dict, now: float) -> None:
         shard_id = int(payload["shard"])
         if not fleet.shards[shard_id].alive:
             return  # dead shards are silent — that IS the failure signal
         self.counters["heartbeats_sent"] += 1
-        tick = int(payload["i"])
-        if self._dropped(shard_id, now, "hbdrop", shard_id, tick):
+        tail = f"{shard_id}:{payload['i']}"
+        if self._dropped(shard_id, now, "hbdrop:" + tail):
             self.counters["heartbeats_dropped"] += 1
             return
-        delay = self._delay(shard_id, now, "hbdelay", shard_id, tick)
+        delay = self._delay(shard_id, now, "hbdelay:" + tail)
         fleet._push_control(
             now + delay, K_NET_HB_DELIVER, {"shard": shard_id}
         )
@@ -400,8 +418,7 @@ class FleetTransport:
     def state_dict(self) -> dict:
         return {
             "pending": [
-                [seq, dict(self.pending[seq])]
-                for seq in sorted(self.pending)
+                [seq, self.pending[seq]] for seq in sorted(self.pending)
             ],
             "applied": sorted(self.applied),
             "exhausted": sorted(self.exhausted),
@@ -423,8 +440,7 @@ class FleetTransport:
 
     def load_state(self, state: dict) -> None:
         self.pending = {
-            int(seq): {"frame": dict(e["frame"]), "attempt": int(e["attempt"])}
-            for seq, e in state["pending"]
+            int(seq): int(attempt) for seq, attempt in state["pending"]
         }
         self.applied = {int(s) for s in state["applied"]}
         self.exhausted = {int(s) for s in state["exhausted"]}

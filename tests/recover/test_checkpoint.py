@@ -124,6 +124,38 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="upgrade repro"):
             store.load(7)
 
+    def rewrite_format_version(self, store, index, version):
+        manifest = store.manifest_path(index)
+        doc = json.loads(manifest.read_bytes())
+        doc["format_version"] = version
+        manifest.write_text(canonical_json(doc))
+
+    def test_format_1_net_fleet_is_refused(self, tmp_path):
+        # A format-1 lossy-transport fleet holds every frame's SEND on its
+        # control heap; resuming it under chained SENDs would send twice.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind="fleet",
+            config={"n_shards": 2, "net": {"enabled": True}},
+            service=SERVICE,
+        )
+        self.rewrite_format_version(store, 7, 1)
+        with pytest.raises(
+            CheckpointError, match="format-1 lossy-transport fleet checkpoint"
+        ):
+            store.load(7)
+
+    @pytest.mark.parametrize(
+        "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
+    )
+    def test_format_1_without_transport_still_loads(self, tmp_path, kind, config):
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind=kind, config=config, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, 1)
+        assert store.load(7).state == STATE
+
     def test_event_index_mismatch(self, tmp_path):
         store = CheckpointStore(tmp_path)
         write_one(store)

@@ -29,6 +29,7 @@ from repro.serve.fleet import (
     PartitionWindow,
     run_fleet,
 )
+from repro.serve.fleet.transport import K_NET_SEND
 
 
 def lossy_fleet() -> FleetConfig:
@@ -129,3 +130,66 @@ class TestNetCrashRecovery:
         plain_state = fleet_config_to_dict(plain)
         assert "net" not in plain_state
         assert fleet_config_from_dict(plain_state).net == NetConfig()
+
+
+def events_until(config: FleetConfig, stop) -> int:
+    """Events a fresh run processes before ``stop(runtime)`` holds."""
+    probe = FleetRuntime(config)
+    probe.start()
+    while not stop(probe):
+        assert probe.step(), "run ended before the stop condition"
+    return probe.events_processed
+
+
+def sends_on_heap(control) -> list:
+    return [entry for entry in control if entry[2] == K_NET_SEND]
+
+
+class TestChainedSendRecovery:
+    """Checkpoint -> crash -> restore -> resume around the SEND chain:
+    only the next frame's SEND is on the control heap, so a restore must
+    rebuild the request list it indexes and keep chaining from there."""
+
+    def checkpoint_and_resume(self, config, tmp_path, event_index: int):
+        # A checkpoint lands at ``event_index`` (the baseline covers 0);
+        # the crash one event later forces a one-record journal replay.
+        with pytest.raises(SimulatedCrash):
+            run_with_checkpoints(
+                FleetRuntime(config), tmp_path, every=event_index or 10**9,
+                kill=ProcessKill(at_event=event_index + 1),
+            )
+        checkpoint, skipped = CheckpointStore(tmp_path).latest_valid()
+        assert skipped == []
+        assert checkpoint.event_index == event_index
+        report = resume(tmp_path)
+        assert fleet_report_bytes(report) == fleet_report_bytes(
+            run_fleet(config)
+        )
+        return checkpoint
+
+    def test_before_the_first_send(self, tmp_path):
+        config = lossy_fleet()
+        checkpoint = self.checkpoint_and_resume(config, tmp_path, 0)
+        [(_, _, _, payload)] = sends_on_heap(checkpoint.state["control"])
+        assert payload == 0
+
+    def test_mid_partition(self, tmp_path):
+        config = lossy_fleet()
+        window = config.net.partitions[0]
+        index = events_until(
+            config,
+            lambda rt: rt.peek_event()[0]
+            >= (window.start_s + window.stop_s) / 2,
+        )
+        checkpoint = self.checkpoint_and_resume(config, tmp_path, index)
+        [(time_s, _, _, payload)] = sends_on_heap(checkpoint.state["control"])
+        assert window.start_s < time_s < window.stop_s
+        assert payload > 0
+
+    def test_after_the_last_send(self, tmp_path):
+        config = lossy_fleet()
+        index = events_until(config, lambda rt: not sends_on_heap(rt._control))
+        checkpoint = self.checkpoint_and_resume(config, tmp_path, index)
+        control = checkpoint.state["control"]
+        assert sends_on_heap(control) == []
+        assert control  # the last frames' acks and retry timers are due

@@ -11,8 +11,13 @@ duplicate-injection counter, and byte-diff double runs.
 
 from __future__ import annotations
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults.injectors import ShardKill
 from repro.recover import fleet_report_bytes
 from repro.serve import ServeConfig
 from repro.serve.fleet import (
@@ -25,7 +30,7 @@ from repro.serve.fleet import (
     PartitionWindow,
     run_fleet,
 )
-from repro.serve.fleet.transport import COUNTER_NAMES, _unit
+from repro.serve.fleet.transport import COUNTER_NAMES, K_NET_SEND, _unit
 
 #: ``(seed, key, draw)``: every lossy run's fault pattern rests on these
 #: exact sampler values.
@@ -48,6 +53,61 @@ def test_unit_draws_are_pinned(seed, key, draw):
     assert _unit(seed, *key) == draw
 
 
+#: Every draw purpose and the key fields after it.
+DRAW_KEYS = {
+    "drop": ("shard", "seq", "attempt"),
+    "delay": ("shard", "seq", "attempt"),
+    "dup": ("shard", "seq", "attempt"),
+    "dupdelay": ("shard", "seq", "attempt"),
+    "ackdrop": ("shard", "seq", "attempt", "dup"),
+    "ackdelay": ("shard", "seq", "attempt", "dup"),
+    "hbdrop": ("shard", "tick"),
+    "hbdelay": ("shard", "tick"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**63), max_value=2**64),
+    purpose=st.sampled_from(sorted(DRAW_KEYS)),
+    fields=st.fixed_dictionaries(
+        {
+            "shard": st.integers(min_value=0, max_value=4096),
+            "seq": st.integers(min_value=0, max_value=2**53),
+            "attempt": st.integers(min_value=0, max_value=2**31),
+            "dup": st.integers(min_value=0, max_value=1),
+            "tick": st.integers(min_value=0, max_value=2**40),
+        }
+    ),
+)
+def test_prefixed_draw_equals_unit(seed, purpose, fields):
+    key = (purpose, *(fields[name] for name in DRAW_KEYS[purpose]))
+    transport = FleetTransport(NetConfig(enabled=True, seed=seed))
+    assert transport._draw(":".join(map(str, key))) == _unit(seed, *key)
+
+
+def test_every_draw_of_a_run_is_a_unit_draw(monkeypatch):
+    # The transport builds its draw tails inline; each one must spell a
+    # well-formed ``(purpose, *ints)`` key so the draw is ``_unit``'s.
+    tails = []
+    draw = FleetTransport._draw
+
+    def recording_draw(self, tail):
+        tails.append(tail)
+        return draw(self, tail)
+
+    monkeypatch.setattr(FleetTransport, "_draw", recording_draw)
+    config = overlapping_fleet()
+    run_fleet(config)
+    assert {tail.split(":")[0] for tail in tails} == set(DRAW_KEYS)
+    transport = FleetTransport(config.net)
+    for tail in tails:
+        purpose, *fields = tail.split(":")
+        assert len(fields) == len(DRAW_KEYS[purpose])
+        key = (purpose, *map(int, fields))
+        assert draw(transport, tail) == _unit(config.net.seed, *key)
+
+
 def net_serve(n_sessions: int = 12, duration_s: float = 0.4) -> ServeConfig:
     return ServeConfig(
         n_sessions=n_sessions,
@@ -62,6 +122,36 @@ def net_serve(n_sessions: int = 12, duration_s: float = 0.4) -> ServeConfig:
 def net_fleet(net: NetConfig, n_shards: int = 3, **serve_kwargs) -> FleetConfig:
     return FleetConfig(
         serve=net_serve(**serve_kwargs), n_shards=n_shards, net=net
+    )
+
+
+def overlapping_fleet() -> FleetConfig:
+    """A small lossy fleet whose fault windows overlap: shard 1 sits in
+    two partition windows (one shared with shard 0), shard 0 in two gray
+    windows whose delay factors multiply, and shard 2 dies silently."""
+    return FleetConfig(
+        serve=net_serve(),
+        n_shards=3,
+        kills=(ShardKill(shard_id=2, at_s=0.3),),
+        net=NetConfig(
+            enabled=True, seed=9,
+            link=LinkProfile(
+                drop_rate=0.1, dup_rate=0.1, delay_s=5e-4, jitter_s=1e-3
+            ),
+            partitions=(
+                PartitionWindow(start_s=0.1, stop_s=0.2, shard_ids=(1,)),
+                PartitionWindow(start_s=0.15, stop_s=0.22, shard_ids=(0, 1)),
+            ),
+            gray=(
+                GraySlow(
+                    shard_id=0, start_s=0.05, stop_s=0.12, delay_factor=3.3
+                ),
+                GraySlow(
+                    shard_id=0, start_s=0.08, stop_s=0.14, delay_factor=1.7
+                ),
+            ),
+            ack_timeout_s=4e-3, max_retransmits=8,
+        ),
     )
 
 
@@ -196,6 +286,56 @@ class TestDeterminism:
         assert (a["data_dropped"], a["dup_injected"]) != (
             b["data_dropped"], b["dup_injected"]
         )
+
+
+class TestGoldenEventStream:
+    """Pins of the overlapping-window fleet's whole run.
+
+    The stream digest hashes ``repr`` of every ``peek_event()``
+    ``(time, kind, seq)`` — the triple the write-ahead journal records —
+    so any change to the event order, a control seq, or a fault draw
+    (including which overlapping gray factors multiply into a delay)
+    fails.  Both digests were computed before SENDs were chained.
+    """
+
+    STREAM_SHA256 = (
+        "9addbe159014465399224a1124223aa5fdd168b3cbbcd1a94a86e4e1ec06916d"
+    )
+    REPORT_SHA256 = (
+        "c15a59c1e2516d2cab30339b8f0bb2ce268dbb3689c330ffd12780154e9d5ce2"
+    )
+
+    def test_event_stream_and_report_are_pinned(self):
+        runtime = FleetRuntime(overlapping_fleet())
+        runtime.start()
+        stream = hashlib.sha256()
+        while (head := runtime.peek_event()) is not None:
+            stream.update(repr(head).encode())
+            runtime.step()
+        report = runtime.finish()
+        assert stream.hexdigest() == self.STREAM_SHA256
+        assert (
+            hashlib.sha256(fleet_report_bytes(report)).hexdigest()
+            == self.REPORT_SHA256
+        )
+        # The pins cover every fault path the windows exist for.
+        counters = report.net.counters
+        assert counters["false_suspects"] == 2
+        assert counters["heals"] == 2
+        assert counters["suspected"] == 3
+
+    def test_control_heap_holds_at_most_one_send(self):
+        runtime = FleetRuntime(overlapping_fleet())
+        runtime.start()
+        sends_seen = 0
+        while True:
+            sends = [e for e in runtime._control if e[2] == K_NET_SEND]
+            assert len(sends) <= 1
+            if sends and runtime.peek_event()[1] == K_NET_SEND:
+                sends_seen += 1
+            if not runtime.step():
+                break
+        assert sends_seen == runtime.finish().total_frames
 
 
 class TestExhaustion:
