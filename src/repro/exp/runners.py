@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.exp.errors import CampaignConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.recover.codec import canonical_json, config_hash
+from repro.recover.kinds import RUN_KINDS, build_runtime, resolve_run_config
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,9 @@ def _fleet_outcome(report, extra_metrics: "dict | None" = None) -> RunOutcome:
     return RunOutcome(metrics=_sanitize(metrics), artifacts=artifacts)
 
 
-def _execute_serve(params: dict) -> RunOutcome:
-    from repro.serve.cli import run_from_config
-
-    return _fleet_outcome(run_from_config(params))
-
-
-def _execute_chaos(params: dict) -> RunOutcome:
-    from repro.faults.cli import run_from_config
-
-    return _fleet_outcome(run_from_config(params))
-
-
-def _execute_fleet(params: dict) -> RunOutcome:
-    from repro.serve.fleet.cli import run_from_config
-
-    return _fleet_outcome(run_from_config(params))
+def _execute_kind(kind: str, params: dict) -> RunOutcome:
+    """Run one serve / chaos / fleet run (see :mod:`repro.recover.kinds`)."""
+    return _fleet_outcome(build_runtime(resolve_run_config(kind, params)).run())
 
 
 def _execute_sdc(params: dict) -> RunOutcome:
@@ -195,24 +184,6 @@ def _execute_paper(params: dict) -> RunOutcome:
     )
 
 
-def _resolve_serve(params: dict) -> dict:
-    from repro.serve.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_chaos(params: dict) -> dict:
-    from repro.faults.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_fleet(params: dict) -> dict:
-    from repro.serve.fleet.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
 def _resolve_sdc(params: dict) -> dict:
     from repro.reliability.cli import resolve_run_config
 
@@ -234,9 +205,10 @@ def _resolve_paper(params: dict) -> dict:
 #: name -> (resolve, execute).  New workloads register here; the rest of
 #: the campaign machinery (expansion, ledger, compare) is runner-agnostic.
 RUNNERS = {
-    "serve": (_resolve_serve, _execute_serve),
-    "chaos": (_resolve_chaos, _execute_chaos),
-    "fleet": (_resolve_fleet, _execute_fleet),
+    **{
+        kind: (partial(resolve_run_config, kind), partial(_execute_kind, kind))
+        for kind in RUN_KINDS
+    },
     "sdc": (_resolve_sdc, _execute_sdc),
     "recover": (_resolve_recover, _execute_recover),
     "paper": (_resolve_paper, _execute_paper),

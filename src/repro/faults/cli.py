@@ -5,265 +5,86 @@ noise-burst/occlusion mix, one worker crash, one latency-spike window)
 and lets flags scale or disable each fault class.  The printed report is
 byte-identical across runs of the same flags — ``--compare-fault-free``
 additionally replays the identical fleet with every fault disabled and
-prints the degradation budget actually consumed.
+prints the degradation budget actually consumed.  The flags are chaos
+campaign params (:func:`repro.recover.kinds.chaos_config_from_params`);
+the shared flags and the run itself are :mod:`repro.serve.frontdoor`'s.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import fields, replace
 
-from repro.faults.config import (
-    ChaosConfig,
-    InputFaultConfig,
-    SoftErrorConfig,
-    WorkerFaultSchedule,
-    default_chaos_scenario,
+from repro.faults.runtime import run_chaos
+from repro.serve.frontdoor import (
+    Flag,
+    add_flags,
+    add_serving_arguments,
+    run_serving_cli,
 )
-from repro.faults.runtime import ChaosRuntime, run_chaos
-from repro.obs.cli import (
-    add_obs_arguments,
-    add_slo_arguments,
-    emit_obs_artifacts,
-    emit_slo_artifacts,
-    obs_from_args,
-    resolve_obs_out,
+from repro.serve.telemetry import format_fleet_report
+
+FLAGS = (
+    Flag("--sessions", "serve.n_sessions", int),
+    Flag("--duration", "serve.duration_s", help="simulated window in seconds"),
+    Flag("--workers", "serve.n_workers", int),
+    Flag("--seed", "seed", int,
+         help="seeds both the fleet and the fault streams"),
+    Flag("--drop-rate", "input_faults.frame_drop_rate",
+         help="i.i.d. sensor frame-drop probability"),
+    Flag("--noise-burst-rate", "input_faults.noise_burst_rate_hz",
+         help="tracking noise bursts per second per session"),
+    Flag("--occlusion-rate", "input_faults.occlusion_rate_hz",
+         help="eyelid occlusion episodes per second per session"),
+    Flag("--bit-error-rate", "input_faults.bit_error_rate",
+         help="MIPI per-bit transient error probability"),
+    Flag("--no-worker-faults", "no_worker_faults", bool,
+         help="disable the crash/stall/spike schedule"),
+    Flag("--soft-error-fit", "soft_error_fit",
+         help="silicon soft-error FIT/Mbit rate composed onto "
+         "the scenario (0 disables; see repro.reliability)"),
+    Flag("--soft-error-accel", "soft_error_accel",
+         help="soft-error acceleration factor (wall-time "
+         "compression of the FIT rate)"),
+    Flag("--fault-free", "fault_free", bool,
+         help="disable every fault (baseline run)"),
 )
-from repro.recover.cli import add_checkpoint_arguments, run_checkpointed_cli
-from repro.serve.config import AdmissionPolicy, ServeConfig
-from repro.serve.telemetry import FleetReport, format_fleet_report
-
-
-def _checked_overrides(overrides: dict, cls, what: str) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {what} params: {unknown} (known: {sorted(known)})"
-        )
-    return dict(overrides)
-
-
-def config_from_params(params: dict) -> ChaosConfig:
-    """Campaign params -> a validated :class:`ChaosConfig`.
-
-    Starts from :func:`default_chaos_scenario` (exactly like the CLI)
-    and applies overrides: ``"serve"`` / ``"input_faults"`` sub-dicts of
-    dataclass field overrides, plus the scalar knobs the CLI exposes
-    (``seed``, ``no_worker_faults``, ``soft_error_fit``,
-    ``soft_error_accel``, ``fault_free``).  Unknown keys are rejected.
-    """
-    params = dict(params)
-    seed = int(params.pop("seed", 0))
-    base = default_chaos_scenario(seed=seed)
-
-    serve_over = _checked_overrides(params.pop("serve", {}), ServeConfig, "chaos serve")
-    if isinstance(serve_over.get("admission"), str):
-        serve_over["admission"] = AdmissionPolicy(serve_over["admission"])
-    serve = replace(base.serve, **serve_over)
-
-    faults_over = _checked_overrides(
-        params.pop("input_faults", {}), InputFaultConfig, "chaos input-fault"
-    )
-    if "occlusion_level" in faults_over:
-        faults_over["occlusion_level"] = tuple(faults_over["occlusion_level"])
-    input_faults = replace(base.input_faults, **faults_over)
-
-    no_worker_faults = bool(params.pop("no_worker_faults", False))
-    worker_faults = base.worker_faults
-    if no_worker_faults or any(
-        c.worker_id >= serve.n_workers for c in worker_faults.crashes
-    ):
-        worker_faults = WorkerFaultSchedule()
-
-    fit = float(params.pop("soft_error_fit", 0.0))
-    accel = float(params.pop("soft_error_accel", 5e10))
-    soft_errors = SoftErrorConfig.inactive()
-    if fit > 0:
-        soft_errors = SoftErrorConfig(
-            fit_per_mbit=fit, acceleration=accel, seed=seed
-        )
-
-    fault_free = bool(params.pop("fault_free", False))
-    if params:
-        raise ValueError(
-            f"unknown chaos params: {sorted(params)} (known: "
-            "['fault_free', 'input_faults', 'no_worker_faults', 'seed', "
-            "'serve', 'soft_error_accel', 'soft_error_fit'])"
-        )
-    config = ChaosConfig(
-        serve=serve,
-        input_faults=input_faults,
-        worker_faults=worker_faults,
-        recovery=base.recovery,
-        watchdog=base.watchdog,
-        profile=base.profile,
-        soft_errors=soft_errors,
-        fault_seed=seed,
-    )
-    if fault_free:
-        config = config.fault_free()
-    return config
-
-
-# ----------------------------------------------------------------------
-# Campaign entry point (repro.exp)
-# ----------------------------------------------------------------------
-def resolve_run_config(params: dict) -> dict:
-    """Validate campaign params -> the fully resolved canonical dict."""
-    from repro.recover.configio import chaos_config_to_dict
-
-    return {"kind": "chaos", "config": chaos_config_to_dict(config_from_params(params))}
-
-
-def run_from_config(params: dict, obs=None) -> FleetReport:
-    """Campaign entry point: params dict -> the run's FleetReport."""
-    from repro.recover.configio import chaos_config_from_dict
-
-    resolved = resolve_run_config(params)
-    return run_chaos(chaos_config_from_dict(resolved["config"]), obs=obs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    base = default_chaos_scenario()
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
         description="Run a seeded fault-injection scenario on the serving fleet.",
     )
-    parser.add_argument("--sessions", type=int, default=base.serve.n_sessions)
-    parser.add_argument("--duration", type=float, default=base.serve.duration_s,
-                        help="simulated window in seconds")
-    parser.add_argument("--workers", type=int, default=base.serve.n_workers)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seeds both the fleet and the fault streams")
-    parser.add_argument("--drop-rate", type=float,
-                        default=base.input_faults.frame_drop_rate,
-                        help="i.i.d. sensor frame-drop probability")
-    parser.add_argument("--noise-burst-rate", type=float,
-                        default=base.input_faults.noise_burst_rate_hz,
-                        help="tracking noise bursts per second per session")
-    parser.add_argument("--occlusion-rate", type=float,
-                        default=base.input_faults.occlusion_rate_hz,
-                        help="eyelid occlusion episodes per second per session")
-    parser.add_argument("--bit-error-rate", type=float,
-                        default=base.input_faults.bit_error_rate,
-                        help="MIPI per-bit transient error probability")
-    parser.add_argument("--no-worker-faults", action="store_true",
-                        help="disable the crash/stall/spike schedule")
-    parser.add_argument("--soft-error-fit", type=float, default=0.0,
-                        help="silicon soft-error FIT/Mbit rate composed onto "
-                        "the scenario (0 disables; see repro.reliability)")
-    parser.add_argument("--soft-error-accel", type=float, default=5e10,
-                        help="soft-error acceleration factor (wall-time "
-                        "compression of the FIT rate)")
-    parser.add_argument("--fault-free", action="store_true",
-                        help="disable every fault (baseline run)")
+    add_flags(parser, FLAGS)
     parser.add_argument("--compare-fault-free", action="store_true",
                         help="also run the zero-fault baseline and print the "
                         "degradation budget consumed")
-    parser.add_argument("--max-session-rows", type=int, default=8)
-    add_checkpoint_arguments(parser)
-    add_obs_arguments(parser)
-    add_slo_arguments(parser)
+    add_serving_arguments(parser)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ChaosConfig:
-    return config_from_params(
-        {
-            "seed": args.seed,
-            "serve": {
-                "n_sessions": args.sessions,
-                "duration_s": args.duration,
-                "n_workers": args.workers,
-            },
-            "input_faults": {
-                "frame_drop_rate": args.drop_rate,
-                "noise_burst_rate_hz": args.noise_burst_rate,
-                "occlusion_rate_hz": args.occlusion_rate,
-                "bit_error_rate": args.bit_error_rate,
-            },
-            "no_worker_faults": args.no_worker_faults,
-            "soft_error_fit": args.soft_error_fit,
-            "soft_error_accel": args.soft_error_accel,
-            "fault_free": args.fault_free,
-        }
+def _compare_fault_free(args, runtime, report) -> None:
+    if not args.compare_fault_free or args.fault_free:
+        return
+    baseline = run_chaos(runtime.chaos.fault_free())
+    print("\n--- fault-free baseline ---\n")
+    print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))
+    miss = report.deadline_miss_rate
+    base_miss = baseline.deadline_miss_rate
+    ratio = miss / base_miss if base_miss > 0 else float("inf")
+    print(
+        f"\nDeadline misses under faults: {miss:.2%} vs {base_miss:.2%} "
+        f"fault-free ({ratio:.2f}x)"
+        if base_miss > 0
+        else f"\nDeadline misses under faults: {miss:.2%} "
+        f"(fault-free baseline missed none)"
     )
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as err:
-        parser.error(str(err))
-    if args.kill_at_event is not None and args.checkpoint_dir is None:
-        parser.error("--kill-at-event requires --checkpoint-dir")
-    if args.slo is not None and args.checkpoint_dir is not None:
-        parser.error("--slo and --checkpoint-dir are mutually exclusive "
-                     "(the SLO engine is not checkpointed)")
-    obs = obs_from_args(args)
-    slo_engine = None
-    if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
-
-        if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
-        try:
-            slo_config = resolve_slo_config(args.slo, config.serve.deadline_s)
-        except SloConfigError as err:
-            parser.error(str(err))
-        slo_engine = SloEngine(slo_config, obs)
-    if args.checkpoint_dir is not None:
-        runtime = ChaosRuntime(config, obs=obs)
-        report = run_checkpointed_cli(runtime, args, parser)
-        if not isinstance(report, FleetReport):
-            return report  # simulated crash exit code
-    elif slo_engine is not None:
-        runtime = ChaosRuntime(config, obs=obs)
-        runtime.attach_slo(slo_engine)
-        report = runtime.run()
-    else:
-        report = run_chaos(config, obs=obs)
-    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
-    if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
-
-        print("\n--- SLO verdicts ---\n")
-        print(slo_engine.format_verdicts())
-        summary_objectives = slo_engine.config.summary_objectives
-        if summary_objectives:
-            rows = evaluate_summary(
-                summary_objectives, fleet_summary_metrics(report)
-            )
-            print()
-            print(format_summary_verdicts(rows))
-    if args.obs:
-        from repro.recover.configio import chaos_config_to_dict
-
-        resolved = {"kind": "chaos", "config": chaos_config_to_dict(config)}
-        out_dir = resolve_obs_out(args.obs_out, "chaos", resolved)
-        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
-        if slo_engine is not None:
-            emit_slo_artifacts(slo_engine, out_dir)
-    if args.compare_fault_free and not args.fault_free:
-        baseline = run_chaos(config.fault_free())
-        print("\n--- fault-free baseline ---\n")
-        print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))
-        miss = report.deadline_miss_rate
-        base_miss = baseline.deadline_miss_rate
-        ratio = miss / base_miss if base_miss > 0 else float("inf")
-        print(
-            f"\nDeadline misses under faults: {miss:.2%} vs {base_miss:.2%} "
-            f"fault-free ({ratio:.2f}x)"
-            if base_miss > 0
-            else f"\nDeadline misses under faults: {miss:.2%} "
-            f"(fault-free baseline missed none)"
-        )
-    return 0
+    return run_serving_cli(
+        "chaos", build_parser(), FLAGS, argv, compare=_compare_fault_free
+    )
 
 
 if __name__ == "__main__":

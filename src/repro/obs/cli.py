@@ -25,7 +25,7 @@ from repro.obs.export import slowest_spans_table, write_chrome_trace, write_json
 
 
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--obs`` flags shared by the serve / chaos CLIs."""
+    """``--obs`` flags shared by the serving CLIs and ``recover``."""
     group = parser.add_argument_group("observability")
     group.add_argument("--obs", action="store_true",
                        help="enable tracing + metrics for this run")
@@ -44,7 +44,7 @@ def obs_from_args(args: argparse.Namespace) -> "Obs | None":
 
 
 def add_slo_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--slo`` flag shared by the serve / chaos / sdc CLIs."""
+    """``--slo`` flag shared by the serving CLIs and ``sdc``."""
     group = parser.add_argument_group("slo")
     group.add_argument("--slo", default=None, metavar="CONFIG",
                        help="evaluate SLOs for this run: 'default' for the "
@@ -186,37 +186,21 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     obs = Obs(ObsConfig(top_k=args.top))
     try:
+        from repro.recover.kinds import build_runtime, resolve_run_config
+        from repro.serve.config import ServeConfig
+
+        serve = {
+            "n_sessions": args.sessions,
+            "n_workers": args.workers,
+            "duration_s": args.frames / ServeConfig().fps,
+        }
         if args.chaos:
-            from dataclasses import replace
-
-            from repro.faults.config import default_chaos_scenario
-            from repro.faults.runtime import run_chaos
-
-            base = default_chaos_scenario(seed=args.seed)
-            duration = args.frames / base.serve.fps
-            chaos = replace(
-                base,
-                serve=replace(
-                    base.serve,
-                    n_sessions=args.sessions,
-                    n_workers=args.workers,
-                    duration_s=duration,
-                ),
-                fault_seed=args.seed,
+            resolved = resolve_run_config(
+                "chaos", {"seed": args.seed, "serve": serve}
             )
-            report = run_chaos(chaos, obs=obs)
         else:
-            from repro.serve.config import ServeConfig
-            from repro.serve.runtime import serve_fleet
-
-            defaults = ServeConfig()
-            config = ServeConfig(
-                n_sessions=args.sessions,
-                n_workers=args.workers,
-                duration_s=args.frames / defaults.fps,
-                seed=args.seed,
-            )
-            report = serve_fleet(config, obs=obs)
+            resolved = resolve_run_config("serve", {**serve, "seed": args.seed})
+        report = build_runtime(resolved, obs=obs).run()
         if not args.no_hw:
             _trace_accelerator_and_tfr(obs)
     except ValueError as err:

@@ -74,6 +74,12 @@ class Checkpoint:
     state: dict
     manifest_path: Path
 
+    @property
+    def resolved(self) -> dict:
+        """The run this checkpoint belongs to, as a resolved run dict
+        (see :func:`repro.recover.kinds.resolve_run_config`)."""
+        return {"kind": self.kind, "config": self.config, "service": self.service}
+
 
 class CheckpointStore:
     """The checkpoint directory: write, enumerate, validate, load."""

@@ -1,7 +1,7 @@
 """``python -m repro recover`` — warm-restart a killed serving run.
 
-Given a checkpoint directory written by ``python -m repro serve
---checkpoint-dir`` (or ``chaos --checkpoint-dir``), restores the latest
+Given a checkpoint directory written by ``python -m repro serve``,
+``chaos`` or ``fleet`` with ``--checkpoint-dir``, restores the latest
 valid checkpoint, replays the write-ahead journal tail, runs the fleet
 to completion, and prints the final report to stdout.  The recovery
 summary (checkpoint used, events replayed, corrupt checkpoints skipped)
@@ -10,9 +10,9 @@ uninterrupted run — exactly what ``--verify`` and the ``recover-smoke``
 CI job do.
 
 This module also owns the shared ``--checkpoint-dir`` /
-``--checkpoint-every`` / ``--kill-at-event`` flags the serve and chaos
-CLIs import, plus the :data:`EXIT_SIMULATED_CRASH` code a killed run
-exits with.
+``--checkpoint-every`` / ``--kill-at-event`` flags of the serving CLIs
+(see :mod:`repro.serve.frontdoor`), plus the
+:data:`EXIT_SIMULATED_CRASH` code a killed run exits with.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.obs.cli import (
 )
 from repro.recover.codec import fleet_report_bytes
 from repro.recover.errors import RecoveryError
+from repro.recover import kinds
 from repro.recover.manager import (
     DEFAULT_CHECKPOINT_EVERY,
     build_runtime,
@@ -80,57 +81,18 @@ def resolve_run_config(params: dict) -> dict:
         raise ValueError(f"kill_at_event must be >= 1, got {kill_at_event}")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if target == "serve":
-        from repro.serve.cli import resolve_run_config as resolve_serve
-
-        inner = resolve_serve(params)
-    elif target == "chaos":
-        from repro.faults.cli import resolve_run_config as resolve_chaos
-
-        inner = resolve_chaos(params)
-    elif target == "fleet":
-        from repro.serve.fleet.cli import resolve_run_config as resolve_fleet
-
-        inner = resolve_fleet(params)
-    else:
+    if target not in kinds.RUN_KINDS:
         raise ValueError(
             f"unknown recover target {target!r} "
             "(choose 'serve', 'chaos', or 'fleet')"
         )
+    inner = kinds.resolve_run_config(target, params)
     return {
         "kind": "recover",
         "target": inner,
         "kill_at_event": kill_at_event,
         "checkpoint_every": checkpoint_every,
     }
-
-
-def _target_runtime(target: dict) -> ServeRuntime:
-    if target["kind"] == "serve":
-        from repro.recover.configio import (
-            serve_config_from_dict,
-            service_model_from_dict,
-        )
-
-        return ServeRuntime(
-            serve_config_from_dict(target["config"]),
-            service=service_model_from_dict(target["service"]),
-        )
-    if target["kind"] == "fleet":
-        from repro.recover.configio import (
-            fleet_config_from_dict,
-            service_model_from_dict,
-        )
-        from repro.serve.fleet.runtime import FleetRuntime
-
-        return FleetRuntime(
-            fleet_config_from_dict(target["config"]),
-            service=service_model_from_dict(target["service"]),
-        )
-    from repro.faults.runtime import ChaosRuntime
-    from repro.recover.configio import chaos_config_from_dict
-
-    return ChaosRuntime(chaos_config_from_dict(target["config"]))
 
 
 def run_from_config(params: dict) -> RecoverProbeReport:
@@ -145,7 +107,7 @@ def run_from_config(params: dict) -> RecoverProbeReport:
     resolved = resolve_run_config(params)
     every = resolved["checkpoint_every"]
     with tempfile.TemporaryDirectory(prefix="repro-recover-probe-") as tmp:
-        runtime = _target_runtime(resolved["target"])
+        runtime = kinds.build_runtime(resolved["target"])
         kill = ProcessKill(at_event=resolved["kill_at_event"])
         try:
             report = run_with_checkpoints(runtime, tmp, every=every, kill=kill)
@@ -172,7 +134,7 @@ def run_from_config(params: dict) -> RecoverProbeReport:
 
 
 # ----------------------------------------------------------------------
-# Shared checkpoint flags (imported by the serve and chaos CLIs)
+# Shared checkpoint flags (imported by the serving CLIs' front door)
 # ----------------------------------------------------------------------
 def add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("durability")
@@ -268,13 +230,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
     print(format_fleet_report(report, max_session_rows=args.max_session_rows))
     if obs is not None:
-        resolved = {
-            "kind": checkpoint.kind,
-            "config": checkpoint.config,
-            "service": checkpoint.service,
-        }
         out_dir = resolve_obs_out(
-            args.obs_out, f"recover-{checkpoint.kind}", resolved
+            args.obs_out, f"recover-{checkpoint.kind}", checkpoint.resolved
         )
         emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
     if args.verify:

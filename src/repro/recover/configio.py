@@ -1,22 +1,30 @@
-"""Config <-> dict codecs for the checkpoint manifest.
+"""Config <-> dict codecs: the only dict -> config constructors.
 
 A checkpoint must be restorable from the directory alone, so the
-manifest embeds the *complete* run configuration — the serve or chaos
-config and the batch service model.  These codecs are explicit (not a
-generic pickle) so the on-disk format stays a documented, versioned
-JSON schema: enums go by value, tuples round-trip through lists, and
-reconstruction re-runs every dataclass validator.
+manifest embeds the *complete* run configuration — the serve, chaos or
+fleet config and the batch service model.  These codecs are explicit
+(not a generic pickle) so the on-disk format stays a documented,
+versioned JSON schema: enums go by value, tuples round-trip through
+lists, and reconstruction re-runs every dataclass validator.
+
+Every ``*_from_dict`` takes a partial dict: an omitted key gets its
+dataclass default (so a manifest written before a field existed
+restores to the default it ran with) and an unknown key is a
+:class:`TypeError`.  The same decoders build a run's config from
+campaign params and CLI flags (see :mod:`repro.recover.kinds`).
 
 The experiment-campaign layer (``repro.exp``) reuses these codecs as
 its config canonicalizer: a run's identity is the
 :func:`~repro.recover.codec.config_hash` of the *fully resolved* config
-dict these functions emit, so defaults, dict ordering, and equivalent
-spellings all collapse to one hash.
+dict the ``*_to_dict`` functions emit, so defaults, dict ordering, and
+equivalent spellings all collapse to one hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
+from functools import partial
 
 from repro.faults.config import (
     ChaosConfig,
@@ -35,6 +43,36 @@ from repro.system.tfr import TrackerSystemProfile
 from repro.system.watchdog import WatchdogConfig
 
 
+def _from_dict(cls, state: dict, **decoders):
+    """Build dataclass ``cls`` from a possibly partial dict.
+
+    An omitted field takes its dataclass default; an unknown key raises
+    :class:`TypeError`.  ``decoders`` turn the JSON value of the named
+    fields back into their types (enums, tuples, nested dataclasses).
+    """
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(state) - known)
+    if unknown:
+        label = " ".join(
+            word.lower()
+            for word in re.findall(r"[A-Z][a-z]*", cls.__name__)
+            if word != "Config"
+        )
+        raise TypeError(
+            f"unknown {label} params: {unknown} (known: {sorted(known)})"
+        )
+    kwargs = dict(state)
+    for name, decode in decoders.items():
+        if name in kwargs:
+            kwargs[name] = decode(kwargs[name])
+    return cls(**kwargs)
+
+
+def _each(cls, **decoders):
+    """Decoder of a list of ``cls`` dicts into a tuple."""
+    return lambda items: tuple(_from_dict(cls, item, **decoders) for item in items)
+
+
 def serve_config_to_dict(config: ServeConfig) -> dict:
     state = asdict(config)
     state["admission"] = config.admission.value
@@ -42,9 +80,7 @@ def serve_config_to_dict(config: ServeConfig) -> dict:
 
 
 def serve_config_from_dict(state: dict) -> ServeConfig:
-    kwargs = dict(state)
-    kwargs["admission"] = AdmissionPolicy(kwargs["admission"])
-    return ServeConfig(**kwargs)
+    return _from_dict(ServeConfig, state, admission=AdmissionPolicy)
 
 
 def service_model_to_dict(service: BatchServiceModel) -> dict:
@@ -52,7 +88,7 @@ def service_model_to_dict(service: BatchServiceModel) -> dict:
 
 
 def service_model_from_dict(state: dict) -> BatchServiceModel:
-    return BatchServiceModel(**state)
+    return _from_dict(BatchServiceModel, state)
 
 
 def chaos_config_to_dict(config: ChaosConfig) -> dict:
@@ -74,25 +110,24 @@ def chaos_config_to_dict(config: ChaosConfig) -> dict:
 
 
 def chaos_config_from_dict(state: dict) -> ChaosConfig:
-    input_faults = dict(state["input_faults"])
-    input_faults["occlusion_level"] = tuple(input_faults["occlusion_level"])
-    faults = state["worker_faults"]
-    return ChaosConfig(
-        serve=serve_config_from_dict(state["serve"]),
-        input_faults=InputFaultConfig(**input_faults),
-        worker_faults=WorkerFaultSchedule(
-            crashes=tuple(WorkerCrash(**c) for c in faults["crashes"]),
-            stalls=tuple(WorkerStall(**s) for s in faults["stalls"]),
-            spikes=tuple(LatencySpike(**s) for s in faults["spikes"]),
+    return _from_dict(
+        ChaosConfig,
+        state,
+        serve=serve_config_from_dict,
+        input_faults=partial(
+            _from_dict, InputFaultConfig, occlusion_level=tuple
         ),
-        recovery=RecoveryConfig(**state["recovery"]),
-        watchdog=WatchdogConfig(**state["watchdog"]),
-        profile=TrackerSystemProfile(**state["profile"]),
-        # Older checkpoints predate soft errors; they ran without them.
-        soft_errors=SoftErrorConfig(**state["soft_errors"])
-        if "soft_errors" in state
-        else SoftErrorConfig.inactive(),
-        fault_seed=int(state["fault_seed"]),
+        worker_faults=partial(
+            _from_dict,
+            WorkerFaultSchedule,
+            crashes=_each(WorkerCrash),
+            stalls=_each(WorkerStall),
+            spikes=_each(LatencySpike),
+        ),
+        recovery=partial(_from_dict, RecoveryConfig),
+        watchdog=partial(_from_dict, WatchdogConfig),
+        profile=partial(_from_dict, TrackerSystemProfile),
+        soft_errors=partial(_from_dict, SoftErrorConfig),
     )
 
 
@@ -125,26 +160,17 @@ def net_config_from_dict(state: dict):
     from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
     from repro.serve.fleet.transport import NetConfig
 
-    return NetConfig(
-        enabled=bool(state["enabled"]),
-        seed=int(state["seed"]),
-        link=LinkProfile(**state["link"]),
-        partitions=tuple(
-            PartitionWindow(
-                start_s=float(w["start_s"]),
-                stop_s=float(w["stop_s"]),
-                shard_ids=tuple(int(s) for s in w["shard_ids"]),
-            )
-            for w in state["partitions"]
+    return _from_dict(
+        NetConfig,
+        state,
+        link=partial(_from_dict, LinkProfile),
+        partitions=_each(
+            PartitionWindow,
+            start_s=float,
+            stop_s=float,
+            shard_ids=lambda ids: tuple(int(s) for s in ids),
         ),
-        gray=tuple(GraySlow(**w) for w in state["gray"]),
-        ack_timeout_s=float(state["ack_timeout_s"]),
-        backoff_factor=float(state["backoff_factor"]),
-        max_retransmits=int(state["max_retransmits"]),
-        heartbeat_s=float(state["heartbeat_s"]),
-        detect_every_s=float(state["detect_every_s"]),
-        phi_threshold=float(state["phi_threshold"]),
-        on_exhaust=str(state["on_exhaust"]),
+        gray=_each(GraySlow),
     )
 
 
@@ -182,25 +208,16 @@ def fleet_config_from_dict(state: dict):
         RebalancerConfig,
         SessionMigration,
     )
-    from repro.serve.fleet.transport import NetConfig
 
-    return FleetConfig(
-        serve=serve_config_from_dict(state["serve"]),
-        n_shards=int(state["n_shards"]),
-        vnodes=int(state["vnodes"]),
-        ring_seed=int(state["ring_seed"]),
-        kills=tuple(ShardKill(**k) for k in state["kills"]),
-        migrations=tuple(SessionMigration(**m) for m in state["migrations"]),
-        migration_rate_hz=float(state["migration_rate_hz"]),
-        migration_seed=int(state["migration_seed"]),
-        failover=FailoverConfig(**state["failover"]),
-        rebalancer=RebalancerConfig(**state["rebalancer"]),
-        # Pre-transport checkpoints predate the key; they ran without it.
-        net=(
-            net_config_from_dict(state["net"])
-            if "net" in state
-            else NetConfig()
-        ),
+    return _from_dict(
+        FleetConfig,
+        state,
+        serve=serve_config_from_dict,
+        kills=_each(ShardKill),
+        migrations=_each(SessionMigration),
+        failover=partial(_from_dict, FailoverConfig),
+        rebalancer=partial(_from_dict, RebalancerConfig),
+        net=net_config_from_dict,
     )
 
 
@@ -220,7 +237,9 @@ def sdc_campaign_to_dict(config) -> dict:
 def sdc_campaign_from_dict(state: dict):
     from repro.reliability.campaign import SdcCampaignConfig
 
-    kwargs = dict(state)
-    kwargs["fit_rates"] = tuple(float(f) for f in kwargs["fit_rates"])
-    kwargs["protections"] = tuple(str(p) for p in kwargs["protections"])
-    return SdcCampaignConfig(**kwargs)
+    return _from_dict(
+        SdcCampaignConfig,
+        state,
+        fit_rates=lambda rates: tuple(float(f) for f in rates),
+        protections=lambda names: tuple(str(p) for p in names),
+    )

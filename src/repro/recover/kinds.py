@@ -1,0 +1,173 @@
+"""The run-kind table: what ``serve``, ``chaos`` and ``fleet`` runs are.
+
+A run kind is a runtime's ``RUNTIME_KIND``.  :data:`RUN_KINDS` maps it
+to the :mod:`~repro.recover.configio` codec of its config and to the
+runtime class that executes it, and every serving run starts here:
+
+    CLI flags / campaign params --resolve_run_config--> resolved dict
+    resolved dict / checkpoint manifest --build_runtime--> runtime
+
+The resolved dict ``{"kind", "config", "service"?}`` spells out every
+knob, so its :func:`~repro.recover.codec.config_hash` is the campaign
+run id and the CLI's default ``obs-out/<kind>-<hash>`` directory name.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from importlib import import_module
+from typing import Callable
+
+from repro.recover.configio import (
+    chaos_config_from_dict,
+    chaos_config_to_dict,
+    fleet_config_from_dict,
+    fleet_config_to_dict,
+    serve_config_from_dict,
+    serve_config_to_dict,
+    service_model_from_dict,
+    service_model_to_dict,
+)
+from repro.recover.errors import RecoveryError
+
+#: Chaos params that are scenario knobs rather than config fields, with
+#: the default an omitted param (or ``python -m repro chaos`` flag) gets.
+CHAOS_KNOBS = {
+    "seed": 0,
+    "no_worker_faults": False,
+    "soft_error_fit": 0.0,
+    "soft_error_accel": 5e10,
+    "fault_free": False,
+}
+
+
+def chaos_config_from_params(params: dict):
+    """Chaos campaign params -> a :class:`~repro.faults.ChaosConfig`.
+
+    Starts from :func:`~repro.faults.default_chaos_scenario` and applies
+    ``"serve"`` / ``"input_faults"`` field overrides plus the
+    :data:`CHAOS_KNOBS`.  Unknown keys are rejected.
+    """
+    from repro.faults.config import default_chaos_scenario
+
+    params = dict(params)
+    knobs = {key: params.pop(key, default) for key, default in CHAOS_KNOBS.items()}
+    seed = int(knobs["seed"])
+    state = chaos_config_to_dict(default_chaos_scenario(seed=seed))
+    for key in ("serve", "input_faults"):
+        state[key].update(params.pop(key, {}))
+    if params:
+        known = sorted([*CHAOS_KNOBS, "input_faults", "serve"])
+        raise TypeError(
+            f"unknown chaos params: {sorted(params)} (known: {known})"
+        )
+    n_workers = state["serve"]["n_workers"]
+    if knobs["no_worker_faults"] or any(
+        crash["worker_id"] >= n_workers
+        for crash in state["worker_faults"]["crashes"]
+    ):
+        del state["worker_faults"]  # the default: an empty schedule
+    fit = float(knobs["soft_error_fit"])
+    if fit > 0:
+        state["soft_errors"] = {
+            "fit_per_mbit": fit,
+            "acceleration": float(knobs["soft_error_accel"]),
+            "seed": seed,
+        }
+    config = chaos_config_from_dict(state)
+    return config.fault_free() if knobs["fault_free"] else config
+
+
+@dataclass(frozen=True)
+class RunKind:
+    """One run kind: its config codec and its runtime class."""
+
+    to_dict: Callable
+    from_dict: Callable
+    #: ``module.Class`` of the runtime, imported on first use.
+    runtime: str
+    #: Campaign params (without ``"service"``) -> config.
+    from_params: "Callable | None" = None
+    #: The runtime attribute that holds the config.
+    config_attr: str = "config"
+    #: Whether params (and so the resolved dict) carry a ``"service"``
+    #: model; without one the runtime gets the default model.
+    resolves_service: bool = True
+    #: Whether the runtime accepts an ``inference`` hook.
+    takes_inference: bool = True
+
+    @property
+    def runtime_class(self) -> type:
+        module, _, name = self.runtime.rpartition(".")
+        return getattr(import_module(module), name)
+
+
+RUN_KINDS: "dict[str, RunKind]" = {
+    "serve": RunKind(
+        serve_config_to_dict,
+        serve_config_from_dict,
+        "repro.serve.runtime.ServeRuntime",
+    ),
+    "chaos": RunKind(
+        chaos_config_to_dict,
+        chaos_config_from_dict,
+        "repro.faults.runtime.ChaosRuntime",
+        from_params=chaos_config_from_params,
+        config_attr="chaos",
+        resolves_service=False,
+    ),
+    "fleet": RunKind(
+        fleet_config_to_dict,
+        fleet_config_from_dict,
+        "repro.serve.fleet.runtime.FleetRuntime",
+        takes_inference=False,
+    ),
+}
+
+
+def resolve_run_config(kind: str, params: dict) -> dict:
+    """Validate campaign params -> the fully resolved canonical dict.
+
+    ``params`` mirror the config (nested dicts for nested dataclasses,
+    lists for tuples; chaos adds its :data:`CHAOS_KNOBS`) plus an
+    optional ``"service"`` dict; omitted keys take their defaults.
+    """
+    entry = RUN_KINDS[kind]
+    params = dict(params)
+    try:
+        service = (
+            service_model_from_dict(params.pop("service", {}))
+            if entry.resolves_service
+            else None
+        )
+        config = (entry.from_params or entry.from_dict)(params)
+    except TypeError as err:
+        raise ValueError(f"bad {kind} params: {err}") from err
+    resolved = {"kind": kind, "config": entry.to_dict(config)}
+    if service is not None:
+        resolved["service"] = service_model_to_dict(service)
+    return resolved
+
+
+def build_runtime(resolved: dict, *, service=None, inference=None, obs=None):
+    """A fresh runtime of a resolved dict's (or manifest's) kind.
+
+    ``service`` overrides the recorded ``"service"`` model, which
+    defaults to :class:`~repro.serve.config.BatchServiceModel`.
+    """
+    kind = resolved["kind"]
+    entry = RUN_KINDS[kind]
+    if service is None:
+        service = service_model_from_dict(resolved.get("service", {}))
+    kwargs = {"service": service, "obs": obs}
+    if inference is not None:
+        if not entry.takes_inference:
+            raise RecoveryError(f"{kind} runs do not support an inference hook")
+        kwargs["inference"] = inference
+    return entry.runtime_class(entry.from_dict(resolved["config"]), **kwargs)
+
+
+def runtime_config_dict(runtime) -> dict:
+    """The canonical config dict of a live runtime (for its manifest)."""
+    entry = RUN_KINDS[runtime.RUNTIME_KIND]
+    return entry.to_dict(getattr(runtime, entry.config_attr))

@@ -27,19 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faults.injectors import ProcessKill, SimulatedCrash
-from repro.faults.runtime import ChaosRuntime
 from repro.obs import Obs, PID_RECOVER
+from repro.recover import kinds
 from repro.recover.checkpoint import Checkpoint, CheckpointStore
-from repro.recover.configio import (
-    chaos_config_from_dict,
-    chaos_config_to_dict,
-    fleet_config_from_dict,
-    fleet_config_to_dict,
-    serve_config_from_dict,
-    serve_config_to_dict,
-    service_model_from_dict,
-    service_model_to_dict,
-)
+from repro.recover.configio import service_model_to_dict
 from repro.recover.errors import RecoveryError
 from repro.recover.journal import JOURNAL_NAME, JournalWriter, read_journal
 from repro.serve.config import BatchServiceModel
@@ -98,16 +89,6 @@ def _instruments(obs: Obs) -> "_RecoverInstruments | None":
 # ----------------------------------------------------------------------
 # Checkpointing run loop
 # ----------------------------------------------------------------------
-def _runtime_config_state(runtime: ServeRuntime) -> dict:
-    from repro.serve.fleet.runtime import FleetRuntime
-
-    if isinstance(runtime, ChaosRuntime):
-        return chaos_config_to_dict(runtime.chaos)
-    if isinstance(runtime, FleetRuntime):
-        return fleet_config_to_dict(runtime.config)
-    return serve_config_to_dict(runtime.config)
-
-
 def _write_checkpoint(
     store: CheckpointStore,
     runtime: ServeRuntime,
@@ -119,7 +100,7 @@ def _write_checkpoint(
         runtime.state_dict(),
         event_index=runtime.events_processed,
         kind=runtime.RUNTIME_KIND,
-        config=_runtime_config_state(runtime),
+        config=kinds.runtime_config_dict(runtime),
         service=service_model_to_dict(runtime.service),
         checkpoint_every=every,
     )
@@ -202,26 +183,13 @@ def build_runtime(
     nothing beyond the checkpoint itself; pass ``service``/``inference``
     only to override what the manifest recorded.
     """
-    if service is None:
-        service = service_model_from_dict(checkpoint.service)
-    if checkpoint.kind == "serve":
-        config = serve_config_from_dict(checkpoint.config)
-        return ServeRuntime(config, service=service, inference=inference, obs=obs)
-    if checkpoint.kind == "chaos":
-        chaos = chaos_config_from_dict(checkpoint.config)
-        return ChaosRuntime(chaos, service=service, inference=inference, obs=obs)
-    if checkpoint.kind == "fleet":
-        from repro.serve.fleet.runtime import FleetRuntime
-
-        if inference is not None:
-            raise RecoveryError(
-                "fleet checkpoints do not support an inference hook"
-            )
-        config = fleet_config_from_dict(checkpoint.config)
-        return FleetRuntime(config, service=service, obs=obs)
-    raise RecoveryError(
-        f"checkpoint {checkpoint.manifest_path} has unknown runtime kind "
-        f"{checkpoint.kind!r}"
+    if checkpoint.kind not in kinds.RUN_KINDS:
+        raise RecoveryError(
+            f"checkpoint {checkpoint.manifest_path} has unknown runtime kind "
+            f"{checkpoint.kind!r}"
+        )
+    return kinds.build_runtime(
+        checkpoint.resolved, service=service, inference=inference, obs=obs
     )
 
 
@@ -293,6 +261,20 @@ def restore_runtime(
         replayed_events=len(tail),
         skipped_checkpoints=skipped,
     )
+
+
+def restore_as(cls: type, directory: "str | os.PathLike", **kwargs):
+    """:func:`restore_runtime` for the ``restore`` classmethods: the
+    restored runtime, which must be a ``cls``.
+
+    A checkpoint of another kind raises :class:`TypeError`.
+    """
+    runtime = restore_runtime(directory, **kwargs).runtime
+    if not isinstance(runtime, cls):
+        raise TypeError(
+            f"checkpoint holds a {type(runtime).__name__}, not a {cls.__name__}"
+        )
+    return runtime
 
 
 def resume(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 
-from dataclasses import fields
-
 from repro.obs.cli import add_slo_arguments
 from repro.reliability.campaign import (
     PROTECTIONS,
@@ -31,24 +29,16 @@ from repro.reliability.campaign import (
 def resolve_run_config(params: dict) -> dict:
     """Validate campaign params -> the fully resolved canonical dict.
 
-    Params are flat :class:`SdcCampaignConfig` field overrides
+    Params are :class:`SdcCampaignConfig` field overrides
     (``fit_rates`` / ``protections`` accept lists); the resolved dict
     spells out every field so the config hash is spelling-independent.
     """
-    from repro.recover.configio import sdc_campaign_to_dict
+    from repro.recover.configio import sdc_campaign_from_dict, sdc_campaign_to_dict
 
-    params = dict(params)
-    known = {f.name for f in fields(SdcCampaignConfig)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown sdc params: {unknown} (known: {sorted(known)})"
-        )
-    if "fit_rates" in params:
-        params["fit_rates"] = tuple(float(f) for f in params["fit_rates"])
-    if "protections" in params:
-        params["protections"] = tuple(str(p) for p in params["protections"])
-    config = SdcCampaignConfig(**params)
+    try:
+        config = sdc_campaign_from_dict(params)
+    except TypeError as err:
+        raise ValueError(f"bad sdc params: {err}") from err
     return {"kind": "sdc", "config": sdc_campaign_to_dict(config)}
 
 

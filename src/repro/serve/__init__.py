@@ -24,14 +24,17 @@ from repro.serve.telemetry import (
     format_fault_report,
     format_fleet_report,
 )
+from repro.serve.workers import (
+    DispatchOutcome,
+    FaultyWorkerPool,
+    LatencySpike,
+    WorkerCrash,
+    WorkerFaultSchedule,
+    WorkerPool,
+    WorkerStall,
+    WorkerState,
+)
 
-# The sharded fleet (PR 8) replaced the old ``FleetRuntime = ServeRuntime``
-# alias with a real multi-shard controller.  Compatibility contract:
-# ``FleetRuntime.restore(dir)`` still warm-restarts *any* checkpointed run
-# — old single-runtime ("serve"/"chaos") checkpoints restore to their
-# original runtime class, new "fleet" checkpoints to the fleet.  Code that
-# wants the single-shard loop by name uses ``SingleShardRuntime``.
-#
 # The fleet names resolve lazily (PEP 562): an eager import here closes
 # the cycle serve -> serve.fleet -> faults.injectors -> faults.config ->
 # serve.config whenever ``repro.faults`` is the import entry point.
@@ -56,19 +59,6 @@ def __getattr__(name: str):
         return getattr(fleet, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-#: Explicit name for the one-shard event loop the fleet is built from.
-SingleShardRuntime = ServeRuntime
-from repro.serve.workers import (
-    DispatchOutcome,
-    FaultyWorkerPool,
-    LatencySpike,
-    WorkerCrash,
-    WorkerFaultSchedule,
-    WorkerPool,
-    WorkerStall,
-    WorkerState,
-)
 
 __all__ = [
     "AdmissionPolicy",
@@ -95,7 +85,6 @@ __all__ = [
     "SessionStats",
     "ShardKill",
     "ShardRuntime",
-    "SingleShardRuntime",
     "WorkerCrash",
     "WorkerFaultSchedule",
     "WorkerPool",

@@ -3,217 +3,86 @@
 Simulates N concurrent HMD clients multiplexed onto a worker pool and
 prints the fleet report.  ``--compare-sequential`` additionally replays
 the identical fleet with cross-session batching disabled (``max_batch=1``)
-and prints both reports plus the goodput ratio.
+and prints both reports plus the goodput ratio.  The shared flags and
+the run itself are :mod:`repro.serve.frontdoor`'s.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import fields
 
-from repro.obs.cli import (
-    add_obs_arguments,
-    add_slo_arguments,
-    emit_obs_artifacts,
-    emit_slo_artifacts,
-    obs_from_args,
-    resolve_obs_out,
+from repro.serve.config import AdmissionPolicy
+from repro.serve.frontdoor import (
+    Flag,
+    add_flags,
+    add_serving_arguments,
+    run_serving_cli,
 )
-from repro.recover.cli import add_checkpoint_arguments, run_checkpointed_cli
-from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
-from repro.serve.request import build_fleet
-from repro.serve.runtime import ServeRuntime, serve_fleet
-from repro.serve.telemetry import FleetReport, format_fleet_report
+from repro.serve.runtime import serve_fleet
+from repro.serve.telemetry import format_fleet_report
 
-
-# ----------------------------------------------------------------------
-# Campaign entry point (repro.exp)
-# ----------------------------------------------------------------------
-def resolve_run_config(params: dict) -> dict:
-    """Validate campaign params -> the fully resolved canonical dict.
-
-    Params are flat :class:`ServeConfig` field overrides plus an optional
-    ``"service"`` sub-dict of :class:`BatchServiceModel` overrides;
-    unknown keys are rejected, and the returned dict spells out *every*
-    knob (defaults applied) so the campaign config hash is stable across
-    equivalent spellings.
-    """
-    from repro.recover.configio import serve_config_to_dict, service_model_to_dict
-
-    params = dict(params)
-    try:
-        service = BatchServiceModel(**params.pop("service", {}))
-    except TypeError as err:
-        raise ValueError(f"bad serve service params: {err}") from err
-    known = {f.name for f in fields(ServeConfig)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown serve params: {unknown} (known: {sorted(known)})"
-        )
-    if isinstance(params.get("admission"), str):
-        params["admission"] = AdmissionPolicy(params["admission"])
-    config = ServeConfig(**params)
-    return {
-        "kind": "serve",
-        "config": serve_config_to_dict(config),
-        "service": service_model_to_dict(service),
-    }
-
-
-def run_from_config(params: dict, obs=None) -> FleetReport:
-    """Campaign entry point: params dict -> the run's FleetReport."""
-    from repro.recover.configio import serve_config_from_dict, service_model_from_dict
-
-    resolved = resolve_run_config(params)
-    config = serve_config_from_dict(resolved["config"])
-    service = service_model_from_dict(resolved["service"])
-    return serve_fleet(config, service=service, obs=obs)
+#: Flag -> :class:`~repro.serve.config.ServeConfig` field (``service.*``:
+#: :class:`~repro.serve.config.BatchServiceModel`).
+FLAGS = (
+    Flag("--sessions", "n_sessions", int),
+    Flag("--duration", "duration_s", help="simulated window in seconds"),
+    Flag("--fps", "fps", help="per-session frame rate"),
+    Flag("--workers", "n_workers", int),
+    Flag("--max-batch", "max_batch", int),
+    Flag("--batch-window-ms", "batch_window_s", scale=1e-3,
+         help="dynamic batching window in milliseconds"),
+    Flag("--admission", "admission", str,
+         choices=tuple(p.value for p in AdmissionPolicy)),
+    Flag("--queue-budget", "queue_budget_deadlines",
+         help="admission budget in units of the frame deadline"),
+    Flag("--deadline-frames", "deadline_frames",
+         help="per-frame deadline in frame periods"),
+    Flag("--reuse-displacement", "reuse_displacement_deg",
+         help="Algorithm-1 reuse threshold in degrees "
+         "(smaller => more predict-path load)"),
+    Flag("--service-fixed-ms", "service.fixed_s", scale=1e-3,
+         help="per-dispatch overhead of one batch"),
+    Flag("--service-per-sample-ms", "service.per_sample_s", scale=1e-3,
+         help="marginal per-sample service time"),
+    Flag("--seed", "seed", int),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = ServeConfig()
-    service = BatchServiceModel()
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Simulate serving a fleet of gaze-tracked HMD sessions.",
     )
-    parser.add_argument("--sessions", type=int, default=defaults.n_sessions)
-    parser.add_argument("--duration", type=float, default=defaults.duration_s,
-                        help="simulated window in seconds")
-    parser.add_argument("--fps", type=float, default=defaults.fps,
-                        help="per-session frame rate")
-    parser.add_argument("--workers", type=int, default=defaults.n_workers)
-    parser.add_argument("--max-batch", type=int, default=defaults.max_batch)
-    parser.add_argument("--batch-window-ms", type=float,
-                        default=defaults.batch_window_s * 1e3,
-                        help="dynamic batching window in milliseconds")
-    parser.add_argument("--admission",
-                        choices=[p.value for p in AdmissionPolicy],
-                        default=defaults.admission.value)
-    parser.add_argument("--queue-budget", type=float,
-                        default=defaults.queue_budget_deadlines,
-                        help="admission budget in units of the frame deadline")
-    parser.add_argument("--deadline-frames", type=float,
-                        default=defaults.deadline_frames,
-                        help="per-frame deadline in frame periods")
-    parser.add_argument("--reuse-displacement", type=float,
-                        default=defaults.reuse_displacement_deg,
-                        help="Algorithm-1 reuse threshold in degrees "
-                        "(smaller => more predict-path load)")
-    parser.add_argument("--service-fixed-ms", type=float,
-                        default=service.fixed_s * 1e3,
-                        help="per-dispatch overhead of one batch")
-    parser.add_argument("--service-per-sample-ms", type=float,
-                        default=service.per_sample_s * 1e3,
-                        help="marginal per-sample service time")
-    parser.add_argument("--seed", type=int, default=defaults.seed)
+    add_flags(parser, FLAGS)
     parser.add_argument("--compare-sequential", action="store_true",
                         help="also run the max_batch=1 baseline on the same fleet")
-    parser.add_argument("--max-session-rows", type=int, default=8)
-    add_checkpoint_arguments(parser)
-    add_obs_arguments(parser)
-    add_slo_arguments(parser)
+    add_serving_arguments(parser)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ServeConfig:
-    return ServeConfig(
-        n_sessions=args.sessions,
-        duration_s=args.duration,
-        fps=args.fps,
-        n_workers=args.workers,
-        max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms * 1e-3,
-        admission=AdmissionPolicy(args.admission),
-        queue_budget_deadlines=args.queue_budget,
-        deadline_frames=args.deadline_frames,
-        reuse_displacement_deg=args.reuse_displacement,
-        seed=args.seed,
+def _compare_sequential(args, runtime, report) -> None:
+    if not args.compare_sequential:
+        return
+    baseline = serve_fleet(
+        runtime.config.sequential_baseline(),
+        service=runtime.service,
+        fleet=runtime.fleet,
+    )
+    print("\n--- sequential baseline (max_batch=1) ---\n")
+    print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))
+    batched = report.predict_goodput_fps
+    solo = baseline.predict_goodput_fps
+    ratio = batched / solo if solo > 0 else float("inf")
+    print(
+        f"\nCross-session batching: {batched:.0f} vs {solo:.0f} "
+        f"fresh predictions/s ({ratio:.2f}x)"
     )
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-        service = BatchServiceModel(
-            fixed_s=args.service_fixed_ms * 1e-3,
-            per_sample_s=args.service_per_sample_ms * 1e-3,
-        )
-    except ValueError as err:
-        parser.error(str(err))
-    if args.kill_at_event is not None and args.checkpoint_dir is None:
-        parser.error("--kill-at-event requires --checkpoint-dir")
-    if args.slo is not None and args.checkpoint_dir is not None:
-        parser.error("--slo and --checkpoint-dir are mutually exclusive "
-                     "(the SLO engine is not checkpointed)")
-    fleet = build_fleet(config)
-    obs = obs_from_args(args)
-    slo_engine = None
-    if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
-
-        if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
-        try:
-            slo_config = resolve_slo_config(args.slo, config.deadline_s)
-        except SloConfigError as err:
-            parser.error(str(err))
-        slo_engine = SloEngine(slo_config, obs)
-    if args.checkpoint_dir is not None:
-        runtime = ServeRuntime(config, service=service, fleet=fleet, obs=obs)
-        report = run_checkpointed_cli(runtime, args, parser)
-        if not isinstance(report, FleetReport):
-            return report  # simulated crash exit code
-    elif slo_engine is not None:
-        runtime = ServeRuntime(config, service=service, fleet=fleet, obs=obs)
-        runtime.attach_slo(slo_engine)
-        report = runtime.run()
-    else:
-        report = serve_fleet(config, service=service, fleet=fleet, obs=obs)
-    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
-    if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
-
-        print("\n--- SLO verdicts ---\n")
-        print(slo_engine.format_verdicts())
-        summary_objectives = slo_engine.config.summary_objectives
-        if summary_objectives:
-            rows = evaluate_summary(
-                summary_objectives, fleet_summary_metrics(report)
-            )
-            print()
-            print(format_summary_verdicts(rows))
-    if args.obs:
-        from repro.recover.configio import serve_config_to_dict, service_model_to_dict
-
-        resolved = {
-            "kind": "serve",
-            "config": serve_config_to_dict(config),
-            "service": service_model_to_dict(service),
-        }
-        out_dir = resolve_obs_out(args.obs_out, "serve", resolved)
-        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
-        if slo_engine is not None:
-            emit_slo_artifacts(slo_engine, out_dir)
-    if args.compare_sequential:
-        baseline = serve_fleet(
-            config.sequential_baseline(), service=service, fleet=fleet
-        )
-        print("\n--- sequential baseline (max_batch=1) ---\n")
-        print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))
-        batched = report.predict_goodput_fps
-        solo = baseline.predict_goodput_fps
-        ratio = batched / solo if solo > 0 else float("inf")
-        print(
-            f"\nCross-session batching: {batched:.0f} vs {solo:.0f} "
-            f"fresh predictions/s ({ratio:.2f}x)"
-        )
-    return 0
+    return run_serving_cli(
+        "serve", build_parser(), FLAGS, argv, compare=_compare_sequential
+    )
 
 
 if __name__ == "__main__":

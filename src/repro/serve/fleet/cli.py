@@ -15,34 +15,27 @@ slow, and the heartbeat failure detector — not the omniscient kill
 event — drives failover.  ``--compare-no-fault`` replays the identical
 fleet with a *clean* network (protocol still on) so the fault cost is
 isolated from the protocol overhead.
+
+Each flag sets one fleet campaign param (the spec flags fill ``kills``,
+``migrations``, ``net.partitions`` and ``net.gray``); the shared flags
+and the run itself are :mod:`repro.serve.frontdoor`'s.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import fields
+from dataclasses import replace
 
-from repro.faults.injectors import ShardKill
-from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
-from repro.obs.cli import (
-    add_obs_arguments,
-    add_slo_arguments,
-    emit_obs_artifacts,
-    emit_slo_artifacts,
-    obs_from_args,
-    resolve_obs_out,
+from repro.faults.netfaults import LinkProfile
+from repro.serve.fleet.runtime import run_fleet
+from repro.serve.fleet.transport import ON_EXHAUST_POLICIES
+from repro.serve.frontdoor import (
+    Flag,
+    add_flags,
+    add_serving_arguments,
+    run_serving_cli,
 )
-from repro.recover.cli import add_checkpoint_arguments, run_checkpointed_cli
-from repro.serve.config import BatchServiceModel, ServeConfig
-from repro.serve.fleet.config import (
-    FailoverConfig,
-    FleetConfig,
-    RebalancerConfig,
-    SessionMigration,
-)
-from repro.serve.fleet.runtime import FleetRuntime, run_fleet
-from repro.serve.fleet.transport import NetConfig
-from repro.serve.telemetry import FleetReport, format_fleet_report
+from repro.serve.telemetry import format_fleet_report
 
 
 def _parse_int(token: str, what: str, flag: str, spec: str) -> int:
@@ -87,226 +80,129 @@ def _parse_span(token: str, flag: str, spec: str) -> tuple[float, float]:
     )
 
 
-def _parse_partition(spec: str, flag: str = "--partition") -> PartitionWindow:
+def _parse_partition(spec: str, flag: str = "--partition") -> dict:
     """Parse ``SHARDS@START:STOP`` (e.g. ``1,2@0.2:0.35``)."""
     shards, sep, window = spec.partition("@")
     if not sep or not shards or not window:
         raise ValueError(f"{flag} expects SHARDS@START:STOP, got {spec!r}")
-    shard_ids = tuple(
+    shard_ids = [
         _parse_int(token, "shard id", flag, spec)
         for token in shards.split(",")
         if token != ""
-    )
+    ]
     if not shard_ids:
         raise ValueError(f"{flag} names no shards in {spec!r}")
     start_s, stop_s = _parse_span(window, flag, spec)
-    return PartitionWindow(start_s=start_s, stop_s=stop_s, shard_ids=shard_ids)
+    return {"start_s": start_s, "stop_s": stop_s, "shard_ids": shard_ids}
 
 
-def _parse_gray(spec: str, delay_factor: float) -> GraySlow:
+def _parse_gray(spec: str) -> dict:
     """Parse ``ID@START:STOP`` (e.g. ``--gray-shard 1@0.2:0.4``)."""
     flag = "--gray-shard"
     ident, sep, window = spec.partition("@")
     if not sep or not ident or not window:
         raise ValueError(f"{flag} expects ID@START:STOP, got {spec!r}")
     start_s, stop_s = _parse_span(window, flag, spec)
-    return GraySlow(
-        shard_id=_parse_int(ident, "shard id", flag, spec),
-        start_s=start_s,
-        stop_s=stop_s,
-        delay_factor=delay_factor,
-    )
-
-
-def _net_from_params(raw: dict) -> NetConfig:
-    """Build a :class:`NetConfig` from a partial campaign sub-dict
-    (nested ``link`` / ``partitions`` / ``gray`` blocks optional)."""
-    raw = dict(raw)
-    link = LinkProfile(**raw.pop("link", {}))
-    partitions = tuple(
-        PartitionWindow(
-            start_s=float(w["start_s"]),
-            stop_s=float(w["stop_s"]),
-            shard_ids=tuple(int(s) for s in w["shard_ids"]),
-        )
-        for w in raw.pop("partitions", [])
-    )
-    gray = tuple(GraySlow(**w) for w in raw.pop("gray", []))
-    return NetConfig(link=link, partitions=partitions, gray=gray, **raw)
-
-
-# ----------------------------------------------------------------------
-# Campaign entry point (repro.exp)
-# ----------------------------------------------------------------------
-def resolve_run_config(params: dict) -> dict:
-    """Validate campaign params -> the fully resolved canonical dict.
-
-    Params are flat :class:`FleetConfig` field overrides, with ``serve``
-    and ``service`` sub-dicts for the template / service model, ``kills``
-    as ``[{"shard_id", "at_s"}, ...]``, ``migrations`` as
-    ``[{"at_s", "session_id", "to_shard"?}, ...]``, and ``failover`` /
-    ``rebalancer`` sub-dicts.
-    """
-    from repro.recover.configio import (
-        fleet_config_to_dict,
-        service_model_to_dict,
-    )
-
-    params = dict(params)
-    try:
-        service = BatchServiceModel(**params.pop("service", {}))
-        serve = ServeConfig(**params.pop("serve", {}))
-        kills = tuple(
-            ShardKill(**k) for k in params.pop("kills", [])
-        )
-        migrations = tuple(
-            SessionMigration(**m) for m in params.pop("migrations", [])
-        )
-        failover = FailoverConfig(**params.pop("failover", {}))
-        rebalancer = RebalancerConfig(**params.pop("rebalancer", {}))
-        net = _net_from_params(params.pop("net", {}))
-    except TypeError as err:
-        raise ValueError(f"bad fleet params: {err}") from err
-    known = {f.name for f in fields(FleetConfig)} - {
-        "serve", "kills", "migrations", "failover", "rebalancer", "net",
-    }
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown fleet params: {unknown} (known: {sorted(known)})"
-        )
-    config = FleetConfig(
-        serve=serve,
-        kills=kills,
-        migrations=migrations,
-        failover=failover,
-        rebalancer=rebalancer,
-        net=net,
-        **params,
-    )
     return {
-        "kind": "fleet",
-        "config": fleet_config_to_dict(config),
-        "service": service_model_to_dict(service),
+        "shard_id": _parse_int(ident, "shard id", flag, spec),
+        "start_s": start_s,
+        "stop_s": stop_s,
     }
 
 
-def run_from_config(params: dict, obs=None) -> FleetReport:
-    """Campaign entry point: params dict -> the run's FleetReport."""
-    from repro.recover.configio import (
-        fleet_config_from_dict,
-        service_model_from_dict,
-    )
-
-    resolved = resolve_run_config(params)
-    config = fleet_config_from_dict(resolved["config"])
-    service = service_model_from_dict(resolved["service"])
-    return run_fleet(config, service=service, obs=obs)
+def _parse_kill(spec: str) -> dict:
+    shard_id, at_s = _parse_at(spec, "--kill-shard")
+    return {"shard_id": shard_id, "at_s": at_s}
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
+def _parse_migration(spec: str) -> dict:
+    session_id, at_s = _parse_at(spec, "--migrate")
+    return {"at_s": at_s, "session_id": session_id}
+
+
+#: Flag -> :class:`~repro.serve.fleet.FleetConfig` field.
+FLAGS = (
+    Flag("--sessions", "serve.n_sessions", int,
+         help="fleet-total session count"),
+    Flag("--shards", "n_shards", int),
+    Flag("--duration", "serve.duration_s", help="simulated window in seconds"),
+    Flag("--fps", "serve.fps", help="per-session frame rate"),
+    Flag("--workers", "serve.n_workers", int, help="workers PER SHARD"),
+    Flag("--max-batch", "serve.max_batch", int),
+    Flag("--queue-budget", "serve.queue_budget_deadlines",
+         help="admission budget in units of the frame deadline"),
+    Flag("--reuse-displacement", "serve.reuse_displacement_deg",
+         help="Algorithm-1 reuse threshold in degrees"),
+    Flag("--seed", "serve.seed", int),
+    Flag("--vnodes", "vnodes", int,
+         help="virtual nodes per shard on the hash ring"),
+    Flag("--ring-seed", "ring_seed", int),
+    Flag("--kill-shard", "kills", parse=_parse_kill, metavar="ID@T",
+         help="kill shard ID at T seconds (repeatable)"),
+    Flag("--migrate", "migrations", parse=_parse_migration, metavar="SID@T",
+         help="live-migrate session SID at T seconds "
+         "(repeatable; ring picks the target)"),
+    Flag("--migration-rate", "migration_rate_hz",
+         help="seeded random migrations per second"),
+    Flag("--migration-seed", "migration_seed", int),
+    Flag("--rebalance-interval", "rebalancer.interval_s",
+         help="rebalancer tick period in seconds (0 disables)"),
+    Flag("--rebalance-high-ms", "rebalancer.p95_high_s", scale=1e-3,
+         help="P95 queue wait above which a shard is hot"),
+    Flag("--rebalance-low-ms", "rebalancer.p95_low_s", scale=1e-3,
+         help="P95 queue wait below which the fleet may shrink"),
+    Flag("--guard", "failover.guard_s",
+         help="breaker-guarded window after a re-home, seconds"),
+)
+NET_FLAGS = (
+    Flag("--net", "net.enabled", bool,
+         help="route frames over the simulated transport"),
+    Flag("--net-seed", "net.seed", int),
+    Flag("--net-drop", "net.link.drop_rate", metavar="P",
+         help="per-message drop probability"),
+    Flag("--net-dup", "net.link.dup_rate", metavar="P",
+         help="per-message duplication probability"),
+    Flag("--net-delay-ms", "net.link.delay_s", scale=1e-3,
+         help="base one-way link delay"),
+    Flag("--net-jitter-ms", "net.link.jitter_s", scale=1e-3,
+         help="uniform extra delay (reordering source)"),
+    Flag("--net-ack-timeout-ms", "net.ack_timeout_s", scale=1e-3,
+         help="first retransmit timeout"),
+    Flag("--net-max-retransmits", "net.max_retransmits", int),
+    Flag("--net-backoff", "net.backoff_factor",
+         help="exponential backoff factor between retransmits"),
+    Flag("--net-heartbeat-ms", "net.heartbeat_s", scale=1e-3,
+         help="shard heartbeat period"),
+    Flag("--net-detect-ms", "net.detect_every_s", scale=1e-3,
+         help="failure-detector evaluation period"),
+    Flag("--net-phi", "net.phi_threshold",
+         help="suspicion threshold in heartbeat intervals"),
+    Flag("--partition", "net.partitions", parse=_parse_partition,
+         metavar="SHARDS@T1:T2",
+         help="cut shards off the router for [T1,T2) "
+         "(e.g. 1,2@0.2:0.35; repeatable)"),
+    Flag("--gray-shard", "net.gray", parse=_parse_gray, metavar="ID@T1:T2",
+         help="gray failure: shard alive but slow for [T1,T2) (repeatable)"),
+    Flag("--gray-factor", None, help="delay multiplier of gray-slow windows"),
+    Flag("--net-on-exhaust", "net.on_exhaust", str, choices=ON_EXHAUST_POLICIES,
+         help="what the router does with a frame whose "
+         "retransmits are exhausted"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    serve = ServeConfig()
-    fleet = FleetConfig()
-    failover = FailoverConfig()
-    rebalancer = RebalancerConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
         description="Simulate a sharded serving fleet with consistent-hash "
         "routing, live migration, and shard failover.",
     )
-    parser.add_argument("--sessions", type=int, default=serve.n_sessions,
-                        help="fleet-total session count")
-    parser.add_argument("--shards", type=int, default=fleet.n_shards)
-    parser.add_argument("--duration", type=float, default=serve.duration_s,
-                        help="simulated window in seconds")
-    parser.add_argument("--fps", type=float, default=serve.fps,
-                        help="per-session frame rate")
-    parser.add_argument("--workers", type=int, default=serve.n_workers,
-                        help="workers PER SHARD")
-    parser.add_argument("--max-batch", type=int, default=serve.max_batch)
-    parser.add_argument("--queue-budget", type=float,
-                        default=serve.queue_budget_deadlines,
-                        help="admission budget in units of the frame deadline")
-    parser.add_argument("--reuse-displacement", type=float,
-                        default=serve.reuse_displacement_deg,
-                        help="Algorithm-1 reuse threshold in degrees")
-    parser.add_argument("--seed", type=int, default=serve.seed)
-    parser.add_argument("--vnodes", type=int, default=fleet.vnodes,
-                        help="virtual nodes per shard on the hash ring")
-    parser.add_argument("--ring-seed", type=int, default=fleet.ring_seed)
-    parser.add_argument("--kill-shard", action="append", default=[],
-                        metavar="ID@T",
-                        help="kill shard ID at T seconds (repeatable)")
-    parser.add_argument("--migrate", action="append", default=[],
-                        metavar="SID@T",
-                        help="live-migrate session SID at T seconds "
-                        "(repeatable; ring picks the target)")
-    parser.add_argument("--migration-rate", type=float,
-                        default=fleet.migration_rate_hz,
-                        help="seeded random migrations per second")
-    parser.add_argument("--migration-seed", type=int,
-                        default=fleet.migration_seed)
-    parser.add_argument("--rebalance-interval", type=float,
-                        default=rebalancer.interval_s,
-                        help="rebalancer tick period in seconds (0 disables)")
-    parser.add_argument("--rebalance-high-ms", type=float,
-                        default=rebalancer.p95_high_s * 1e3,
-                        help="P95 queue wait above which a shard is hot")
-    parser.add_argument("--rebalance-low-ms", type=float,
-                        default=rebalancer.p95_low_s * 1e3,
-                        help="P95 queue wait below which the fleet may shrink")
-    parser.add_argument("--guard", type=float, default=failover.guard_s,
-                        help="breaker-guarded window after a re-home, seconds")
-    net = NetConfig()
+    add_flags(parser, FLAGS)
     group = parser.add_argument_group(
         "net transport",
         "simulated lossy router<->shard network (any --partition or "
         "--gray-shard implies --net)",
     )
-    group.add_argument("--net", action="store_true",
-                       help="route frames over the simulated transport")
-    group.add_argument("--net-seed", type=int, default=net.seed)
-    group.add_argument("--net-drop", type=float, default=0.0,
-                       metavar="P", help="per-message drop probability")
-    group.add_argument("--net-dup", type=float, default=0.0,
-                       metavar="P", help="per-message duplication probability")
-    group.add_argument("--net-delay-ms", type=float, default=0.5,
-                       help="base one-way link delay")
-    group.add_argument("--net-jitter-ms", type=float, default=0.0,
-                       help="uniform extra delay (reordering source)")
-    group.add_argument("--net-ack-timeout-ms", type=float,
-                       default=net.ack_timeout_s * 1e3,
-                       help="first retransmit timeout")
-    group.add_argument("--net-max-retransmits", type=int,
-                       default=net.max_retransmits)
-    group.add_argument("--net-backoff", type=float,
-                       default=net.backoff_factor,
-                       help="exponential backoff factor between retransmits")
-    group.add_argument("--net-heartbeat-ms", type=float,
-                       default=net.heartbeat_s * 1e3,
-                       help="shard heartbeat period")
-    group.add_argument("--net-detect-ms", type=float,
-                       default=net.detect_every_s * 1e3,
-                       help="failure-detector evaluation period")
-    group.add_argument("--net-phi", type=float, default=net.phi_threshold,
-                       help="suspicion threshold in heartbeat intervals")
-    group.add_argument("--partition", action="append", default=[],
-                       metavar="SHARDS@T1:T2",
-                       help="cut shards off the router for [T1,T2) "
-                       "(e.g. 1,2@0.2:0.35; repeatable)")
-    group.add_argument("--gray-shard", action="append", default=[],
-                       metavar="ID@T1:T2",
-                       help="gray failure: shard alive but slow for "
-                       "[T1,T2) (repeatable)")
-    group.add_argument("--gray-factor", type=float, default=25.0,
-                       help="delay multiplier of gray-slow windows")
-    group.add_argument("--net-on-exhaust", choices=("degrade", "drop"),
-                       default=net.on_exhaust,
-                       help="what the router does with a frame whose "
-                       "retransmits are exhausted")
+    add_flags(group, NET_FLAGS)
     parser.add_argument("--compare-no-kill", action="store_true",
                         help="also run the same fleet without the chaos "
                         "schedule and print both reports")
@@ -314,149 +210,30 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the same fleet over a CLEAN network "
                         "(transport protocol on, faults and kills off) and "
                         "print both reports")
-    parser.add_argument("--max-session-rows", type=int, default=8)
-    add_checkpoint_arguments(parser)
-    add_obs_arguments(parser)
-    add_slo_arguments(parser)
+    add_serving_arguments(parser)
     return parser
 
 
-def fleet_config_from_args(args: argparse.Namespace) -> FleetConfig:
-    serve = ServeConfig(
-        n_sessions=args.sessions,
-        duration_s=args.duration,
-        fps=args.fps,
-        n_workers=args.workers,
-        max_batch=args.max_batch,
-        queue_budget_deadlines=args.queue_budget,
-        reuse_displacement_deg=args.reuse_displacement,
-        seed=args.seed,
-    )
-    kills = tuple(
-        ShardKill(shard_id=sid, at_s=at_s)
-        for sid, at_s in (
-            _parse_at(spec, "--kill-shard") for spec in args.kill_shard
-        )
-    )
-    migrations = tuple(
-        SessionMigration(at_s=at_s, session_id=sid)
-        for sid, at_s in (
-            _parse_at(spec, "--migrate") for spec in args.migrate
-        )
-    )
-    partitions = tuple(_parse_partition(spec) for spec in args.partition)
-    gray = tuple(
-        _parse_gray(spec, args.gray_factor) for spec in args.gray_shard
-    )
-    net_enabled = args.net or bool(partitions) or bool(gray)
-    net = NetConfig(
-        enabled=net_enabled,
-        seed=args.net_seed,
-        link=LinkProfile(
-            drop_rate=args.net_drop,
-            dup_rate=args.net_dup,
-            delay_s=args.net_delay_ms * 1e-3,
-            jitter_s=args.net_jitter_ms * 1e-3,
-        ),
-        partitions=partitions,
-        gray=gray,
-        ack_timeout_s=args.net_ack_timeout_ms * 1e-3,
-        backoff_factor=args.net_backoff,
-        max_retransmits=args.net_max_retransmits,
-        heartbeat_s=args.net_heartbeat_ms * 1e-3,
-        detect_every_s=args.net_detect_ms * 1e-3,
-        phi_threshold=args.net_phi,
-        on_exhaust=args.net_on_exhaust,
-    )
-    return FleetConfig(
-        serve=serve,
-        n_shards=args.shards,
-        vnodes=args.vnodes,
-        ring_seed=args.ring_seed,
-        kills=kills,
-        migrations=migrations,
-        migration_rate_hz=args.migration_rate,
-        migration_seed=args.migration_seed,
-        failover=FailoverConfig(guard_s=args.guard),
-        rebalancer=RebalancerConfig(
-            interval_s=args.rebalance_interval,
-            p95_high_s=args.rebalance_high_ms * 1e-3,
-            p95_low_s=args.rebalance_low_ms * 1e-3,
-        ),
-        net=net,
-    )
+def _net_params(args: argparse.Namespace, params: dict) -> None:
+    """``--gray-factor`` sets every gray window's delay factor, and any
+    partition or gray window implies ``--net``."""
+    net = params.get("net", {})
+    if args.gray_factor is not None:
+        for window in net.get("gray", []):
+            window["delay_factor"] = args.gray_factor
+    if net.get("partitions") or net.get("gray"):
+        net["enabled"] = True
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = fleet_config_from_args(args)
-    except ValueError as err:
-        parser.error(str(err))
+def _check(args: argparse.Namespace, config) -> None:
     if args.compare_no_fault and not config.net.enabled:
-        parser.error("--compare-no-fault requires the net transport "
-                     "(--net, --partition, or --gray-shard)")
-    if args.kill_at_event is not None and args.checkpoint_dir is None:
-        parser.error("--kill-at-event requires --checkpoint-dir")
-    if args.slo is not None and args.checkpoint_dir is not None:
-        parser.error("--slo and --checkpoint-dir are mutually exclusive "
-                     "(the SLO engine is not checkpointed)")
-    obs = obs_from_args(args)
-    slo_engine = None
-    if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
+        raise ValueError("--compare-no-fault requires the net transport "
+                         "(--net, --partition, or --gray-shard)")
 
-        if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
-        try:
-            slo_config = resolve_slo_config(args.slo, config.serve.deadline_s)
-        except SloConfigError as err:
-            parser.error(str(err))
-        slo_engine = SloEngine(slo_config, obs)
-    if args.checkpoint_dir is not None:
-        runtime = FleetRuntime(config, obs=obs)
-        report = run_checkpointed_cli(runtime, args, parser)
-        if not isinstance(report, FleetReport):
-            return report  # simulated crash exit code
-    else:
-        runtime = FleetRuntime(config, obs=obs)
-        if slo_engine is not None:
-            runtime.attach_slo(slo_engine)
-        report = runtime.run()
-    print(format_fleet_report(report, max_session_rows=args.max_session_rows))
-    if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
 
-        print("\n--- SLO verdicts ---\n")
-        print(slo_engine.format_verdicts())
-        summary_objectives = slo_engine.config.summary_objectives
-        if summary_objectives:
-            rows = evaluate_summary(
-                summary_objectives, fleet_summary_metrics(report)
-            )
-            print()
-            print(format_summary_verdicts(rows))
-    if args.obs:
-        from repro.recover.configio import (
-            fleet_config_to_dict,
-            service_model_to_dict,
-        )
-
-        resolved = {
-            "kind": "fleet",
-            "config": fleet_config_to_dict(config),
-            "service": service_model_to_dict(BatchServiceModel()),
-        }
-        out_dir = resolve_obs_out(args.obs_out, "fleet", resolved)
-        emit_obs_artifacts(obs, out_dir, top_k=args.obs_top)
-        if slo_engine is not None:
-            emit_slo_artifacts(slo_engine, out_dir)
+def _compare(args, runtime, report) -> None:
+    config = runtime.config
     if args.compare_no_kill:
-        from dataclasses import replace
-
         baseline = run_fleet(replace(config, kills=()))
         print("\n--- no-kill baseline (same fleet, no chaos schedule) ---\n")
         print(
@@ -471,8 +248,6 @@ def main(argv: "list[str] | None" = None) -> int:
             f"(baseline {baseline.lost_shard_frames})"
         )
     if args.compare_no_fault:
-        from dataclasses import replace
-
         clean_net = replace(
             config.net,
             link=LinkProfile(delay_s=config.net.link.delay_s),
@@ -499,7 +274,13 @@ def main(argv: "list[str] | None" = None) -> int:
             f"{report.lost_shard_frames} frames died with killed shards "
             f"(baseline {baseline.lost_shard_frames})"
         )
-    return 0
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    return run_serving_cli(
+        "fleet", build_parser(), FLAGS + NET_FLAGS, argv,
+        params_hook=_net_params, check=_check, compare=_compare,
+    )
 
 
 if __name__ == "__main__":

@@ -903,21 +903,13 @@ class FleetRuntime:
         cls,
         directory,
         service: "BatchServiceModel | None" = None,
-        inference=None,
         obs: "Obs | None" = None,
-    ):
-        """Warm-restart whatever runtime the checkpoint in ``directory``
-        holds — a sharded fleet, or (for checkpoints written before the
-        fleet existed, when ``FleetRuntime`` aliased ``ServeRuntime``) a
-        single-shard serve/chaos runtime.  Compatibility contract: old
-        call sites keep working against old checkpoints.
-        """
-        from repro.recover.manager import restore_runtime
+    ) -> "FleetRuntime":
+        """Warm-restart the fleet checkpointed in ``directory``; see
+        :meth:`repro.serve.runtime.ServeRuntime.restore`."""
+        from repro.recover.manager import restore_as
 
-        restored = restore_runtime(
-            directory, service=service, inference=inference, obs=obs
-        )
-        return restored.runtime
+        return restore_as(cls, directory, service=service, obs=obs)
 
 
 def run_fleet(

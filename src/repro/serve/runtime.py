@@ -530,18 +530,11 @@ class ServeRuntime:
         deterministically, and returns a runtime ready to continue; see
         :func:`repro.recover.restore_runtime` for the full contract.
         """
-        from repro.recover.manager import restore_runtime
+        from repro.recover.manager import restore_as
 
-        restored = restore_runtime(
-            directory, service=service, inference=inference, obs=obs
+        return restore_as(
+            cls, directory, service=service, inference=inference, obs=obs
         )
-        runtime = restored.runtime
-        if not isinstance(runtime, cls):
-            raise TypeError(
-                f"checkpoint holds a {type(runtime).__name__}, "
-                f"not a {cls.__name__}"
-            )
-        return runtime
 
 
 def serve_fleet(

@@ -137,3 +137,36 @@ class TestJsonSurvival:
     def test_chaos_hash_survives_json(self):
         state = chaos_config_to_dict(default_chaos_scenario(seed=1))
         assert config_hash(json.loads(canonical_json(state))) == config_hash(state)
+
+
+class TestPartialDicts:
+    """A decoder fills omitted keys with dataclass defaults — one rule
+    for campaign params, CLI flags and older manifests alike."""
+
+    def test_omitted_keys_take_their_defaults(self):
+        from repro.faults.config import ChaosConfig
+        from repro.recover.configio import fleet_config_from_dict
+        from repro.serve.fleet import FleetConfig
+        from repro.serve.fleet.transport import NetConfig
+
+        assert serve_config_from_dict({}) == ServeConfig()
+        assert chaos_config_from_dict({}) == ChaosConfig()
+        assert fleet_config_from_dict(
+            {"n_shards": 2, "net": {"enabled": True}}
+        ) == FleetConfig(n_shards=2, net=NetConfig(enabled=True))
+
+    def test_unknown_nested_key_is_named(self):
+        from repro.recover.configio import fleet_config_from_dict
+
+        with pytest.raises(
+            TypeError, match=r"unknown link profile params: \['drop'\]"
+        ):
+            fleet_config_from_dict({"net": {"link": {"drop": 0.1}}})
+
+
+class TestRunKinds:
+    @pytest.mark.parametrize("kind", ["serve", "chaos", "fleet"])
+    def test_table_is_keyed_by_runtime_kind(self, kind):
+        from repro.recover.kinds import RUN_KINDS
+
+        assert RUN_KINDS[kind].runtime_class.RUNTIME_KIND == kind

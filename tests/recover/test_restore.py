@@ -20,7 +20,7 @@ from repro.recover import (
     resume,
     run_with_checkpoints,
 )
-from repro.serve import FleetRuntime, ServeConfig, ServeRuntime
+from repro.serve import FleetConfig, FleetRuntime, ServeConfig, ServeRuntime
 
 
 def serve_config() -> ServeConfig:
@@ -67,8 +67,9 @@ class TestBitIdenticalRecovery:
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
     def test_fleet_runtime_restore_classmethod(self, tmp_path):
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, 90)
+        config = FleetConfig(serve=serve_config(), n_shards=2)
+        baseline = fleet_report_bytes(FleetRuntime(config).run())
+        crash_at(FleetRuntime(config), tmp_path, 90)
         runtime = FleetRuntime.restore(tmp_path)
         while runtime.step():
             pass

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.recover import kinds
 from repro.recover.codec import config_hash
-from repro.serve.fleet.cli import main, resolve_run_config, run_from_config
+from repro.serve.fleet.cli import main
 from repro.serve.telemetry import FleetReport
+
+
+def resolve_run_config(params: dict) -> dict:
+    return kinds.resolve_run_config("fleet", params)
+
+
+def run_from_config(params: dict) -> FleetReport:
+    return kinds.build_runtime(resolve_run_config(params)).run()
 
 
 class TestResolveRunConfig:

@@ -1,10 +1,10 @@
-"""Backward compatibility: ``FleetRuntime.restore`` on old checkpoints.
+"""Restoring old single-runtime checkpoints next to fleet ones.
 
-Before the sharded fleet existed, ``FleetRuntime`` was an alias of
-``ServeRuntime`` and call sites (plus on-disk checkpoints from PRs 4-7)
-were written against it.  The contract the real class keeps:
-``FleetRuntime.restore(dir)`` warm-restarts *any* checkpoint — an old
-single-runtime ("serve"/"chaos") checkpoint restores to its original
+``FleetRuntime.restore`` restores fleets and refuses any other kind:
+like ``ServeRuntime.restore``, it returns only its own class and raises
+:class:`TypeError` on a checkpoint of another kind.  An old
+single-runtime ("serve"/"chaos") checkpoint still warm-restarts through
+``restore_runtime`` (and ``python -m repro recover``) to its original
 runtime class and completes byte-identically.
 """
 
@@ -13,39 +13,34 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
-from repro.recover import fleet_report_bytes, run_with_checkpoints
-from repro.serve import (
-    FleetRuntime,
-    ServeConfig,
-    ServeRuntime,
-    SingleShardRuntime,
+from repro.recover import (
+    fleet_report_bytes,
+    restore_runtime,
+    run_with_checkpoints,
 )
+from repro.serve import FleetRuntime, ServeConfig, ServeRuntime
 from repro.serve.fleet import FleetConfig
 
 
-def old_style_checkpoint(tmp_path, config: ServeConfig):
-    """Write a checkpoint exactly as the pre-fleet serve CLI did."""
-    directory = tmp_path / "old"
+def crash(runtime, directory) -> None:
     with pytest.raises(SimulatedCrash):
         run_with_checkpoints(
-            ServeRuntime(config), directory, every=50,
-            kill=ProcessKill(at_event=120),
+            runtime, directory, every=50, kill=ProcessKill(at_event=120)
         )
-    return directory
 
 
 class TestOldCheckpointCompat:
     def test_restore_returns_the_original_runtime_class(self, tmp_path):
         config = ServeConfig(n_sessions=6, duration_s=0.4, n_workers=2, seed=1)
-        directory = old_style_checkpoint(tmp_path, config)
-        runtime = FleetRuntime.restore(directory)
+        crash(ServeRuntime(config), tmp_path)
+        runtime = restore_runtime(tmp_path).runtime
         assert isinstance(runtime, ServeRuntime)
         assert not isinstance(runtime, FleetRuntime)
 
     def test_restored_old_run_completes_byte_identically(self, tmp_path):
         config = ServeConfig(n_sessions=6, duration_s=0.4, n_workers=2, seed=1)
-        directory = old_style_checkpoint(tmp_path, config)
-        runtime = FleetRuntime.restore(directory)
+        crash(ServeRuntime(config), tmp_path)
+        runtime = restore_runtime(tmp_path).runtime
         while runtime.step():
             pass
         reference = ServeRuntime(config).run()
@@ -53,23 +48,19 @@ class TestOldCheckpointCompat:
             reference
         )
 
+    def test_serve_checkpoint_is_refused(self, tmp_path):
+        config = ServeConfig(n_sessions=6, duration_s=0.4, n_workers=2, seed=1)
+        crash(ServeRuntime(config), tmp_path)
+        with pytest.raises(
+            TypeError, match="holds a ServeRuntime, not a FleetRuntime"
+        ):
+            FleetRuntime.restore(tmp_path)
+        assert type(restore_runtime(tmp_path).runtime) is ServeRuntime
+
     def test_fleet_checkpoint_restores_to_the_fleet(self, tmp_path):
         config = FleetConfig(
             serve=ServeConfig(n_sessions=8, duration_s=0.3, seed=0), n_shards=2
         )
-        directory = tmp_path / "fleet"
-        with pytest.raises(SimulatedCrash):
-            run_with_checkpoints(
-                FleetRuntime(config), directory, every=50,
-                kill=ProcessKill(at_event=120),
-            )
-        runtime = FleetRuntime.restore(directory)
+        crash(FleetRuntime(config), tmp_path / "fleet")
+        runtime = FleetRuntime.restore(tmp_path / "fleet")
         assert isinstance(runtime, FleetRuntime)
-
-
-class TestSingleShardAlias:
-    def test_single_shard_runtime_is_the_serve_loop(self):
-        assert SingleShardRuntime is ServeRuntime
-
-    def test_fleet_runtime_is_no_longer_the_alias(self):
-        assert FleetRuntime is not ServeRuntime
