@@ -134,7 +134,7 @@ def run_fleet_failover() -> "tuple[object, float]":
 
     Returns ``(fleet_report, wall_s)``.
     """
-    from repro.faults.injectors import ShardKill
+    from repro.faults.netfaults import ShardKill
     from repro.serve.fleet import FleetConfig, run_fleet
 
     t0 = time.perf_counter()

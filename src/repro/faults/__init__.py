@@ -28,11 +28,10 @@ from repro.faults.injectors import (
     FaultySensor,
     InputFaultTrace,
     ProcessKill,
-    ShardKill,
     SimulatedCrash,
     inject_input_faults,
 )
-from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
+from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow, ShardKill
 from repro.faults.runtime import ChaosRuntime, build_chaos_fleet, run_chaos
 
 __all__ = [

@@ -26,6 +26,7 @@ import numpy as np
 from repro.eye.events import MovementType
 from repro.eye.motion import GazeTrack
 from repro.faults.config import InputFaultConfig
+from repro.faults.netfaults import ShardKill  # noqa: F401  (perf/workloads.py imports it here)
 from repro.hw.mipi import MipiLink
 from repro.hw.sensor import CameraSensor
 from repro.utils.rng import default_rng
@@ -67,30 +68,6 @@ class ProcessKill:
 
     def fires_at(self, events_processed: int) -> bool:
         return events_processed == self.at_event
-
-
-@dataclass(frozen=True)
-class ShardKill:
-    """Kill one shard of a sharded fleet at an exact simulated instant.
-
-    The fault domain is a whole shard runtime — its batcher queue and
-    every frame in flight on its workers die with it; sessions re-home
-    to the surviving shards via the consistent-hash ring
-    (``repro.serve.fleet``).  Firing on the simulation clock (not an
-    event index) models an external failure: the kill lands between
-    events at time ``at_s`` regardless of how busy the shard was.
-    """
-
-    shard_id: int
-    at_s: float
-
-    def __post_init__(self) -> None:
-        if self.shard_id < 0:
-            raise ValueError(
-                f"shard_id must be non-negative, got {self.shard_id}"
-            )
-        if self.at_s < 0:
-            raise ValueError(f"at_s must be non-negative, got {self.at_s}")
 
 
 class FaultySensor:

@@ -1,10 +1,12 @@
-"""Network fault schedules for the fleet's simulated transport.
+"""Fault schedules of the sharded fleet: shard kills and network faults.
 
-The sharded fleet's router and shards exchange messages over the
-deterministic channel in :mod:`repro.serve.fleet.transport`.  These are
-the *fault shapes* that channel can apply, declared here (with the other
-chaos schedules) so the fleet config composes them like every other
-injector:
+:class:`ShardKill` fails a whole shard.  The fleet's router and shards
+exchange messages over the deterministic channel in
+:mod:`repro.serve.fleet.transport`; the other classes are the *fault
+shapes* that channel can apply, declared here (with the other chaos
+schedules) so the fleet config composes them like every other injector.
+The module imports only ``repro.utils``, so ``repro.serve.fleet`` can
+use it without importing the chaos runtime:
 
 * :class:`LinkProfile` — per-message drop/duplicate probabilities and a
   base-plus-jitter one-way delay (jitter alone is enough to reorder
@@ -28,6 +30,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.utils.validation import check_positive, check_probability
+
+
+@dataclass(frozen=True)
+class ShardKill:
+    """Kill one shard of a sharded fleet at an exact simulated instant.
+
+    The fault domain is a whole shard runtime — its batcher queue and
+    every frame in flight on its workers die with it; sessions re-home
+    to the surviving shards via the consistent-hash ring
+    (``repro.serve.fleet``).  Firing on the simulation clock (not an
+    event index) models an external failure: the kill lands between
+    events at time ``at_s`` regardless of how busy the shard was.
+    """
+
+    shard_id: int
+    at_s: float
+
+    def __post_init__(self) -> None:
+        if self.shard_id < 0:
+            raise ValueError(
+                f"shard_id must be non-negative, got {self.shard_id}"
+            )
+        if self.at_s < 0:
+            raise ValueError(f"at_s must be non-negative, got {self.at_s}")
 
 
 @dataclass(frozen=True)

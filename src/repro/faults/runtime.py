@@ -42,7 +42,7 @@ from repro.faults.injectors import (
 from repro.obs import Obs, PID_RELIABILITY, PID_WORKERS, session_pid
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
-from repro.serve.config import AdmissionPolicy, BatchServiceModel
+from repro.serve.config import BatchServiceModel
 from repro.serve.request import ClientSession, FrameRequest, build_fleet
 from repro.serve.runtime import _ARRIVAL, _COMPLETE, _WINDOW, InferenceFn, ServeRuntime
 from repro.serve.telemetry import FaultReport, FleetReport
@@ -340,36 +340,10 @@ class ChaosRuntime(ServeRuntime):
             n += 1
         return max(1, n)
 
-    def _admit(self, request: FrameRequest, now: float) -> bool:
-        if self.config.admission is AdmissionPolicy.ALWAYS:
-            return True
-        pending = len(self.batcher) + self.pool.in_flight_frames() + 1
-        batches = math.ceil(pending / self.config.max_batch)
-        wait = (
-            batches
-            * self.service.service_s(self.config.max_batch)
-            / self._available_workers(now)
-        )
-        if wait <= self.config.queue_budget_s:
-            return True
-        if self.config.admission is AdmissionPolicy.DEGRADE:
-            self._degrade_now(request, now, cause="admission")
-        else:  # SHED
-            self.stats[request.session_id].record_shed(request.path)
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    "shed", now, cat="serve",
-                    pid=session_pid(request.session_id),
-                    args={"frame": request.frame_index},
-                )
-                assert self._instruments is not None
-                self._instruments.shed.inc()
-        return False
-
     # ------------------------------------------------------------------
     # Dispatch through breakers and the faulty pool
     # ------------------------------------------------------------------
-    def _eligible_worker(self, now: float) -> "WorkerState | None":
+    def _pick_worker(self, now: float) -> "WorkerState | None":
         for worker in self.pool.workers:
             if self.pool.available(worker, now) and self.breakers[
                 worker.worker_id
@@ -377,7 +351,7 @@ class ChaosRuntime(ServeRuntime):
                 return worker
         return None
 
-    def _schedule_wake(self, now: float) -> None:
+    def _wait_for_worker(self, now: float) -> None:
         """Queued work but no eligible worker: wake the loop when the
         earliest worker could come back (crash downtime end, breaker
         cooldown expiry, or simply a busy worker finishing)."""
@@ -399,34 +373,18 @@ class ChaosRuntime(ServeRuntime):
         self._pending_wake_s = wake
         self._push(wake, _WINDOW, None)
 
+    def _start_batch(
+        self, worker: WorkerState, batch: "list[FrameRequest]", now: float
+    ) -> "tuple[float, bool, object]":
+        self.breakers[worker.worker_id].note_dispatch(now)
+        outcome = self.pool.dispatch_faulty(worker, len(batch), now)
+        return outcome.done_s, outcome.ok, (worker, batch, outcome)
+
     def _try_dispatch(self, now: float) -> None:
+        # A wake-up due by now has fired; the next stall arms a new one.
         if self._pending_wake_s is not None and now >= self._pending_wake_s:
             self._pending_wake_s = None
-        while self.batcher.ready(now):
-            worker = self._eligible_worker(now)
-            if worker is None:
-                self._schedule_wake(now)
-                return
-            batch = self.batcher.take()
-            self._note_dispatch(batch, now)
-            breaker = self.breakers[worker.worker_id]
-            breaker.note_dispatch(now)
-            outcome = self.pool.dispatch_faulty(worker, len(batch), now)
-            if outcome.ok and self.inference is not None:
-                outputs = np.asarray(self.inference(batch))
-                if outputs.shape != (len(batch), 2):
-                    raise ValueError(
-                        f"inference hook returned shape {outputs.shape}, "
-                        f"expected ({len(batch)}, 2)"
-                    )
-                assert self.predictions is not None
-                for request, gaze in zip(batch, outputs):
-                    self.predictions[(request.session_id, request.frame_index)] = gaze
-            if self.obs.enabled:
-                self._trace_batch(
-                    worker.worker_id, batch, now, outcome.done_s, ok=outcome.ok
-                )
-            self._push(outcome.done_s, _COMPLETE, (worker, batch, outcome))
+        super()._try_dispatch(now)
 
     # ------------------------------------------------------------------
     # Retry / backoff
@@ -522,29 +480,16 @@ class ChaosRuntime(ServeRuntime):
             if self.obs.enabled:
                 self._trace_frame(request, "full_res", now - request.arrival_s)
             return
-        if request.path == "saccade":
-            self._record_completion(request, now + self.config.saccade_bypass_s)
-            return
-        if request.path == "reuse":
-            self._record_completion(request, now + self.config.reuse_bypass_s)
-            return
-        # Predict path.
-        if blind:
-            self.faults.occlusion_degraded += 1
-            self._degrade_now(request, now, cause="occlusion")
-            return
-        if level >= DegradationLevel.REUSE_ONLY:
-            self.faults.watchdog_reuse_frames += 1
-            self._degrade_now(request, now, cause="watchdog")
-            return
-        if not self._admit(request, now):
-            return
-        self.batcher.enqueue(request)
-        self._try_dispatch(now)
-        if len(self.batcher) > 0 and self.batcher.window_s > 0:
-            deadline = self.batcher.next_deadline_s()
-            if deadline is not None:
-                self._push(deadline, _WINDOW, None)
+        if request.path == "predict":
+            if blind:
+                self.faults.occlusion_degraded += 1
+                self._degrade_now(request, now, cause="occlusion")
+                return
+            if level >= DegradationLevel.REUSE_ONLY:
+                self.faults.watchdog_reuse_frames += 1
+                self._degrade_now(request, now, cause="watchdog")
+                return
+        super()._on_arrival(request, now)
 
     def _on_complete(self, worker_batch, now: float) -> None:
         worker, batch, outcome = worker_batch

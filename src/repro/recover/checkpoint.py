@@ -33,7 +33,11 @@ from repro.recover.errors import CheckpointError
 #: Version 2: a lossy-transport fleet's control heap holds only the next
 #: frame SEND (the rest are chained), and its SEND payloads, envelopes
 #: and pending entries carry sequence numbers instead of frame dicts.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3: the fleet owns one session ledger; each shard serializes
+#: the slice of its member sessions (a lossy-transport fleet no longer
+#: writes a separate ledger under ``net``).  Serve and chaos payloads
+#: are unchanged since version 1.
+CHECKPOINT_FORMAT_VERSION = 3
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -184,18 +188,12 @@ class CheckpointStore:
             raise CheckpointError(
                 f"manifest {manifest_path} has invalid format version {version}"
             )
-        if (
-            version < 2
-            and manifest["kind"] == "fleet"
-            and isinstance(manifest["config"], dict)
-            and "net" in manifest["config"]
-        ):
+        if version < 3 and manifest["kind"] == "fleet":
             raise CheckpointError(
-                f"checkpoint {manifest_path} is a format-{version} "
-                "lossy-transport fleet checkpoint: its control heap holds "
-                "every pre-pushed frame SEND, which format "
-                f"{CHECKPOINT_FORMAT_VERSION} chains one at a time — rerun "
-                "the fleet from the start"
+                f"checkpoint {manifest_path} is a format-{version} fleet "
+                "checkpoint, written before the fleet owned one session "
+                f"ledger (format {CHECKPOINT_FORMAT_VERSION}) — rerun the "
+                "fleet from the start"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

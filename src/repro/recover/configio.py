@@ -201,7 +201,7 @@ def fleet_config_to_dict(config) -> dict:
 
 
 def fleet_config_from_dict(state: dict):
-    from repro.faults.injectors import ShardKill
+    from repro.faults.netfaults import ShardKill
     from repro.serve.fleet.config import (
         FailoverConfig,
         FleetConfig,

@@ -35,30 +35,18 @@ from repro.serve.workers import (
     WorkerState,
 )
 
-# The fleet names resolve lazily (PEP 562): an eager import here closes
-# the cycle serve -> serve.fleet -> faults.injectors -> faults.config ->
-# serve.config whenever ``repro.faults`` is the import entry point.
-_FLEET_EXPORTS = (
-    "FailoverConfig",
-    "FleetConfig",
-    "FleetRuntime",
-    "FleetSection",
-    "HashRing",
-    "RebalancerConfig",
-    "SessionMigration",
-    "ShardKill",
-    "ShardRuntime",
-    "run_fleet",
+from repro.serve.fleet import (
+    FailoverConfig,
+    FleetConfig,
+    FleetRuntime,
+    FleetSection,
+    HashRing,
+    RebalancerConfig,
+    SessionMigration,
+    ShardKill,
+    ShardRuntime,
+    run_fleet,
 )
-
-
-def __getattr__(name: str):
-    if name in _FLEET_EXPORTS:
-        from repro.serve import fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AdmissionPolicy",

@@ -15,8 +15,7 @@ keeping the repo's two core guarantees intact:
   ``lost_shard``, never silently.
 """
 
-from repro.faults.injectors import ShardKill
-from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
+from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow, ShardKill
 from repro.serve.fleet.config import (
     FailoverConfig,
     FleetConfig,

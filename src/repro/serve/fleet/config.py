@@ -9,7 +9,7 @@ total.  On top of the template sit the fleet-only knobs:
 
 * **topology** — initial shard count and the ring's virtual-node count
   and seed;
-* **chaos** — a :class:`~repro.faults.injectors.ShardKill` schedule
+* **chaos** — a :class:`~repro.faults.netfaults.ShardKill` schedule
   (whole-shard failures with bounded frame loss) and a live-migration
   plan (explicit :class:`SessionMigration` entries plus a seeded
   Poisson-ish rate);
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.faults.injectors import ShardKill
+from repro.faults.netfaults import ShardKill
 from repro.serve.config import ServeConfig
 from repro.serve.fleet.transport import NetConfig
 from repro.utils.validation import check_positive

@@ -54,7 +54,12 @@ from repro.serve.fleet.transport import (
     K_NET_SEND,
 )
 from repro.serve.request import FrameRequest, build_fleet, fleet_requests
-from repro.serve.telemetry import FleetReport, SessionStats, publish_fleet_metrics
+from repro.serve.telemetry import (
+    FleetReport,
+    SessionStats,
+    new_ledger,
+    publish_fleet_metrics,
+)
 
 # Control-event kinds.  Journal/peek encoding keeps them disjoint from
 # shard events: a control event reports kind ``1..3`` while a shard
@@ -85,6 +90,9 @@ class FleetRuntime:
         #: function of the serve template, shared by placement and
         #: restore.
         self.sessions = build_fleet(config.serve)
+        #: The one session ledger, handed to every shard: stats never
+        #: move with a migrated or re-homed session.
+        self.stats = new_ledger(self.sessions)
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.shards: dict[int, ShardRuntime] = {}
         #: The heads index: ``(head_time_s, shard_id)`` entries, some
@@ -109,9 +117,6 @@ class FleetRuntime:
         #: Net mode only: the global request stream, indexed by seq.  The
         #: transport delivers these objects; SEND payloads are indices.
         self._net_requests: list[FrameRequest] = []
-        #: Net mode only: the ONE fleet-owned stats dict every shard
-        #: aliases (see ShardRuntime.stats_shared).
-        self._net_stats: dict[int, SessionStats] = {}
         #: Net mode only: completion horizon of router-side exhaustion
         #: degrades (they finish at now + reuse_bypass_s like any other
         #: degrade, but no shard's makespan sees them).
@@ -135,17 +140,21 @@ class FleetRuntime:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def _new_shard(self, sessions, spawned_at_s: "float | None") -> ShardRuntime:
-        shard_id = self._next_shard_id
-        self._next_shard_id += 1
-        shard = ShardRuntime(
+    def _build_shard(self, shard_id: int, sessions) -> ShardRuntime:
+        return ShardRuntime(
             shard_id,
             self.config.serve,
             sessions=sessions,
             service=self.service,
             obs=self.obs.scoped(shard_id),
             failover=self.config.failover,
+            stats=self.stats,
         )
+
+    def _new_shard(self, sessions, spawned_at_s: "float | None") -> ShardRuntime:
+        shard_id = self._next_shard_id
+        self._next_shard_id += 1
+        shard = self._build_shard(shard_id, sessions)
         shard.spawned_at_s = spawned_at_s
         shard.heads = self._heads
         self.shards[shard_id] = shard
@@ -182,11 +191,6 @@ class FleetRuntime:
         all_requests = fleet_requests(
             self.sessions, self.config.serve.deadline_s
         )
-        if self.transport is not None:
-            self._net_stats = {
-                s.session_id: SessionStats(s.session_id)
-                for s in self.sessions
-            }
         for shard_id in sorted(placement):
             for sid in placement[shard_id]:
                 self._session_shard[sid] = shard_id
@@ -199,15 +203,6 @@ class FleetRuntime:
         for shard_id in sorted(placement):
             shard = self.shards[shard_id]
             shard.fleet = [self.sessions[sid] for sid in placement[shard_id]]
-            if self.transport is not None:
-                # Frames reach shards only over the transport, so the
-                # shard seeds no arrivals and aliases the shared ledger.
-                shard.stats = self._net_stats
-                shard.stats_shared = True
-            else:
-                shard.stats = {
-                    sid: SessionStats(sid) for sid in placement[shard_id]
-                }
             if shard.obs.enabled:
                 shard._declare_tracks()
             shard.start(arrivals[shard_id])
@@ -355,7 +350,7 @@ class FleetRuntime:
             # Net mode: the shard dies *silently*.  Nothing re-homes and
             # the ring keeps routing to the corpse until the failure
             # detector stops seeing heartbeats and suspects it.
-            lost = shard.kill_silent(now)
+            _, lost = shard.kill(now, silent=True)
             if self.obs.enabled:
                 self.obs.tracer.instant(
                     "fleet.kill", now, cat="fleet", pid=PID_FLEET,
@@ -364,14 +359,13 @@ class FleetRuntime:
             return
         self.ring.remove(shard_id)
         payloads, lost = shard.kill(now)
-        rehomed = 0
         for sid in sorted(payloads):
             target_id = self.ring.route(sid)
             self.shards[target_id].admit_migrated(
                 payloads[sid], now, rehomed=True
             )
             self._session_shard[sid] = target_id
-            rehomed += 1
+        rehomed = len(payloads)
         self.log.record_failover(now, shard_id, rehomed, lost)
         if self.obs.enabled:
             self.obs.tracer.instant(
@@ -395,24 +389,13 @@ class FleetRuntime:
 
         Net-mode movement is routing-table surgery only: queued frames
         stay where they physically are (the source keeps completing
-        stragglers into the shared ledger; retransmits re-resolve the
+        stragglers into the fleet's ledger; retransmits re-resolve the
         target), so nothing is extracted or requeued.
         """
         source = self.shards[self._session_shard[session_id]]
         target = self.shards[target_id]
-        session = next(
-            s for s in source.fleet if s.session_id == session_id
-        )
-        source.fleet = [
-            s for s in source.fleet if s.session_id != session_id
-        ]
-        source._rehome_guard_until.pop(session_id, None)
-        target.fleet.append(session)
-        target.rehomed_in += 1
-        if self.config.failover.guard_s > 0:
-            target._rehome_guard_until[session_id] = (
-                now + self.config.failover.guard_s
-            )
+        target.fleet.append(source.release(session_id))
+        target.guard_rehomed(session_id, now)
         self._session_shard[session_id] = target_id
 
     def _net_suspect(self, shard_id: int, phi: float, now: float) -> None:
@@ -518,7 +501,7 @@ class FleetRuntime:
         router per policy — degrade to the buffered gaze (the client-side
         fallback) or account it lost."""
         transport = self.transport
-        stats = self._net_stats[request.session_id]
+        stats = self.stats[request.session_id]
         if self.config.net.on_exhaust == "degrade":
             stats.record_degraded(
                 self.config.serve.reuse_bypass_s,
@@ -563,12 +546,7 @@ class FleetRuntime:
         ):
             self.log.migrations_skipped += 1
             return
-        moved = source.extract_session(session_id, now)
-        target.admit_migrated(moved, now, rehomed=False)
-        self._session_shard[session_id] = target_id
-        self.log.record_migration(
-            now, session_id, source_id, target_id, len(moved.requeue)
-        )
+        moved_frames = self._migrate(source, target, session_id, now)
         if self.obs.enabled:
             self.obs.tracer.instant(
                 "fleet.migrate", now, cat="fleet", pid=PID_FLEET,
@@ -576,22 +554,28 @@ class FleetRuntime:
                     "session": session_id,
                     "from": source_id,
                     "to": target_id,
-                    "moved_frames": len(moved.requeue),
+                    "moved_frames": moved_frames,
                 },
             )
             self.obs.metrics.counter("fleet_migrations_total").inc()
 
-    def _move_sessions(
-        self, source: ShardRuntime, target: ShardRuntime, session_ids, now: float
-    ) -> None:
-        for sid in session_ids:
-            moved = source.extract_session(sid, now)
-            target.admit_migrated(moved, now, rehomed=False)
-            self._session_shard[sid] = target.shard_id
-            self.log.record_migration(
-                now, sid, source.shard_id, target.shard_id,
-                len(moved.requeue), reason="rebalance",
-            )
+    def _migrate(
+        self,
+        source: ShardRuntime,
+        target: ShardRuntime,
+        session_id: int,
+        now: float,
+        reason: str = "plan",
+    ) -> int:
+        """Live-migrate one session; returns the frames it carried."""
+        moved = source.extract_session(session_id, now)
+        target.admit_migrated(moved, now)
+        self._session_shard[session_id] = target.shard_id
+        self.log.record_migration(
+            now, session_id, source.shard_id, target.shard_id,
+            len(moved.requeue), reason=reason,
+        )
+        return len(moved.requeue)
 
     def _apply_rebalance(self, now: float) -> None:
         """Hysteretic autoscaler tick: spawn-and-fill on a hot shard,
@@ -618,7 +602,8 @@ class FleetRuntime:
             target = self._new_shard([], spawned_at_s=now)
             target.start()
             victims = sorted(s.session_id for s in hottest.fleet)[:n_move]
-            self._move_sessions(hottest, target, victims, now)
+            for sid in victims:
+                self._migrate(hottest, target, sid, now, reason="rebalance")
             self.log.rebalance_spawns += 1
             self._rebalance_quiet_until = now + rebalancer.cooldown_s
             if self.obs.enabled:
@@ -645,10 +630,8 @@ class FleetRuntime:
             self.ring.remove(victim.shard_id)
             session_ids = sorted(s.session_id for s in victim.fleet)
             for sid in session_ids:
-                target_id = self.ring.route(sid)
-                self._move_sessions(
-                    victim, self.shards[target_id], [sid], now
-                )
+                target = self.shards[self.ring.route(sid)]
+                self._migrate(victim, target, sid, now, reason="rebalance")
             victim.retired_at_s = now
             self.log.rebalance_drains += 1
             self._rebalance_quiet_until = now + rebalancer.cooldown_s
@@ -679,17 +662,13 @@ class FleetRuntime:
         duration = max(self.config.serve.duration_s, self._net_makespan_s)
         for sid in shard_ids:
             duration = max(duration, self.shards[sid]._makespan_s)
-        merged: list[SessionStats] = []
         occupancy: dict[int, int] = {}
         busy_workers = 0.0
         total_workers = 0
         rows = []
         for sid in shard_ids:
             shard = self.shards[sid]
-            for request in shard.batcher.drain():
-                shard.stats[request.session_id].record_pending(request.path)
-            shard.batcher.check_accounting()
-            merged.extend(shard._stats_values())
+            shard.flush_pending()
             for size, count in shard.pool.batch_occupancy.items():
                 occupancy[size] = occupancy.get(size, 0) + count
             utilization = shard.pool.utilization(duration)
@@ -713,13 +692,8 @@ class FleetRuntime:
                     "utilization": utilization,
                 }
             )
-        if self.transport is not None:
-            # Shared-ledger mode: every shard's _stats_values() is empty
-            # (stats_shared); the fleet owns the one merged ledger.
-            merged = [
-                self._net_stats[sid] for sid in sorted(self._net_stats)
-            ]
-        merged.sort(key=lambda stats: stats.session_id)
+        # In session-id order: the ledger is built from the dense fleet.
+        merged = list(self.stats.values())
         self._check_conservation(merged)
         total_batches = sum(occupancy.values())
         mean_batch = (
@@ -767,11 +741,6 @@ class FleetRuntime:
     def _check_conservation(self, merged: "list[SessionStats]") -> None:
         """Fleet-wide frame ledger: every generated frame is accounted
         exactly once, across every shard it may have visited."""
-        if len(merged) != len(self.sessions):
-            raise RuntimeError(
-                f"conservation leak: {len(merged)} session ledgers for "
-                f"{len(self.sessions)} sessions"
-            )
         for stats in merged:
             expected = self.sessions[stats.session_id].n_frames
             if stats.total_frames != expected:
@@ -829,10 +798,6 @@ class FleetRuntime:
                 else {
                     "net": {
                         "transport": self.transport.state_dict(),
-                        "stats": [
-                            self._net_stats[sid].state_dict()
-                            for sid in sorted(self._net_stats)
-                        ],
                         "makespan_s": self._net_makespan_s,
                     }
                 }
@@ -861,14 +826,7 @@ class FleetRuntime:
         for entry in state["shards"]:
             shard_id = int(entry["shard_id"])
             sessions = [self.sessions[int(sid)] for sid in entry["sessions"]]
-            shard = ShardRuntime(
-                shard_id,
-                self.config.serve,
-                sessions=sessions,
-                service=self.service,
-                obs=self.obs.scoped(shard_id),
-                failover=self.config.failover,
-            )
+            shard = self._build_shard(shard_id, sessions)
             shard.load_state(entry["state"])
             self.shards[shard_id] = shard
         # The heads index is derived state: rebuild it from the restored
@@ -888,15 +846,7 @@ class FleetRuntime:
             )
             net = state["net"]
             self.transport.load_state(net["transport"])
-            self._net_stats = {}
-            for entry in net["stats"]:
-                stats = SessionStats(int(entry["session_id"]))
-                stats.load_state(entry)
-                self._net_stats[stats.session_id] = stats
             self._net_makespan_s = float(net["makespan_s"])
-            for shard in self.shards.values():
-                shard.stats = self._net_stats
-                shard.stats_shared = True
 
     @classmethod
     def restore(

@@ -16,6 +16,10 @@ needs:
   sessions; future arrivals re-home with their sessions, bounding frame
   loss to exactly the in-flight set at kill time.
 
+Session stats never move: every shard records into the one ledger its
+fleet owns and hands it, so a frame completes into the same
+:class:`~repro.serve.telemetry.SessionStats` whichever shard serves it.
+
 Sessions re-homed by a failover are *guarded* for a configurable window:
 their predict frames pass through a re-admission
 :class:`~repro.faults.breaker.CircuitBreaker` so a thundering herd onto
@@ -29,23 +33,21 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.faults.breaker import CircuitBreaker
-from repro.obs import NULL_OBS, Obs, PID_BATCHER, PID_WORKERS, session_pid
-from repro.serve.batcher import DynamicBatcher
+from repro.obs import Obs, PID_WORKERS, session_pid
 from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import FailoverConfig
 from repro.serve.request import ClientSession, FrameRequest
-from repro.serve.runtime import ServeRuntime, _ARRIVAL, _COMPLETE, _WINDOW
-from repro.serve.telemetry import ServeInstruments, SessionStats
-from repro.serve.workers import WorkerPool
+from repro.serve.runtime import ServeRuntime, _ARRIVAL, _COMPLETE
+from repro.serve.telemetry import SessionStats, new_ledger
 from repro.system.metrics import percentile_summary
 
 
 @dataclass
 class MigrationPayload:
-    """Everything that moves with a session between shards."""
+    """Everything that moves with a session between shards (its stats
+    stay put: the fleet owns the one session ledger)."""
 
     session: ClientSession
-    stats: SessionStats
     #: Arrivals not yet delivered, sorted by (arrival_s, seq).
     arrivals: list[FrameRequest] = field(default_factory=list)
     #: Frames pulled out of the source queue / in-flight batches, to be
@@ -68,48 +70,25 @@ class ShardRuntime(ServeRuntime):
         service: "BatchServiceModel | None" = None,
         obs: "Obs | None" = None,
         failover: "FailoverConfig | None" = None,
+        stats: "dict[int, SessionStats] | None" = None,
     ):
-        # Deliberately does NOT call ServeRuntime.__init__: the base
-        # validates len(fleet) == config.n_sessions, which cannot hold
-        # for a shard (subset of the fleet, possibly empty when freshly
-        # spawned by the rebalancer).  ``template`` sizes the per-shard
-        # pool/batcher; its n_sessions refers to the whole fleet.
+        # ``template`` sizes the per-shard pool/batcher; its n_sessions
+        # refers to the whole fleet, of which the shard holds a subset
+        # (none, when freshly spawned).  ``stats`` is the fleet's ledger.
         if shard_id < 0:
             raise ValueError(f"shard_id must be non-negative, got {shard_id}")
         self.shard_id = shard_id
-        self.config = template
-        self.service = service if service is not None else BatchServiceModel()
-        self.inference = None
-        self.fleet = list(sessions) if sessions is not None else []
-        self.pool = WorkerPool(template.n_workers, self.service)
-        self.batcher = DynamicBatcher(template.max_batch, template.batch_window_s)
-        # Keyed by session id (not a dense list): membership changes at
-        # runtime.  All base-class paths index ``stats[session_id]``, so
-        # the dict is a drop-in.
-        self.stats: dict[int, SessionStats] = {
-            s.session_id: SessionStats(s.session_id) for s in self.fleet
-        }
-        # Under the net transport every shard aliases ONE fleet-owned
-        # stats dict (a suspected-but-alive shard keeps completing
-        # stragglers for sessions that already re-homed).  The flag
-        # keeps per-shard snapshots from serializing the shared dict
-        # once per shard — the FleetRuntime serializes it exactly once.
-        self.stats_shared = False
-        self.predictions = None
+        fleet = list(sessions) if sessions is not None else []
+        super().__init__(
+            template,
+            service=service,
+            fleet=fleet,
+            obs=obs,
+            stats=stats if stats is not None else new_ledger(fleet),
+        )
         #: The owning fleet's heads index (see FleetRuntime), shared by
         #: every shard; None for a shard driven on its own.
         self.heads: "list[tuple[float, int]] | None" = None
-        self._heap: list[tuple[float, int, int, object]] = []
-        self._event_seq = 0
-        self._makespan_s = 0.0
-        self.events_processed = 0
-        self._started = False
-        self.obs = obs if obs is not None else NULL_OBS
-        self._instruments: "ServeInstruments | None" = None
-        if self.obs.enabled:
-            self._instruments = ServeInstruments(self.obs.metrics)
-            self._declare_tracks()
-        self.slo = None
         # --- fleet lifecycle state -----------------------------------
         self.failover = failover if failover is not None else FailoverConfig()
         self.rehome_breaker = CircuitBreaker(
@@ -125,8 +104,8 @@ class ShardRuntime(ServeRuntime):
         self.spawned_at_s: "float | None" = None
         self.killed_at_s: "float | None" = None
         self.retired_at_s: "float | None" = None
-        # Per-shard frame counters (session stats travel with sessions;
-        # these stay, attributing work to the shard that did it).
+        # Per-shard frame counters, attributing work to the shard that
+        # did it (the session ledger is the fleet's).
         self.completed_frames = 0
         self.degraded_frames = 0
         self.lost_frames = 0
@@ -153,18 +132,6 @@ class ShardRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # Base-class hooks
     # ------------------------------------------------------------------
-    def _stats_values(self) -> "list[SessionStats]":
-        if self.stats_shared:
-            return []
-        return [self.stats[sid] for sid in sorted(self.stats)]
-
-    def _load_stats(self, saved: list) -> None:
-        self.stats = {}
-        for entry in saved:
-            stats = SessionStats(int(entry["session_id"]))
-            stats.load_state(entry)
-            self.stats[stats.session_id] = stats
-
     def _record_completion(self, request: FrameRequest, done_s: float) -> None:
         self.completed_frames += 1
         super()._record_completion(request, done_s)
@@ -269,20 +236,32 @@ class ShardRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # Fleet lifecycle
     # ------------------------------------------------------------------
-    def extract_session(self, session_id: int, now: float) -> MigrationPayload:
-        """Remove one session and everything it owns (live migration)."""
+    def release(self, session_id: int) -> ClientSession:
+        """Take one session off this shard's membership (and its guard);
+        its queued and in-flight frames stay where they are."""
         session = next(
             (s for s in self.fleet if s.session_id == session_id), None
         )
         if session is None:
             raise KeyError(f"session {session_id} not on shard {self.shard_id}")
         self.fleet = [s for s in self.fleet if s.session_id != session_id]
-        stats = self.stats.pop(session_id)
+        self._rehome_guard_until.pop(session_id, None)
+        return session
+
+    def guard_rehomed(self, session_id: int, now: float) -> None:
+        """A failover re-homed ``session_id`` here: count it, and guard
+        its predict frames with the re-home breaker for ``guard_s``."""
+        self.rehomed_in += 1
+        if self.failover.guard_s > 0:
+            self._rehome_guard_until[session_id] = now + self.failover.guard_s
+
+    def extract_session(self, session_id: int, now: float) -> MigrationPayload:
+        """Remove one session and everything it owns (live migration)."""
+        session = self.release(session_id)
         arrivals = self._extract_future_arrivals(session_id)
         requeue = self.batcher.extract_session(session_id)
         requeue.extend(self._extract_inflight(session_id))
         requeue.sort(key=_frame_order)
-        self._rehome_guard_until.pop(session_id, None)
         self.migrations_out += 1
         if self.obs.enabled:
             self.obs.tracer.instant(
@@ -290,7 +269,7 @@ class ShardRuntime(ServeRuntime):
                 pid=session_pid(session_id),
                 args={"moved_frames": len(requeue)},
             )
-        return MigrationPayload(session, stats, arrivals, requeue)
+        return MigrationPayload(session, arrivals, requeue)
 
     def admit_migrated(
         self, payload: MigrationPayload, now: float, rehomed: bool = False
@@ -298,12 +277,11 @@ class ShardRuntime(ServeRuntime):
         """Install a migrated session: arrivals re-seeded, carried frames
         requeued ahead of the window rule (their arrival times are old)."""
         session_id = payload.session.session_id
-        if session_id in self.stats:
+        if any(s.session_id == session_id for s in self.fleet):
             raise ValueError(
                 f"session {session_id} already on shard {self.shard_id}"
             )
         self.fleet.append(payload.session)
-        self.stats[session_id] = payload.stats
         if self.obs.enabled:
             self.obs.tracer.declare_track(
                 session_pid(session_id),
@@ -318,29 +296,26 @@ class ShardRuntime(ServeRuntime):
         for request in payload.arrivals:
             self._push(request.arrival_s, _ARRIVAL, request)
         if rehomed:
-            self.rehomed_in += 1
-            if self.failover.guard_s > 0:
-                self._rehome_guard_until[session_id] = (
-                    now + self.failover.guard_s
-                )
+            self.guard_rehomed(session_id, now)
         else:
             self.migrations_in += 1
         if payload.requeue:
             self.batcher.requeue(payload.requeue)
-            self._try_dispatch(now)
-            if len(self.batcher) > 0 and self.batcher.window_s > 0:
-                deadline = self.batcher.next_deadline_s()
-                if deadline is not None:
-                    self._push(deadline, _WINDOW, None)
+            self._dispatch_and_arm(now)
 
-    def kill(self, now: float) -> "tuple[dict[int, MigrationPayload], int]":
+    def kill(
+        self, now: float, silent: bool = False
+    ) -> "tuple[dict[int, MigrationPayload], int]":
         """Fail the shard: queued + in-flight frames are lost with it,
         sessions (with their future arrivals) are packaged for re-homing.
 
         Returns ``(payloads keyed by session id, frames lost)``.  The
         batcher's conservation ledger stays closed — lost frames are
         recorded ``lost_shard`` on their sessions, never silently
-        dropped.
+        dropped.  A ``silent`` kill (net-transport mode) tells nobody:
+        sessions stay on the fleet list and nothing is packaged, since
+        under the lossy transport the shard is known dead only once the
+        failure detector stops seeing heartbeats and *suspects* it.
         """
         if self.killed_at_s is not None:
             raise RuntimeError(f"shard {self.shard_id} already killed")
@@ -362,58 +337,23 @@ class ShardRuntime(ServeRuntime):
         self._heap = []
         self.batcher.check_accounting()
         self.lost_frames = lost
-        payloads: dict[int, MigrationPayload] = {}
-        for session in sorted(self.fleet, key=lambda s: s.session_id):
-            sid = session.session_id
-            arrivals = sorted(
-                arrivals_by_sid.get(sid, []), key=_frame_order
-            )
-            payloads[sid] = MigrationPayload(
-                session, self.stats.pop(sid), arrivals, []
-            )
-        self.fleet = []
         self._rehome_guard_until = {}
         self.killed_at_s = now
+        payloads: dict[int, MigrationPayload] = {}
+        if silent:
+            args = {"lost_frames": lost, "silent": 1}
+        else:
+            for session in sorted(self.fleet, key=lambda s: s.session_id):
+                sid = session.session_id
+                arrivals = sorted(arrivals_by_sid.get(sid, []), key=_frame_order)
+                payloads[sid] = MigrationPayload(session, arrivals)
+            self.fleet = []
+            args = {"lost_frames": lost, "sessions": len(payloads)}
         if self.obs.enabled:
             self.obs.tracer.instant(
-                "shard.kill", now, cat="fleet", pid=PID_WORKERS,
-                args={"lost_frames": lost, "sessions": len(payloads)},
+                "shard.kill", now, cat="fleet", pid=PID_WORKERS, args=args
             )
         return payloads, lost
-
-    def kill_silent(self, now: float) -> int:
-        """Fail the shard *without telling anyone* (net-transport mode).
-
-        Queued + in-flight frames die with the shard and are recorded
-        ``lost_shard``, exactly as in :meth:`kill` — but sessions stay
-        on the fleet list and nothing is packaged for re-homing: under
-        the lossy transport nobody knows the shard is dead until the
-        failure detector stops seeing heartbeats and *suspects* it.
-        Returns the number of frames lost.
-        """
-        if self.killed_at_s is not None:
-            raise RuntimeError(f"shard {self.shard_id} already killed")
-        lost = 0
-        for request in self.batcher.drain():
-            self.stats[request.session_id].record_lost_shard()
-            lost += 1
-        for _, kind, _, payload in self._heap:
-            if kind == _COMPLETE:
-                _, batch = payload
-                for request in batch:
-                    self.stats[request.session_id].record_lost_shard()
-                    lost += 1
-        self._heap = []
-        self.batcher.check_accounting()
-        self.lost_frames = lost
-        self._rehome_guard_until = {}
-        self.killed_at_s = now
-        if self.obs.enabled:
-            self.obs.tracer.instant(
-                "shard.kill", now, cat="fleet", pid=PID_WORKERS,
-                args={"lost_frames": lost, "silent": 1},
-            )
-        return lost
 
     def start(self, requests: "list[FrameRequest] | None" = None) -> None:
         """Seed the given arrivals (idempotent).

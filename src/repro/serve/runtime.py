@@ -45,9 +45,10 @@ from repro.serve.telemetry import (
     FleetReport,
     ServeInstruments,
     SessionStats,
+    new_ledger,
     publish_fleet_metrics,
 )
-from repro.serve.workers import WorkerPool
+from repro.serve.workers import WorkerPool, WorkerState
 
 # Event-kind priorities: at equal timestamps, completions free workers
 # before window expiries ask for them, and both precede new arrivals.
@@ -70,18 +71,25 @@ class ServeRuntime:
         inference: "InferenceFn | None" = None,
         fleet: "list[ClientSession] | None" = None,
         obs: "Obs | None" = None,
+        stats: "dict[int, SessionStats] | None" = None,
     ):
         self.config = config
         self.service = service if service is not None else BatchServiceModel()
         self.inference = inference
         self.fleet = fleet if fleet is not None else build_fleet(config)
-        if len(self.fleet) != config.n_sessions:
-            raise ValueError(
-                f"fleet has {len(self.fleet)} sessions, config says {config.n_sessions}"
-            )
+        if stats is None:
+            # A runtime that owns its ledger serves the whole fleet; a
+            # fleet shard is handed its fleet's ledger instead.
+            if len(self.fleet) != config.n_sessions:
+                raise ValueError(
+                    f"fleet has {len(self.fleet)} sessions, "
+                    f"config says {config.n_sessions}"
+                )
+            stats = new_ledger(self.fleet)
+        #: The session ledger, keyed by session id.
+        self.stats = stats
         self.pool = WorkerPool(config.n_workers, self.service)
         self.batcher = DynamicBatcher(config.max_batch, config.batch_window_s)
-        self.stats = [SessionStats(s.session_id) for s in self.fleet]
         self.predictions: "dict[tuple[int, int], np.ndarray] | None" = (
             {} if inference is not None else None
         )
@@ -250,7 +258,12 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
-    def estimated_wait_s(self) -> float:
+    def _available_workers(self, now: float) -> int:
+        """Workers the admission estimate spreads queued work over.  The
+        chaos runtime leaves out crashed and breaker-evicted workers."""
+        return self.config.n_workers
+
+    def estimated_wait_s(self, now: float) -> float:
         """Wait a newly admitted predict frame would see: full batches of
         queued + in-flight + this frame, spread across the pool."""
         pending = len(self.batcher) + self.pool.in_flight_frames() + 1
@@ -258,13 +271,13 @@ class ServeRuntime:
         return (
             batches
             * self.service.service_s(self.config.max_batch)
-            / self.config.n_workers
+            / self._available_workers(now)
         )
 
     def _admit(self, request: FrameRequest, now: float) -> bool:
         if self.config.admission is AdmissionPolicy.ALWAYS:
             return True
-        if self.estimated_wait_s() <= self.config.queue_budget_s:
+        if self.estimated_wait_s(now) <= self.config.queue_budget_s:
             return True
         if self.config.admission is AdmissionPolicy.DEGRADE:
             self._degrade_now(request, now, cause="admission")
@@ -288,15 +301,30 @@ class ServeRuntime:
         overrides this to window per-shard queue waits for its
         rebalancer; the base runtime does nothing."""
 
+    def _pick_worker(self, now: float) -> "WorkerState | None":
+        """The worker the next batch goes to, or None if none may take it."""
+        return self.pool.idle_worker(now)
+
+    def _wait_for_worker(self, now: float) -> None:
+        """Queued work but no worker: the base loop retries at the next
+        COMPLETE; the chaos runtime schedules a wake-up instead."""
+
+    def _start_batch(
+        self, worker: WorkerState, batch: "list[FrameRequest]", now: float
+    ) -> "tuple[float, bool, object]":
+        """Start ``batch`` on ``worker``: ``(done_s, ok, COMPLETE payload)``."""
+        return self.pool.dispatch(worker, len(batch), now), True, (worker, batch)
+
     def _try_dispatch(self, now: float) -> None:
         while self.batcher.ready(now):
-            worker = self.pool.idle_worker(now)
+            worker = self._pick_worker(now)
             if worker is None:
-                return  # next COMPLETE event will retry
+                self._wait_for_worker(now)
+                return
             batch = self.batcher.take()
             self._note_dispatch(batch, now)
-            done_s = self.pool.dispatch(worker, len(batch), now)
-            if self.inference is not None:
+            done_s, ok, payload = self._start_batch(worker, batch, now)
+            if ok and self.inference is not None:
                 outputs = np.asarray(self.inference(batch))
                 if outputs.shape != (len(batch), 2):
                     raise ValueError(
@@ -307,8 +335,17 @@ class ServeRuntime:
                 for request, gaze in zip(batch, outputs):
                     self.predictions[(request.session_id, request.frame_index)] = gaze
             if self.obs.enabled:
-                self._trace_batch(worker.worker_id, batch, now, done_s)
-            self._push(done_s, _COMPLETE, (worker, batch))
+                self._trace_batch(worker.worker_id, batch, now, done_s, ok=ok)
+            self._push(done_s, _COMPLETE, payload)
+
+    def _dispatch_and_arm(self, now: float) -> None:
+        """Dispatch what the queue allows, then arm the batch window of
+        whatever stays queued."""
+        self._try_dispatch(now)
+        if len(self.batcher) > 0 and self.batcher.window_s > 0:
+            deadline = self.batcher.next_deadline_s()
+            if deadline is not None:
+                self._push(deadline, _WINDOW, None)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -320,14 +357,9 @@ class ServeRuntime:
         if request.path == "reuse":
             self._record_completion(request, now + self.config.reuse_bypass_s)
             return
-        if not self._admit(request, now):
-            return
-        self.batcher.enqueue(request)
-        self._try_dispatch(now)
-        if len(self.batcher) > 0 and self.batcher.window_s > 0:
-            deadline = self.batcher.next_deadline_s()
-            if deadline is not None:
-                self._push(deadline, _WINDOW, None)
+        if self._admit(request, now):
+            self.batcher.enqueue(request)
+            self._dispatch_and_arm(now)
 
     def _on_complete(
         self, worker_batch: "tuple[object, list[FrameRequest]]", now: float
@@ -386,11 +418,7 @@ class ServeRuntime:
             raise RuntimeError(
                 f"finish() with {len(self._heap)} events still pending"
             )
-        # End-of-run flush: anything still queued is accounted explicitly
-        # as pending-at-shutdown — admitted work is never silently lost.
-        for request in self.batcher.drain():
-            self.stats[request.session_id].record_pending(request.path)
-        self.batcher.check_accounting()
+        self.flush_pending()
         duration = max(self.config.duration_s, self._makespan_s)
         report = self._build_report(duration)
         if self.obs.enabled:
@@ -398,6 +426,13 @@ class ServeRuntime:
         if self.slo is not None:
             self.slo.finalize(duration)
         return report
+
+    def flush_pending(self) -> None:
+        """End-of-run flush: anything still queued is accounted explicitly
+        as pending-at-shutdown — admitted work is never silently lost."""
+        for request in self.batcher.drain():
+            self.stats[request.session_id].record_pending(request.path)
+        self.batcher.check_accounting()
 
     def run(self) -> FleetReport:
         self.start()
@@ -407,7 +442,7 @@ class ServeRuntime:
 
     def _build_report(self, duration: float) -> FleetReport:
         return FleetReport(
-            sessions=self.stats,
+            sessions=list(self.stats.values()),
             duration_s=duration,
             deadline_s=self.config.deadline_s,
             batch_occupancy=dict(self.pool.batch_occupancy),
@@ -428,21 +463,6 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     #: Checkpoint kind tag; ``repro.recover`` maps it back to the class.
     RUNTIME_KIND = "serve"
-
-    def _stats_values(self) -> "list[SessionStats]":
-        """Session accumulators in serialization order.  The sharded
-        fleet keys ``stats`` by session id instead of a dense list and
-        overrides this (and :meth:`_load_stats`) accordingly."""
-        return self.stats
-
-    def _load_stats(self, saved: list) -> None:
-        if len(saved) != len(self.stats):
-            raise ValueError(
-                f"snapshot has {len(saved)} sessions, "
-                f"runtime has {len(self.stats)}"
-            )
-        for stats, entry in zip(self.stats, saved):
-            stats.load_state(entry)
 
     def _encode_payload(self, kind: int, payload: object) -> object:
         """JSON-safe form of one heap payload (kind-specific)."""
@@ -465,13 +485,20 @@ class ServeRuntime:
             return (worker, batch)
         return None
 
+    def _member_ids(self) -> "list[int]":
+        """Ids of the sessions this runtime serves, in session-id order."""
+        return sorted(session.session_id for session in self.fleet)
+
     def state_dict(self) -> dict:
         """Full JSON-safe snapshot of the serving state.
 
         The heap is serialized in its *raw list order* (already a valid
         binary heap) and restored verbatim, so subsequent pushes and pops
         reproduce the uninterrupted run's event ordering exactly — the
-        load-bearing detail behind bit-identical recovery.
+        load-bearing detail behind bit-identical recovery.  ``stats`` is
+        the ledger slice of the sessions this runtime serves: all of
+        them, or a fleet shard's members (the shards of a fleet
+        partition its sessions, so its one ledger is written once).
         """
         predictions = None
         if self.predictions is not None:
@@ -490,7 +517,7 @@ class ServeRuntime:
             ],
             "batcher": self.batcher.state_dict(),
             "pool": self.pool.state_dict(),
-            "stats": [stats.state_dict() for stats in self._stats_values()],
+            "stats": [self.stats[sid].state_dict() for sid in self._member_ids()],
             "predictions": predictions,
         }
 
@@ -507,10 +534,15 @@ class ServeRuntime:
             for time_s, kind, seq, data in state["heap"]
         ]
         self.batcher.load_state(state["batcher"])
-        self._load_stats(state["stats"])
+        members = self._member_ids()
+        if len(state["stats"]) != len(members):
+            raise ValueError(
+                f"snapshot has {len(state['stats'])} sessions, "
+                f"runtime has {len(members)}"
+            )
+        for sid, saved in zip(members, state["stats"]):
+            self.stats[sid].load_state(saved)
         if state["predictions"] is not None:
-            if self.predictions is None:
-                self.predictions = {}
             self.predictions = {
                 (int(sid), int(frame)): np.asarray(gaze, dtype=np.float64)
                 for sid, frame, gaze in state["predictions"]

@@ -166,6 +166,13 @@ class SessionStats:
         return self.misses / self.completed if self.completed else 0.0
 
 
+def new_ledger(sessions) -> "dict[int, SessionStats]":
+    """A fresh session ledger: one :class:`SessionStats` per session,
+    keyed by session id.  A serving run has exactly one, owned by its
+    runtime (by the fleet, for a sharded run) and never moved."""
+    return {s.session_id: SessionStats(s.session_id) for s in sessions}
+
+
 @dataclass
 class FaultReport:
     """Fault-injection and degradation telemetry of one chaos run.
@@ -581,8 +588,14 @@ def publish_fleet_metrics(report: FleetReport, metrics: MetricsRegistry) -> None
         )
         lost_net.inc(report.lost_net_frames - lost_net.value)
         for name, value in report.net.summary().items():
-            gauge_name = name if name.startswith("net_") else f"net_{name}"
-            metrics.gauge(gauge_name).set(float(value))
+            name = name if name.startswith("net_") else f"net_{name}"
+            if name.endswith("_total"):
+                # Live counters (transport, detector) already own these
+                # names: bring them up to the end-of-run value.
+                counter = metrics.counter(name)
+                counter.inc(value - counter.value)
+            else:
+                metrics.gauge(name).set(float(value))
     if report.faults is not None:
         publish_fault_metrics(report.faults, metrics)
 

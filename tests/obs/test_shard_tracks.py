@@ -75,7 +75,7 @@ class TestScopedTracer:
 
 class TestFleetTraces:
     def test_fleet_run_emits_namespaced_shard_tracks(self):
-        from repro.faults.injectors import ShardKill
+        from repro.faults.netfaults import ShardKill
         from repro.serve import ServeConfig
         from repro.serve.fleet import FleetConfig, run_fleet
 

@@ -132,7 +132,7 @@ class TestValidation:
 
     def test_format_1_net_fleet_is_refused(self, tmp_path):
         # A format-1 lossy-transport fleet holds every frame's SEND on its
-        # control heap; resuming it under chained SENDs would send twice.
+        # control heap and keeps its session ledger apart from the shards.
         store = CheckpointStore(tmp_path)
         store.write(
             STATE, event_index=7, kind="fleet",
@@ -140,14 +140,28 @@ class TestValidation:
             service=SERVICE,
         )
         self.rewrite_format_version(store, 7, 1)
-        with pytest.raises(
-            CheckpointError, match="format-1 lossy-transport fleet checkpoint"
-        ):
+        with pytest.raises(CheckpointError, match="format-1 fleet checkpoint"):
             store.load(7)
 
     @pytest.mark.parametrize(
-        "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
+        "config",
+        [{"n_shards": 2}, {"n_shards": 2, "net": {"enabled": True}}],
+        ids=["plain", "net"],
     )
+    def test_format_2_fleet_is_refused(self, tmp_path, config):
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind="fleet", config=config, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, 2)
+        with pytest.raises(
+            CheckpointError,
+            match="format-2 fleet checkpoint, written before the fleet "
+            "owned one session ledger",
+        ):
+            store.load(7)
+
+    @pytest.mark.parametrize("kind,config", [("serve", CONFIG)])
     def test_format_1_without_transport_still_loads(self, tmp_path, kind, config):
         store = CheckpointStore(tmp_path)
         store.write(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
-from repro.faults.injectors import ShardKill
+from repro.faults.netfaults import ShardKill
 from repro.recover import (
     CheckpointStore,
     RecoveryError,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
-from repro.faults.injectors import ShardKill
+from repro.faults.netfaults import ShardKill
 from repro.recover import (
     CheckpointStore,
     fleet_report_bytes,
@@ -105,11 +105,11 @@ class TestNetCrashRecovery:
         assert isinstance(runtime, FleetRuntime)
         assert runtime.transport is not None
         # The dedupe registry made it across the crash (frames were
-        # applied before the checkpoint) and the shared session-stats
-        # ledger is re-aliased onto every shard.
+        # applied before the checkpoint) and every shard records into
+        # the fleet's one session ledger again.
         assert runtime.transport.applied
         for shard in runtime.shards.values():
-            assert shard.stats is runtime._net_stats
+            assert shard.stats is runtime.stats
 
     def test_net_config_roundtrips_through_manifest(self):
         from repro.recover.configio import (

@@ -14,6 +14,7 @@ from repro.recover import (
     CheckpointStore,
     JournalWriter,
     RecoveryError,
+    canonical_bytes,
     fleet_report_bytes,
     read_journal,
     restore_runtime,
@@ -52,6 +53,19 @@ class TestBitIdenticalRecovery:
     def test_chaos_recovery_is_bit_identical(self, tmp_path, kill_at):
         baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
         crash_at(ChaosRuntime(chaos_config()), tmp_path, kill_at)
+        assert fleet_report_bytes(resume(tmp_path)) == baseline
+
+    def test_format_2_serve_checkpoint_restores_byte_identically(self, tmp_path):
+        # Format 3 changed only fleet payloads: a serve run checkpointed
+        # under format 2 resumes and finishes as if never interrupted.
+        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
+        crash_at(ServeRuntime(serve_config()), tmp_path, 150)
+        store = CheckpointStore(tmp_path)
+        for index in store.indices():
+            manifest = store.manifest_path(index)
+            doc = json.loads(manifest.read_bytes())
+            doc["format_version"] = 2
+            manifest.write_bytes(canonical_bytes(doc))
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
     def test_double_crash_recovery(self, tmp_path):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.injectors import ShardKill
+from repro.faults.netfaults import ShardKill
 from repro.recover.codec import canonical_json
 from repro.serve import ServeConfig, fleet_requests
 from repro.serve.fleet import FleetConfig, FleetRuntime, NetConfig

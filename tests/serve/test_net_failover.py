@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.injectors import ShardKill
+from repro.faults.netfaults import ShardKill
 from repro.recover import fleet_report_bytes
 from repro.serve import ServeConfig
 from repro.serve.fleet import (

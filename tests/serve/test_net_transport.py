@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.injectors import ShardKill
+from repro.faults.netfaults import ShardKill
 from repro.recover import fleet_report_bytes
 from repro.serve import ServeConfig
 from repro.serve.fleet import (

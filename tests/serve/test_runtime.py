@@ -170,3 +170,18 @@ class TestRuntimeValidation:
         fleet = build_fleet(ServeConfig(n_sessions=2, duration_s=0.1))
         with pytest.raises(ValueError, match="fleet"):
             ServeRuntime(ServeConfig(n_sessions=3, duration_s=0.1), fleet=fleet)
+
+    def test_shards_hold_part_of_the_fleet(self):
+        # The whole-fleet size check binds runtimes that own their
+        # ledger; a shard records into its fleet's ledger instead.
+        from repro.serve import FleetConfig, FleetRuntime, ShardRuntime
+
+        config = ServeConfig(n_sessions=3, duration_s=0.1)
+        fleet = build_fleet(config)
+        subset = ShardRuntime(0, config, sessions=fleet[:2])
+        assert [s.session_id for s in subset.fleet] == [0, 1]
+        assert sorted(subset.stats) == [0, 1]
+        assert ShardRuntime(1, config).fleet == []
+        owner = FleetRuntime(FleetConfig(serve=config, n_shards=2))
+        spawned = owner._new_shard([], spawned_at_s=0.05)
+        assert spawned.fleet == [] and spawned.stats is owner.stats

@@ -64,8 +64,7 @@ FLEET_ALL_FLAGS = [
     "3", "--obs", "--obs-top", "4",
 ]
 # The transport refuses live migration and the rebalancer, so the net
-# flags get their own row.  It pins the report only: ``--obs`` on a
-# ``--net`` run fails when the fleet publishes its metrics.
+# flags get their own row.
 FLEET_NET_ALL_FLAGS = [
     "fleet", "--sessions", "7", "--shards", "3", "--duration", "0.25",
     "--workers", "1", "--seed", "5", "--kill-shard", "2@0.2", "--net",
@@ -118,6 +117,7 @@ ROWS: "dict[str, list[list[str]]]" = {
     "fleet-kill": [FLEET_KILL],
     "fleet-compare-no-kill": [FLEET_KILL + ["--compare-no-kill"]],
     "fleet-net-compare-no-fault": [FLEET_NET + ["--compare-no-fault"]],
+    "fleet-net-obs": [FLEET_NET + ["--obs"]],
     "fleet-slo": [FLEET_KILL + ["--slo", "default"]],
     "fleet-slo-obs": [FLEET_KILL + ["--slo", "default", "--obs"]],
     "fleet-obs": [FLEET_KILL + ["--obs", "--obs-top", "3"]],
@@ -164,6 +164,7 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     ],
     "fleet-net-all-flags": [(0, "8db03a075f31477f", "e3b0c44298fc1c14")],
     "fleet-net-compare-no-fault": [(0, "93239fda5d4012bd", "e3b0c44298fc1c14")],
+    "fleet-net-obs": [(0, "4c5dddb4c45ea4d0", "e3b0c44298fc1c14")],
     "fleet-obs": [(0, "0f34176270d17821", "e3b0c44298fc1c14")],
     "fleet-refuse-bad-kill-spec": [(2, "e3b0c44298fc1c14", "ff7de0365b60183a")],
     "fleet-refuse-slo-checkpoint": [(2, "e3b0c44298fc1c14", "fdb44ba9d9821d06")],
@@ -192,6 +193,7 @@ OBS_TREES: "dict[str, str]" = {
     "chaos-obs": "857861dc72ac982e",
     "fleet-all-flags": "d6317429013c0a4e",
     "fleet-kill-recover-obs": "73d694b48d51aa02",
+    "fleet-net-obs": "cd3fa99911372b2d",
     "fleet-obs": "45cae60d914f60c0",
     "fleet-slo-obs": "6de3f608873a7713",
     "serve-all-flags": "dad4d4cc1049c3dd",
