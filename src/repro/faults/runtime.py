@@ -98,6 +98,9 @@ def build_chaos_fleet(
 class ChaosRuntime(ServeRuntime):
     """One chaos scenario: faulted fleet, faulty pool, recovery stack."""
 
+    #: Input faults, the SDC guard and the watchdog act on every frame.
+    bypass_events = True
+
     def __init__(
         self,
         chaos: ChaosConfig,
@@ -478,7 +481,9 @@ class ChaosRuntime(ServeRuntime):
             )
             self._makespan_s = max(self._makespan_s, now)
             if self.obs.enabled:
-                self._trace_frame(request, "full_res", now - request.arrival_s)
+                self._trace_frame(
+                    sid, i, request.arrival_s, "full_res", now - request.arrival_s
+                )
             return
         if request.path == "predict":
             if blind:

@@ -570,6 +570,10 @@ class SloEngine:
                 "state": state.state, "total": total, "bad": bad,
             })
 
+    def due(self, now_s: float) -> bool:
+        """Whether :meth:`maybe_evaluate` at ``now_s`` evaluates a boundary."""
+        return self._next_eval_s <= now_s + 1e-12
+
     def maybe_evaluate(self, now_s: float) -> None:
         """Run every evaluation boundary at or before ``now_s``.
 
@@ -577,7 +581,7 @@ class SloEngine:
         fixed multiples of ``eval_interval_s``, so the evaluation times
         — and therefore the whole alert stream — are deterministic.
         """
-        while self._next_eval_s <= now_s + 1e-12:
+        while self.due(now_s):
             self._evaluate_at(self._next_eval_s)
             self._next_eval_s += self.config.eval_interval_s
 

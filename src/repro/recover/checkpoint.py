@@ -35,9 +35,12 @@ from repro.recover.errors import CheckpointError
 #: and pending entries carry sequence numbers instead of frame dicts.
 #: Version 3: the fleet owns one session ledger; each shard serializes
 #: the slice of its member sessions (a lossy-transport fleet no longer
-#: writes a separate ledger under ``net``).  Serve and chaos payloads
-#: are unchanged since version 1.
-CHECKPOINT_FORMAT_VERSION = 3
+#: writes a separate ledger under ``net``).
+#: Version 4: serve runtimes and direct-mode fleet shards keep saccade
+#: and reuse frames off the heap, as per-session backlogs the ledger
+#: records in bulk; event indices count only pool and control events.
+#: Chaos payloads are unchanged since version 1.
+CHECKPOINT_FORMAT_VERSION = 4
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -194,6 +197,14 @@ class CheckpointStore:
                 "checkpoint, written before the fleet owned one session "
                 f"ledger (format {CHECKPOINT_FORMAT_VERSION}) — rerun the "
                 "fleet from the start"
+            )
+        if version < 4 and manifest["kind"] in ("serve", "fleet"):
+            raise CheckpointError(
+                f"checkpoint {manifest_path} is a format-{version} "
+                f"{manifest['kind']} checkpoint, written while bypass frames "
+                "were heap ARRIVALs: its heap holds bypass frames the "
+                f"per-session backlog (format {CHECKPOINT_FORMAT_VERSION}) "
+                "would record a second time — rerun from the start"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

@@ -54,6 +54,7 @@ from repro.serve.fleet.transport import (
     K_NET_SEND,
 )
 from repro.serve.request import FrameRequest, build_fleet, fleet_requests
+from repro.serve.runtime import evaluate_slo_through
 from repro.serve.telemetry import (
     FleetReport,
     SessionStats,
@@ -93,6 +94,7 @@ class FleetRuntime:
         #: The one session ledger, handed to every shard: stats never
         #: move with a migrated or re-homed session.
         self.stats = new_ledger(self.sessions)
+        self._directory = {s.session_id: s for s in self.sessions}
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.shards: dict[int, ShardRuntime] = {}
         #: The heads index: ``(head_time_s, shard_id)`` entries, some
@@ -141,7 +143,7 @@ class FleetRuntime:
     # Topology
     # ------------------------------------------------------------------
     def _build_shard(self, shard_id: int, sessions) -> ShardRuntime:
-        return ShardRuntime(
+        shard = ShardRuntime(
             shard_id,
             self.config.serve,
             sessions=sessions,
@@ -149,7 +151,11 @@ class FleetRuntime:
             obs=self.obs.scoped(shard_id),
             failover=self.config.failover,
             stats=self.stats,
+            directory=self._directory,
         )
+        # Every frame crosses the lossy transport, bypass frames too.
+        shard.bypass_events = self.transport is not None
+        return shard
 
     def _new_shard(self, sessions, spawned_at_s: "float | None") -> ShardRuntime:
         shard_id = self._next_shard_id
@@ -187,9 +193,12 @@ class FleetRuntime:
             self._new_shard([], spawned_at_s=None)
         placement = self.ring.assignment(placement_ids)
         # One global request stream: seq numbers are unique fleet-wide
-        # (migrated frames carry theirs onto other shards).
+        # (migrated frames carry theirs onto other shards).  Direct-mode
+        # shards keep bypass frames as per-session backlogs.
         all_requests = fleet_requests(
-            self.sessions, self.config.serve.deadline_s
+            self.sessions,
+            self.config.serve.deadline_s,
+            bypass=self.transport is not None,
         )
         for shard_id in sorted(placement):
             for sid in placement[shard_id]:
@@ -305,9 +314,33 @@ class FleetRuntime:
         _, kind, seq, _ = self.shards[shard_id]._heap[0]
         return (time_s, (shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
 
+    def _lanes(self) -> "list[tuple[int, ShardRuntime]]":
+        """Shards with members, as :func:`evaluate_slo_through` lanes."""
+        return [
+            (shard_id, shard)
+            for shard_id, shard in sorted(self.shards.items())
+            if shard.fleet
+        ]
+
+    def _evaluate_slo_before(self, head: "tuple[float, int] | None") -> None:
+        """Run the SLO boundaries due before the next event (``head`` is
+        the next shard head; control events pop first at equal time)."""
+        control = self._control
+        if control and (head is None or control[0][0] <= head[0]):
+            if self.slo.due(control[0][0]):
+                evaluate_slo_through(
+                    self.slo, self._lanes(), (control[0][0], -1)
+                )
+        elif head is not None and self.slo.due(head[0]):
+            evaluate_slo_through(
+                self.slo, self._lanes(), self.shards[head[1]]._head_key(head[1])
+            )
+
     def step(self) -> bool:
         """Apply the globally next event; False once everything drained."""
         head = self._shard_head()
+        if self.slo is not None:
+            self._evaluate_slo_before(head)
         control = self._control
         if control and (head is None or control[0][0] <= head[0]):
             now, control_seq, kind, payload = heapq.heappop(control)
@@ -658,6 +691,10 @@ class FleetRuntime:
                 f"finish() with {len(self.transport.pending)} unresolved "
                 f"envelopes: {sorted(self.transport.pending)[:8]}"
             )
+        if self.slo is not None:
+            evaluate_slo_through(self.slo, self._lanes(), None)
+        for _, shard in self._lanes():
+            shard.flush_backlogs()
         shard_ids = sorted(self.shards)
         duration = max(self.config.serve.duration_s, self._net_makespan_s)
         for sid in shard_ids:

@@ -16,6 +16,10 @@ needs:
   sessions; future arrivals re-home with their sessions, bounding frame
   loss to exactly the in-flight set at kill time.
 
+A session leaving a shard first records its bypass backlog up to the
+move, credited to the shard it leaves; the frames after it are recorded
+wherever the session goes next.
+
 Session stats never move: every shard records into the one ledger its
 fleet owns and hands it, so a frame completes into the same
 :class:`~repro.serve.telemetry.SessionStats` whichever shard serves it.
@@ -30,6 +34,7 @@ queue budget.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.faults.breaker import CircuitBreaker
@@ -48,7 +53,8 @@ class MigrationPayload:
     stay put: the fleet owns the one session ledger)."""
 
     session: ClientSession
-    #: Arrivals not yet delivered, sorted by (arrival_s, seq).
+    #: ARRIVALs not yet popped, sorted by (arrival_s, seq).  Bypass
+    #: frames are not among them: they stay in the session's backlog.
     arrivals: list[FrameRequest] = field(default_factory=list)
     #: Frames pulled out of the source queue / in-flight batches, to be
     #: requeued on the destination; sorted by (arrival_s, seq).
@@ -71,10 +77,12 @@ class ShardRuntime(ServeRuntime):
         obs: "Obs | None" = None,
         failover: "FailoverConfig | None" = None,
         stats: "dict[int, SessionStats] | None" = None,
+        directory: "dict[int, ClientSession] | None" = None,
     ):
         # ``template`` sizes the per-shard pool/batcher; its n_sessions
         # refers to the whole fleet, of which the shard holds a subset
-        # (none, when freshly spawned).  ``stats`` is the fleet's ledger.
+        # (none, when freshly spawned).  ``stats`` is the fleet's ledger
+        # and ``directory`` its sessions by id.
         if shard_id < 0:
             raise ValueError(f"shard_id must be non-negative, got {shard_id}")
         self.shard_id = shard_id
@@ -86,6 +94,8 @@ class ShardRuntime(ServeRuntime):
             obs=obs,
             stats=stats if stats is not None else new_ledger(fleet),
         )
+        if directory is not None:
+            self.directory = directory
         #: The owning fleet's heads index (see FleetRuntime), shared by
         #: every shard; None for a shard driven on its own.
         self.heads: "list[tuple[float, int]] | None" = None
@@ -135,6 +145,23 @@ class ShardRuntime(ServeRuntime):
     def _record_completion(self, request: FrameRequest, done_s: float) -> None:
         self.completed_frames += 1
         super()._record_completion(request, done_s)
+
+    def _record_bypass(
+        self,
+        session_id: int,
+        frames: "Sequence[int]",
+        arrivals: "Sequence[float]",
+        paths: "Sequence[str]",
+        served_s: "float | None" = None,
+    ) -> None:
+        self.completed_frames += len(frames)
+        super()._record_bypass(session_id, frames, arrivals, paths, served_s)
+
+    def _arrival_order(self) -> "list[ClientSession]":
+        # Sessions seeded at start are in id order; each admitted one
+        # is appended, and its arrivals are pushed after every earlier
+        # member's.
+        return self.fleet
 
     def _degrade_now(
         self, request: FrameRequest, now: float, cause: str = "admission"
@@ -258,6 +285,7 @@ class ShardRuntime(ServeRuntime):
     def extract_session(self, session_id: int, now: float) -> MigrationPayload:
         """Remove one session and everything it owns (live migration)."""
         session = self.release(session_id)
+        self._flush_backlog(session, now)
         arrivals = self._extract_future_arrivals(session_id)
         requeue = self.batcher.extract_session(session_id)
         requeue.extend(self._extract_inflight(session_id))
@@ -319,6 +347,7 @@ class ShardRuntime(ServeRuntime):
         """
         if self.killed_at_s is not None:
             raise RuntimeError(f"shard {self.shard_id} already killed")
+        self.flush_backlogs(now)
         lost = 0
         for request in self.batcher.drain():
             self.stats[request.session_id].record_lost_shard()

@@ -5,12 +5,16 @@ Each simulated HMD client is an independent oculomotor trace sampled from
 its Algorithm-1 path decision (computed by ``repro.system.decide_paths``
 from the trace kinematics): saccade and reuse frames are handled on-device
 and never reach the serving pool, so only the predict-path skew — highly
-uneven across sessions — arrives as load.
+uneven across sessions — arrives as load.  A session keeps its bypass
+frames as columns (:attr:`ClientSession.bypass`); only a frame that can
+reach the pool needs to become a :class:`FrameRequest`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +60,18 @@ class FrameRequest:
         )
 
 
+class BypassFrames(NamedTuple):
+    """A session's saccade and reuse frames as columns, in frame order."""
+
+    frames: "list[int]"
+    arrivals: "list[float]"
+    paths: "list[str]"
+
+
+#: The backlog of a runtime whose bypass frames arrive as events.
+NO_BYPASS = BypassFrames([], [], [])
+
+
 @dataclass
 class ClientSession:
     """One HMD client: its trace, per-frame decisions, and arrival clock."""
@@ -71,6 +87,21 @@ class ClientSession:
 
     def arrival_s(self, frame_index: int) -> float:
         return self.start_s + frame_index / self.track.fps
+
+    @cached_property
+    def arrivals(self) -> np.ndarray:
+        """Every frame's arrival time, bit-equal to :meth:`arrival_s`."""
+        return self.start_s + np.arange(self.n_frames) / self.track.fps
+
+    @cached_property
+    def bypass(self) -> BypassFrames:
+        """The frames Algorithm 1 serves on-device (saccade or reuse)."""
+        frames = [f for f, path in enumerate(self.decisions) if path != "predict"]
+        return BypassFrames(
+            frames,
+            self.arrivals[frames].tolist(),
+            [self.decisions[f] for f in frames],
+        )
 
     def gaze_deg(self, frame_index: int) -> np.ndarray:
         return self.track.gaze_deg[frame_index]
@@ -104,24 +135,37 @@ def build_fleet(config: ServeConfig) -> list[ClientSession]:
     return fleet
 
 
-def fleet_requests(fleet: list[ClientSession], deadline_s: float) -> list[FrameRequest]:
+def fleet_requests(
+    fleet: list[ClientSession], deadline_s: float, bypass: bool = True
+) -> list[FrameRequest]:
     """All frames of all sessions in global arrival order.
 
     ``fleet`` may be any list of sessions (any order, ids need not be
     dense): each frame's path comes from its own session.  Arrival times
-    are ``start_s + arange(n) / fps`` — bit-equal to
-    :meth:`ClientSession.arrival_s` — and ties order by
-    ``(session_id, frame_index)``.
+    are :attr:`ClientSession.arrivals`, and ties order by
+    ``(session_id, frame_index)``; ``seq`` is the frame's rank in that
+    order.  With ``bypass=False`` only predict frames become requests
+    (they keep their rank, so their ``seq`` numbers have gaps).
     """
-    raw = []
-    decisions = {}
-    for session in fleet:
-        sid, n = session.session_id, session.n_frames
-        decisions[sid] = session.decisions
-        arrivals = (session.start_s + np.arange(n) / session.track.fps).tolist()
-        raw.extend(zip(arrivals, [sid] * n, range(n)))
-    raw.sort()
+    if not fleet:
+        return []
+    arrivals = np.concatenate([s.arrivals for s in fleet])
+    sids = np.repeat([s.session_id for s in fleet], [s.n_frames for s in fleet])
+    frames = np.concatenate([np.arange(s.n_frames) for s in fleet])
+    paths = [path for s in fleet for path in s.decisions]
+    order = np.lexsort((frames, sids, arrivals))
+    seqs = np.arange(len(order))
+    if not bypass:
+        pool = np.fromiter((p == "predict" for p in paths), bool, len(paths))
+        keep = pool[order]
+        order, seqs = order[keep], seqs[keep]
     return [
-        FrameRequest(sid, f, arrival, arrival + deadline_s, decisions[sid][f], seq)
-        for seq, (arrival, sid, f) in enumerate(raw)
+        FrameRequest(sid, f, arrival, arrival + deadline_s, paths[i], seq)
+        for i, sid, f, arrival, seq in zip(
+            order.tolist(),
+            sids[order].tolist(),
+            frames[order].tolist(),
+            arrivals[order].tolist(),
+            seqs.tolist(),
+        )
     ]

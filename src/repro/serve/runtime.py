@@ -9,9 +9,18 @@ then insertion sequence):
   free the worker, and greedily re-dispatch.
 * ``WINDOW`` — a batch-formation window expired; dispatch a partial batch
   if a worker is idle.
-* ``ARRIVAL`` — a frame entered the system.  Saccade/reuse frames bypass
-  the pool entirely (Algorithm 1 serves them on-device); predict frames
-  pass admission control and join the cross-session batcher.
+* ``ARRIVAL`` — a predict frame entered the system; it passes admission
+  control and joins the cross-session batcher.
+
+Saccade and reuse frames bypass the pool entirely (Algorithm 1 serves
+them on-device), so they are not events: each session keeps them as a
+backlog (:attr:`~repro.serve.request.ClientSession.bypass`) that is
+recorded in bulk wherever its order becomes observable — before any
+other record of that session, before the session changes shard, before
+an SLO evaluation, and at the end of the run.  Runtimes whose bypass
+frames must each be seen (chaos: input faults and the watchdog; a
+``--net`` fleet's shards: the transport) set :attr:`bypass_events` and
+receive them as ARRIVALs instead.
 
 Admission control estimates the wait a new predict frame would see —
 ``ceil((pending + 1) / max_batch) * service(max_batch) / n_workers`` —
@@ -33,14 +42,22 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from bisect import bisect_left
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.obs import NULL_OBS, Obs, PID_BATCHER, PID_WORKERS, session_pid
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
-from repro.serve.request import ClientSession, FrameRequest, build_fleet, fleet_requests
+from repro.serve.request import (
+    NO_BYPASS,
+    BypassFrames,
+    ClientSession,
+    FrameRequest,
+    build_fleet,
+    fleet_requests,
+)
 from repro.serve.telemetry import (
     FleetReport,
     ServeInstruments,
@@ -63,6 +80,10 @@ InferenceFn = Callable[[list[FrameRequest]], np.ndarray]
 
 class ServeRuntime:
     """One serving simulation: fleet, batcher, pool, and the event heap."""
+
+    #: Saccade and reuse frames enter the heap as their own ARRIVALs
+    #: instead of staying a per-session backlog.
+    bypass_events = False
 
     def __init__(
         self,
@@ -88,6 +109,9 @@ class ServeRuntime:
             stats = new_ledger(self.fleet)
         #: The session ledger, keyed by session id.
         self.stats = stats
+        #: Session id -> session, for every session this runtime may
+        #: record (a fleet shard is handed its fleet's directory).
+        self.directory = {s.session_id: s for s in self.fleet}
         self.pool = WorkerPool(config.n_workers, self.service)
         self.batcher = DynamicBatcher(config.max_batch, config.batch_window_s)
         self.predictions: "dict[tuple[int, int], np.ndarray] | None" = (
@@ -142,15 +166,18 @@ class ServeRuntime:
                 thread_name="frames",
             )
 
-    def _trace_frame(self, request: FrameRequest, path: str, latency_s: float) -> None:
+    def _trace_frame(
+        self, session_id: int, frame: int, arrival_s: float, path: str,
+        latency_s: float,
+    ) -> None:
         """Session-track frame span (arrival -> completion) + counters."""
         self.obs.tracer.record_span(
             "frame",
-            request.arrival_s,
+            arrival_s,
             latency_s,
             cat="serve",
-            pid=session_pid(request.session_id),
-            args={"path": path, "frame": request.frame_index},
+            pid=session_pid(session_id),
+            args={"path": path, "frame": frame},
         )
         assert self._instruments is not None
         self._instruments.frame_counter(path).inc()
@@ -204,7 +231,10 @@ class ServeRuntime:
         )
         assert self._instruments is not None
         self._instruments.degraded.inc()
-        self._trace_frame(request, "degraded", done - request.arrival_s)
+        self._trace_frame(
+            request.session_id, request.frame_index, request.arrival_s,
+            "degraded", done - request.arrival_s,
+        )
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -232,14 +262,49 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def _record_bypass(
+        self,
+        session_id: int,
+        frames: Sequence[int],
+        arrivals: Sequence[float],
+        paths: Sequence[str],
+        served_s: "float | None" = None,
+    ) -> None:
+        """Record saccade/reuse frames of one session, in arrival order.
+
+        Each is served on-device at ``served_s`` (default: its own
+        arrival) and completes its path's bypass latency later.  The one
+        way a bypass frame is recorded, whether it arrived as an event
+        or from the session's backlog.
+        """
+        config = self.config
+        saccade_s, reuse_s = config.saccade_bypass_s, config.reuse_bypass_s
+        record = self.stats[session_id].record
+        trace = self.obs.enabled
+        makespan = self._makespan_s
+        for frame, arrival, path in zip(frames, arrivals, paths):
+            done = (arrival if served_s is None else served_s) + (
+                saccade_s if path == "saccade" else reuse_s
+            )
+            latency = done - arrival
+            record(path, latency, config.deadline_s)
+            if done > makespan:
+                makespan = done
+            if trace:
+                self._trace_frame(session_id, frame, arrival, path, latency)
+        self._makespan_s = makespan
+
     def _record_completion(self, request: FrameRequest, done_s: float) -> None:
         latency = done_s - request.arrival_s
-        self.stats[request.session_id].record(
+        self._ledger_row(request.session_id, done_s).record(
             request.path, latency, self.config.deadline_s
         )
         self._makespan_s = max(self._makespan_s, done_s)
         if self.obs.enabled:
-            self._trace_frame(request, request.path, latency)
+            self._trace_frame(
+                request.session_id, request.frame_index, request.arrival_s,
+                request.path, latency,
+            )
 
     def _degrade_now(
         self, request: FrameRequest, now: float, cause: str = "admission"
@@ -248,12 +313,73 @@ class ServeRuntime:
         mechanism): on time but stale, recorded in the explicit
         ``degraded`` bucket."""
         done = now + self.config.reuse_bypass_s
-        self.stats[request.session_id].record_degraded(
+        self._ledger_row(request.session_id, now).record_degraded(
             self.config.reuse_bypass_s, self.config.deadline_s
         )
         self._makespan_s = max(self._makespan_s, done)
         if self.obs.enabled:
             self._trace_degraded(request, now, cause)
+
+    # ------------------------------------------------------------------
+    # Bypass backlog
+    # ------------------------------------------------------------------
+    def _backlog(self, session: ClientSession) -> BypassFrames:
+        """The bypass frames ``session`` keeps off the heap (none when
+        they arrive as events).  The ledger has recorded a prefix of
+        them: :meth:`_backlog_cursor` long."""
+        return NO_BYPASS if self.bypass_events else session.bypass
+
+    def _backlog_cursor(self, session: ClientSession) -> int:
+        counts = self.stats[session.session_id].counts
+        return counts["saccade"] + counts["reuse"]
+
+    def _record_backlog(self, session: ClientSession, stop: int) -> None:
+        """Record ``session``'s backlog up to (not including) ``stop``."""
+        start = self._backlog_cursor(session)
+        if stop > start:
+            frames, arrivals, paths = self._backlog(session)
+            self._record_bypass(
+                session.session_id,
+                frames[start:stop],
+                arrivals[start:stop],
+                paths[start:stop],
+            )
+
+    def _flush_backlog(self, session: ClientSession, until_s: float) -> None:
+        """Record ``session``'s backlog frames that arrive before ``until_s``."""
+        arrivals = self._backlog(session).arrivals
+        start = self._backlog_cursor(session)
+        if start < len(arrivals) and arrivals[start] < until_s:
+            self._record_backlog(session, bisect_left(arrivals, until_s, start))
+
+    def flush_backlogs(self, until_s: float = math.inf) -> None:
+        """Record every member session's backlog up to ``until_s``."""
+        for session in self.fleet:
+            self._flush_backlog(session, until_s)
+
+    def _ledger_row(self, session_id: int, now: float) -> SessionStats:
+        """``session_id``'s ledger row, its backlog first recorded up to
+        ``now``.  Every other record of a session goes through here, so
+        its bypass frames land in the order they arrived: a COMPLETE at
+        ``now`` pops before an ARRIVAL at ``now``, and a session has one
+        frame per instant."""
+        if not self.bypass_events:
+            self._flush_backlog(self.directory[session_id], now)
+        return self.stats[session_id]
+
+    def _arrival_order(self) -> "list[ClientSession]":
+        """Member sessions in the order their same-instant ARRIVALs pop."""
+        return sorted(self.fleet, key=lambda s: s.session_id)
+
+    def _head_key(self, lane: int) -> tuple:
+        """Merged-order key of the next heap event, comparable with the
+        ``(arrival_s, lane, _ARRIVAL, position)`` of a backlog frame (see
+        :func:`evaluate_slo_through`)."""
+        time_s, kind, _, payload = self._heap[0]
+        if kind != _ARRIVAL:
+            return (time_s, lane, kind, 0)
+        order = [s.session_id for s in self._arrival_order()]
+        return (time_s, lane, kind, order.index(payload.session_id))
 
     # ------------------------------------------------------------------
     # Admission control
@@ -282,7 +408,7 @@ class ServeRuntime:
         if self.config.admission is AdmissionPolicy.DEGRADE:
             self._degrade_now(request, now, cause="admission")
         else:  # SHED
-            self.stats[request.session_id].record_shed(request.path)
+            self._ledger_row(request.session_id, now).record_shed(request.path)
             if self.obs.enabled:
                 self.obs.tracer.instant(
                     "shed", now, cat="serve",
@@ -351,11 +477,14 @@ class ServeRuntime:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, request: FrameRequest, now: float) -> None:
-        if request.path == "saccade":
-            self._record_completion(request, now + self.config.saccade_bypass_s)
-            return
-        if request.path == "reuse":
-            self._record_completion(request, now + self.config.reuse_bypass_s)
+        if request.path != "predict":
+            self._record_bypass(
+                request.session_id,
+                (request.frame_index,),
+                (request.arrival_s,),
+                (request.path,),
+                served_s=now,
+            )
             return
         if self._admit(request, now):
             self.batcher.enqueue(request)
@@ -378,10 +507,15 @@ class ServeRuntime:
         return self._started
 
     def start(self) -> None:
-        """Seed the event heap with every frame arrival (idempotent)."""
+        """Seed the event heap with every frame that becomes an ARRIVAL
+        (idempotent)."""
         if self._started:
             return
-        self._seed_arrivals(fleet_requests(self.fleet, self.config.deadline_s))
+        self._seed_arrivals(
+            fleet_requests(
+                self.fleet, self.config.deadline_s, bypass=self.bypass_events
+            )
+        )
         self._started = True
 
     def peek_event(self) -> "tuple[float, int, int] | None":
@@ -400,6 +534,8 @@ class ServeRuntime:
         """Apply the next event; False once the heap is empty."""
         if not self._heap:
             return False
+        if self.slo is not None and self.slo.due(self._heap[0][0]):
+            evaluate_slo_through(self.slo, [(0, self)], self._head_key(0))
         now, kind, _, payload = heapq.heappop(self._heap)
         if kind == _ARRIVAL:
             self._on_arrival(payload, now)  # type: ignore[arg-type]
@@ -418,6 +554,9 @@ class ServeRuntime:
             raise RuntimeError(
                 f"finish() with {len(self._heap)} events still pending"
             )
+        if self.slo is not None:
+            evaluate_slo_through(self.slo, [(0, self)], None)
+        self.flush_backlogs()
         self.flush_pending()
         duration = max(self.config.duration_s, self._makespan_s)
         report = self._build_report(duration)
@@ -567,6 +706,41 @@ class ServeRuntime:
         return restore_as(
             cls, directory, service=service, inference=inference, obs=obs
         )
+
+
+def evaluate_slo_through(
+    slo, lanes: "list[tuple[int, ServeRuntime]]", next_key: "tuple | None"
+) -> None:
+    """Run the SLO evaluations due before the next event, backlogs first.
+
+    An event loop with every bypass frame on its heap evaluates boundary
+    B right after the first frame or event at or after B, in merged
+    order.  ``lanes`` are the runtimes whose backlogs merge, as
+    ``(rank, runtime)``: at one instant a lower rank pops first, and
+    within a runtime its ARRIVALs pop in :meth:`ServeRuntime._arrival_order`
+    after its COMPLETEs and WINDOWs.  ``next_key`` is the merged-order
+    key of the next event (None at the end of the run).  For each due
+    boundary, every backlog frame before the first one at or after B is
+    recorded; if that first one is a backlog frame rather than the next
+    event, it is recorded too and B is evaluated at its arrival.
+    """
+    while next_key is None or slo.due(next_key[0]):
+        first = None
+        for rank, runtime in lanes:
+            for position, session in enumerate(runtime._arrival_order()):
+                arrivals = runtime._backlog(session).arrivals
+                start = runtime._backlog_cursor(session)
+                stop = bisect_left(arrivals, True, start, key=slo.due)
+                runtime._record_backlog(session, stop)
+                if stop < len(arrivals):
+                    key = (arrivals[stop], rank, _ARRIVAL, position)
+                    if first is None or key < first[0]:
+                        first = (key, runtime, session)
+        if first is None or (next_key is not None and next_key < first[0]):
+            return
+        key, runtime, session = first
+        runtime._record_backlog(session, runtime._backlog_cursor(session) + 1)
+        slo.maybe_evaluate(key[0])
 
 
 def serve_fleet(

@@ -27,9 +27,9 @@ CAMPAIGNS = Path(__file__).resolve().parents[2] / "examples" / "campaigns"
 CAMPAIGN_RUN_IDS = {
     "fleet.json": [
         "e0773dbfc795", "820e9de8da18", "42672c09928c", "9156849b6291",
-        "097ac62f19dc", "2b32d58cc220",
+        "097ac62f19dc", "556f83f89701",
     ],
-    "fleet_10k.json": ["bec7624617cb", "b5c1dcbf9af5"],
+    "fleet_10k.json": ["bec7624617cb", "513f018e3b15"],
     "partition.json": [
         "b172295185d7", "e18bdb641d5d", "6551e6a5917b", "c658cc68bea8",
         "3def907a2382", "01780c6e1f37",

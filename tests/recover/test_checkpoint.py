@@ -161,7 +161,7 @@ class TestValidation:
         ):
             store.load(7)
 
-    @pytest.mark.parametrize("kind,config", [("serve", CONFIG)])
+    @pytest.mark.parametrize("kind,config", [("chaos", CONFIG)])
     def test_format_1_without_transport_still_loads(self, tmp_path, kind, config):
         store = CheckpointStore(tmp_path)
         store.write(
@@ -169,6 +169,23 @@ class TestValidation:
         )
         self.rewrite_format_version(store, 7, 1)
         assert store.load(7).state == STATE
+
+    @pytest.mark.parametrize(
+        "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
+    )
+    def test_format_3_serve_and_fleet_are_refused(self, tmp_path, kind, config):
+        # Their heaps hold bypass ARRIVALs the backlog would record again.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind=kind, config=config, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, 3)
+        with pytest.raises(
+            CheckpointError,
+            match=f"format-3 {kind} checkpoint, written while bypass frames "
+            "were heap ARRIVALs",
+        ):
+            store.load(7)
 
     def test_event_index_mismatch(self, tmp_path):
         store = CheckpointStore(tmp_path)

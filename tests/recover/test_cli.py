@@ -20,7 +20,7 @@ def ckpt_flags(tmp_path, kill=None, every=50):
 
 class TestKillAndRecover:
     def test_serve_kill_then_recover_verify(self, tmp_path, capsys):
-        code = main(SERVE + ckpt_flags(tmp_path, kill=80))
+        code = main(SERVE + ckpt_flags(tmp_path, kill=20, every=8))
         assert code == EXIT_SIMULATED_CRASH
         captured = capsys.readouterr()
         assert "simulated crash" in captured.err
@@ -43,7 +43,10 @@ class TestKillAndRecover:
     def test_recovered_stdout_matches_uninterrupted_run(self, tmp_path, capsys):
         assert main(SERVE) == 0
         uninterrupted = capsys.readouterr().out
-        assert main(SERVE + ckpt_flags(tmp_path, kill=80)) == EXIT_SIMULATED_CRASH
+        assert (
+            main(SERVE + ckpt_flags(tmp_path, kill=20, every=8))
+            == EXIT_SIMULATED_CRASH
+        )
         capsys.readouterr()
         assert main(["recover", "--dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == uninterrupted

@@ -134,8 +134,8 @@ class TestRecoverProbe:
                 "serve": {"n_sessions": 8, "duration_s": 0.3},
                 "n_shards": 2,
                 "kills": [{"shard_id": 0, "at_s": 0.15}],
-                "kill_at_event": 200,
-                "checkpoint_every": 80,
+                "kill_at_event": 25,
+                "checkpoint_every": 10,
             }
         )
         assert probe.killed

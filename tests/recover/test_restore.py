@@ -25,7 +25,12 @@ from repro.serve import FleetConfig, FleetRuntime, ServeConfig, ServeRuntime
 
 
 def serve_config() -> ServeConfig:
-    return ServeConfig(n_sessions=6, duration_s=0.5, n_workers=2, seed=1)
+    # A 0.05 deg reuse threshold sends most frames to the pool, so the
+    # run has hundreds of events (bypass frames are not events).
+    return ServeConfig(
+        n_sessions=6, duration_s=0.5, n_workers=2, seed=1,
+        reuse_displacement_deg=0.05,
+    )
 
 
 def chaos_config():
@@ -43,7 +48,7 @@ def crash_at(runtime, directory, kill_at: int, every: int = 60) -> None:
 
 
 class TestBitIdenticalRecovery:
-    @pytest.mark.parametrize("kill_at", [5, 150, 314])  # early / mid / late (315 total)
+    @pytest.mark.parametrize("kill_at", [5, 150, 314])  # early / mid / late (485 total)
     def test_serve_recovery_is_bit_identical(self, tmp_path, kill_at):
         baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
         crash_at(ServeRuntime(serve_config()), tmp_path, kill_at)
@@ -55,16 +60,17 @@ class TestBitIdenticalRecovery:
         crash_at(ChaosRuntime(chaos_config()), tmp_path, kill_at)
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
-    def test_format_2_serve_checkpoint_restores_byte_identically(self, tmp_path):
-        # Format 3 changed only fleet payloads: a serve run checkpointed
-        # under format 2 resumes and finishes as if never interrupted.
-        baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
-        crash_at(ServeRuntime(serve_config()), tmp_path, 150)
+    def test_format_3_chaos_checkpoint_restores_byte_identically(self, tmp_path):
+        # Format 4 changed only serve and fleet payloads (chaos runs keep
+        # every bypass frame on the heap): a chaos run checkpointed under
+        # format 3 resumes and finishes as if never interrupted.
+        baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
+        crash_at(ChaosRuntime(chaos_config()), tmp_path, 130)
         store = CheckpointStore(tmp_path)
         for index in store.indices():
             manifest = store.manifest_path(index)
             doc = json.loads(manifest.read_bytes())
-            doc["format_version"] = 2
+            doc["format_version"] = 3
             manifest.write_bytes(canonical_bytes(doc))
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 

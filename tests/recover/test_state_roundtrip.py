@@ -23,7 +23,12 @@ from repro.system.watchdog import TrackingWatchdog
 
 
 def serve_config() -> ServeConfig:
-    return ServeConfig(n_sessions=6, duration_s=0.5, n_workers=2, seed=1)
+    # A 0.05 deg reuse threshold sends most frames to the pool, so the
+    # run has hundreds of events (bypass frames are not events).
+    return ServeConfig(
+        n_sessions=6, duration_s=0.5, n_workers=2, seed=1,
+        reuse_displacement_deg=0.05,
+    )
 
 
 def chaos_config():

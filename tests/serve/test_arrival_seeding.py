@@ -4,6 +4,7 @@
 a single list assignment, and ``FleetRuntime.start`` partitions the
 global request stream in one pass.  Checkpoints serialize the raw heap,
 so both must reproduce the per-frame push path element for element.
+Only predict frames are seeded: bypass frames stay per-session backlogs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class TestServeRuntimeSeeding:
         runtime = ServeRuntime(SERVE)
         runtime.start()
         oracle = ServeRuntime(SERVE, fleet=runtime.fleet)
-        push_each(oracle, fleet_requests(oracle.fleet, SERVE.deadline_s))
+        push_each(
+            oracle, fleet_requests(oracle.fleet, SERVE.deadline_s, bypass=False)
+        )
         assert runtime._heap == oracle._heap
         assert runtime._event_seq == oracle._event_seq == len(runtime._heap)
 
@@ -77,7 +80,9 @@ class TestShardSeeding:
     def test_each_shard_heap_equals_filtered_repeated_push(self):
         fleet = FleetRuntime(fleet_config(net=False))
         fleet.start()
-        all_requests = fleet_requests(fleet.sessions, SERVE.deadline_s)
+        all_requests = fleet_requests(
+            fleet.sessions, SERVE.deadline_s, bypass=False
+        )
         seeded = 0
         for shard_id, shard in fleet.shards.items():
             members = {s.session_id for s in shard.fleet}

@@ -145,8 +145,8 @@ class TestCliMain:
         directory = tmp_path / "ckpt"
         code = main(self.ARGS + [
             "--checkpoint-dir", str(directory),
-            "--checkpoint-every", "100",
-            "--kill-at-event", "150",
+            "--checkpoint-every", "20",
+            "--kill-at-event", "50",
         ])
         assert code == EXIT_SIMULATED_CRASH
         assert (directory / JOURNAL_NAME).exists()

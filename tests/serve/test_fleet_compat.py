@@ -25,7 +25,7 @@ from repro.serve.fleet import FleetConfig
 def crash(runtime, directory) -> None:
     with pytest.raises(SimulatedCrash):
         run_with_checkpoints(
-            runtime, directory, every=50, kill=ProcessKill(at_event=120)
+            runtime, directory, every=5, kill=ProcessKill(at_event=12)
         )
 
 

@@ -103,7 +103,7 @@ class TestSnapshotRoundtrip:
 
         runtime = FleetRuntime(config)
         runtime.start()
-        for _ in range(300):
+        for _ in range(50):  # of 94 events
             assert runtime.step()
         snapshot = runtime.state_dict()
 

@@ -9,6 +9,12 @@ directory an ``--obs`` run picks by default, the crash exit code of
 ``--help`` at a fixed 100-column width.  :data:`OBS_TREES` pins the
 bytes of every artifact an ``--obs`` row writes under ``obs-out/``.
 
+Serve and fleet runs record saccade and reuse frames in bulk, so their
+bypass spans are emitted when a session's backlog is flushed rather
+than at each frame's arrival.  :data:`OBS_CONTENT` pins what that must
+not change: the spans as a set and every metric but a histogram's
+float ``_sum`` (whose rounding depends on the order of its samples).
+
 The ``*-all-flags`` rows give every flag a non-default value, so the
 pinned report (and, with ``--obs``, the obs-out hash) fails if any flag
 stops reaching its config field or its ms -> s scale changes.
@@ -83,9 +89,11 @@ TRACE = [
 ]
 
 
-def _kill_then_recover(base: "list[str]", kill_at: int) -> "list[list[str]]":
+def _kill_then_recover(
+    base: "list[str]", kill_at: int, every: int = 40
+) -> "list[list[str]]":
     return [
-        base + ["--checkpoint-dir", "ckpt", "--checkpoint-every", "40",
+        base + ["--checkpoint-dir", "ckpt", "--checkpoint-every", str(every),
                 "--kill-at-event", str(kill_at)],
         ["recover", "--dir", "ckpt", "--verify"],
     ]
@@ -98,7 +106,8 @@ ROWS: "dict[str, list[list[str]]]" = {
     "serve-slo": [SERVE + ["--slo", "default"]],
     "serve-obs": [SERVE + ["--obs", "--obs-top", "3"]],
     "serve-all-flags": [SERVE_ALL_FLAGS],
-    "serve-kill-recover": _kill_then_recover(SERVE, 120),
+    # 15 events: saccade and reuse frames are not events.
+    "serve-kill-recover": _kill_then_recover(SERVE, 10, every=4),
     "serve-help": [["serve", "--help"]],
     "serve-refuse-slo-checkpoint": [
         SERVE + ["--slo", "default", "--checkpoint-dir", "ckpt"]
@@ -155,12 +164,12 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "fleet-help": [(0, "a93d0c15c6024181", "e3b0c44298fc1c14")],
     "fleet-kill": [(0, "0f6a930f5a9da2fa", "e3b0c44298fc1c14")],
     "fleet-kill-recover": [
-        (17, "e3b0c44298fc1c14", "71327dce84a54e27"),
+        (17, "e3b0c44298fc1c14", "6f431084b8b0731f"),
         (0, "0f6a930f5a9da2fa", "87295d4a90aceb55"),
     ],
     "fleet-kill-recover-obs": [
-        (17, "e3b0c44298fc1c14", "71327dce84a54e27"),
-        (0, "dcc4b0b93c85a60a", "1c16a0cd1f606283"),
+        (17, "e3b0c44298fc1c14", "6f431084b8b0731f"),
+        (0, "52748ebc95c97298", "1c16a0cd1f606283"),
     ],
     "fleet-net-all-flags": [(0, "8db03a075f31477f", "e3b0c44298fc1c14")],
     "fleet-net-compare-no-fault": [(0, "93239fda5d4012bd", "e3b0c44298fc1c14")],
@@ -175,8 +184,8 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "serve-compare-sequential": [(0, "c1b49f851802ce0d", "e3b0c44298fc1c14")],
     "serve-help": [(0, "b522a18fcae9079c", "e3b0c44298fc1c14")],
     "serve-kill-recover": [
-        (17, "e3b0c44298fc1c14", "d1ec948de91b2435"),
-        (0, "59a267edb94c866d", "e9e8e1c6036e0ed9"),
+        (17, "e3b0c44298fc1c14", "b1fedf5243bcf5fd"),
+        (0, "59a267edb94c866d", "3f63394c6f2aca11"),
     ],
     "serve-obs": [(0, "c7ea91026db07aa4", "e3b0c44298fc1c14")],
     "serve-refuse-kill-without-dir": [(2, "e3b0c44298fc1c14", "85b4c2ad98fad267")],
@@ -191,15 +200,15 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
 OBS_TREES: "dict[str, str]" = {
     "chaos-all-flags": "ca97f825737a9f35",
     "chaos-obs": "857861dc72ac982e",
-    "fleet-all-flags": "d6317429013c0a4e",
-    "fleet-kill-recover-obs": "73d694b48d51aa02",
+    "fleet-all-flags": "a31ca694bbba486b",
+    "fleet-kill-recover-obs": "efc2ac1ba76486b4",
     "fleet-net-obs": "cd3fa99911372b2d",
-    "fleet-obs": "45cae60d914f60c0",
-    "fleet-slo-obs": "6de3f608873a7713",
-    "serve-all-flags": "dad4d4cc1049c3dd",
-    "serve-obs": "daef990ee7c4cc1e",
+    "fleet-obs": "3cec62ea141c5319",
+    "fleet-slo-obs": "e2f86fde34099ada",
+    "serve-all-flags": "911c27b8c66c7474",
+    "serve-obs": "7e347a39a0b48588",
     "trace-chaos": "53ffc0f6821434c8",
-    "trace-serve": "42a386aa4b94754a",
+    "trace-serve": "dc38b478dc97d391",
 }
 
 
@@ -238,3 +247,26 @@ def test_cli_output_is_pinned(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "100")
     assert run_row(name, capsys) == GOLDEN[name]
     assert obs_tree_digest(tmp_path) == OBS_TREES.get(name)
+
+
+#: name -> (sha256 of the sorted trace.jsonl lines, sha256 of
+#: metrics.prom without its ``_sum`` lines), both computed with every
+#: bypass frame recorded at its own ARRIVAL event.
+OBS_CONTENT: "dict[str, tuple[str, str]]" = {
+    "fleet-obs": ("060af2d5cee6b8fe", "da9eba578b9a1ac6"),
+    "serve-obs": ("60b552c6f5f1f6dc", "c7d03295829c1c96"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBS_CONTENT))
+def test_obs_artifacts_move_only_in_order(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_row(name, capsys)
+    (out_dir,) = (tmp_path / "obs-out").iterdir()
+    spans = sorted((out_dir / "trace.jsonl").read_text().splitlines())
+    metrics = [
+        line
+        for line in (out_dir / "metrics.prom").read_text().splitlines()
+        if "_sum" not in line
+    ]
+    assert (_sha("\n".join(spans)), _sha("\n".join(metrics))) == OBS_CONTENT[name]
