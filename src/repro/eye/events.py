@@ -85,11 +85,12 @@ def saccade_fraction(labels: np.ndarray) -> float:
 def post_saccade_mask(labels: np.ndarray, window: int) -> np.ndarray:
     """Flag the ``window`` frames following each saccade end (the
     post-saccadic low-acuity period, ~50 ms in the paper)."""
-    labels = np.asarray(labels)
-    mask = np.zeros(labels.size, dtype=bool)
-    in_saccade = labels == MovementType.SACCADE
-    for i in range(1, labels.size):
-        if in_saccade[i - 1] and not in_saccade[i]:
-            mask[i : i + window] = True
-    mask &= ~in_saccade
-    return mask
+    in_saccade = np.asarray(labels) == MovementType.SACCADE
+    frames = np.arange(in_saccade.size)
+    # A saccade ends at frame i when frame i - 1 is saccadic and i is not;
+    # each frame is flagged when the latest end at or before it is fewer
+    # than ``window`` frames back (ends start out ``window`` back: none).
+    ends = np.zeros(in_saccade.size, dtype=bool)
+    ends[1:] = in_saccade[:-1] & ~in_saccade[1:]
+    latest_end = np.maximum.accumulate(np.where(ends, frames, -window))
+    return (frames - latest_end < window) & ~in_saccade

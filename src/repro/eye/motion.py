@@ -10,6 +10,8 @@ a minimum-jerk position profile.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,11 @@ from repro.utils.rng import RngMixin
 from repro.utils.validation import check_in_range, check_positive
 
 
+#: The post-saccadic low-acuity period (§2.1): :class:`GazeTrack` flags
+#: this long a window after each saccade end.
+POST_SACCADE_S = 0.05
+
+
 @dataclass(frozen=True)
 class OculomotorConfig:
     """Behavioural parameters of the gaze generator.
@@ -26,7 +33,8 @@ class OculomotorConfig:
     Defaults follow the literature values quoted in §2.1: fixations of
     150–600 ms, saccade durations from the main sequence
     ``duration_ms = 2.2 * amplitude_deg + 21`` (Robinson-style fit),
-    blinks every ~4 s, and a 50 ms post-saccadic period.
+    and blinks every ~4 s.  The 50 ms post-saccadic period is
+    :data:`POST_SACCADE_S`.
     """
 
     fps: float = 100.0
@@ -46,7 +54,6 @@ class OculomotorConfig:
     openness_segment_s: tuple[float, float] = (0.5, 2.0)
     tremor_std_deg: float = 0.04
     drift_speed_deg_s: float = 0.35
-    post_saccade_s: float = 0.05
 
     def __post_init__(self) -> None:
         check_positive("fps", self.fps)
@@ -74,7 +81,7 @@ class GazeTrack:
         ):
             if arr.shape[0] != n:
                 raise ValueError(f"{name} length {arr.shape[0]} != {n}")
-        window = max(1, int(round(0.05 * self.fps)))
+        window = max(1, int(round(POST_SACCADE_S * self.fps)))
         self.post_saccade = post_saccade_mask(self.labels, window)
 
     def __len__(self) -> int:
@@ -115,14 +122,113 @@ def velocities_from_gaze(gaze: np.ndarray, dt: float) -> np.ndarray:
     return np.concatenate([[0.0], deltas])
 
 
+@functools.lru_cache(maxsize=256)
 def _minimum_jerk(n: int) -> np.ndarray:
-    """Minimum-jerk displacement profile s(tau) in [0, 1] over ``n`` samples."""
+    """Minimum-jerk displacement profile s(tau) in [0, 1] over ``n`` samples
+    (cached per ``n``, so the array is read-only)."""
     tau = np.linspace(0.0, 1.0, n)
-    return 10 * tau**3 - 15 * tau**4 + 6 * tau**5
+    profile = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
+    profile.flags.writeable = False
+    return profile
+
+
+#: Segment kinds as plain ints: the segment loop and the fills compare
+#: against them once per segment and once per array.
+_FIXATION = int(MovementType.FIXATION)
+_SACCADE = int(MovementType.SACCADE)
+_PURSUIT = int(MovementType.PURSUIT)
+
+
+def _uniform(rng: np.random.Generator, bounds: "tuple[float, float]") -> float:
+    """``rng.uniform(*bounds)`` for one value: the same draw and the same
+    rounding (numpy computes ``low + (high - low) * next_double``),
+    without the per-call overhead."""
+    low, high = bounds
+    return low + (high - low) * rng.random()
+
+
+def _unit(rng: np.random.Generator) -> "tuple[float, float]":
+    """A random 2-D direction from one ``normal(size=2)`` draw, divided by
+    ``np.linalg.norm(d) + 1e-9``.  That norm is ``sqrt(d.dot(d))``; the
+    dot product is kept because BLAS may fuse its multiply-add, so
+    ``math.hypot`` and ``sqrt(x*x + y*y)`` can round differently."""
+    d = rng.normal(size=2)
+    norm = math.sqrt(d.dot(d)) + 1e-9
+    dx, dy = d.tolist()
+    return dx / norm, dy / norm
+
+
+class _Segments:
+    """One trace's segments in order, as Python scalars, and the gaze
+    they give every frame.
+
+    Each segment has a kind, a first frame and a frame count, the gaze
+    position it starts from, a vector (drift direction, saccade
+    displacement or pursuit direction) and, for a pursuit, its speed
+    (fixations all drift at ``drift_speed_deg_s``).  Fixations add
+    their tremor block and saccades their minimum-jerk profile.
+    """
+
+    def __init__(self) -> None:
+        self.kinds: list[int] = []
+        self.starts: list[int] = []
+        self.counts: list[int] = []
+        self.origins: list[tuple[float, float]] = []
+        self.vectors: list[tuple[float, float]] = []
+        self.speeds: list[float] = []
+        self.tremors: list[np.ndarray] = []
+        self.profiles: list[np.ndarray] = []
+
+    def add(self, kind, start, count, origin, vector, speed=0.0) -> None:
+        self.kinds.append(kind)
+        self.starts.append(start)
+        self.counts.append(count)
+        self.origins.append(origin)
+        self.vectors.append(vector)
+        self.speeds.append(speed)
+
+    def fill(
+        self, n_frames: int, cfg: OculomotorConfig
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(gaze, labels)`` of every frame, each kind's formula applied
+        to all rows at once with the per-segment operation order:
+        fixation ``(p + ((k * d) * s) / fps) + tremor``, saccade
+        ``p + jerk[k] * d``, pursuit ``clip(p + ((k * s) / fps) * d)``,
+        for row ``k`` of a segment starting at ``p``."""
+        fps = cfg.fps
+        limit = cfg.field_deg / 2
+        counts = np.array(self.counts)
+        labels = np.array(self.kinds, dtype=np.int64).repeat(counts)
+        k = (np.arange(n_frames) - np.array(self.starts).repeat(counts))[:, None]
+        origin = np.array(self.origins).repeat(counts, axis=0)
+        vector = np.array(self.vectors).repeat(counts, axis=0)
+        # The fixation formula on every row; the rows of the other kinds
+        # are replaced below.
+        tremor = np.zeros((n_frames, 2))
+        if self.tremors:
+            tremor[labels == _FIXATION] = np.concatenate(self.tremors)
+        gaze = (origin + ((k * vector) * cfg.drift_speed_deg_s) / fps) + tremor
+        if self.profiles:
+            saccadic = labels == _SACCADE
+            jerk = np.zeros(n_frames)
+            jerk[saccadic] = np.concatenate(self.profiles)
+            gaze = np.where(saccadic[:, None], origin + jerk[:, None] * vector, gaze)
+        if _PURSUIT in self.kinds:
+            speed = np.array(self.speeds).repeat(counts)[:, None]
+            path = np.clip(origin + ((k * speed) / fps) * vector, -limit, limit)
+            gaze = np.where((labels == _PURSUIT)[:, None], path, gaze)
+        return gaze, labels
 
 
 class OculomotorModel(RngMixin):
-    """Stochastic generator of gaze trajectories."""
+    """Stochastic generator of gaze trajectories.
+
+    :meth:`generate` walks the segments drawing random numbers in a fixed
+    order and carrying the gaze position as Python floats, computed with
+    the same operations, in the same order, as the per-frame arrays;
+    the arrays are then filled once per trace.  A seed therefore fixes
+    the trace bit for bit.
+    """
 
     def __init__(self, config: "OculomotorConfig | None" = None, seed=None):
         super().__init__(seed)
@@ -134,26 +240,62 @@ class OculomotorModel(RngMixin):
         if n_frames <= 0:
             raise ValueError(f"n_frames must be positive, got {n_frames}")
         cfg = self.config
-        dt = 1.0 / cfg.fps
+        rng = self.rng
+        fps = cfg.fps
+        limit = cfg.field_deg / 2
+        segments = _Segments()
 
-        gaze = np.zeros((n_frames, 2))
-        labels = np.zeros(n_frames, dtype=np.int64)
-        openness = np.ones(n_frames)
-
-        position = self.rng.uniform(-cfg.field_deg / 2, cfg.field_deg / 2, size=2)
+        px, py = rng.uniform(-cfg.field_deg / 2, cfg.field_deg / 2, size=2).tolist()
         t = 0
         while t < n_frames:
-            roll = self.rng.random()
-            if roll < cfg.pursuit_probability:
-                t, position = self._emit_pursuit(gaze, labels, position, t, n_frames)
-            else:
-                t, position = self._emit_fixation(gaze, labels, position, t, n_frames)
-                if t < n_frames:
-                    t, position = self._emit_saccade(gaze, labels, position, t, n_frames)
+            if rng.random() < cfg.pursuit_probability:
+                duration = _uniform(rng, cfg.pursuit_duration_s)
+                speed = _uniform(rng, cfg.pursuit_speed_deg_s)
+                n = max(2, int(round(duration * fps)))
+                count = min(t + n, n_frames) - t
+                dx, dy = _unit(rng)
+                segments.add(_PURSUIT, t, count, (px, py), (dx, dy), speed)
+                step = ((count - 1) * speed) / fps
+                px = min(max(px + step * dx, -limit), limit)
+                py = min(max(py + step * dy, -limit), limit)
+                t += count
+                continue
 
-        self._baseline_openness(openness, n_frames)
+            duration = _uniform(rng, cfg.fixation_duration_s)
+            n = max(1, int(round(duration * fps)))
+            count = min(t + n, n_frames) - t
+            dx, dy = _unit(rng)
+            tremor = rng.normal(0.0, cfg.tremor_std_deg, size=(count, 2))
+            segments.add(_FIXATION, t, count, (px, py), (dx, dy))
+            segments.tremors.append(tremor)
+            k = count - 1
+            ex, ey = tremor[k].tolist()
+            px = (px + ((k * dx) * cfg.drift_speed_deg_s) / fps) + ex
+            py = (py + ((k * dy) * cfg.drift_speed_deg_s) / fps) + ey
+            t += count
+            if t >= n_frames:
+                break
+
+            tx, ty = self._sample_target(px, py)
+            vx, vy = tx - px, ty - py
+            v = np.array((vx, vy))
+            amplitude = math.sqrt(v.dot(v))  # np.linalg.norm(v)
+            duration_ms = (
+                cfg.main_sequence_intercept_ms + cfg.main_sequence_slope_ms * amplitude
+            )
+            n = max(2, int(round(duration_ms / 1000.0 * fps)))
+            count = min(t + n, n_frames) - t
+            segments.add(_SACCADE, t, count, (px, py), (vx, vy))
+            segments.profiles.append(_minimum_jerk(n)[:count])
+            # A saccade cut short ends the trace, so only a whole one
+            # carries its position on.
+            px, py = tx, ty
+            t += count
+
+        gaze, labels = segments.fill(n_frames, cfg)
+        openness = self._baseline_openness(n_frames)
         self._overlay_blinks(openness, n_frames)
-        velocity = self._velocities(gaze, dt)
+        velocity = velocities_from_gaze(gaze, 1.0 / fps)
         # A closed eye yields no usable gaze signal; keep the nominal gaze
         # label but annotate the frame as a blink.
         labels[openness < 0.2] = MovementType.BLINK
@@ -162,84 +304,42 @@ class OculomotorModel(RngMixin):
             labels=labels,
             openness=openness,
             velocity_deg_s=velocity,
-            fps=cfg.fps,
+            fps=fps,
         )
 
     # ------------------------------------------------------------------
-    def _emit_fixation(self, gaze, labels, position, t, n_frames):
+    def _sample_target(self, px: float, py: float) -> "tuple[float, float]":
         cfg = self.config
-        duration = self.rng.uniform(*cfg.fixation_duration_s)
-        n = max(1, int(round(duration * cfg.fps)))
-        stop = min(t + n, n_frames)
-        count = stop - t
-        drift_dir = self.rng.normal(size=2)
-        drift_dir /= np.linalg.norm(drift_dir) + 1e-9
-        drift = (
-            np.outer(np.arange(count), drift_dir)
-            * cfg.drift_speed_deg_s
-            / cfg.fps
-        )
-        tremor = self.rng.normal(0.0, cfg.tremor_std_deg, size=(count, 2))
-        gaze[t:stop] = position + drift + tremor
-        labels[t:stop] = MovementType.FIXATION
-        new_position = gaze[stop - 1].copy() if count else position
-        return stop, new_position
-
-    def _emit_saccade(self, gaze, labels, position, t, n_frames):
-        cfg = self.config
-        target = self._sample_target(position)
-        amplitude = float(np.linalg.norm(target - position))
-        duration_ms = cfg.main_sequence_intercept_ms + cfg.main_sequence_slope_ms * amplitude
-        n = max(2, int(round(duration_ms / 1000.0 * cfg.fps)))
-        stop = min(t + n, n_frames)
-        count = stop - t
-        profile = _minimum_jerk(n)[:count]
-        gaze[t:stop] = position + np.outer(profile, target - position)
-        labels[t:stop] = MovementType.SACCADE
-        return stop, (target if stop == t + n else gaze[stop - 1].copy())
-
-    def _emit_pursuit(self, gaze, labels, position, t, n_frames):
-        cfg = self.config
-        duration = self.rng.uniform(*cfg.pursuit_duration_s)
-        speed = self.rng.uniform(*cfg.pursuit_speed_deg_s)
-        n = max(2, int(round(duration * cfg.fps)))
-        stop = min(t + n, n_frames)
-        count = stop - t
-        direction = self.rng.normal(size=2)
-        direction /= np.linalg.norm(direction) + 1e-9
-        path = position + np.outer(np.arange(count) * speed / cfg.fps, direction)
-        limit = cfg.field_deg / 2
-        path = np.clip(path, -limit, limit)
-        gaze[t:stop] = path
-        labels[t:stop] = MovementType.PURSUIT
-        return stop, gaze[stop - 1].copy() if count else position
-
-    def _sample_target(self, position: np.ndarray) -> np.ndarray:
-        cfg = self.config
+        rng = self.rng
         limit = cfg.field_deg / 2
         for _ in range(32):
-            amplitude = self.rng.uniform(*cfg.saccade_amplitude_deg)
-            angle = self.rng.uniform(0, 2 * np.pi)
-            target = position + amplitude * np.array([np.cos(angle), np.sin(angle)])
-            if np.all(np.abs(target) <= limit):
-                return target
-        return np.clip(target, -limit, limit)
+            amplitude = _uniform(rng, cfg.saccade_amplitude_deg)
+            angle = _uniform(rng, (0, 2 * np.pi))
+            tx = px + amplitude * math.cos(angle)
+            ty = py + amplitude * math.sin(angle)
+            if abs(tx) <= limit and abs(ty) <= limit:
+                return tx, ty
+        return min(max(tx, -limit), limit), min(max(ty, -limit), limit)
 
-    def _baseline_openness(self, openness: np.ndarray, n_frames: int) -> None:
+    def _baseline_openness(self, n_frames: int) -> np.ndarray:
         """Slow lid-level variation: mostly wide open, with occasional
         sustained squints.  These partially-occluded stretches are the
         long-tail frames that separate the gaze trackers (Fig. 8a)."""
         cfg = self.config
+        rng = self.rng
+        levels: list[float] = []
+        lengths: list[int] = []
         t = 0
         while t < n_frames:
-            duration = self.rng.uniform(*cfg.openness_segment_s)
+            duration = _uniform(rng, cfg.openness_segment_s)
             stop = min(t + max(1, int(round(duration * cfg.fps))), n_frames)
-            if self.rng.random() < cfg.squint_probability:
-                level = self.rng.uniform(*cfg.squint_level)
+            if rng.random() < cfg.squint_probability:
+                levels.append(_uniform(rng, cfg.squint_level))
             else:
-                level = self.rng.uniform(*cfg.normal_level)
-            openness[t:stop] = level
+                levels.append(_uniform(rng, cfg.normal_level))
+            lengths.append(stop - t)
             t = stop
+        return np.repeat(np.array(levels), lengths)
 
     def _overlay_blinks(self, openness: np.ndarray, n_frames: int) -> None:
         cfg = self.config
@@ -247,7 +347,7 @@ class OculomotorModel(RngMixin):
         n_blinks = self.rng.poisson(expected)
         for _ in range(n_blinks):
             start = int(self.rng.integers(0, n_frames))
-            duration = self.rng.uniform(*cfg.blink_duration_s)
+            duration = _uniform(self.rng, cfg.blink_duration_s)
             n = max(2, int(round(duration * cfg.fps)))
             stop = min(start + n, n_frames)
             count = stop - start
@@ -255,7 +355,3 @@ class OculomotorModel(RngMixin):
             half = count / 2.0
             profile = 1.0 - np.minimum(np.arange(count) + 1, count - np.arange(count)) / half
             openness[start:stop] = np.minimum(openness[start:stop], np.clip(profile, 0.0, 1.0))
-
-    @staticmethod
-    def _velocities(gaze: np.ndarray, dt: float) -> np.ndarray:
-        return velocities_from_gaze(gaze, dt)

@@ -427,7 +427,7 @@ class FleetRuntime:
         """
         source = self.shards[self._session_shard[session_id]]
         target = self.shards[target_id]
-        target.fleet.append(source.release(session_id))
+        target.join(source.release(session_id))
         target.guard_rehomed(session_id, now)
         self._session_shard[session_id] = target_id
 

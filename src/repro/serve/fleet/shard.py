@@ -34,7 +34,7 @@ queue budget.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.faults.breaker import CircuitBreaker
@@ -125,6 +125,30 @@ class ShardRuntime(ServeRuntime):
         self.breaker_degraded = 0
 
     # ------------------------------------------------------------------
+    # Membership
+    # ------------------------------------------------------------------
+    @property
+    def fleet(self) -> "list[ClientSession]":
+        """Member sessions in membership order: the sessions the shard
+        was given, then each admitted one appended.  Kept as a dict keyed
+        by session id, so joining, leaving and the duplicate check are
+        O(1); this list is a copy."""
+        return list(self._members.values())
+
+    @fleet.setter
+    def fleet(self, sessions: "Iterable[ClientSession]") -> None:
+        self._members = {s.session_id: s for s in sessions}
+
+    def join(self, session: ClientSession) -> None:
+        """Append one session to the membership."""
+        session_id = session.session_id
+        if session_id in self._members:
+            raise ValueError(
+                f"session {session_id} already on shard {self.shard_id}"
+            )
+        self._members[session_id] = session
+
+    # ------------------------------------------------------------------
     # Status
     # ------------------------------------------------------------------
     @property
@@ -157,11 +181,11 @@ class ShardRuntime(ServeRuntime):
         self.completed_frames += len(frames)
         super()._record_bypass(session_id, frames, arrivals, paths, served_s)
 
-    def _arrival_order(self) -> "list[ClientSession]":
+    def _arrival_order(self) -> "Iterable[ClientSession]":
         # Sessions seeded at start are in id order; each admitted one
         # is appended, and its arrivals are pushed after every earlier
         # member's.
-        return self.fleet
+        return self._members.values()
 
     def _degrade_now(
         self, request: FrameRequest, now: float, cause: str = "admission"
@@ -266,12 +290,9 @@ class ShardRuntime(ServeRuntime):
     def release(self, session_id: int) -> ClientSession:
         """Take one session off this shard's membership (and its guard);
         its queued and in-flight frames stay where they are."""
-        session = next(
-            (s for s in self.fleet if s.session_id == session_id), None
-        )
+        session = self._members.pop(session_id, None)
         if session is None:
             raise KeyError(f"session {session_id} not on shard {self.shard_id}")
-        self.fleet = [s for s in self.fleet if s.session_id != session_id]
         self._rehome_guard_until.pop(session_id, None)
         return session
 
@@ -305,11 +326,7 @@ class ShardRuntime(ServeRuntime):
         """Install a migrated session: arrivals re-seeded, carried frames
         requeued ahead of the window rule (their arrival times are old)."""
         session_id = payload.session.session_id
-        if any(s.session_id == session_id for s in self.fleet):
-            raise ValueError(
-                f"session {session_id} already on shard {self.shard_id}"
-            )
-        self.fleet.append(payload.session)
+        self.join(payload.session)
         if self.obs.enabled:
             self.obs.tracer.declare_track(
                 session_pid(session_id),

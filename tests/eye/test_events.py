@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eye import (
     EventMix,
@@ -67,3 +69,62 @@ class TestFractionsAndMasks:
         mask = post_saccade_mask(labels, window=3)
         assert not mask[2] and not mask[3]
         assert mask[1] and mask[4]
+
+
+def scalar_post_saccade_mask(labels, window):
+    """Reference: the frame loop ``post_saccade_mask`` replaced, verbatim."""
+    labels = np.asarray(labels)
+    mask = np.zeros(labels.size, dtype=bool)
+    in_saccade = labels == MovementType.SACCADE
+    for i in range(1, labels.size):
+        if in_saccade[i - 1] and not in_saccade[i]:
+            mask[i : i + window] = True
+    mask &= ~in_saccade
+    return mask
+
+
+@st.composite
+def label_streams(draw):
+    """Label streams of 0-200 frames over all four movement types.
+
+    Runs rather than single frames, so saccades come in realistic
+    stretches; a saccade may be the last frame, and saccade runs may
+    abut (back to back) or be one non-saccade frame apart.
+    """
+    n = draw(st.integers(0, 200))
+    kinds = st.sampled_from([int(m) for m in MovementType])
+    labels: list[int] = []
+    while len(labels) < n:
+        labels += [draw(kinds)] * draw(st.integers(1, 12))
+    labels = labels[:n]
+    if n and draw(st.booleans()):
+        labels[-1] = int(MovementType.SACCADE)
+    return np.array(labels, dtype=np.int64)
+
+
+class TestPostSaccadeMaskOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(labels=label_streams(), window=st.integers(1, 30))
+    def test_matches_frame_loop(self, labels, window):
+        mask = post_saccade_mask(labels, window)
+        assert mask.dtype == bool and mask.shape == labels.shape
+        np.testing.assert_array_equal(mask, scalar_post_saccade_mask(labels, window))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [],
+            [1],
+            [0, 1],
+            [1, 1, 1],
+            [1, 0, 1, 0, 1, 0],
+            [1, 3, 1, 2, 1, 1, 0, 0],
+            [0, 1, 1, 0, 1, 1, 2, 2, 2, 1],
+        ],
+    )
+    @pytest.mark.parametrize("window", [1, 2, 5, 30])
+    def test_edge_streams(self, labels, window):
+        labels = np.array(labels, dtype=np.int64)
+        np.testing.assert_array_equal(
+            post_saccade_mask(labels, window), scalar_post_saccade_mask(labels, window)
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.serve import ServeConfig
 from repro.serve.fleet import (
     FleetConfig,
@@ -134,3 +136,54 @@ class TestRebalancer:
         assert report.shards.log.rebalance_spawns == 0
         assert report.shards.log.rebalance_drains == 0
         assert len(report.shards.shard_rows) == 2
+
+
+class TestShardMembership:
+    """A shard's members are keyed by session id, in membership order."""
+
+    @staticmethod
+    def two_shards():
+        runtime = FleetRuntime(FleetConfig(serve=serve_template(), n_shards=2))
+        runtime.start()
+        return runtime.shards[0], runtime.shards[1]
+
+    @staticmethod
+    def ids(shard) -> list[int]:
+        return [s.session_id for s in shard.fleet]
+
+    def test_migrate_out_and_in_keep_membership_order(self):
+        a, b = self.two_shards()
+        a_ids, b_ids = self.ids(a), self.ids(b)
+        moved = a_ids[1]
+        b.admit_migrated(a.extract_session(moved, 0.1), 0.1)
+        assert self.ids(a) == [sid for sid in a_ids if sid != moved]
+        assert self.ids(b) == b_ids + [moved]
+        back = b_ids[0]
+        a.admit_migrated(b.extract_session(back, 0.2), 0.2)
+        assert self.ids(a) == [sid for sid in a_ids if sid != moved] + [back]
+        assert self.ids(b) == b_ids[1:] + [moved]
+        # Same-instant ARRIVALs pop in membership order.
+        for shard in (a, b):
+            assert [s.session_id for s in shard._arrival_order()] == self.ids(shard)
+
+    def test_duplicate_admission_is_refused(self):
+        a, b = self.two_shards()
+        sid = self.ids(a)[0]
+        payload = a.extract_session(sid, 0.1)
+        b.admit_migrated(payload, 0.1)
+        with pytest.raises(ValueError, match=f"^session {sid} already on shard 1$"):
+            b.admit_migrated(payload, 0.1)
+        with pytest.raises(ValueError, match=f"^session {sid} already on shard 1$"):
+            b.join(payload.session)
+        assert self.ids(b).count(sid) == 1
+
+    def test_release_of_a_non_member_is_refused(self):
+        a, b = self.two_shards()
+        with pytest.raises(KeyError, match="not on shard 0"):
+            a.release(self.ids(b)[0])
+
+    def test_fleet_is_a_copy(self):
+        a, _ = self.two_shards()
+        before = self.ids(a)
+        a.fleet.append(a.fleet[0])
+        assert self.ids(a) == before
