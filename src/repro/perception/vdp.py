@@ -73,7 +73,7 @@ def required_theta_f(
     Fig. 12).  Inverts the psychometric function analytically."""
     config = config or VdpConfig()
     check_in_range("target_probability", target_probability, 1e-6, config.peak_probability)
-    if delta_theta_deg < 0:
+    if not delta_theta_deg >= 0:
         raise ValueError("delta_theta must be non-negative")
     ratio = config.peak_probability / target_probability - 1.0
     margin = -config.slope_deg * math.log(ratio)

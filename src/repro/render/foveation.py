@@ -58,7 +58,7 @@ class RegionPixels:
 
 def theta_f(theta_i_deg: float, delta_theta_deg: float) -> float:
     """Resulting foveal eccentricity under tracking error (Eq. 1)."""
-    if delta_theta_deg < 0:
+    if not delta_theta_deg >= 0:
         raise ValueError(f"tracking error must be non-negative, got {delta_theta_deg}")
     return theta_i_deg + delta_theta_deg
 
@@ -77,8 +77,18 @@ def eccentricity_radius_px(theta_deg: float, resolution: Resolution, hfov_deg: f
 
 
 def _disc_pixel_count(radius_px: float, resolution: Resolution, grid_step: int = 4) -> float:
-    """Pixels of a gaze-centred disc clipped to the display rectangle,
-    by grid integration (exact to ~grid_step^2 pixels)."""
+    """Pixels of a gaze-centred disc clipped to the display rectangle.
+
+    Counts the centres ``(x, y)`` of the display's ``grid_step``-px cells
+    for which ``x*x + y*y <= r*r`` holds in floats, each worth
+    ``grid_step**2`` pixels (exact to ~grid_step^2 pixels).  It counts per
+    row, not per cell: within a row ``fl(x*x) + y*y`` is monotone in
+    ``fl(x*x)``, so one ``searchsorted`` of ``r*r - y*y`` over the sorted
+    ``x*x`` finds every row's boundary.  With integer sizes and step every
+    coordinate is a multiple of 1/2 and nothing rounds, so that is already
+    exact; a fractional size or step can make ``r*r - y*y`` round, so each
+    boundary is then stepped until the float predicate agrees.
+    """
     if radius_px <= 0:
         return 0.0
     half_w, half_h = resolution.width / 2.0, resolution.height / 2.0
@@ -86,9 +96,21 @@ def _disc_pixel_count(radius_px: float, resolution: Resolution, grid_step: int =
         return float(resolution.pixels)
     xs = np.arange(-half_w + grid_step / 2.0, half_w, grid_step)
     ys = np.arange(-half_h + grid_step / 2.0, half_h, grid_step)
-    xx, yy = np.meshgrid(xs, ys)
-    inside = (xx * xx + yy * yy) <= radius_px * radius_px
-    return float(inside.sum()) * grid_step * grid_step
+    rr = radius_px * radius_px
+    x2 = np.sort(xs * xs)
+    y2 = ys * ys
+    # counts[j] = number of x2 entries with x2 + y2[j] <= rr.
+    counts = np.searchsorted(x2, rr - y2, side="right")
+    while True:
+        up = counts < x2.size
+        up[up] = x2[counts[up]] + y2[up] <= rr
+        down = counts > 0
+        down[down] = x2[counts[down] - 1] + y2[down] > rr
+        if not (up.any() or down.any()):
+            break
+        counts += up
+        counts -= down
+    return float(counts.sum()) * grid_step * grid_step
 
 
 def region_pixels(

@@ -50,7 +50,7 @@ class TrackerSystemProfile:
 
     def __post_init__(self) -> None:
         check_positive("td_predict_s", self.td_predict_s)
-        if self.delta_theta_deg < 0:
+        if not self.delta_theta_deg >= 0:
             raise ValueError("delta_theta_deg must be non-negative")
 
     @property

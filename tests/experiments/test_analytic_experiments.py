@@ -4,6 +4,8 @@ model is tested independently of stochastic training."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from repro.experiments import (
     run_table5,
 )
 from repro.core import GazeViTConfig
+from repro.experiments.cli import ANALYTIC, run_analytic
 from repro.hw.ops import total_macs
 from repro.render import RESOLUTIONS, SCENES
 
@@ -98,6 +101,11 @@ class TestFig12:
                 for name in SYSTEM_BASELINES:
                     assert polo < result.method_latency[(name, scene.name, res.name)]
 
+    def test_polo_n_speedup_pinned(self, result):
+        """Exact, so a change that moves one region's pixel count shows."""
+        summary = result.speedup_summary()
+        assert summary["1080P"]["polo_n_speedup"] == 2.819298825400572
+
     def test_polo_paths_ordering(self, result):
         for scene in SCENES:
             s = result.method_latency[("POLO_S", scene.name, "1080P")]
@@ -154,6 +162,9 @@ class TestFig13:
         for name in SYSTEM_BASELINES:
             assert result.total_mj(name) > polo
         assert 2.0 < result.polo_reduction() < 10.0  # paper: 4.1x
+
+    def test_energy_reduction_pinned(self):
+        assert run_fig13a().polo_reduction() == 5.332292895236533
 
     def test_energy_buffer_dominant(self):
         """§7.1: memory access dominates, then MACs, then SFU."""
@@ -222,3 +233,24 @@ class TestAcceleratorPa:
         assert result.buffers_fraction == pytest.approx(0.72, abs=0.05)
         assert result.average_power_w < 0.15
         assert "0.75" in format_accelerator_pa(result)
+
+
+#: sha256 of each analytic experiment's report text (``python -m repro <name>``).
+REPORT_SHA256 = {
+    "fig1": "fa75001611502988a5183d69cbe6190e776b7ad4ea9139138d3aad467841d332",
+    "fig11e": "79022fb735eaa61221a8ff5fbc77a93a0c6651942fd981e30d5effac4ecc24a7",
+    "fig12": "971d0b0a92dbc6dfc4a14adb63faa34e934ea2e718caf5ba594f783e79be3631",
+    "fig13a": "6652229b81fc6692a05dd0eebb4652f4d3dfe568104d907ae929e8b3491c613e",
+    "fig13b": "a046a185d1e0068f1a9a3da20b6d7b97ffc097169fa2d18ba97a5f9f47ac7577",
+    "fig13c": "92ea13cbb5de6d0103553bbb8a185b5dc74fc40feb4a5128cec7baa3219b9347",
+    "table5": "34d113878d043c805c49aed9c18dd3d23d8aad8825d0e769204c109eff3639d9",
+    "sec7": "605709685faa9f9e3eee72ca4adffb6be30c1c5625058de4c9886048eff1b315",
+    "qoe": "1fe7115955993db97ac17e1c033ed459d25f99fe7efe33f1e5c7b2d6df38f234",
+    "fps": "3a4247cc4285518f7d1eb688435c786db7690ac4022f1ab078d2a76130f4d7c5",
+}
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_analytic_report_pinned(name):
+    text = run_analytic(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]

@@ -87,3 +87,9 @@ class TestThresholdInversion:
     def test_target_validated(self):
         with pytest.raises(ValueError):
             required_theta_f(5.0, 0.5)  # above the peak probability
+
+    def test_error_validated(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="non-negative"):
+                required_theta_f(bad, 0.05)
+        assert required_theta_f(float("inf"), 0.05) == float("inf")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.render import (
     RES_1080P,
+    RESOLUTIONS,
     RenderPipeline,
     foveated_ray_fraction,
     region_pixels,
@@ -17,12 +18,12 @@ from repro.render import (
 errors = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
 
 
-@settings(max_examples=50, deadline=None)
-@given(errors)
-def test_regions_partition_display(delta):
-    regions = region_pixels(delta, RES_1080P)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RESOLUTIONS), st.floats(min_value=0.0, max_value=60.0, allow_nan=False))
+def test_regions_partition_display(resolution, delta):
+    regions = region_pixels(delta, resolution)
     assert regions.foveal >= 0 and regions.inter >= 0 and regions.peripheral >= 0
-    assert regions.total == pytest.approx(RES_1080P.pixels, rel=0.02)
+    assert regions.total == resolution.pixels
 
 
 @settings(max_examples=50, deadline=None)

@@ -60,6 +60,14 @@ class TestProfiles:
         with pytest.raises(ValueError):
             TrackerSystemProfile("x", td_predict_s=0.01, delta_theta_deg=-1.0)
 
+    def test_nan_error_rejected_inf_kept(self, polo_profile):
+        with pytest.raises(ValueError, match="non-negative"):
+            TrackerSystemProfile("x", td_predict_s=0.01, delta_theta_deg=float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            polo_profile.with_delta_theta(float("nan"))
+        worst = TrackerSystemProfile("x", td_predict_s=0.01, delta_theta_deg=float("inf"))
+        assert worst.delta_theta_deg == float("inf")
+
 
 class TestSequentialComposition:
     def test_frame_latency_is_sum_of_stages(self, system, polo_profile):
