@@ -9,7 +9,6 @@ size and prediction freshness for robustness before falling back to
 full-resolution rendering.  ``python -m repro chaos`` runs a scenario.
 """
 
-from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.config import (
     DEFAULT_TRACKER_PROFILE,
     ChaosConfig,
@@ -33,6 +32,7 @@ from repro.faults.injectors import (
 )
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow, ShardKill
 from repro.faults.runtime import ChaosRuntime, build_chaos_fleet, run_chaos
+from repro.serve.breaker import BreakerState, CircuitBreaker
 
 __all__ = [
     "BreakerState",

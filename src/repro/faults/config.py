@@ -117,6 +117,12 @@ class RecoveryConfig:
         check_positive("breaker_cooldown_s", self.breaker_cooldown_s)
 
 
+def fits_pool(worker_id: "int | None", n_workers: int) -> bool:
+    """Whether a fault aimed at ``worker_id`` (None: the whole pool) hits
+    a worker of an ``n_workers`` pool."""
+    return worker_id is None or worker_id < n_workers
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """One reproducible chaos scenario, end to end."""
@@ -135,18 +141,18 @@ class ChaosConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        for crash in self.worker_faults.crashes:
-            if crash.worker_id >= self.serve.n_workers:
-                raise ValueError(
-                    f"crash targets worker {crash.worker_id} but the pool "
-                    f"has {self.serve.n_workers} workers"
-                )
-        for stall in self.worker_faults.stalls:
-            if stall.worker_id >= self.serve.n_workers:
-                raise ValueError(
-                    f"stall targets worker {stall.worker_id} but the pool "
-                    f"has {self.serve.n_workers} workers"
-                )
+        faults = self.worker_faults
+        for kind, targeted in (
+            ("crash", faults.crashes),
+            ("stall", faults.stalls),
+            ("spike", faults.spikes),
+        ):
+            for fault in targeted:
+                if not fits_pool(fault.worker_id, self.serve.n_workers):
+                    raise ValueError(
+                        f"{kind} targets worker {fault.worker_id} but the pool "
+                        f"has {self.serve.n_workers} workers"
+                    )
 
     def fault_free(self) -> "ChaosConfig":
         """The same fleet and pool with every fault disabled — the

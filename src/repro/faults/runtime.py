@@ -9,11 +9,11 @@
   frames arrive late by one retransmission, occlusion-blinded frames are
   degraded to buffered-gaze reuse.
 * **Serving faults + recovery** — dispatches go through a
-  :class:`~repro.serve.workers.FaultyWorkerPool`; a failed batch's frames
-  are re-queued with exponential backoff, degraded instead when the retry
-  could not beat the frame's deadline, and per-worker circuit breakers
-  evict flapping workers until a cooldown + half-open probe re-admits
-  them.
+  :class:`~repro.serve.workers.FaultyWorkerPool`, whose per-worker circuit
+  breakers evict flapping workers until a cooldown + half-open probe
+  re-admits them; a failed batch's frames are re-queued with exponential
+  backoff, or degraded instead when the retry could not beat the frame's
+  deadline.
 * **Tracking-quality watchdog** — one
   :class:`~repro.system.watchdog.TrackingWatchdog` per session monitors
   realized error/confidence and walks the degradation ladder: widen the
@@ -32,7 +32,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.config import ChaosConfig
 from repro.faults.injectors import (
     OCCLUSION_BLIND_OPENNESS,
@@ -44,9 +43,9 @@ from repro.reliability.guard import GazeVerdict, PlausibilityConfig, Plausibilit
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
 from repro.serve.config import BatchServiceModel
 from repro.serve.request import ClientSession, FrameRequest, build_fleet
-from repro.serve.runtime import _ARRIVAL, _COMPLETE, _WINDOW, InferenceFn, ServeRuntime
+from repro.serve.runtime import _ARRIVAL, InferenceFn, ServeRuntime
 from repro.serve.telemetry import FaultReport, FleetReport
-from repro.serve.workers import DispatchOutcome, FaultyWorkerPool, WorkerState
+from repro.serve.workers import FaultyWorkerPool, WorkerState
 from repro.system.session import SessionConfig, decide_paths
 from repro.system.watchdog import DegradationLevel, TrackingWatchdog
 
@@ -109,24 +108,21 @@ class ChaosRuntime(ServeRuntime):
         obs: "Obs | None" = None,
     ):
         fleet, traces = build_chaos_fleet(chaos)
+        service = service if service is not None else BatchServiceModel()
+        pool = FaultyWorkerPool(
+            chaos.serve.n_workers,
+            service,
+            schedule=chaos.worker_faults,
+            stall_timeout_s=chaos.recovery.dispatch_timeout_s,
+            breaker_threshold=chaos.recovery.breaker_threshold,
+            breaker_cooldown_s=chaos.recovery.breaker_cooldown_s,
+        )
         super().__init__(
-            chaos.serve, service=service, inference=inference, fleet=fleet, obs=obs
+            chaos.serve, service=service, inference=inference, fleet=fleet,
+            obs=obs, pool=pool,
         )
         self.chaos = chaos
         self.traces = traces
-        self.pool = FaultyWorkerPool(
-            chaos.serve.n_workers,
-            self.service,
-            schedule=chaos.worker_faults,
-            stall_timeout_s=chaos.recovery.dispatch_timeout_s,
-        )
-        self.breakers = [
-            CircuitBreaker(
-                failure_threshold=chaos.recovery.breaker_threshold,
-                cooldown_s=chaos.recovery.breaker_cooldown_s,
-            )
-            for _ in range(chaos.serve.n_workers)
-        ]
         self.watchdogs = [
             TrackingWatchdog(
                 chaos.profile,
@@ -149,7 +145,6 @@ class ChaosRuntime(ServeRuntime):
             for s in self.fleet
         ]
         self._retransmitted: set[tuple[int, int]] = set()
-        self._pending_wake_s: "float | None" = None
         # Silicon soft errors (repro.reliability): one seeded schedule
         # over the whole window, events dealt round-robin onto sessions
         # and consumed by each session's next predict-path frame (SRAM
@@ -330,66 +325,6 @@ class ChaosRuntime(ServeRuntime):
         return deviation, False
 
     # ------------------------------------------------------------------
-    # Admission (capacity-aware: breaker-evicted and crashed workers do
-    # not count toward the pool the estimate divides by)
-    # ------------------------------------------------------------------
-    def _available_workers(self, now: float) -> int:
-        n = 0
-        for worker in self.pool.workers:
-            if self.pool.schedule.down_until(worker.worker_id, now) is not None:
-                continue
-            if self.breakers[worker.worker_id].state(now) is BreakerState.OPEN:
-                continue
-            n += 1
-        return max(1, n)
-
-    # ------------------------------------------------------------------
-    # Dispatch through breakers and the faulty pool
-    # ------------------------------------------------------------------
-    def _pick_worker(self, now: float) -> "WorkerState | None":
-        for worker in self.pool.workers:
-            if self.pool.available(worker, now) and self.breakers[
-                worker.worker_id
-            ].allow(now):
-                return worker
-        return None
-
-    def _wait_for_worker(self, now: float) -> None:
-        """Queued work but no eligible worker: wake the loop when the
-        earliest worker could come back (crash downtime end, breaker
-        cooldown expiry, or simply a busy worker finishing)."""
-        candidates = []
-        for worker in self.pool.workers:
-            at = max(worker.busy_until_s, now)
-            down = self.pool.schedule.down_until(worker.worker_id, at)
-            if down is not None:
-                at = down
-            reopen = self.breakers[worker.worker_id].reopen_s
-            if reopen is not None:
-                at = max(at, reopen)
-            candidates.append(at)
-        if not candidates:
-            return
-        wake = max(min(candidates), now + 1e-9)
-        if self._pending_wake_s is not None and self._pending_wake_s <= wake:
-            return
-        self._pending_wake_s = wake
-        self._push(wake, _WINDOW, None)
-
-    def _start_batch(
-        self, worker: WorkerState, batch: "list[FrameRequest]", now: float
-    ) -> "tuple[float, bool, object]":
-        self.breakers[worker.worker_id].note_dispatch(now)
-        outcome = self.pool.dispatch_faulty(worker, len(batch), now)
-        return outcome.done_s, outcome.ok, (worker, batch, outcome)
-
-    def _try_dispatch(self, now: float) -> None:
-        # A wake-up due by now has fired; the next stall arms a new one.
-        if self._pending_wake_s is not None and now >= self._pending_wake_s:
-            self._pending_wake_s = None
-        super()._try_dispatch(now)
-
-    # ------------------------------------------------------------------
     # Retry / backoff
     # ------------------------------------------------------------------
     def _retry_or_degrade(self, request: FrameRequest, now: float) -> None:
@@ -496,74 +431,38 @@ class ChaosRuntime(ServeRuntime):
                 return
         super()._on_arrival(request, now)
 
-    def _on_complete(self, worker_batch, now: float) -> None:
-        worker, batch, outcome = worker_batch
-        self.pool.complete(worker)
-        breaker = self.breakers[worker.worker_id]
-        if outcome.ok:
-            breaker.record_success(now)
-            for request in batch:
-                self._record_completion(request, now)
+    def _on_failed_batch(
+        self, worker: WorkerState, batch: "list[FrameRequest]", cause: str,
+        now: float,
+    ) -> None:
+        self.faults.batch_failures += 1
+        if cause == "crash":
+            self.faults.worker_crash_failures += 1
         else:
-            breaker.record_failure(now)
-            self.faults.batch_failures += 1
-            if outcome.cause == "crash":
-                self.faults.worker_crash_failures += 1
-            else:
-                self.faults.worker_stall_timeouts += 1
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    f"batch.failed.{outcome.cause}", now, cat="faults",
-                    pid=PID_WORKERS, tid=worker.worker_id,
-                    args={"batch_size": len(batch)},
-                )
-                self.obs.metrics.counter(
-                    "serve_batch_failures_total",
-                    help="Dispatched batches that failed, by fault cause.",
-                    cause=outcome.cause,
-                ).inc()
-            for request in batch:
-                self._retry_or_degrade(request, now)
-        self._try_dispatch(now)
+            self.faults.worker_stall_timeouts += 1
+        if self.obs.enabled:
+            self.obs.tracer.instant(
+                f"batch.failed.{cause}", now, cat="faults",
+                pid=PID_WORKERS, tid=worker.worker_id,
+                args={"batch_size": len(batch)},
+            )
+            self.obs.metrics.counter(
+                "serve_batch_failures_total",
+                help="Dispatched batches that failed, by fault cause.",
+                cause=cause,
+            ).inc()
+        for request in batch:
+            self._retry_or_degrade(request, now)
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     RUNTIME_KIND = "chaos"
 
-    def _encode_payload(self, kind: int, payload: object) -> object:
-        if kind == _COMPLETE:
-            worker, batch, outcome = payload  # type: ignore[misc]
-            return {
-                "worker": worker.worker_id,
-                "batch": [request.to_dict() for request in batch],
-                "outcome": {
-                    "done_s": outcome.done_s,
-                    "ok": outcome.ok,
-                    "cause": outcome.cause,
-                },
-            }
-        return super()._encode_payload(kind, payload)
-
-    def _decode_payload(self, kind: int, data: object) -> object:
-        if kind == _COMPLETE:
-            worker = self.pool.workers[int(data["worker"])]  # type: ignore[index]
-            batch = [FrameRequest.from_dict(r) for r in data["batch"]]  # type: ignore[index]
-            saved = data["outcome"]  # type: ignore[index]
-            outcome = DispatchOutcome(
-                done_s=float(saved["done_s"]),
-                ok=bool(saved["ok"]),
-                cause=None if saved["cause"] is None else str(saved["cause"]),
-            )
-            return (worker, batch, outcome)
-        return super()._decode_payload(kind, data)
-
     def state_dict(self) -> dict:
         state = super().state_dict()
         state["faults"] = self.faults.state_dict()
         state["retransmitted"] = sorted(list(pair) for pair in self._retransmitted)
-        state["pending_wake_s"] = self._pending_wake_s
-        state["breakers"] = [b.state_dict() for b in self.breakers]
         state["watchdogs"] = [w.state_dict() for w in self.watchdogs]
         state["sdc"] = {
             "next": list(self._sdc_next),
@@ -584,14 +483,8 @@ class ChaosRuntime(ServeRuntime):
         self._retransmitted = {
             (int(sid), int(frame)) for sid, frame in state["retransmitted"]
         }
-        wake = state["pending_wake_s"]
-        self._pending_wake_s = None if wake is None else float(wake)
-        if len(state["breakers"]) != len(self.breakers) or len(
-            state["watchdogs"]
-        ) != len(self.watchdogs):
-            raise ValueError("snapshot breaker/watchdog counts do not match config")
-        for breaker, saved in zip(self.breakers, state["breakers"]):
-            breaker.load_state(saved)
+        if len(state["watchdogs"]) != len(self.watchdogs):
+            raise ValueError("snapshot watchdog count does not match config")
         for watchdog, saved in zip(self.watchdogs, state["watchdogs"]):
             watchdog.load_state(saved)
         sdc = state.get("sdc")
@@ -625,7 +518,7 @@ class ChaosRuntime(ServeRuntime):
             widened = max(widened, watchdog.max_widened_delta_theta_deg)
         degradation.sort(key=lambda item: (item[0], item[1]))
         breaker_transitions: list[tuple[float, int, str, str]] = []
-        for wid, breaker in enumerate(self.breakers):
+        for wid, breaker in enumerate(self.pool.breakers):
             breaker_transitions.extend(
                 (t, wid, src, dst) for (t, src, dst) in breaker.transitions
             )

@@ -39,8 +39,11 @@ from repro.recover.errors import CheckpointError
 #: Version 4: serve runtimes and direct-mode fleet shards keep saccade
 #: and reuse frames off the heap, as per-session backlogs the ledger
 #: records in bulk; event indices count only pool and control events.
-#: Chaos payloads are unchanged since version 1.
-CHECKPOINT_FORMAT_VERSION = 4
+#: Version 5: a chaos run's worker pool holds its circuit breakers, the
+#: causes of failing in-flight batches and the armed wake-up; COMPLETE
+#: payloads no longer carry a dispatch outcome.  Serve and fleet
+#: payloads are unchanged since version 4.
+CHECKPOINT_FORMAT_VERSION = 5
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -205,6 +208,13 @@ class CheckpointStore:
                 "were heap ARRIVALs: its heap holds bypass frames the "
                 f"per-session backlog (format {CHECKPOINT_FORMAT_VERSION}) "
                 "would record a second time — rerun from the start"
+            )
+        if version < 5 and manifest["kind"] == "chaos":
+            raise CheckpointError(
+                f"checkpoint {manifest_path} is a format-{version} chaos "
+                "checkpoint, written while the runtime held the circuit "
+                "breakers and the wake-up the worker pool holds in format "
+                f"{CHECKPOINT_FORMAT_VERSION} — rerun from the start"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

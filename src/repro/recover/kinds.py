@@ -46,9 +46,10 @@ def chaos_config_from_params(params: dict):
 
     Starts from :func:`~repro.faults.default_chaos_scenario` and applies
     ``"serve"`` / ``"input_faults"`` field overrides plus the
-    :data:`CHAOS_KNOBS`.  Unknown keys are rejected.
+    :data:`CHAOS_KNOBS`; of the default worker faults, those aimed at a
+    worker outside the pool are dropped.  Unknown keys are rejected.
     """
-    from repro.faults.config import default_chaos_scenario
+    from repro.faults.config import default_chaos_scenario, fits_pool
 
     params = dict(params)
     knobs = {key: params.pop(key, default) for key, default in CHAOS_KNOBS.items()}
@@ -61,12 +62,13 @@ def chaos_config_from_params(params: dict):
         raise TypeError(
             f"unknown chaos params: {sorted(params)} (known: {known})"
         )
-    n_workers = state["serve"]["n_workers"]
-    if knobs["no_worker_faults"] or any(
-        crash["worker_id"] >= n_workers
-        for crash in state["worker_faults"]["crashes"]
-    ):
+    if knobs["no_worker_faults"]:
         del state["worker_faults"]  # the default: an empty schedule
+    else:
+        # Keep the default faults that target a worker in the pool.
+        n_workers = state["serve"]["n_workers"]
+        for faults in state["worker_faults"].values():
+            faults[:] = [f for f in faults if fits_pool(f["worker_id"], n_workers)]
     fit = float(knobs["soft_error_fit"])
     if fit > 0:
         state["soft_errors"] = {

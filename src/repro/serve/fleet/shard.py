@@ -26,7 +26,7 @@ fleet owns and hands it, so a frame completes into the same
 
 Sessions re-homed by a failover are *guarded* for a configurable window:
 their predict frames pass through a re-admission
-:class:`~repro.faults.breaker.CircuitBreaker` so a thundering herd onto
+:class:`~repro.serve.breaker.CircuitBreaker` so a thundering herd onto
 a surviving shard degrades to gaze reuse instead of blowing through the
 queue budget.
 """
@@ -37,8 +37,8 @@ import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.faults.breaker import CircuitBreaker
 from repro.obs import Obs, PID_WORKERS, session_pid
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import FailoverConfig
 from repro.serve.request import ClientSession, FrameRequest

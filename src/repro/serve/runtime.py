@@ -5,10 +5,12 @@ One :class:`ServeRuntime` multiplexes a fleet of HMD client sessions onto a
 with three event kinds, processed in deterministic order (time, then kind,
 then insertion sequence):
 
-* ``COMPLETE`` — a worker finished a batch; record per-frame latencies,
-  free the worker, and greedily re-dispatch.
-* ``WINDOW`` — a batch-formation window expired; dispatch a partial batch
-  if a worker is idle.
+* ``COMPLETE`` — a worker finished a batch; record per-frame latencies
+  (or, if the pool says the batch failed, hand it to
+  :meth:`ServeRuntime._on_failed_batch`), free the worker, and greedily
+  re-dispatch.
+* ``WINDOW`` — a batch-formation window expired, or a wake-up the pool
+  asked for came due; dispatch a partial batch if a worker may take it.
 * ``ARRIVAL`` — a predict frame entered the system; it passes admission
   control and joins the cross-session batcher.
 
@@ -23,7 +25,8 @@ frames must each be seen (chaos: input faults and the watchdog; a
 receive them as ARRIVALs instead.
 
 Admission control estimates the wait a new predict frame would see —
-``ceil((pending + 1) / max_batch) * service(max_batch) / n_workers`` —
+``ceil((pending + 1) / max_batch) * service(max_batch) / available
+workers`` —
 and, when it exceeds the queue budget, degrades the frame to gaze reuse
 or sheds it per :class:`~repro.serve.config.AdmissionPolicy`.
 
@@ -93,6 +96,7 @@ class ServeRuntime:
         fleet: "list[ClientSession] | None" = None,
         obs: "Obs | None" = None,
         stats: "dict[int, SessionStats] | None" = None,
+        pool: "WorkerPool | None" = None,
     ):
         self.config = config
         self.service = service if service is not None else BatchServiceModel()
@@ -112,7 +116,16 @@ class ServeRuntime:
         #: Session id -> session, for every session this runtime may
         #: record (a fleet shard is handed its fleet's directory).
         self.directory = {s.session_id: s for s in self.fleet}
-        self.pool = WorkerPool(config.n_workers, self.service)
+        #: The worker pool: a plain one unless the caller hands one in
+        #: (the chaos runtime hands in a faulty pool).
+        self.pool = (
+            pool if pool is not None else WorkerPool(config.n_workers, self.service)
+        )
+        if self.pool.n_workers != config.n_workers:
+            raise ValueError(
+                f"pool has {self.pool.n_workers} workers, "
+                f"config says {config.n_workers}"
+            )
         self.batcher = DynamicBatcher(config.max_batch, config.batch_window_s)
         self.predictions: "dict[tuple[int, int], np.ndarray] | None" = (
             {} if inference is not None else None
@@ -384,11 +397,6 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
-    def _available_workers(self, now: float) -> int:
-        """Workers the admission estimate spreads queued work over.  The
-        chaos runtime leaves out crashed and breaker-evicted workers."""
-        return self.config.n_workers
-
     def estimated_wait_s(self, now: float) -> float:
         """Wait a newly admitted predict frame would see: full batches of
         queued + in-flight + this frame, spread across the pool."""
@@ -397,7 +405,7 @@ class ServeRuntime:
         return (
             batches
             * self.service.service_s(self.config.max_batch)
-            / self._available_workers(now)
+            / self.pool.available_count(now)
         )
 
     def _admit(self, request: FrameRequest, now: float) -> bool:
@@ -427,29 +435,18 @@ class ServeRuntime:
         overrides this to window per-shard queue waits for its
         rebalancer; the base runtime does nothing."""
 
-    def _pick_worker(self, now: float) -> "WorkerState | None":
-        """The worker the next batch goes to, or None if none may take it."""
-        return self.pool.idle_worker(now)
-
-    def _wait_for_worker(self, now: float) -> None:
-        """Queued work but no worker: the base loop retries at the next
-        COMPLETE; the chaos runtime schedules a wake-up instead."""
-
-    def _start_batch(
-        self, worker: WorkerState, batch: "list[FrameRequest]", now: float
-    ) -> "tuple[float, bool, object]":
-        """Start ``batch`` on ``worker``: ``(done_s, ok, COMPLETE payload)``."""
-        return self.pool.dispatch(worker, len(batch), now), True, (worker, batch)
-
     def _try_dispatch(self, now: float) -> None:
+        pool = self.pool
         while self.batcher.ready(now):
-            worker = self._pick_worker(now)
+            worker = pool.pick(now)
             if worker is None:
-                self._wait_for_worker(now)
+                wake = pool.wake_s(now)
+                if wake is not None:
+                    self._push(wake, _WINDOW, None)
                 return
             batch = self.batcher.take()
             self._note_dispatch(batch, now)
-            done_s, ok, payload = self._start_batch(worker, batch, now)
+            done_s, ok, _ = pool.dispatch(worker, len(batch), now)
             if ok and self.inference is not None:
                 outputs = np.asarray(self.inference(batch))
                 if outputs.shape != (len(batch), 2):
@@ -462,7 +459,7 @@ class ServeRuntime:
                     self.predictions[(request.session_id, request.frame_index)] = gaze
             if self.obs.enabled:
                 self._trace_batch(worker.worker_id, batch, now, done_s, ok=ok)
-            self._push(done_s, _COMPLETE, payload)
+            self._push(done_s, _COMPLETE, (worker, batch))
 
     def _dispatch_and_arm(self, now: float) -> None:
         """Dispatch what the queue allows, then arm the batch window of
@@ -491,13 +488,28 @@ class ServeRuntime:
             self._dispatch_and_arm(now)
 
     def _on_complete(
-        self, worker_batch: "tuple[object, list[FrameRequest]]", now: float
+        self, worker_batch: "tuple[WorkerState, list[FrameRequest]]", now: float
     ) -> None:
         worker, batch = worker_batch
-        self.pool.complete(worker)  # type: ignore[arg-type]
-        for request in batch:
-            self._record_completion(request, now)
+        cause = self.pool.complete(worker, now)
+        if cause is None:
+            for request in batch:
+                self._record_completion(request, now)
+        else:
+            self._on_failed_batch(worker, batch, cause, now)
         self._try_dispatch(now)
+
+    def _on_failed_batch(
+        self, worker: WorkerState, batch: "list[FrameRequest]", cause: str,
+        now: float,
+    ) -> None:
+        """Hook: the pool failed ``batch`` (``cause`` is ``"crash"`` or
+        ``"stall"``).  The chaos runtime retries or degrades its frames;
+        a plain pool never fails a batch."""
+        raise RuntimeError(
+            f"worker {worker.worker_id} failed a batch ({cause}) but "
+            f"{type(self).__name__} does not handle batch failures"
+        )
 
     # ------------------------------------------------------------------
     # Main loop

@@ -6,18 +6,23 @@ realized batch-occupancy histogram — the two numbers that tell you whether
 cross-session batching is actually amortizing the per-dispatch overhead or
 the fleet is just queueing.
 
-The bottom half of the module is the fault-injection surface used by
-``repro.faults``: a declarative :class:`WorkerFaultSchedule` (crashes,
-stalls, latency-spike windows) and a :class:`FaultyWorkerPool` whose
-dispatches can fail mid-service.  Everything stays deterministic — faults
-fire at scheduled times, not sampled ones, so a seeded chaos run is
-bit-reproducible.
+Every worker decision of the serving loop is made here: the loop asks
+``available_count``, ``pick``, ``dispatch``, ``complete`` and ``wake_s``.
+
+The bottom half of the module is the fault model: a declarative
+:class:`WorkerFaultSchedule` (crashes, stalls, latency-spike windows) and a
+:class:`FaultyWorkerPool` whose dispatches can fail mid-service and whose
+workers each sit behind a :class:`~repro.serve.breaker.CircuitBreaker`.
+Everything stays deterministic — faults fire at scheduled times, not
+sampled ones, so a seeded chaos run is bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.config import BatchServiceModel
 from repro.utils.validation import check_positive
 
@@ -36,6 +41,14 @@ class WorkerState:
         return self.busy_until_s <= now
 
 
+class DispatchOutcome(NamedTuple):
+    """What happened to one dispatch (a tuple: one is built per batch)."""
+
+    done_s: float  # completion (or failure) time
+    ok: bool = True
+    cause: "str | None" = None  # "crash" | "stall" on failure
+
+
 class WorkerPool:
     """Fixed pool of identical batched-inference workers."""
 
@@ -51,8 +64,9 @@ class WorkerPool:
     def n_workers(self) -> int:
         return len(self.workers)
 
-    def idle_worker(self, now: float) -> "WorkerState | None":
-        """Lowest-id idle worker (deterministic tie-break)."""
+    def pick(self, now: float) -> "WorkerState | None":
+        """The worker the next batch goes to: the lowest-id idle one
+        (deterministic tie-break), or None if none may take it."""
         for worker in self.workers:
             if worker.idle_at(now):
                 return worker
@@ -62,23 +76,41 @@ class WorkerPool:
         """Frames currently being served (for admission estimates)."""
         return sum(self._in_flight.values())
 
-    def dispatch(self, worker: WorkerState, batch_size: int, now: float) -> float:
-        """Start a batch on ``worker``; returns its completion time."""
+    def available_count(self, now: float) -> int:
+        """Workers the admission estimate spreads queued work over."""
+        return len(self.workers)
+
+    def wake_s(self, now: float) -> "float | None":
+        """When to retry a dispatch :meth:`pick` blocked, or None to wait
+        for the next completion (which retries it anyway)."""
+        return None
+
+    def dispatch(
+        self, worker: WorkerState, batch_size: int, now: float
+    ) -> DispatchOutcome:
+        """Start a batch on ``worker``; the outcome says when it completes."""
         if not worker.idle_at(now):
             raise RuntimeError(
                 f"worker {worker.worker_id} is busy until {worker.busy_until_s}"
             )
-        service = self.service.service_s(batch_size)
+        return self._serve(worker, batch_size, now, self.service.service_s(batch_size))
+
+    def _serve(
+        self, worker: WorkerState, batch_size: int, now: float, service: float
+    ) -> DispatchOutcome:
         worker.busy_until_s = now + service
         worker.busy_s += service
         worker.batches_served += 1
         worker.frames_served += batch_size
         self.batch_occupancy[batch_size] = self.batch_occupancy.get(batch_size, 0) + 1
         self._in_flight[worker.worker_id] = batch_size
-        return worker.busy_until_s
+        return DispatchOutcome(worker.busy_until_s)
 
-    def complete(self, worker: WorkerState) -> None:
+    def complete(self, worker: WorkerState, now: float) -> "str | None":
+        """``worker``'s batch finished at ``now``: the cause of its
+        failure, or None if it was served (always, on this pool)."""
         self._in_flight.pop(worker.worker_id, None)
+        return None
 
     def utilization(self, duration_s: float) -> float:
         """Mean fraction of the window each worker spent serving."""
@@ -193,6 +225,8 @@ class LatencySpike:
     worker_id: "int | None" = None
 
     def __post_init__(self) -> None:
+        if self.worker_id is not None and self.worker_id < 0:
+            raise ValueError(f"worker_id must be non-negative, got {self.worker_id}")
         if not self.stop_s > self.start_s >= 0:
             raise ValueError(
                 f"spike window must satisfy 0 <= start < stop, got "
@@ -248,21 +282,16 @@ class WorkerFaultSchedule:
         return not (self.crashes or self.stalls or self.spikes)
 
 
-@dataclass(frozen=True)
-class DispatchOutcome:
-    """What happened to one faulty dispatch."""
-
-    done_s: float  # completion (or failure) time
-    ok: bool
-    cause: "str | None" = None  # "crash" | "stall" on failure
-
-
 class FaultyWorkerPool(WorkerPool):
-    """Worker pool whose dispatches can crash, stall, or slow down.
+    """Worker pool whose dispatches can crash, stall, or slow down, each
+    worker behind a circuit breaker.
 
     Failed batches keep the worker occupied until the failure resolves
     (crash downtime / stall timeout) but are *not* counted as served —
-    the chaos runtime re-queues their frames.
+    :meth:`complete` hands their cause to the serving loop, which
+    re-queues their frames.  Breakers open after ``breaker_threshold``
+    consecutive failures and re-admit their worker through one half-open
+    probe after ``breaker_cooldown_s``.
     """
 
     def __init__(
@@ -271,88 +300,130 @@ class FaultyWorkerPool(WorkerPool):
         service: BatchServiceModel,
         schedule: "WorkerFaultSchedule | None" = None,
         stall_timeout_s: float = 0.05,
+        breaker_threshold: int = 3,
+        breaker_cooldown_s: float = 0.25,
     ):
         super().__init__(n_workers, service)
         self.schedule = schedule or WorkerFaultSchedule()
         self.stall_timeout_s = check_positive("stall_timeout_s", stall_timeout_s)
-        self.failed_batches = 0
-        self.failed_frames = 0
+        self.breakers = [
+            CircuitBreaker(breaker_threshold, breaker_cooldown_s)
+            for _ in range(n_workers)
+        ]
+        #: (worker id, failure time) -> cause, per failing in-flight batch.
+        self._failing: dict[tuple[int, float], str] = {}
+        #: The wake-up :meth:`wake_s` last handed out (spent once due).
+        self._wake_armed_s: "float | None" = None
 
-    def available(self, worker: WorkerState, now: float) -> bool:
-        """Idle *and* not inside a crash downtime window."""
-        return worker.idle_at(now) and self.schedule.down_until(
-            worker.worker_id, now
-        ) is None
+    def _up(self, worker: WorkerState, now: float) -> bool:
+        """Not inside a crash downtime window."""
+        return self.schedule.down_until(worker.worker_id, now) is None
 
-    def idle_worker(self, now: float) -> "WorkerState | None":
+    def available_count(self, now: float) -> int:
+        """Crashed and breaker-evicted workers leave the divisor (at
+        least one worker always counts)."""
+        n = 0
         for worker in self.workers:
-            if self.available(worker, now):
+            if self._up(worker, now) and (
+                self.breakers[worker.worker_id].state(now) is not BreakerState.OPEN
+            ):
+                n += 1
+        return max(1, n)
+
+    def pick(self, now: float) -> "WorkerState | None":
+        """The lowest-id idle, running worker whose breaker allows it."""
+        for worker in self.workers:
+            if (
+                worker.idle_at(now)
+                and self._up(worker, now)
+                and self.breakers[worker.worker_id].allow(now)
+            ):
                 return worker
         return None
 
-    def next_available_s(self, now: float) -> "float | None":
-        """Earliest instant any worker might become available again (used
-        to schedule a wake-up when the queue is blocked); None if some
-        worker is available right now."""
-        if self.idle_worker(now) is not None:
-            return None
+    def wake_s(self, now: float) -> "float | None":
+        """The earliest instant a worker could come back (a busy worker
+        finishing, a crash downtime ending, a breaker cooldown expiring),
+        or None while an earlier or equal wake-up is still armed."""
         candidates = []
         for worker in self.workers:
             at = max(worker.busy_until_s, now)
             down = self.schedule.down_until(worker.worker_id, at)
             if down is not None:
                 at = down
+            reopen = self.breakers[worker.worker_id].reopen_s
+            if reopen is not None:
+                at = max(at, reopen)
             candidates.append(at)
-        return min(candidates) if candidates else None
+        wake = max(min(candidates), now + 1e-9)
+        armed = self._wake_armed_s
+        if armed is not None and now < armed <= wake:
+            return None  # armed and not yet fired
+        self._wake_armed_s = wake
+        return wake
 
-    def dispatch_faulty(
+    def dispatch(
         self, worker: WorkerState, batch_size: int, now: float
     ) -> DispatchOutcome:
         """Start a batch; the outcome says when it completes or fails."""
-        if not self.available(worker, now):
-            raise RuntimeError(
-                f"worker {worker.worker_id} is not available at {now}"
-            )
         wid = worker.worker_id
+        if not (worker.idle_at(now) and self._up(worker, now)):
+            raise RuntimeError(f"worker {wid} is not available at {now}")
+        self.breakers[wid].note_dispatch(now)
         if self.schedule.stalled(wid, now):
-            done = now + self.stall_timeout_s
-            self._book_failure(worker, batch_size, now, done)
-            return DispatchOutcome(done, ok=False, cause="stall")
+            timeout_s = now + self.stall_timeout_s
+            return self._fail(worker, batch_size, now, timeout_s, "stall")
         service = self.service.service_s(batch_size) * self.schedule.spike_factor(
             wid, now
         )
         crash = self.schedule.crash_during(wid, now, now + service)
-        if crash is not None:
-            self._book_failure(worker, batch_size, now, crash.at_s)
-            worker.busy_until_s = crash.up_s
-            return DispatchOutcome(crash.at_s, ok=False, cause="crash")
-        worker.busy_until_s = now + service
-        worker.busy_s += service
-        worker.batches_served += 1
-        worker.frames_served += batch_size
-        self.batch_occupancy[batch_size] = self.batch_occupancy.get(batch_size, 0) + 1
-        self._in_flight[wid] = batch_size
-        return DispatchOutcome(worker.busy_until_s, ok=True)
+        if crash is None:
+            return self._serve(worker, batch_size, now, service)
+        outcome = self._fail(worker, batch_size, now, crash.at_s, "crash")
+        worker.busy_until_s = crash.up_s
+        return outcome
 
-    def _book_failure(
-        self, worker: WorkerState, batch_size: int, now: float, fail_s: float
-    ) -> None:
+    def _fail(
+        self, worker: WorkerState, batch_size: int, now: float, fail_s: float,
+        cause: str,
+    ) -> DispatchOutcome:
         worker.busy_until_s = fail_s
         worker.busy_s += fail_s - now
-        self.failed_batches += 1
-        self.failed_frames += batch_size
         self._in_flight[worker.worker_id] = batch_size
+        self._failing[(worker.worker_id, fail_s)] = cause
+        return DispatchOutcome(fail_s, ok=False, cause=cause)
+
+    def complete(self, worker: WorkerState, now: float) -> "str | None":
+        """Also tells ``worker``'s breaker whether the batch failed."""
+        super().complete(worker, now)
+        cause = self._failing.pop((worker.worker_id, now), None)
+        breaker = self.breakers[worker.worker_id]
+        if cause is None:
+            breaker.record_success(now)
+        else:
+            breaker.record_failure(now)
+        return cause
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["failed_batches"] = self.failed_batches
-        state["failed_frames"] = self.failed_frames
+        state["breakers"] = [b.state_dict() for b in self.breakers]
+        state["failing"] = [
+            [wid, fail_s, cause]
+            for (wid, fail_s), cause in sorted(self._failing.items())
+        ]
+        state["wake_armed_s"] = self._wake_armed_s
         return state
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self.failed_batches = int(state["failed_batches"])
-        self.failed_frames = int(state["failed_frames"])
+        for breaker, saved in zip(self.breakers, state["breakers"], strict=True):
+            breaker.load_state(saved)
+        self._failing = {
+            (int(wid), float(fail_s)): str(cause)
+            for wid, fail_s, cause in state["failing"]
+        }
+        wake = state["wake_armed_s"]
+        self._wake_armed_s = None if wake is None else float(wake)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from repro.__main__ import main
 from repro.faults import (
     ChaosConfig,
     ChaosRuntime,
     InputFaultConfig,
+    LatencySpike,
     RecoveryConfig,
     WorkerCrash,
     WorkerFaultSchedule,
@@ -17,6 +20,7 @@ from repro.faults import (
     default_chaos_scenario,
     run_chaos,
 )
+from repro.recover.kinds import chaos_config_from_params
 from repro.serve import ServeConfig
 
 
@@ -151,6 +155,54 @@ class TestRecovery:
         report = run_chaos(config)
         assert report.faults.occluded_frames > 0
         assert_conservation(config, report)
+
+
+class TestWorkerTargets:
+    @pytest.mark.parametrize(
+        "kind,schedule",
+        [
+            ("crash", WorkerFaultSchedule(
+                crashes=(WorkerCrash(2, at_s=0.1, down_s=0.1),)
+            )),
+            ("stall", WorkerFaultSchedule(
+                stalls=(WorkerStall(2, start_s=0.1, stop_s=0.2),)
+            )),
+            ("spike", WorkerFaultSchedule(
+                spikes=(LatencySpike(0.1, 0.2, factor=2.0, worker_id=2),)
+            )),
+        ],
+    )
+    def test_refuses_faults_outside_the_pool(self, kind, schedule):
+        with pytest.raises(
+            ValueError, match=f"{kind} targets worker 2 but the pool has 2"
+        ):
+            small_config(worker_faults=schedule)
+
+    def test_pool_wide_spike_fits_any_pool(self):
+        spike = LatencySpike(0.1, 0.2, factor=2.0)
+        config = small_config(worker_faults=WorkerFaultSchedule(spikes=(spike,)))
+        assert config.worker_faults.spikes == (spike,)
+        with pytest.raises(ValueError, match="worker_id must be non-negative"):
+            LatencySpike(0.1, 0.2, factor=2.0, worker_id=-1)
+
+    def test_one_worker_keeps_worker_0_faults_and_drops_the_spike(self):
+        default = default_chaos_scenario().worker_faults
+        faults = chaos_config_from_params({"serve": {"n_workers": 1}}).worker_faults
+        assert faults.crashes == default.crashes
+        assert faults.stalls == default.stalls
+        assert default.spikes and faults.spikes == ()
+        assert chaos_config_from_params({}).worker_faults == default
+
+    def test_one_worker_report_is_unchanged(self, capsys):
+        # The dropped spike targeted a worker the pool never had: the
+        # report is the bytes it was while the config still carried it.
+        argv = ["chaos", "--workers", "1", "--sessions", "6", "--duration", "2",
+                "--seed", "7"]
+        assert main(argv) in (0, None)
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "608e680b2c1dbd0cc8fbda2ffe1d083d331aad923c2f92582f6688f2f019359f"
+        )
 
 
 class TestDeterminism:

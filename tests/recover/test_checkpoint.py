@@ -161,13 +161,33 @@ class TestValidation:
         ):
             store.load(7)
 
-    @pytest.mark.parametrize("kind,config", [("chaos", CONFIG)])
-    def test_format_1_without_transport_still_loads(self, tmp_path, kind, config):
+    @pytest.mark.parametrize("version", [1, 4])
+    def test_format_4_chaos_is_refused(self, tmp_path, version):
+        # Before format 5 the chaos runtime, not its worker pool, held the
+        # circuit breakers and the armed wake-up: such a payload would
+        # restore a pool with fresh breakers.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind="chaos", config=CONFIG, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, version)
+        with pytest.raises(
+            CheckpointError,
+            match=f"format-{version} chaos checkpoint, written while the "
+            "runtime held the circuit breakers",
+        ):
+            store.load(7)
+
+    @pytest.mark.parametrize(
+        "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
+    )
+    def test_format_4_serve_and_fleet_still_load(self, tmp_path, kind, config):
+        # Format 5 changed only chaos payloads.
         store = CheckpointStore(tmp_path)
         store.write(
             STATE, event_index=7, kind=kind, config=config, service=SERVICE
         )
-        self.rewrite_format_version(store, 7, 1)
+        self.rewrite_format_version(store, 7, 4)
         assert store.load(7).state == STATE
 
     @pytest.mark.parametrize(

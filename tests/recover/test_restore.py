@@ -60,20 +60,6 @@ class TestBitIdenticalRecovery:
         crash_at(ChaosRuntime(chaos_config()), tmp_path, kill_at)
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
-    def test_format_3_chaos_checkpoint_restores_byte_identically(self, tmp_path):
-        # Format 4 changed only serve and fleet payloads (chaos runs keep
-        # every bypass frame on the heap): a chaos run checkpointed under
-        # format 3 resumes and finishes as if never interrupted.
-        baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
-        crash_at(ChaosRuntime(chaos_config()), tmp_path, 130)
-        store = CheckpointStore(tmp_path)
-        for index in store.indices():
-            manifest = store.manifest_path(index)
-            doc = json.loads(manifest.read_bytes())
-            doc["format_version"] = 3
-            manifest.write_bytes(canonical_bytes(doc))
-        assert fleet_report_bytes(resume(tmp_path)) == baseline
-
     def test_double_crash_recovery(self, tmp_path):
         """Crash, resume, crash again, resume again — still bit-identical."""
         baseline = fleet_report_bytes(ServeRuntime(serve_config()).run())
@@ -162,6 +148,20 @@ class TestCorruptionFallback:
             store.payload_path(index).write_bytes(b"garbage")
         with pytest.raises(RecoveryError, match="no valid checkpoint"):
             restore_runtime(tmp_path)
+
+    def test_format_4_chaos_checkpoint_is_refused(self, tmp_path):
+        # Format 5 moved the breakers and the armed wake-up into the worker
+        # pool's state: a chaos run checkpointed under format 4 is refused
+        # with the reason, never resumed with fresh breakers.
+        crash_at(ChaosRuntime(chaos_config()), tmp_path, 130)
+        store = CheckpointStore(tmp_path)
+        for index in store.indices():
+            manifest = store.manifest_path(index)
+            doc = json.loads(manifest.read_bytes())
+            doc["format_version"] = 4
+            manifest.write_bytes(canonical_bytes(doc))
+        with pytest.raises(RecoveryError, match="format-4 chaos checkpoint"):
+            resume(tmp_path)
 
     def test_journal_divergence_detected(self, tmp_path):
         """A resealed-but-wrong journal record must fail the replay."""

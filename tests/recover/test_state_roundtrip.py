@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import default_chaos_scenario
-from repro.faults.breaker import CircuitBreaker
 from repro.faults.runtime import ChaosRuntime
 from repro.recover import canonical_bytes, fleet_report_bytes
 from repro.serve import (
@@ -17,6 +16,7 @@ from repro.serve import (
     ServeRuntime,
     WorkerPool,
 )
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.request import FrameRequest
 from repro.serve.telemetry import FaultReport, SessionStats
 from repro.system.watchdog import TrackingWatchdog

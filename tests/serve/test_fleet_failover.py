@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.netfaults import ShardKill
 from repro.recover import fleet_report_bytes
 from repro.serve import ServeConfig
+from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.fleet import (
     FailoverConfig,
     FleetConfig,

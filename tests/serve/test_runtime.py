@@ -6,8 +6,12 @@ import pytest
 from repro.serve import (
     AdmissionPolicy,
     BatchServiceModel,
+    FaultyWorkerPool,
     ServeConfig,
     ServeRuntime,
+    WorkerFaultSchedule,
+    WorkerPool,
+    WorkerStall,
     build_fleet,
     serve_fleet,
 )
@@ -170,6 +174,20 @@ class TestRuntimeValidation:
         fleet = build_fleet(ServeConfig(n_sessions=2, duration_s=0.1))
         with pytest.raises(ValueError, match="fleet"):
             ServeRuntime(ServeConfig(n_sessions=3, duration_s=0.1), fleet=fleet)
+
+    def test_pool_size_mismatch(self):
+        with pytest.raises(ValueError, match="pool has 3 workers, config says 2"):
+            ServeRuntime(LIGHT, pool=WorkerPool(3, BatchServiceModel()))
+
+    def test_failed_batch_needs_a_handler(self):
+        # A plain runtime handed a pool that fails batches refuses the
+        # first failure instead of recording its frames as served.
+        stall = WorkerStall(worker_id=0, start_s=0.0, stop_s=1.0)
+        pool = FaultyWorkerPool(
+            1, BatchServiceModel(), WorkerFaultSchedule(stalls=(stall,))
+        )
+        with pytest.raises(RuntimeError, match="does not handle batch failures"):
+            ServeRuntime(HEAVY, pool=pool).run()
 
     def test_shards_hold_part_of_the_fleet(self):
         # The whole-fleet size check binds runtimes that own their
