@@ -43,7 +43,11 @@ from repro.recover.errors import CheckpointError
 #: causes of failing in-flight batches and the armed wake-up; COMPLETE
 #: payloads no longer carry a dispatch outcome.  Serve and fleet
 #: payloads are unchanged since version 4.
-CHECKPOINT_FORMAT_VERSION = 5
+#: Version 6: only predict frames cross a lossy-transport fleet's
+#: network; its SEND payloads and envelope seqs index the predict-frame
+#: stream, and saccade and reuse frames are per-session backlogs.
+#: Serve, chaos and direct-mode fleet payloads are unchanged since 5.
+CHECKPOINT_FORMAT_VERSION = 6
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -215,6 +219,21 @@ class CheckpointStore:
                 "checkpoint, written while the runtime held the circuit "
                 "breakers and the wake-up the worker pool holds in format "
                 f"{CHECKPOINT_FORMAT_VERSION} — rerun from the start"
+            )
+        config = manifest["config"]
+        if (
+            version < 6
+            and manifest["kind"] == "fleet"
+            and isinstance(config, dict)
+            and isinstance(config.get("net"), dict)
+            and config["net"].get("enabled")
+        ):
+            raise CheckpointError(
+                f"checkpoint {manifest_path} is a format-{version} "
+                "lossy-transport fleet checkpoint, written while every "
+                "frame crossed the network: its SEND payloads and envelope "
+                "seqs index all frames, not the predict-frame stream "
+                f"(format {CHECKPOINT_FORMAT_VERSION}) — rerun from the start"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

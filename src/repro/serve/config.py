@@ -72,22 +72,6 @@ class BatchServiceModel:
         """Steady-state frames/s of one worker running back-to-back batches."""
         return batch_size / self.service_s(batch_size)
 
-    @staticmethod
-    def from_latency(latency_s: float, amortizable: float = 0.8) -> "BatchServiceModel":
-        """Split a measured batch-1 inference latency into the model.
-
-        ``amortizable`` is the fraction of the batch-1 latency that a batched
-        execution pays once per dispatch (weight movement dominates POLOViT's
-        memory-bound blocks); ``service_s(1)`` equals ``latency_s`` exactly.
-        """
-        check_positive("latency_s", latency_s)
-        if not 0.0 <= amortizable < 1.0:
-            raise ValueError(f"amortizable must be in [0, 1), got {amortizable}")
-        return BatchServiceModel(
-            fixed_s=latency_s * amortizable,
-            per_sample_s=latency_s * (1.0 - amortizable),
-        )
-
 
 @dataclass(frozen=True)
 class ServeConfig:

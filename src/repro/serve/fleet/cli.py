@@ -7,8 +7,8 @@ fleet report with its shard section.  ``--compare-no-kill`` replays the
 identical fleet without the chaos schedule so the failover cost is a
 byte-level diff away.
 
-``--net`` (or any partition/gray window) routes every frame over the
-simulated lossy transport: ``--net-drop/--net-dup/--net-jitter-ms``
+``--net`` (or any partition/gray window) routes each predict frame over
+the simulated lossy transport: ``--net-drop/--net-dup/--net-jitter-ms``
 shape the links, ``--partition 1,2@0.2:0.35`` cuts shards off the
 router for a window, ``--gray-shard 1@0.2:0.4`` makes one alive but
 slow, and the heartbeat failure detector — not the omniscient kill

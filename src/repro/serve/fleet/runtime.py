@@ -36,6 +36,7 @@ restore reproduces the uninterrupted run's report byte-for-byte.
 from __future__ import annotations
 
 import heapq
+import weakref
 
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
 from repro.serve.config import BatchServiceModel
@@ -116,13 +117,9 @@ class FleetRuntime:
             if config.net.enabled
             else None
         )
-        #: Net mode only: the global request stream, indexed by seq.  The
-        #: transport delivers these objects; SEND payloads are indices.
+        #: Net mode only: the predict-frame stream.  SEND payloads and
+        #: envelope seqs index it; the transport delivers its objects.
         self._net_requests: list[FrameRequest] = []
-        #: Net mode only: completion horizon of router-side exhaustion
-        #: degrades (they finish at now + reuse_bypass_s like any other
-        #: degrade, but no shard's makespan sees them).
-        self._net_makespan_s = 0.0
         if self.obs.enabled:
             self.obs.tracer.declare_track(
                 PID_FLEET, "fleet", thread_name="control"
@@ -153,9 +150,13 @@ class FleetRuntime:
             stats=self.stats,
             directory=self._directory,
         )
-        # Every frame crosses the lossy transport, bypass frames too.
-        shard.bypass_events = self.transport is not None
+        # Weak, so a dropped fleet is freed without the cycle collector.
+        shard.home_of = weakref.WeakMethod(self._home_shard)
         return shard
+
+    def _home_shard(self, session_id: int) -> ShardRuntime:
+        """The shard ``session_id`` is routed to."""
+        return self.shards[self._session_shard[session_id]]
 
     def _new_shard(self, sessions, spawned_at_s: "float | None") -> ShardRuntime:
         shard_id = self._next_shard_id
@@ -192,13 +193,11 @@ class FleetRuntime:
         for _ in range(self.config.n_shards):
             self._new_shard([], spawned_at_s=None)
         placement = self.ring.assignment(placement_ids)
-        # One global request stream: seq numbers are unique fleet-wide
-        # (migrated frames carry theirs onto other shards).  Direct-mode
-        # shards keep bypass frames as per-session backlogs.
+        # One global stream of predict frames: seq numbers are unique
+        # fleet-wide (migrated frames carry theirs onto other shards).
+        # Bypass frames stay per-session backlogs in both modes.
         all_requests = fleet_requests(
-            self.sessions,
-            self.config.serve.deadline_s,
-            bypass=self.transport is not None,
+            self.sessions, self.config.serve.deadline_s, bypass=False
         )
         for shard_id in sorted(placement):
             for sid in placement[shard_id]:
@@ -234,10 +233,10 @@ class FleetRuntime:
         self._started = True
 
     def _seed_net_schedule(self, all_requests) -> None:
-        """Enqueue the net-mode schedule: the first frame's SEND,
-        heartbeat ticks per initial shard, detector ticks.
+        """Enqueue the net-mode schedule: the first predict frame's
+        SEND, heartbeat ticks per initial shard, detector ticks.
 
-        SENDs are chained: frame ``k``'s SEND carries control seq
+        SENDs are chained: predict frame ``k``'s SEND carries control seq
         ``base + k``, where ``base`` is the control seq the block of all
         SENDs is reserved from here, and when it pops it pushes frame
         ``k + 1``'s (:meth:`_chain_send`).  Arrivals are sorted, so the
@@ -272,7 +271,7 @@ class FleetRuntime:
             tick += 1
 
     def _chain_send(self, control_seq: int, seq: int) -> None:
-        """Frame ``seq``'s SEND popped: enqueue frame ``seq + 1``'s."""
+        """Predict frame ``seq``'s SEND popped: enqueue the next one's."""
         seq += 1
         if seq < len(self._net_requests):
             heapq.heappush(
@@ -420,12 +419,13 @@ class FleetRuntime:
     ) -> None:
         """Move one session between shards without touching frame state.
 
-        Net-mode movement is routing-table surgery only: queued frames
-        stay where they physically are (the source keeps completing
-        stragglers into the fleet's ledger; retransmits re-resolve the
-        target), so nothing is extracted or requeued.
+        Net-mode movement is routing-table surgery only: the source
+        records the session's backlog up to the move, and its queued
+        frames stay where they physically are (the source completes
+        these stragglers; retransmits re-resolve the target).
         """
-        source = self.shards[self._session_shard[session_id]]
+        source = self._home_shard(session_id)
+        source._flush_backlog(self._directory[session_id], now)
         target = self.shards[target_id]
         target.join(source.release(session_id))
         target.guard_rehomed(session_id, now)
@@ -458,9 +458,7 @@ class FleetRuntime:
             self.ring.remove(shard_id)
         rehomed = 0
         if len(self.ring) > 0:
-            for sid in sorted(
-                s.session_id for s in shard.fleet
-            ):
+            for sid in sorted(s.session_id for s in shard.fleet):
                 target_id = self.ring.route(sid)
                 self._net_move_session(sid, target_id, now)
                 transport.displaced[sid] = shard_id
@@ -529,21 +527,19 @@ class FleetRuntime:
                 "net_heal_bounce_sessions_total"
             ).inc(bounced)
 
-    def _net_exhaust(self, request: FrameRequest, now: float) -> None:
+    def _net_exhaust(self, seq: int, now: float) -> None:
         """Retries exhausted on an unapplied frame: resolve it at the
         router per policy — degrade to the buffered gaze (the client-side
         fallback) or account it lost."""
         transport = self.transport
-        stats = self.stats[request.session_id]
+        sid = self._net_requests[seq].session_id
+        home = self._home_shard(sid)
+        stats = home._ledger_row(sid, now)
         if self.config.net.on_exhaust == "degrade":
-            stats.record_degraded(
-                self.config.serve.reuse_bypass_s,
-                self.config.serve.deadline_s,
-            )
-            self._net_makespan_s = max(
-                self._net_makespan_s,
-                now + self.config.serve.reuse_bypass_s,
-            )
+            # The headset serves it, so its home shard's horizon covers it.
+            reuse_s = self.config.serve.reuse_bypass_s
+            stats.record_degraded(reuse_s, self.config.serve.deadline_s)
+            home._makespan_s = max(home._makespan_s, now + reuse_s)
             transport.counters["exhausted_degraded"] += 1
         else:
             stats.record_lost_net()
@@ -552,8 +548,8 @@ class FleetRuntime:
             self.obs.tracer.instant(
                 "net.exhaust", now, cat="net", pid=PID_NET,
                 args={
-                    "seq": request.seq,
-                    "session": request.session_id,
+                    "seq": seq,
+                    "session": sid,
                     "policy": self.config.net.on_exhaust,
                 },
             )
@@ -696,7 +692,7 @@ class FleetRuntime:
         for _, shard in self._lanes():
             shard.flush_backlogs()
         shard_ids = sorted(self.shards)
-        duration = max(self.config.serve.duration_s, self._net_makespan_s)
+        duration = self.config.serve.duration_s
         for sid in shard_ids:
             duration = max(duration, self.shards[sid]._makespan_s)
         occupancy: dict[int, int] = {}
@@ -832,12 +828,7 @@ class FleetRuntime:
             **(
                 {}
                 if self.transport is None
-                else {
-                    "net": {
-                        "transport": self.transport.state_dict(),
-                        "makespan_s": self._net_makespan_s,
-                    }
-                }
+                else {"net": {"transport": self.transport.state_dict()}}
             ),
         }
 
@@ -879,11 +870,9 @@ class FleetRuntime:
         if self.transport is not None:
             # Derived state: SEND payloads and envelopes index this list.
             self._net_requests = fleet_requests(
-                self.sessions, self.config.serve.deadline_s
+                self.sessions, self.config.serve.deadline_s, bypass=False
             )
-            net = state["net"]
-            self.transport.load_state(net["transport"])
-            self._net_makespan_s = float(net["makespan_s"])
+            self.transport.load_state(state["net"]["transport"])
 
     @classmethod
     def restore(

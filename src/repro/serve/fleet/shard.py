@@ -34,6 +34,7 @@ queue budget.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -99,6 +100,8 @@ class ShardRuntime(ServeRuntime):
         #: The owning fleet's heads index (see FleetRuntime), shared by
         #: every shard; None for a shard driven on its own.
         self.heads: "list[tuple[float, int]] | None" = None
+        #: Weak ref to the fleet's home-shard lookup (None when standalone).
+        self.home_of: "weakref.WeakMethod | None" = None
         # --- fleet lifecycle state -----------------------------------
         self.failover = failover if failover is not None else FailoverConfig()
         self.rehome_breaker = CircuitBreaker(
@@ -180,6 +183,13 @@ class ShardRuntime(ServeRuntime):
     ) -> None:
         self.completed_frames += len(frames)
         super()._record_bypass(session_id, frames, arrivals, paths, served_s)
+
+    def _ledger_row(self, session_id: int, now: float) -> SessionStats:
+        # A ``--net`` straggler: its session's home shard owns the backlog.
+        if session_id not in self._members and self.home_of is not None:
+            return self.home_of()(session_id)._ledger_row(session_id, now)
+        self._flush_backlog(self.directory[session_id], now)
+        return self.stats[session_id]
 
     def _arrival_order(self) -> "Iterable[ClientSession]":
         # Sessions seeded at start are in id order; each admitted one

@@ -1,10 +1,11 @@
 """Deterministic lossy transport between the fleet router and its shards.
 
-Without this module the fleet routes frames to shards over an implicit
-perfect channel and fails shards only through the omniscient
-``ShardKill`` control event.  With ``NetConfig.enabled`` every frame
-instead travels as a sequence-numbered envelope over a simulated
-hub-and-spoke network (router <-> shard links) that can drop, duplicate,
+Without this module the fleet routes predict frames to shards over an
+implicit perfect channel and fails shards only through the omniscient
+``ShardKill`` control event.  With ``NetConfig.enabled`` each predict
+frame (the headset serves saccade and reuse frames itself) instead
+travels as a sequence-numbered envelope over a simulated hub-and-spoke
+network (router <-> shard links) that can drop, duplicate,
 delay/reorder, partition (:class:`~repro.faults.netfaults.PartitionWindow`)
 and gray-slow (:class:`~repro.faults.netfaults.GraySlow`) messages — and
 the fleet keeps its two core guarantees anyway:
@@ -13,8 +14,8 @@ the fleet keeps its two core guarantees anyway:
   backoff re-sends unacked envelopes; a per-fleet applied-sequence
   registry dedupes every extra copy (link duplicates *and*
   retransmissions whose ack was lost) before it reaches a shard, so the
-  frame-conservation ledger still closes exactly: every frame is
-  completed once, degraded once, or accounted lost.
+  frame-conservation ledger still closes exactly: every predict frame
+  is completed once, degraded once, or accounted lost.
 * **detection-driven failover** — shards emit heartbeats over the same
   lossy links; a phi-accrual-style detector (elapsed silence over an EMA
   of observed heartbeat intervals) *suspects* silent shards and only
@@ -49,7 +50,7 @@ from repro.obs import NULL_OBS, PID_NET
 # Net control-event kinds.  Negative so the write-ahead journal encoding
 # stays disjoint from both the classic control kinds (1..3) and the
 # shard-event encoding ((shard_id + 1) * stride + kind >= 4).
-K_NET_SEND = -1        #: a frame enters the router (payload: its seq)
+K_NET_SEND = -1        #: a predict frame enters the router (payload: its seq)
 K_NET_DELIVER = -2     #: a data copy reaches its shard
 K_NET_ACK = -3         #: an ack reaches the router
 K_NET_RETRY = -4       #: retransmit timer for one sequence number
@@ -363,7 +364,7 @@ class FleetTransport:
                 self.counters["ack_lost_gaveup"] += 1
                 return
             self.exhausted.add(seq)
-            fleet._net_exhaust(fleet._net_requests[seq], now)
+            fleet._net_exhaust(seq, now)
             return
         self.counters["retransmits"] += 1
         self._instant(

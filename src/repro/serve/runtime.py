@@ -19,10 +19,11 @@ them on-device), so they are not events: each session keeps them as a
 backlog (:attr:`~repro.serve.request.ClientSession.bypass`) that is
 recorded in bulk wherever its order becomes observable — before any
 other record of that session, before the session changes shard, before
-an SLO evaluation, and at the end of the run.  Runtimes whose bypass
-frames must each be seen (chaos: input faults and the watchdog; a
-``--net`` fleet's shards: the transport) set :attr:`bypass_events` and
-receive them as ARRIVALs instead.
+an SLO evaluation, and at the end of the run.  This holds for a
+``--net`` fleet's shards too: only predict frames cross its transport.
+A runtime whose bypass frames must each be seen (chaos: input faults
+and the watchdog) sets :attr:`bypass_events` and receives them as
+ARRIVALs instead.
 
 Admission control estimates the wait a new predict frame would see —
 ``ceil((pending + 1) / max_batch) * service(max_batch) / available

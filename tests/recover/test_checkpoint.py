@@ -190,6 +190,46 @@ class TestValidation:
         self.rewrite_format_version(store, 7, 4)
         assert store.load(7).state == STATE
 
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_format_5_net_fleet_is_refused(self, tmp_path, version):
+        # Before format 6 every frame crossed the lossy transport: SEND
+        # payloads and envelope seqs index all frames, not the
+        # predict-frame stream a format-6 fleet rebuilds on restore.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind="fleet",
+            config={"n_shards": 2, "net": {"enabled": True}},
+            service=SERVICE,
+        )
+        self.rewrite_format_version(store, 7, version)
+        with pytest.raises(
+            CheckpointError,
+            match=f"format-{version} lossy-transport fleet checkpoint, "
+            "written while every frame crossed the network",
+        ):
+            store.load(7)
+
+    @pytest.mark.parametrize(
+        "kind,config",
+        [
+            ("serve", CONFIG),
+            ("chaos", CONFIG),
+            ("fleet", {"n_shards": 2}),
+            ("fleet", {"n_shards": 2, "net": {"enabled": False}}),
+        ],
+        ids=["serve", "chaos", "fleet", "fleet-net-disabled"],
+    )
+    def test_format_5_serve_chaos_and_direct_fleet_still_load(
+        self, tmp_path, kind, config
+    ):
+        # Format 6 changed only lossy-transport fleet payloads.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind=kind, config=config, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, 5)
+        assert store.load(7).state == STATE
+
     @pytest.mark.parametrize(
         "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
     )

@@ -9,12 +9,16 @@ a shard falsely suspected, must still resume to a byte-identical report.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
 from repro.faults.netfaults import ShardKill
 from repro.recover import (
     CheckpointStore,
+    RecoveryError,
+    canonical_bytes,
     fleet_report_bytes,
     restore_runtime,
     resume,
@@ -64,6 +68,26 @@ class TestNetCrashRecovery:
             )
         report = resume(tmp_path)
         assert fleet_report_bytes(report) == fleet_report_bytes(reference)
+
+    def test_format_5_checkpoint_is_refused(self, tmp_path):
+        # Before format 6 every frame crossed the transport, so SEND
+        # payloads and envelope seqs indexed all frames: a restore that
+        # rebuilds the predict-frame stream must refuse, not misroute.
+        with pytest.raises(SimulatedCrash):
+            run_with_checkpoints(
+                FleetRuntime(lossy_fleet()), tmp_path, every=300,
+                kill=ProcessKill(at_event=1000),
+            )
+        store = CheckpointStore(tmp_path)
+        for index in store.indices():
+            manifest = store.manifest_path(index)
+            doc = json.loads(manifest.read_bytes())
+            doc["format_version"] = 5
+            manifest.write_bytes(canonical_bytes(doc))
+        with pytest.raises(
+            RecoveryError, match="format-5 lossy-transport fleet checkpoint"
+        ):
+            resume(tmp_path)
 
     def test_crash_inside_the_partition_window(self, tmp_path):
         # Drive the live runtime until sim time is inside the partition
@@ -147,8 +171,9 @@ def sends_on_heap(control) -> list:
 
 class TestChainedSendRecovery:
     """Checkpoint -> crash -> restore -> resume around the SEND chain:
-    only the next frame's SEND is on the control heap, so a restore must
-    rebuild the request list it indexes and keep chaining from there."""
+    only the next predict frame's SEND is on the control heap, so a
+    restore must rebuild the request list it indexes and keep chaining
+    from there."""
 
     def checkpoint_and_resume(self, config, tmp_path, event_index: int):
         # A checkpoint lands at ``event_index`` (the baseline covers 0);

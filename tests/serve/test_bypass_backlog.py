@@ -1,10 +1,10 @@
 """Bypass frames as a per-session backlog: the flush order is exact.
 
 Saccade and reuse frames never reach the pool, so the serve runtime and
-the direct-mode fleet shards keep them off the event heap and record
-them in bulk per session, at the four points where their order is
-observable (DESIGN.md, "Serving runtime").  The oracle is the per-frame
-event loop they replace: every digest below was computed with each
+the fleet shards keep them off the event heap and record them in bulk
+per session, at the four points where their order is observable
+(DESIGN.md, "Serving runtime").  The oracle is the per-frame event loop
+they replace: every digest below was computed with each
 bypass frame as its own heap ARRIVAL, on a grid built to hit the tie
 rules -- zero stagger (every session ties at every frame instant), kills,
 planned migrations and rebalancer ticks placed exactly on frame
@@ -241,7 +241,10 @@ def test_chaos_runs_keep_one_arrival_per_frame():
     assert counts[_ARRIVAL] == sum(s.n_frames for s in runtime.fleet)
 
 
-def test_net_runs_send_every_frame():
+def test_net_runs_send_only_predict_frames():
+    # The headset serves saccade and reuse frames (Algorithm 1), so
+    # only predict frames cross the transport; a net shard's heap holds
+    # no ARRIVAL at all.
     config = FleetConfig(
         serve=replace(SERVE, reuse_displacement_deg=1.0),
         n_shards=2,
@@ -250,6 +253,5 @@ def test_net_runs_send_every_frame():
     )
     runtime = FleetRuntime(config)
     counts = tally(runtime)
-    assert counts[("control", K_NET_SEND)] == sum(
-        s.n_frames for s in runtime.sessions
-    )
+    assert counts[("control", K_NET_SEND)] == predict_frames(runtime.sessions)
+    assert ("shard", _ARRIVAL) not in counts

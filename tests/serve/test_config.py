@@ -25,15 +25,6 @@ class TestBatchServiceModel:
         with pytest.raises(ValueError):
             BatchServiceModel(per_sample_s=0.0)
 
-    def test_from_latency_preserves_batch1(self):
-        model = BatchServiceModel.from_latency(12.26e-3, amortizable=0.8)
-        assert model.service_s(1) == pytest.approx(12.26e-3)
-        assert model.fixed_s == pytest.approx(0.8 * 12.26e-3)
-
-    def test_from_latency_rejects_bad_split(self):
-        with pytest.raises(ValueError, match="amortizable"):
-            BatchServiceModel.from_latency(1e-3, amortizable=1.0)
-
 
 class TestServeConfig:
     def test_derived_quantities(self):

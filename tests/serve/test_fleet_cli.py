@@ -62,7 +62,13 @@ class TestResolveRunConfig:
             }
         )
         assert report.net is not None
-        assert report.net.counters["frames_applied"] == report.total_frames
+        # Every predict frame crossed the wire and was applied once;
+        # saccade and reuse frames stayed on the headset.
+        predict = sum(
+            s.counts["predict"] + s.counts["degraded"] for s in report.sessions
+        )
+        assert report.net.counters["exhausted_degraded"] == 0
+        assert report.net.counters["frames_applied"] == predict
 
     def test_net_key_is_absent_from_plain_hashes(self):
         # Pre-transport campaign hashes must not shift: a config without

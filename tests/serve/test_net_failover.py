@@ -104,8 +104,12 @@ class TestDetectionDrivenKill:
         # other source, and the dead-shard copies dead-letter instead).
         counters = report.net.counters
         assert counters["frames_deduped"] + counters["dead_letters"] >= 0
+        # Only predict frames travel: every one not resolved at the
+        # router was applied once.
         assert counters["frames_applied"] == sum(
-            s.completed + s.shed + s.pending for s in report.sessions
+            s.completed + s.shed + s.pending
+            - s.counts["saccade"] - s.counts["reuse"]
+            for s in report.sessions
         ) - counters["exhausted_degraded"]
 
     def test_detection_failover_is_deterministic(self):

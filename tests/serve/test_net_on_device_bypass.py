@@ -1,0 +1,243 @@
+"""Saccade and reuse frames stay on the headset under ``--net``.
+
+In POLO the headset decides each frame's path (Algorithm 1), so only
+predict frames need the remote pool and only they cross the lossy
+transport.  The oracle is the same fleet over the perfect channel
+(``NetConfig()``): whatever the link drops, duplicates, delays or
+partitions, and whenever a shard dies silently, every session records
+the identical saccade and reuse frames, in the identical order, with the
+identical latencies.  The same draws check that the control heap holds
+at most one SEND, that only predict frames were sent, and that the frame
+and message ledgers both close.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.__main__ import main
+from repro.faults.netfaults import ShardKill
+from repro.serve import ServeConfig
+from repro.serve.fleet import (
+    FleetConfig,
+    FleetRuntime,
+    GraySlow,
+    LinkProfile,
+    NetConfig,
+    PartitionWindow,
+)
+from repro.serve.fleet.shard import ShardRuntime
+from repro.serve.fleet.transport import K_NET_SEND
+from repro.serve.telemetry import SessionStats
+
+N_SHARDS = 3
+
+#: Loaded enough that shards hold queued frames when a session moves:
+#: those stragglers complete on a shard the session has left.
+SERVE = ServeConfig(
+    n_sessions=9,
+    duration_s=0.3,
+    n_workers=1,
+    reuse_displacement_deg=0.05,
+    queue_budget_deadlines=0.8,
+    seed=2,
+)
+
+times = st.integers(min_value=1, max_value=29).map(lambda k: k / 100)
+
+links = st.builds(
+    LinkProfile,
+    drop_rate=st.sampled_from([0.0, 0.1, 0.3]),
+    dup_rate=st.sampled_from([0.0, 0.1, 0.3]),
+    delay_s=st.sampled_from([0.0, 5e-4, 3e-3]),
+    jitter_s=st.sampled_from([0.0, 1e-3]),
+)
+
+partitions = st.lists(
+    st.tuples(
+        times,
+        st.integers(min_value=1, max_value=15),
+        st.sets(st.integers(0, N_SHARDS - 1), min_size=1, max_size=2),
+    ).map(
+        lambda w: PartitionWindow(
+            start_s=w[0], stop_s=w[0] + w[1] / 100, shard_ids=tuple(sorted(w[2]))
+        )
+    ),
+    max_size=2,
+)
+
+grays = st.lists(
+    st.builds(
+        lambda shard, start, length, factor: GraySlow(
+            shard_id=shard, start_s=start, stop_s=start + length / 100,
+            delay_factor=factor,
+        ),
+        st.integers(0, N_SHARDS - 1),
+        times,
+        st.integers(min_value=1, max_value=15),
+        st.sampled_from([5.0, 25.0]),
+    ),
+    max_size=1,
+)
+
+kills = st.lists(
+    st.builds(ShardKill, shard_id=st.integers(0, N_SHARDS - 1), at_s=times),
+    max_size=1,
+)
+
+
+def bypass_records(config: FleetConfig):
+    """Run ``config``; return the report, the runtime and each session's
+    ``(path, latency)`` saccade and reuse records in ledger order."""
+    records: dict[int, list] = {}
+    record = SessionStats.record
+    runtime = FleetRuntime(config)
+    now = [0.0]
+
+    def spy(stats, path, latency_s, deadline_s):
+        if path in ("saccade", "reuse"):
+            records.setdefault(stats.session_id, []).append((path, latency_s))
+        else:
+            # Any other latency lands after every bypass frame that
+            # arrived before it: the ledger stays in arrival order.
+            arrivals = runtime.sessions[stats.session_id].bypass.arrivals
+            recorded = stats.counts["saccade"] + stats.counts["reuse"]
+            assert recorded == bisect_left(arrivals, now[0])
+        record(stats, path, latency_s, deadline_s)
+
+    record_bypass = ShardRuntime._record_bypass
+    runtime.start()
+    # session -> [(since_s, shard id)]: where the fleet routed it.
+    homes = {sid: [(0.0, home)] for sid, home in runtime._session_shard.items()}
+
+    def homed(shard, session_id, frames, arrivals, *args):
+        # A bypass frame counts on the shard its session was homed on
+        # when the frame arrived.
+        history = homes[session_id]
+        for arrival in arrivals:
+            at = bisect_right([since for since, _ in history], arrival) - 1
+            assert history[at][1] == shard.shard_id
+        record_bypass(shard, session_id, frames, arrivals, *args)
+
+    with mock.patch.object(SessionStats, "record", spy), mock.patch.object(
+        ShardRuntime, "_record_bypass", homed
+    ):
+        while (head := runtime.peek_event()) is not None:
+            sends = [e for e in runtime._control if e[2] == K_NET_SEND]
+            assert len(sends) <= 1
+            now[0] = head[0]
+            runtime.step()
+            for sid, home in runtime._session_shard.items():
+                if homes[sid][-1][1] != home:
+                    homes[sid].append((now[0], home))
+        report = runtime.finish()
+    return report, runtime, records
+
+
+def assert_message_ledger_closes(counters: dict) -> None:
+    arrived = (
+        counters["data_sent"] - counters["data_dropped"]
+        + counters["dup_injected"]
+    )
+    assert arrived == (
+        counters["frames_applied"] + counters["frames_deduped"]
+        + counters["dead_letters"] + counters["late_discards"]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(
+    # Gray-slow shard 1 is suspected while late envelopes still reach
+    # it: a frame it completes after the move records the session's
+    # backlog through the session's new home shard.
+    link=LinkProfile(dup_rate=0.1, delay_s=3e-3),
+    windows=[],
+    gray=[GraySlow(shard_id=1, start_s=0.14, stop_s=0.28)],
+    kill=[],
+    reuse_deg=0.05,
+    net_seed=276,
+    max_retransmits=4,
+    on_exhaust="degrade",
+)
+@given(
+    link=links,
+    windows=partitions,
+    gray=grays,
+    kill=kills,
+    reuse_deg=st.sampled_from([0.05, 0.3, 1.0]),
+    net_seed=st.integers(0, 2**16),
+    max_retransmits=st.integers(0, 4),
+    on_exhaust=st.sampled_from(["degrade", "drop"]),
+)
+def test_bypass_records_match_the_perfect_channel(
+    link, windows, gray, kill, reuse_deg, net_seed, max_retransmits, on_exhaust
+):
+    direct = FleetConfig(
+        serve=replace(SERVE, reuse_displacement_deg=reuse_deg),
+        n_shards=N_SHARDS,
+        kills=tuple(kill),
+    )
+    lossy = replace(
+        direct,
+        net=NetConfig(
+            enabled=True,
+            seed=net_seed,
+            link=link,
+            partitions=tuple(windows),
+            gray=tuple(gray),
+            ack_timeout_s=4e-3,
+            max_retransmits=max_retransmits,
+            on_exhaust=on_exhaust,
+        ),
+    )
+    _, _, expected = bypass_records(direct)
+    report, runtime, got = bypass_records(lossy)
+    assert got == expected
+    for session in runtime.sessions:
+        stats = runtime.stats[session.session_id]
+        for path in ("saccade", "reuse"):
+            assert stats.counts[path] == session.decisions.count(path)
+        # The frame ledger closes, every frame in one bucket.
+        assert stats.total_frames == session.n_frames
+    # Shard rows count every completed frame but the degraded ones.
+    assert sum(row["completed"] for row in report.shards.shard_rows) == sum(
+        s.completed - s.degraded for s in report.sessions
+    )
+    # Only predict frames were sent: each was applied once or resolved
+    # at the router, and every copy on the wire has one fate.
+    counters = report.net.counters
+    predict = sum(s.decisions.count("predict") for s in runtime.sessions)
+    assert (
+        counters["frames_applied"]
+        + counters["exhausted_degraded"]
+        + counters["exhausted_lost"]
+    ) == predict
+    assert_message_ledger_closes(counters)
+
+
+NET_SLO = [
+    "fleet", "--sessions", "8", "--shards", "3", "--workers", "1",
+    "--duration", "0.3", "--reuse-displacement", "0.3",
+    "--queue-budget", "0.8", "--kill-shard", "2@0.15",
+    "--net", "--net-drop", "0.1", "--net-dup", "0.1", "--net-jitter-ms", "1",
+    "--partition", "1@0.1:0.2", "--slo", "default", "--obs",
+]
+
+
+def test_net_slo_history_is_byte_identical_across_runs(tmp_path, capsys):
+    # SLO boundaries land on heartbeat and detector instants, where the
+    # backlogs flush under the control event's (time, -1) head key.
+    outputs = []
+    for name in ("a", "b"):
+        out_dir = tmp_path / name
+        assert main(NET_SLO + ["--obs-out", str(out_dir)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+        history = (out_dir / "slo.jsonl").read_bytes()
+        assert history
+        outputs.append((stdout, history))
+    assert outputs[0] == outputs[1]

@@ -12,6 +12,7 @@ duplicate-injection counter, and byte-diff double runs.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from repro.serve.fleet import (
     run_fleet,
 )
 from repro.serve.fleet.transport import COUNTER_NAMES, K_NET_SEND, _unit
+from repro.serve.request import fleet_requests
 
 #: ``(seed, key, draw)``: every lossy run's fault pattern rests on these
 #: exact sampler values.
@@ -155,6 +157,13 @@ def overlapping_fleet() -> FleetConfig:
     )
 
 
+def predict_frames(config: FleetConfig) -> int:
+    """Frames the headsets send to the pool: the only ones on the wire."""
+    return sum(
+        s.decisions.count("predict") for s in FleetRuntime(config).sessions
+    )
+
+
 def assert_ledger_closes(config: FleetConfig, report) -> None:
     """Every generated frame sits in exactly one terminal bucket."""
     expected = {
@@ -204,8 +213,9 @@ class TestCleanChannel:
         assert counters["exhausted_degraded"] == 0
         assert counters["exhausted_lost"] == 0
         assert counters["suspected"] == 0
-        # Every frame travelled the wire exactly once and was acked.
-        assert counters["frames_applied"] == report.total_frames
+        # Every predict frame travelled the wire exactly once and was
+        # acked; saccade and reuse frames never left the headset.
+        assert counters["frames_applied"] == predict_frames(config)
         assert counters["acked"] == counters["data_sent"]
         assert_ledger_closes(config, report)
         assert sum(s.lost_net for s in report.sessions) == 0
@@ -230,7 +240,7 @@ class TestExactlyOnce:
         assert counters["retransmits"] == 0
         assert counters["dup_injected"] > 0
         assert counters["frames_deduped"] == counters["dup_injected"]
-        assert counters["frames_applied"] == report.total_frames
+        assert counters["frames_applied"] == predict_frames(config)
         assert_message_identity(counters)
         assert_ledger_closes(config, report)
 
@@ -250,7 +260,7 @@ class TestExactlyOnce:
         counters = report.net.counters
         assert counters["retransmits"] > 0
         assert counters["frames_deduped"] > 0
-        assert counters["frames_applied"] == report.total_frames
+        assert counters["frames_applied"] == predict_frames(config)
         assert counters["exhausted_degraded"] == 0
         assert counters["exhausted_lost"] == 0
         assert_message_identity(counters)
@@ -295,14 +305,15 @@ class TestGoldenEventStream:
     ``(time, kind, seq)`` — the triple the write-ahead journal records —
     so any change to the event order, a control seq, or a fault draw
     (including which overlapping gray factors multiply into a delay)
-    fails.  Both digests were computed before SENDs were chained.
+    fails.  Both digests were computed with only predict frames on the
+    wire.
     """
 
     STREAM_SHA256 = (
-        "9addbe159014465399224a1124223aa5fdd168b3cbbcd1a94a86e4e1ec06916d"
+        "6824d45176d137e7ec06de33ba17a1ff8d17e022deece676aab7ed33b3291cf7"
     )
     REPORT_SHA256 = (
-        "c15a59c1e2516d2cab30339b8f0bb2ce268dbb3689c330ffd12780154e9d5ce2"
+        "d5081d6348124eb033f64a2a878a9f4b4dbde0ec7d80ee94c7bb8bc89ebdbb56"
     )
 
     def test_event_stream_and_report_are_pinned(self):
@@ -325,7 +336,8 @@ class TestGoldenEventStream:
         assert counters["suspected"] == 3
 
     def test_control_heap_holds_at_most_one_send(self):
-        runtime = FleetRuntime(overlapping_fleet())
+        config = overlapping_fleet()
+        runtime = FleetRuntime(config)
         runtime.start()
         sends_seen = 0
         while True:
@@ -335,7 +347,8 @@ class TestGoldenEventStream:
                 sends_seen += 1
             if not runtime.step():
                 break
-        assert sends_seen == runtime.finish().total_frames
+        runtime.finish()
+        assert sends_seen == predict_frames(config)
 
 
 class TestExhaustion:
@@ -358,18 +371,43 @@ class TestExhaustion:
         report = run_fleet(config)
         counters = report.net.counters
         assert counters["frames_applied"] == 0
-        assert counters["exhausted_degraded"] == report.total_frames
-        assert sum(s.degraded for s in report.sessions) == report.total_frames
+        assert counters["exhausted_degraded"] == predict_frames(config)
+        assert sum(s.degraded for s in report.sessions) == predict_frames(
+            config
+        )
         assert sum(s.lost_net for s in report.sessions) == 0
         assert_ledger_closes(config, report)
+
+    def test_degraded_frames_extend_the_run(self):
+        # A degrade is served at its frame's last retry timer, after the
+        # traffic window: the report's horizon must cover it though no
+        # shard ever held the frame.
+        config = self.blackhole("degrade")
+        config = replace(config, net=replace(config.net, ack_timeout_s=5e-3))
+        last = max(
+            r.arrival_s
+            for r in fleet_requests(
+                FleetRuntime(config).sessions, config.serve.deadline_s,
+                bypass=False,
+            )
+        )
+        report = run_fleet(config)
+        assert report.duration_s > config.serve.duration_s
+        assert report.duration_s == pytest.approx(
+            last + 5e-3 * (1 + 2 + 4) + config.serve.reuse_bypass_s
+        )
 
     def test_drop_policy_accounts_every_frame_lost(self):
         config = self.blackhole("drop")
         report = run_fleet(config)
         counters = report.net.counters
-        assert counters["exhausted_lost"] == report.total_frames
-        assert sum(s.lost_net for s in report.sessions) == report.total_frames
-        assert sum(s.completed for s in report.sessions) == 0
+        predict = predict_frames(config)
+        assert counters["exhausted_lost"] == predict
+        assert sum(s.lost_net for s in report.sessions) == predict
+        # Only the headset-served saccade and reuse frames complete.
+        assert sum(s.completed for s in report.sessions) == (
+            report.total_frames - predict
+        )
         assert_ledger_closes(config, report)
 
     def test_exhaustion_leaves_no_pending_envelopes(self):

@@ -171,9 +171,9 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
         (17, "e3b0c44298fc1c14", "6f431084b8b0731f"),
         (0, "52748ebc95c97298", "1c16a0cd1f606283"),
     ],
-    "fleet-net-all-flags": [(0, "8db03a075f31477f", "e3b0c44298fc1c14")],
-    "fleet-net-compare-no-fault": [(0, "93239fda5d4012bd", "e3b0c44298fc1c14")],
-    "fleet-net-obs": [(0, "4c5dddb4c45ea4d0", "e3b0c44298fc1c14")],
+    "fleet-net-all-flags": [(0, "e14c3ab6d7a7e957", "e3b0c44298fc1c14")],
+    "fleet-net-compare-no-fault": [(0, "4dedda435df54379", "e3b0c44298fc1c14")],
+    "fleet-net-obs": [(0, "78bd3ce76e9c9d11", "e3b0c44298fc1c14")],
     "fleet-obs": [(0, "0f34176270d17821", "e3b0c44298fc1c14")],
     "fleet-refuse-bad-kill-spec": [(2, "e3b0c44298fc1c14", "ff7de0365b60183a")],
     "fleet-refuse-slo-checkpoint": [(2, "e3b0c44298fc1c14", "fdb44ba9d9821d06")],
@@ -202,7 +202,7 @@ OBS_TREES: "dict[str, str]" = {
     "chaos-obs": "857861dc72ac982e",
     "fleet-all-flags": "a31ca694bbba486b",
     "fleet-kill-recover-obs": "efc2ac1ba76486b4",
-    "fleet-net-obs": "cd3fa99911372b2d",
+    "fleet-net-obs": "474d31de27ec9c9c",
     "fleet-obs": "3cec62ea141c5319",
     "fleet-slo-obs": "e2f86fde34099ada",
     "serve-all-flags": "911c27b8c66c7474",
