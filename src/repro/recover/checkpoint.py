@@ -47,7 +47,11 @@ from repro.recover.errors import CheckpointError
 #: network; its SEND payloads and envelope seqs index the predict-frame
 #: stream, and saccade and reuse frames are per-session backlogs.
 #: Serve, chaos and direct-mode fleet payloads are unchanged since 5.
-CHECKPOINT_FORMAT_VERSION = 6
+#: Version 7: a fleet applies its events shard-major between control
+#: events, so event indices, checkpoints and the journal of a fleet run
+#: follow that order.  Fleet payloads are unchanged; serve and chaos
+#: checkpoints are unchanged since 6.
+CHECKPOINT_FORMAT_VERSION = 7
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -234,6 +238,13 @@ class CheckpointStore:
                 "frame crossed the network: its SEND payloads and envelope "
                 "seqs index all frames, not the predict-frame stream "
                 f"(format {CHECKPOINT_FORMAT_VERSION}) — rerun from the start"
+            )
+        if version < 7 and manifest["kind"] == "fleet":
+            raise CheckpointError(
+                f"checkpoint {manifest_path} is a format-{version} fleet "
+                "checkpoint: its event index and journal record the old "
+                "merged event order, not the shard-major order of format "
+                f"{CHECKPOINT_FORMAT_VERSION} — rerun from the start"
             )
         if manifest["event_index"] != event_index:
             raise CheckpointError(

@@ -2,22 +2,16 @@
 
 :class:`FleetRuntime` owns N :class:`~repro.serve.fleet.shard.ShardRuntime`
 event loops behind a consistent-hash :class:`~repro.serve.fleet.ring.HashRing`
-and merges them into ONE deterministic discrete-event simulation: at every
-step the next event is the earliest of
+and runs them as ONE deterministic discrete-event simulation.  Shards
+interact only through the fleet's **control heap** (kills, migrations,
+rebalancer ticks, transport messages), so between two control events
+each shard is a closed system and the fleet runs them **shard-major**:
+the next event is the head of the lowest-id shard whose head is before
+the next control time, else the control head.  DESIGN.md ("Shard-major
+event order") gives the argument, the tie rule and the two sync points:
+SLO boundaries and ``--net`` stragglers.
 
-* the fleet's own **control heap** — shard kills from the chaos schedule,
-  planned live migrations, rebalancer ticks — which at equal timestamps
-  rank *before* any shard event (control reshapes the topology the data
-  plane then runs on), and
-* each shard's data-plane heap, shards tie-broken by id.
-
-Shard heads reach the loop through one **heads index**, a heap of
-``(head_time_s, shard_id)`` entries: every shard whose heap is non-empty
-has an entry at its current head time, and entries that no longer match
-a head are dropped when they reach the top.  DESIGN.md ("Merged event
-order") gives the maintenance rules and the tie rule.
-
-Both runs of the same config therefore pop the identical global event
+Both runs of the same config therefore apply the identical event
 sequence, and the final :class:`~repro.serve.telemetry.FleetReport` is
 byte-identical — the property the recover layer's journal replay and the
 CI byte-diff jobs rest on.
@@ -36,6 +30,7 @@ restore reproduces the uninterrupted run's report byte-for-byte.
 from __future__ import annotations
 
 import heapq
+import math
 import weakref
 
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
@@ -98,9 +93,12 @@ class FleetRuntime:
         self._directory = {s.session_id: s for s in self.sessions}
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.shards: dict[int, ShardRuntime] = {}
-        #: The heads index: ``(head_time_s, shard_id)`` entries, some
-        #: stale (see the module docstring).  Every shard shares it.
-        self._heads: list[tuple[float, int]] = []
+        #: The shards in id order; ``_order[:_cursor]`` drained the
+        #: current window (a cache, never checkpointed).
+        self._order: list[ShardRuntime] = []
+        self._cursor = 0
+        #: Ids of the shards holding a ``--net`` straggler.
+        self._stragglers: set[int] = set()
         self._next_shard_id = 0
         #: Control heap entries: ``(time_s, seq, kind, payload)``.
         self._control: list[tuple[float, int, int, "dict | None"]] = []
@@ -163,8 +161,8 @@ class FleetRuntime:
         self._next_shard_id += 1
         shard = self._build_shard(shard_id, sessions)
         shard.spawned_at_s = spawned_at_s
-        shard.heads = self._heads
         self.shards[shard_id] = shard
+        self._order.append(shard)
         self.ring.add(shard_id)
         return shard
 
@@ -177,8 +175,7 @@ class FleetRuntime:
         self._control_seq += 1
 
     def _alive_shards(self) -> "list[ShardRuntime]":
-        return [self.shards[sid] for sid in sorted(self.shards)
-                if self.shards[sid].alive]
+        return [shard for shard in self._order if shard.alive]
 
     @property
     def started(self) -> bool:
@@ -285,92 +282,106 @@ class FleetRuntime:
             )
 
     # ------------------------------------------------------------------
-    # Merged event order
+    # Shard-major event order
     # ------------------------------------------------------------------
-    def _shard_head(self) -> "tuple[float, int] | None":
-        """The heads index's top ``(time_s, shard_id)`` after dropping
-        stale entries; None when every shard heap is empty."""
-        heads = self._heads
-        shards = self.shards
-        while heads:
-            entry = heads[0]
-            heap = shards[entry[1]]._heap
-            if heap and heap[0][0] == entry[0]:
-                return entry
-            heapq.heappop(heads)
-        return None
+    def _next_shard(self) -> "ShardRuntime | None":
+        """The shard whose head is the next event; None for the control
+        head (or nothing).  A function of the state alone: ``_cursor``
+        skips shards that drained the window, and none of them can gain
+        an earlier event before the next control event."""
+        control = self._control
+        bound = control[0][0] if control else math.inf
+        order, slo = self._order, self.slo
+        if not self._stragglers:
+            i, n = self._cursor, len(order)
+            while i < n:
+                heap = order[i]._heap
+                if heap and heap[0][0] < bound and (
+                    slo is None or not slo.due(heap[0][0])
+                ):
+                    self._cursor = i
+                    return order[i]
+                i += 1
+            self._cursor = n
+            if slo is None:
+                return None
+        # A straggler, or every window reached an SLO boundary: the
+        # globally earliest event is next.
+        best = None
+        for shard in order:
+            heap = shard._heap
+            if heap and heap[0][0] < bound:
+                best, bound = shard, heap[0][0]
+        return best
 
     def peek_event(self) -> "tuple[float, int, int] | None":
         """``(time_s, kind, seq)`` of the next event for the journal."""
-        head = self._shard_head()
-        control = self._control
-        if control and (head is None or control[0][0] <= head[0]):
-            time_s, seq, kind, _ = control[0]
+        shard = self._next_shard()
+        if shard is not None:
+            time_s, kind, seq, _ = shard._heap[0]
+            return (
+                time_s, (shard.shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq
+            )
+        if self._control:
+            time_s, seq, kind, _ = self._control[0]
             return (time_s, kind, seq)
-        if head is None:
-            return None
-        time_s, shard_id = head
-        _, kind, seq, _ = self.shards[shard_id]._heap[0]
-        return (time_s, (shard_id + 1) * _SHARD_KIND_STRIDE + kind, seq)
+        return None
 
     def _lanes(self) -> "list[tuple[int, ShardRuntime]]":
         """Shards with members, as :func:`evaluate_slo_through` lanes."""
-        return [
-            (shard_id, shard)
-            for shard_id, shard in sorted(self.shards.items())
-            if shard.fleet
-        ]
-
-    def _evaluate_slo_before(self, head: "tuple[float, int] | None") -> None:
-        """Run the SLO boundaries due before the next event (``head`` is
-        the next shard head; control events pop first at equal time)."""
-        control = self._control
-        if control and (head is None or control[0][0] <= head[0]):
-            if self.slo.due(control[0][0]):
-                evaluate_slo_through(
-                    self.slo, self._lanes(), (control[0][0], -1)
-                )
-        elif head is not None and self.slo.due(head[0]):
-            evaluate_slo_through(
-                self.slo, self._lanes(), self.shards[head[1]]._head_key(head[1])
-            )
+        return [(shard.shard_id, shard) for shard in self._order if shard.fleet]
 
     def step(self) -> bool:
-        """Apply the globally next event; False once everything drained."""
-        head = self._shard_head()
-        if self.slo is not None:
-            self._evaluate_slo_before(head)
-        control = self._control
-        if control and (head is None or control[0][0] <= head[0]):
-            now, control_seq, kind, payload = heapq.heappop(control)
-            if kind < 0:
-                if kind == K_NET_SEND:
-                    self._chain_send(control_seq, payload)
-                self.transport.handle(self, kind, payload, now)
-            elif kind == _K_KILL:
-                self._apply_kill(payload["shard"], now)
-            elif kind == _K_MIGRATE:
-                self._apply_migration(payload, now)
-            else:
-                self._apply_rebalance(now)
-        elif head is None:
+        """Apply the next event; False once everything drained."""
+        shard = self._next_shard()
+        if shard is None and not self._control:
             return False
+        slo = self.slo
+        if slo is not None:
+            now = self._control[0][0] if shard is None else shard._heap[0][0]
+            if slo.due(now):
+                # Every window is drained: run the boundaries due before
+                # this event, backlogs first; the windows reopen.
+                evaluate_slo_through(
+                    slo,
+                    self._lanes(),
+                    (now, -1) if shard is None
+                    else shard._head_key(shard.shard_id),
+                )
+                self._cursor = 0
+        if shard is None:
+            self._apply_control()
         else:
-            heads = self._heads
-            now, shard_id = heapq.heappop(heads)
-            shard = self.shards[shard_id]
-            # The shard's own pushes stay unindexed while it steps: its
-            # next head is indexed once, below.
-            shard.heads = None
             shard.step()
-            shard.heads = heads
-            heap = shard._heap
-            if heap:
-                heapq.heappush(heads, (heap[0][0], shard_id))
+            if self._stragglers and shard.shard_id in self._stragglers:
+                self._track_stragglers(shard)
         self.events_processed += 1
-        if self.slo is not None:
-            self.slo.maybe_evaluate(now)
+        if slo is not None:
+            slo.maybe_evaluate(now)
         return True
+
+    def _apply_control(self) -> None:
+        """Pop and apply the control head; every window reopens."""
+        now, control_seq, kind, payload = heapq.heappop(self._control)
+        if kind < 0:
+            if kind == K_NET_SEND:
+                self._chain_send(control_seq, payload)
+            self.transport.handle(self, kind, payload, now)
+        elif kind == _K_KILL:
+            self._apply_kill(payload["shard"], now)
+        elif kind == _K_MIGRATE:
+            self._apply_migration(payload, now)
+        else:
+            self._apply_rebalance(now)
+        self._cursor = 0
+
+    def _track_stragglers(self, shard: ShardRuntime) -> None:
+        """Note whether ``shard`` holds a ``--net`` straggler; called
+        wherever that can change."""
+        if shard.holds_stragglers():
+            self._stragglers.add(shard.shard_id)
+        else:
+            self._stragglers.discard(shard.shard_id)
 
     # ------------------------------------------------------------------
     # Control-plane handlers
@@ -383,6 +394,7 @@ class FleetRuntime:
             # the ring keeps routing to the corpse until the failure
             # detector stops seeing heartbeats and suspects it.
             _, lost = shard.kill(now, silent=True)
+            self._stragglers.discard(shard_id)
             if self.obs.enabled:
                 self.obs.tracer.instant(
                     "fleet.kill", now, cat="fleet", pid=PID_FLEET,
@@ -430,6 +442,8 @@ class FleetRuntime:
         target.join(source.release(session_id))
         target.guard_rehomed(session_id, now)
         self._session_shard[session_id] = target_id
+        self._track_stragglers(source)
+        self._track_stragglers(target)
 
     def _net_suspect(self, shard_id: int, phi: float, now: float) -> None:
         """Failure-detector suspicion: evict the shard from the ring and
@@ -691,16 +705,14 @@ class FleetRuntime:
             evaluate_slo_through(self.slo, self._lanes(), None)
         for _, shard in self._lanes():
             shard.flush_backlogs()
-        shard_ids = sorted(self.shards)
         duration = self.config.serve.duration_s
-        for sid in shard_ids:
-            duration = max(duration, self.shards[sid]._makespan_s)
+        for shard in self._order:
+            duration = max(duration, shard._makespan_s)
         occupancy: dict[int, int] = {}
         busy_workers = 0.0
         total_workers = 0
         rows = []
-        for sid in shard_ids:
-            shard = self.shards[sid]
+        for shard in self._order:
             shard.flush_pending()
             for size, count in shard.pool.batch_occupancy.items():
                 occupancy[size] = occupancy.get(size, 0) + count
@@ -709,7 +721,7 @@ class FleetRuntime:
             total_workers += shard.pool.n_workers
             rows.append(
                 {
-                    "shard_id": sid,
+                    "shard_id": shard.shard_id,
                     "status": shard.status,
                     "spawned_at_s": shard.spawned_at_s,
                     "killed_at_s": shard.killed_at_s,
@@ -741,7 +753,7 @@ class FleetRuntime:
             shard_rows=rows,
             log=self.log,
             rehome_breaker_degraded=sum(
-                self.shards[sid].breaker_degraded for sid in shard_ids
+                shard.breaker_degraded for shard in self._order
             ),
         )
         net_section = (
@@ -857,16 +869,11 @@ class FleetRuntime:
             shard = self._build_shard(shard_id, sessions)
             shard.load_state(entry["state"])
             self.shards[shard_id] = shard
-        # The heads index is derived state: rebuild it from the restored
-        # heaps, one entry per non-empty shard.
-        self._heads = [
-            (shard._heap[0][0], shard_id)
-            for shard_id, shard in self.shards.items()
-            if shard._heap
-        ]
-        heapq.heapify(self._heads)
-        for shard in self.shards.values():
-            shard.heads = self._heads
+        self._order = list(self.shards.values())  # in id order
+        self._cursor = 0
+        self._stragglers = {
+            shard.shard_id for shard in self._order if shard.holds_stragglers()
+        }
         if self.transport is not None:
             # Derived state: SEND payloads and envelopes index this list.
             self._net_requests = fleet_requests(

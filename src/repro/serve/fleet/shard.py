@@ -23,6 +23,9 @@ wherever the session goes next.
 Session stats never move: every shard records into the one ledger its
 fleet owns and hands it, so a frame completes into the same
 :class:`~repro.serve.telemetry.SessionStats` whichever shard serves it.
+Only the shard that homes a session writes its row, so the fleet can
+drain shards one after another between control events; the exception,
+a ``--net`` straggler, is :meth:`ShardRuntime.holds_stragglers`.
 
 Sessions re-homed by a failover are *guarded* for a configurable window:
 their predict frames pass through a re-admission
@@ -97,9 +100,6 @@ class ShardRuntime(ServeRuntime):
         )
         if directory is not None:
             self.directory = directory
-        #: The owning fleet's heads index (see FleetRuntime), shared by
-        #: every shard; None for a shard driven on its own.
-        self.heads: "list[tuple[float, int]] | None" = None
         #: Weak ref to the fleet's home-shard lookup (None when standalone).
         self.home_of: "weakref.WeakMethod | None" = None
         # --- fleet lifecycle state -----------------------------------
@@ -239,24 +239,6 @@ class ShardRuntime(ServeRuntime):
         return p95
 
     # ------------------------------------------------------------------
-    # Heads index
-    # ------------------------------------------------------------------
-    def _push(self, time_s: float, kind: int, payload: object) -> None:
-        # An event strictly earlier than the current head becomes the
-        # new head: index it.  An equal-time head is already indexed.
-        heap = self._heap
-        if self.heads is not None and (not heap or time_s < heap[0][0]):
-            heapq.heappush(self.heads, (time_s, self.shard_id))
-        super()._push(time_s, kind, payload)
-
-    def _index_head(self, old_head_s: "float | None" = None) -> None:
-        """Index the current head after the heap was replaced wholesale,
-        unless it is still at ``old_head_s`` (that entry is still live)."""
-        heap = self._heap
-        if self.heads is not None and heap and heap[0][0] != old_head_s:
-            heapq.heappush(self.heads, (heap[0][0], self.shard_id))
-
-    # ------------------------------------------------------------------
     # Heap surgery (shared by migration and failover)
     # ------------------------------------------------------------------
     def _extract_future_arrivals(self, session_id: int) -> list[FrameRequest]:
@@ -268,10 +250,8 @@ class ShardRuntime(ServeRuntime):
             else:
                 keep.append(entry)
         if extracted:
-            old_head_s = self._heap[0][0]
             self._heap = keep
             heapq.heapify(self._heap)
-            self._index_head(old_head_s)
             extracted.sort(key=_frame_order)
         return extracted
 
@@ -293,6 +273,15 @@ class ShardRuntime(ServeRuntime):
                     pulled.extend(mine)
         pulled.sort(key=_frame_order)
         return pulled
+
+    def holds_stragglers(self) -> bool:
+        """Whether a queued or in-flight frame's session has left this
+        shard (a ``--net`` straggler, recorded in its home's row)."""
+        frames = list(self.batcher._queue)
+        for _, kind, _, payload in self._heap:
+            if kind == _COMPLETE:
+                frames.extend(payload[1])
+        return any(r.session_id not in self._members for r in frames)
 
     # ------------------------------------------------------------------
     # Fleet lifecycle
@@ -423,7 +412,6 @@ class ShardRuntime(ServeRuntime):
         if self._started:
             return
         self._seed_arrivals(requests or [])
-        self._index_head()
         self._started = True
 
     # ------------------------------------------------------------------

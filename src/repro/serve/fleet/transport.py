@@ -330,7 +330,10 @@ class FleetTransport:
             return
         self.applied.add(seq)
         self.counters["frames_applied"] += 1
-        shard._on_arrival(fleet._net_requests[seq], now)
+        request = fleet._net_requests[seq]
+        shard._on_arrival(request, now)
+        if request.session_id not in shard._members:
+            fleet._track_stragglers(shard)  # its session has moved on
         self._send_ack(fleet, shard_id, seq, payload, now)
 
     def _send_ack(

@@ -178,11 +178,10 @@ class TestValidation:
         ):
             store.load(7)
 
-    @pytest.mark.parametrize(
-        "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
-    )
+    @pytest.mark.parametrize("kind,config", [("serve", CONFIG)])
     def test_format_4_serve_and_fleet_still_load(self, tmp_path, kind, config):
-        # Format 5 changed only chaos payloads.
+        # Format 5 changed only chaos payloads.  Format-4 fleets loaded
+        # until format 7 (see test_format_6_fleet_is_refused).
         store = CheckpointStore(tmp_path)
         store.write(
             STATE, event_index=7, kind=kind, config=config, service=SERVICE
@@ -211,23 +210,59 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "kind,config",
-        [
-            ("serve", CONFIG),
-            ("chaos", CONFIG),
-            ("fleet", {"n_shards": 2}),
-            ("fleet", {"n_shards": 2, "net": {"enabled": False}}),
-        ],
-        ids=["serve", "chaos", "fleet", "fleet-net-disabled"],
+        [("serve", CONFIG), ("chaos", CONFIG)],
+        ids=["serve", "chaos"],
     )
     def test_format_5_serve_chaos_and_direct_fleet_still_load(
         self, tmp_path, kind, config
     ):
-        # Format 6 changed only lossy-transport fleet payloads.
+        # Format 6 changed only lossy-transport fleet payloads.  Format-5
+        # direct-mode fleets loaded until format 7 (see
+        # test_format_6_fleet_is_refused).
         store = CheckpointStore(tmp_path)
         store.write(
             STATE, event_index=7, kind=kind, config=config, service=SERVICE
         )
         self.rewrite_format_version(store, 7, 5)
+        assert store.load(7).state == STATE
+
+    @pytest.mark.parametrize(
+        "config,version",
+        [
+            ({"n_shards": 2}, 4),
+            ({"n_shards": 2}, 5),
+            ({"n_shards": 2}, 6),
+            ({"n_shards": 2, "net": {"enabled": False}}, 6),
+            ({"n_shards": 2, "net": {"enabled": True}}, 6),
+        ],
+        ids=["direct-4", "direct-5", "direct-6", "net-disabled-6", "net-6"],
+    )
+    def test_format_6_fleet_is_refused(self, tmp_path, config, version):
+        # Before format 7 a fleet applied its events in merged global
+        # time order: the checkpoint's event index and the journal after
+        # it name events of that order, which a shard-major replay would
+        # not regenerate.  (Older lossy-transport fleets are refused for
+        # their SEND payloads first: test_format_5_net_fleet_is_refused.)
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind="fleet", config=config, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, version)
+        with pytest.raises(
+            CheckpointError,
+            match=f"format-{version} fleet checkpoint: its event index and "
+            "journal record the old merged event order",
+        ):
+            store.load(7)
+
+    @pytest.mark.parametrize("kind", ["serve", "chaos"])
+    def test_format_6_serve_and_chaos_still_load(self, tmp_path, kind):
+        # Format 7 changed only the fleet's event order.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind=kind, config=CONFIG, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, 6)
         assert store.load(7).state == STATE
 
     @pytest.mark.parametrize(

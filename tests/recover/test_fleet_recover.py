@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
@@ -9,6 +11,7 @@ from repro.faults.netfaults import ShardKill
 from repro.recover import (
     CheckpointStore,
     RecoveryError,
+    canonical_bytes,
     fleet_report_bytes,
     restore_runtime,
     resume,
@@ -70,6 +73,26 @@ class TestFleetCrashRecovery:
             run_fleet(config)
         )
 
+    def test_format_6_checkpoint_is_refused(self, tmp_path):
+        # A format-6 fleet's event indices count the merged global order:
+        # replaying its journal tail in shard-major order would apply
+        # other events than the ones logged.  Restore refuses it.
+        with pytest.raises(SimulatedCrash):
+            run_with_checkpoints(
+                FleetRuntime(chaos_fleet()), tmp_path, every=200,
+                kill=ProcessKill(at_event=700),
+            )
+        store = CheckpointStore(tmp_path)
+        for index in store.indices():
+            manifest = store.manifest_path(index)
+            doc = json.loads(manifest.read_bytes())
+            doc["format_version"] = 6
+            manifest.write_bytes(canonical_bytes(doc))
+        with pytest.raises(
+            RecoveryError, match="format-6 fleet checkpoint: its event index"
+        ):
+            resume(tmp_path)
+
     def test_checkpoint_kind_is_fleet(self, tmp_path):
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
@@ -85,7 +108,7 @@ class TestFleetCrashRecovery:
 
     def test_kill_after_a_rebalancer_spawn(self, tmp_path):
         # The latest checkpoint holds a shard the rebalancer spawned; the
-        # restored heads index must include it for the journal replay and
+        # restored scan order must include it for the journal replay and
         # the resumed run to regenerate the same events.
         config = test_fleet_migration.TestRebalancer().predict_heavy()
         runtime = FleetRuntime(config)
@@ -105,9 +128,7 @@ class TestFleetCrashRecovery:
         assert restored.events_processed == every + 300
         spawned = config.n_shards
         assert restored.shards[spawned].spawned_at_s is not None
-        assert (
-            restored.shards[spawned]._heap[0][0], spawned
-        ) in restored._heads
+        assert restored._order[spawned] is restored.shards[spawned]
         report = resume(tmp_path)
         assert fleet_report_bytes(report) == fleet_report_bytes(
             run_fleet(config)

@@ -9,10 +9,17 @@ the identical saccade and reuse frames, in the identical order, with the
 identical latencies.  The same draws check that the control heap holds
 at most one SEND, that only predict frames were sent, and that the frame
 and message ledgers both close.
+
+A frame still queued or in flight on a shard its session has left (a
+straggler) records into the row of the session's new home.  The fleet
+then applies events in global time order, so the record lands where a
+global order puts it; two explicit examples complete stragglers on a
+shard with a lower and with a higher id than the home shard.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from unittest import mock
@@ -92,14 +99,21 @@ kills = st.lists(
 
 
 def bypass_records(config: FleetConfig):
-    """Run ``config``; return the report, the runtime and each session's
-    ``(path, latency)`` saccade and reuse records in ledger order."""
+    """Run ``config``; return the report, the runtime, each session's
+    ``(path, latency)`` saccade and reuse records in ledger order, and
+    the ``(holder, home)`` shard ids of every straggler record."""
     records: dict[int, list] = {}
+    stragglers: list[tuple[int, int]] = []
     record = SessionStats.record
     runtime = FleetRuntime(config)
     now = [0.0]
+    #: session -> sim time of the event that last wrote its ledger row.
+    written_s: dict[int, float] = {}
 
     def spy(stats, path, latency_s, deadline_s):
+        # Each row is written in sim-time order, whichever shard writes.
+        assert now[0] >= written_s.get(stats.session_id, 0.0)
+        written_s[stats.session_id] = now[0]
         if path in ("saccade", "reuse"):
             records.setdefault(stats.session_id, []).append((path, latency_s))
         else:
@@ -111,6 +125,14 @@ def bypass_records(config: FleetConfig):
         record(stats, path, latency_s, deadline_s)
 
     record_bypass = ShardRuntime._record_bypass
+    ledger_row = ShardRuntime._ledger_row
+
+    def straggler(shard, session_id, now_s):
+        home = runtime._session_shard[session_id]
+        if home != shard.shard_id:
+            stragglers.append((shard.shard_id, home))
+        return ledger_row(shard, session_id, now_s)
+
     runtime.start()
     # session -> [(since_s, shard id)]: where the fleet routed it.
     homes = {sid: [(0.0, home)] for sid, home in runtime._session_shard.items()}
@@ -126,7 +148,7 @@ def bypass_records(config: FleetConfig):
 
     with mock.patch.object(SessionStats, "record", spy), mock.patch.object(
         ShardRuntime, "_record_bypass", homed
-    ):
+    ), mock.patch.object(ShardRuntime, "_ledger_row", straggler):
         while (head := runtime.peek_event()) is not None:
             sends = [e for e in runtime._control if e[2] == K_NET_SEND]
             assert len(sends) <= 1
@@ -135,8 +157,11 @@ def bypass_records(config: FleetConfig):
             for sid, home in runtime._session_shard.items():
                 if homes[sid][-1][1] != home:
                     homes[sid].append((now[0], home))
+        # The shards drain in turn, so the last event applied need not be
+        # the latest one: the end-of-run flush is after all of them.
+        now[0] = math.inf
         report = runtime.finish()
-    return report, runtime, records
+    return report, runtime, records, stragglers
 
 
 def assert_message_ledger_closes(counters: dict) -> None:
@@ -150,20 +175,49 @@ def assert_message_ledger_closes(counters: dict) -> None:
     )
 
 
-@settings(max_examples=60, deadline=None)
-@example(
-    # Gray-slow shard 1 is suspected while late envelopes still reach
-    # it: a frame it completes after the move records the session's
-    # backlog through the session's new home shard.
-    link=LinkProfile(dup_rate=0.1, delay_s=3e-3),
-    windows=[],
-    gray=[GraySlow(shard_id=1, start_s=0.14, stop_s=0.28)],
-    kill=[],
-    reuse_deg=0.05,
-    net_seed=276,
-    max_retransmits=4,
-    on_exhaust="degrade",
+def gray_slow(shard_id: int) -> dict:
+    """Gray-slow ``shard_id`` is suspected and heals while late envelopes
+    still reach the shards: frames left behind by the moves complete as
+    stragglers, their records routed to the sessions' new home shard."""
+    return dict(
+        link=LinkProfile(dup_rate=0.1, delay_s=3e-3),
+        windows=[],
+        gray=[GraySlow(shard_id=shard_id, start_s=0.14, stop_s=0.28)],
+        kill=[],
+        reuse_deg=0.05,
+        net_seed=276,
+        max_retransmits=4,
+        on_exhaust="degrade",
+    )
+
+
+#: Shard 0 is gray-slow for 0.17-0.29 s.  Stragglers complete on shard
+#: 0 for home shard 2 and on shard 2 for home shard 0, some while their
+#: home shard writes the same session's row within one control window.
+STRAGGLER_RACE = dict(
+    gray_slow(0),
+    gray=[GraySlow(shard_id=0, start_s=0.17, stop_s=0.29)],
+    net_seed=21520,
+    serve=replace(SERVE, n_sessions=6, seed=47),
+    ack_timeout_s=0.02,
 )
+#: Shard 1 is gray-slow for 0.18-0.33 s, and stragglers complete on
+#: shard 0 for home shard 1.  Shard 0 drains first, so the window must
+#: stop the holder at its home shard's head too, not only the home
+#: shard at the holder's.
+STRAGGLER_BELOW_HOME = dict(
+    gray_slow(1),
+    link=LinkProfile(delay_s=3e-3),
+    gray=[GraySlow(shard_id=1, start_s=0.18, stop_s=0.33)],
+    net_seed=25114,
+    serve=replace(SERVE, n_sessions=5, seed=45, queue_budget_deadlines=2.0),
+    ack_timeout_s=0.02,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(**gray_slow(1))
+@example(**gray_slow(0))
 @given(
     link=links,
     windows=partitions,
@@ -177,8 +231,28 @@ def assert_message_ledger_closes(counters: dict) -> None:
 def test_bypass_records_match_the_perfect_channel(
     link, windows, gray, kill, reuse_deg, net_seed, max_retransmits, on_exhaust
 ):
+    assert_bypass_records_match(
+        link, windows, gray, kill, reuse_deg, net_seed, max_retransmits,
+        on_exhaust,
+    )
+
+
+def test_stragglers_complete_below_and_above_their_home_shard():
+    below = set()
+    for case in (STRAGGLER_RACE, STRAGGLER_BELOW_HOME):
+        stragglers = assert_bypass_records_match(**case)
+        below |= {holder < home for holder, home in stragglers}
+    assert below == {True, False}
+
+
+def assert_bypass_records_match(
+    link, windows, gray, kill, reuse_deg, net_seed, max_retransmits,
+    on_exhaust, serve=SERVE, ack_timeout_s=4e-3,
+) -> "list[tuple[int, int]]":
+    """The oracle; returns the lossy run's straggler ``(holder, home)``
+    shard ids."""
     direct = FleetConfig(
-        serve=replace(SERVE, reuse_displacement_deg=reuse_deg),
+        serve=replace(serve, reuse_displacement_deg=reuse_deg),
         n_shards=N_SHARDS,
         kills=tuple(kill),
     )
@@ -190,13 +264,13 @@ def test_bypass_records_match_the_perfect_channel(
             link=link,
             partitions=tuple(windows),
             gray=tuple(gray),
-            ack_timeout_s=4e-3,
+            ack_timeout_s=ack_timeout_s,
             max_retransmits=max_retransmits,
             on_exhaust=on_exhaust,
         ),
     )
-    _, _, expected = bypass_records(direct)
-    report, runtime, got = bypass_records(lossy)
+    _, _, expected, _ = bypass_records(direct)
+    report, runtime, got, stragglers = bypass_records(lossy)
     assert got == expected
     for session in runtime.sessions:
         stats = runtime.stats[session.session_id]
@@ -218,6 +292,7 @@ def test_bypass_records_match_the_perfect_channel(
         + counters["exhausted_lost"]
     ) == predict
     assert_message_ledger_closes(counters)
+    return stragglers
 
 
 NET_SLO = [

@@ -306,11 +306,11 @@ class TestGoldenEventStream:
     so any change to the event order, a control seq, or a fault draw
     (including which overlapping gray factors multiply into a delay)
     fails.  Both digests were computed with only predict frames on the
-    wire.
+    wire, and the stream digest with the shard-major event order.
     """
 
     STREAM_SHA256 = (
-        "6824d45176d137e7ec06de33ba17a1ff8d17e022deece676aab7ed33b3291cf7"
+        "b064cc2a8d40c5b3e213c1664e48f0ad840085b5a64c7213011f1c36226ca0d0"
     )
     REPORT_SHA256 = (
         "d5081d6348124eb033f64a2a878a9f4b4dbde0ec7d80ee94c7bb8bc89ebdbb56"

@@ -164,12 +164,12 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "fleet-help": [(0, "a93d0c15c6024181", "e3b0c44298fc1c14")],
     "fleet-kill": [(0, "0f6a930f5a9da2fa", "e3b0c44298fc1c14")],
     "fleet-kill-recover": [
-        (17, "e3b0c44298fc1c14", "6f431084b8b0731f"),
+        (17, "e3b0c44298fc1c14", "7ac150e30c84203f"),
         (0, "0f6a930f5a9da2fa", "87295d4a90aceb55"),
     ],
     "fleet-kill-recover-obs": [
-        (17, "e3b0c44298fc1c14", "6f431084b8b0731f"),
-        (0, "52748ebc95c97298", "1c16a0cd1f606283"),
+        (17, "e3b0c44298fc1c14", "7ac150e30c84203f"),
+        (0, "91888ad3a3d06d24", "1c16a0cd1f606283"),
     ],
     "fleet-net-all-flags": [(0, "e14c3ab6d7a7e957", "e3b0c44298fc1c14")],
     "fleet-net-compare-no-fault": [(0, "4dedda435df54379", "e3b0c44298fc1c14")],
@@ -200,11 +200,11 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
 OBS_TREES: "dict[str, str]" = {
     "chaos-all-flags": "ca97f825737a9f35",
     "chaos-obs": "857861dc72ac982e",
-    "fleet-all-flags": "a31ca694bbba486b",
-    "fleet-kill-recover-obs": "efc2ac1ba76486b4",
-    "fleet-net-obs": "474d31de27ec9c9c",
-    "fleet-obs": "3cec62ea141c5319",
-    "fleet-slo-obs": "e2f86fde34099ada",
+    "fleet-all-flags": "6994581048537ea5",
+    "fleet-kill-recover-obs": "6b5212ddd18b5dfb",
+    "fleet-net-obs": "70e862509158b98e",
+    "fleet-obs": "39d5290ca7a515cd",
+    "fleet-slo-obs": "e689d4223a8855fe",
     "serve-all-flags": "911c27b8c66c7474",
     "serve-obs": "7e347a39a0b48588",
     "trace-chaos": "53ffc0f6821434c8",
