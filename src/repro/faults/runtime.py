@@ -20,9 +20,12 @@
   foveal radius (Eq. 1), stop trusting fresh predictions, fall back to
   full-resolution rendering; recovery is hysteretic.
 
-Everything stays deterministic: fault times are scheduled, sampling is
-seeded per session, and ties break on the event heap exactly as in the
-base loop — a seed reproduces bit-identical fault/degradation telemetry.
+Input faults are set-up: only delivered predict frames and retries are
+ARRIVALs.  The SDC guard and the watchdog are per-session state, stepped
+in each session's arrival order: a backlog frame when the backlog is
+recorded, a predict frame at its ARRIVAL.  An SLO page that widens every
+watchdog lands where the base loop evaluates the SLO, after every frame
+before it.  A seed reproduces bit-identical fault/degradation telemetry.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from repro.obs import Obs, PID_RELIABILITY, PID_WORKERS, session_pid
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
 from repro.serve.config import BatchServiceModel
-from repro.serve.request import ClientSession, FrameRequest, build_fleet
+from repro.serve.request import BypassFrames, ClientSession, FrameRequest
+from repro.serve.request import build_fleet, fleet_requests
 from repro.serve.runtime import _ARRIVAL, InferenceFn, ServeRuntime
 from repro.serve.telemetry import FaultReport, FleetReport
 from repro.serve.workers import FaultyWorkerPool, WorkerState
@@ -68,7 +72,10 @@ def build_chaos_fleet(
     the serve config (so fault-free comparisons replay identical
     behaviour), then perturbs each track and recomputes its Algorithm-1
     decisions — noisy gaze breaks reuse anchors exactly the way real
-    tracking noise does.
+    tracking noise does.  A session's backlog holds, in arrival order,
+    its saccade and reuse frames and every ``"dropped"`` frame and
+    ``"retransmit"`` CRC failure, both at capture; a retransmitted frame
+    arrives late, after any on-time frame of that instant.
     """
     clean = build_fleet(config.serve)
     session_config = SessionConfig(
@@ -82,23 +89,37 @@ def build_chaos_fleet(
             config.input_faults,
             seed=config.fault_seed * _FAULT_SEED_STRIDE + session.session_id,
         )
-        fleet.append(
-            ClientSession(
-                session_id=session.session_id,
-                track=faulted,
-                decisions=decide_paths(faulted, session_config),
-                start_s=session.start_s,
-            )
+        chaos_session = ClientSession(
+            session_id=session.session_id,
+            track=faulted,
+            decisions=decide_paths(faulted, session_config),
+            start_s=session.start_s,
         )
+        late = trace.retransmit_s.tolist()
+        backlog = []
+        for f, (t, path) in enumerate(
+            zip(session.arrivals.tolist(), chaos_session.decisions)
+        ):
+            if trace.dropped[f]:
+                backlog.append((t, False, f, "dropped"))
+                continue
+            if late[f]:
+                backlog.append((t, False, f, "retransmit"))
+            if path != "predict":
+                backlog.append((t + late[f], late[f] > 0, f, path))
+        backlog.sort()
+        chaos_session.bypass = BypassFrames(
+            [entry[2] for entry in backlog],
+            [entry[0] for entry in backlog],
+            [entry[3] for entry in backlog],
+        )
+        fleet.append(chaos_session)
         traces.append(trace)
     return fleet, traces
 
 
 class ChaosRuntime(ServeRuntime):
     """One chaos scenario: faulted fleet, faulty pool, recovery stack."""
-
-    #: Input faults, the SDC guard and the watchdog act on every frame.
-    bypass_events = True
 
     def __init__(
         self,
@@ -144,7 +165,8 @@ class ChaosRuntime(ServeRuntime):
             )
             for s in self.fleet
         ]
-        self._retransmitted: set[tuple[int, int]] = set()
+        #: Backlog entries recorded so far, per session.
+        self._cursors = [0] * len(self.fleet)
         # Silicon soft errors (repro.reliability): one seeded schedule
         # over the whole window, events dealt round-robin onto sessions
         # and consumed by each session's next predict-path frame (SRAM
@@ -244,7 +266,7 @@ class ChaosRuntime(ServeRuntime):
         ).inc()
 
     def _sdc_layer(
-        self, request: FrameRequest, sid: int, i: int, now: float, blind: bool
+        self, path: str, sid: int, i: int, now: float, blind: bool
     ) -> tuple[float, bool]:
         """Apply pending upsets to this frame's tracker output and gate
         it through the plausibility guard.
@@ -263,7 +285,7 @@ class ChaosRuntime(ServeRuntime):
         if blind:
             return 0.0, False
         self._guard_last_frame[sid] = i
-        if request.path != "predict":
+        if path != "predict":
             # Bypass paths reuse the buffered gaze — no datapath fetch,
             # no corruption; just keep the physiological reference warm.
             guard.check(gaze, frames=gap)
@@ -332,7 +354,7 @@ class ChaosRuntime(ServeRuntime):
         next_attempt = request.retries + 1
         backoff = recovery.backoff_base_s * recovery.backoff_factor**request.retries
         retry_at = now + backoff
-        expected_done = retry_at + self.service.service_s(self.config.max_batch)
+        expected_done = retry_at + self._full_batch_s
         if next_attempt > recovery.max_retries:
             self.faults.retry_exhausted_degraded += 1
             self._degrade_now(request, now, cause="retry_exhausted")
@@ -352,41 +374,29 @@ class ChaosRuntime(ServeRuntime):
             self._push(retry_at, _ARRIVAL, replace(request, retries=next_attempt))
 
     # ------------------------------------------------------------------
-    # Event handlers
+    # Set-up and the per-frame step
     # ------------------------------------------------------------------
-    def _on_arrival(self, request: FrameRequest, now: float) -> None:
-        sid, i = request.session_id, request.frame_index
-        if request.retries > 0:
-            # A retried frame rejoining the batcher after backoff; it was
-            # admitted on first arrival and is never silently dropped.
-            self.batcher.requeue([request])
-            self.faults.frames_requeued += 1
-            self._try_dispatch(now)
+    def start(self) -> None:
+        """Seed the predict frames that arrive, as the backlog orders
+        them (idempotent)."""
+        if self._started:
             return
+        arriving = []
+        for request in fleet_requests(self.fleet, self._deadline_s):
+            trace, i = self.traces[request.session_id], request.frame_index
+            if not trace.dropped[i]:
+                late = float(trace.retransmit_s[i])
+                arriving.append(
+                    (request.arrival_s + late, late > 0, request.seq, request)
+                )
+        for time_s, _, _, request in sorted(arriving):
+            self._push(time_s, _ARRIVAL, request)
+        self._started = True
 
+    def _fault_step(self, sid: int, i: int, path: str, now: float) -> "str | None":
+        """Frame ``i``'s SDC guard and watchdog step at its arrival
+        ``now``.  Returns ``"full_res"``, a degrade cause, or None."""
         trace = self.traces[sid]
-        if trace.dropped[i]:
-            self.faults.input_dropped += 1
-            self.stats[sid].record_lost_input()
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    "input.dropped", now, cat="faults",
-                    pid=session_pid(sid), args={"frame": i},
-                )
-            return
-        if trace.corrupted[i] and (sid, i) not in self._retransmitted:
-            # Link-layer CRC caught a transient: the frame arrives one
-            # retransmission later (its deadline does not move).
-            self._retransmitted.add((sid, i))
-            self.faults.mipi_corrupted_frames += 1
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    "input.retransmit", now, cat="faults",
-                    pid=session_pid(sid), args={"frame": i},
-                )
-            self._push(now + float(trace.retransmit_s[i]), _ARRIVAL, request)
-            return
-
         openness = float(self.fleet[sid].track.openness[i])
         blind = openness < OCCLUSION_BLIND_OPENNESS
         if trace.noise_deg[i] > 0:
@@ -395,10 +405,9 @@ class ChaosRuntime(ServeRuntime):
             self.faults.occluded_frames += 1
         sdc_error_deg = 0.0
         if self.guards is not None:
-            sdc_error_deg, degrade = self._sdc_layer(request, sid, i, now, blind)
+            sdc_error_deg, degrade = self._sdc_layer(path, sid, i, now, blind)
             if degrade:
-                self._degrade_now(request, now, cause="sdc")
-                return
+                return "sdc"
         error_deg = float(
             self.base_error[sid][i] + trace.noise_deg[i] + sdc_error_deg
         )
@@ -406,30 +415,68 @@ class ChaosRuntime(ServeRuntime):
         level = self.watchdogs[sid].observe(
             now, error_deg=None if blind else error_deg, confidence=confidence
         )
-
         if level is DegradationLevel.FULL_RES:
             # Tracking lost: render full-resolution — no gaze needed, the
             # frame completes without touching the serving path at all.
             self.faults.watchdog_full_res_frames += 1
-            self.stats[sid].record(
-                "full_res", now - request.arrival_s, self.config.deadline_s
-            )
-            self._makespan_s = max(self._makespan_s, now)
-            if self.obs.enabled:
-                self._trace_frame(
-                    sid, i, request.arrival_s, "full_res", now - request.arrival_s
-                )
-            return
-        if request.path == "predict":
+            return "full_res"
+        if path == "predict":
             if blind:
                 self.faults.occlusion_degraded += 1
-                self._degrade_now(request, now, cause="occlusion")
-                return
+                return "occlusion"
             if level >= DegradationLevel.REUSE_ONLY:
                 self.faults.watchdog_reuse_frames += 1
-                self._degrade_now(request, now, cause="watchdog")
-                return
-        super()._on_arrival(request, now)
+                return "watchdog"
+        return None
+
+    def _backlog_cursor(self, session: ClientSession) -> int:
+        return self._cursors[session.session_id]
+
+    def _record_bypass(self, session_id, frames, arrivals, paths) -> None:
+        """Record backlog entries; a frame's latency counts from its
+        capture, not its (retransmitted) arrival."""
+        self._cursors[session_id] += len(frames)
+        captured = self.fleet[session_id].arrivals
+        saccade_s, reuse_s = self.config.saccade_bypass_s, self.config.reuse_bypass_s
+        for frame, now, path in zip(frames, arrivals, paths):
+            if path in ("dropped", "retransmit"):
+                if path == "dropped":
+                    self.faults.input_dropped += 1
+                    self.stats[session_id].record_lost_input()
+                else:
+                    self.faults.mipi_corrupted_frames += 1
+                if self.obs.enabled:
+                    self.obs.tracer.instant(
+                        f"input.{path}", now, cat="faults",
+                        pid=session_pid(session_id), args={"frame": frame},
+                    )
+                continue
+            if self._fault_step(session_id, frame, path, now) == "full_res":
+                path, done = "full_res", now
+            else:
+                done = now + (saccade_s if path == "saccade" else reuse_s)
+            self._record_frame(session_id, frame, path, float(captured[frame]), done)
+
+    # ------------------------------------------------------------------
+    # Event handlers
+    # ------------------------------------------------------------------
+    def _on_arrival(self, request: FrameRequest, now: float) -> None:
+        if request.retries > 0:
+            # A retried frame rejoining the batcher after backoff; it was
+            # admitted on first arrival and is never silently dropped.
+            self.batcher.requeue([request])
+            self.faults.frames_requeued += 1
+            self._try_dispatch(now)
+            return
+        sid, i = request.session_id, request.frame_index
+        self._ledger_row(sid, now)  # the session's earlier frames step first
+        outcome = self._fault_step(sid, i, "predict", now)
+        if outcome == "full_res":
+            self._record_frame(sid, i, outcome, request.arrival_s, now)
+        elif outcome is not None:
+            self._degrade_now(request, now, cause=outcome)
+        else:
+            super()._on_arrival(request, now)
 
     def _on_failed_batch(
         self, worker: WorkerState, batch: "list[FrameRequest]", cause: str,
@@ -462,7 +509,7 @@ class ChaosRuntime(ServeRuntime):
     def state_dict(self) -> dict:
         state = super().state_dict()
         state["faults"] = self.faults.state_dict()
-        state["retransmitted"] = sorted(list(pair) for pair in self._retransmitted)
+        state["cursors"] = list(self._cursors)
         state["watchdogs"] = [w.state_dict() for w in self.watchdogs]
         state["sdc"] = {
             "next": list(self._sdc_next),
@@ -480,25 +527,22 @@ class ChaosRuntime(ServeRuntime):
         # only the mutable recovery-stack state needs restoring.
         super().load_state(state)
         self.faults.load_state(state["faults"])
-        self._retransmitted = {
-            (int(sid), int(frame)) for sid, frame in state["retransmitted"]
-        }
+        self._cursors = [int(n) for n in state["cursors"]]
         if len(state["watchdogs"]) != len(self.watchdogs):
             raise ValueError("snapshot watchdog count does not match config")
         for watchdog, saved in zip(self.watchdogs, state["watchdogs"]):
             watchdog.load_state(saved)
-        sdc = state.get("sdc")
-        if sdc is not None:
-            self._sdc_next = [int(n) for n in sdc["next"]]
-            self._sdc_persistent = [
-                np.asarray(p, dtype=np.float64) for p in sdc["persistent"]
-            ]
-            self._guard_last_frame = [
-                None if f is None else int(f) for f in sdc["guard_last_frame"]
-            ]
-            if sdc["guards"] is not None and self.guards is not None:
-                for guard, saved in zip(self.guards, sdc["guards"]):
-                    guard.load_state(saved)
+        sdc = state["sdc"]
+        self._sdc_next = [int(n) for n in sdc["next"]]
+        self._sdc_persistent = [
+            np.asarray(p, dtype=np.float64) for p in sdc["persistent"]
+        ]
+        self._guard_last_frame = [
+            None if f is None else int(f) for f in sdc["guard_last_frame"]
+        ]
+        if sdc["guards"] is not None and self.guards is not None:
+            for guard, saved in zip(self.guards, sdc["guards"]):
+                guard.load_state(saved)
 
     # ------------------------------------------------------------------
     # Telemetry assembly

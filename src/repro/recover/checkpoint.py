@@ -51,7 +51,33 @@ from repro.recover.errors import CheckpointError
 #: events, so event indices, checkpoints and the journal of a fleet run
 #: follow that order.  Fleet payloads are unchanged; serve and chaos
 #: checkpoints are unchanged since 6.
-CHECKPOINT_FORMAT_VERSION = 7
+#: Version 8: a chaos run keeps saccade and reuse frames, sensor drops
+#: and CRC failures as per-session backlogs: only delivered predict
+#: frames and retries are ARRIVALs, and the payload holds each session's
+#: backlog cursor instead of the set of retransmitted frames.  Serve and
+#: fleet payloads are unchanged since 7.
+CHECKPOINT_FORMAT_VERSION = 8
+
+#: The older checkpoints a format cannot load, checked in order:
+#: ``(first format that loads, kinds, what it is, why it cannot load)``.
+#: Kind ``net`` is a lossy-transport fleet.
+_REFUSED = (
+    (3, ("fleet", "net"), "fleet checkpoint", ", written before the fleet "
+     "owned one session ledger"),
+    (4, ("serve", "fleet", "net"), "{kind} checkpoint", ", written while "
+     "bypass frames were heap ARRIVALs: its heap holds bypass frames the "
+     "per-session backlog would record a second time"),
+    (5, ("chaos",), "chaos checkpoint", ", written while the runtime held "
+     "the circuit breakers and the wake-up the worker pool holds"),
+    (8, ("chaos",), "chaos checkpoint", ", written while every frame was a "
+     "heap ARRIVAL: its heap holds the bypass frames, drops and CRC "
+     "failures the per-session backlog would record a second time"),
+    (6, ("net",), "lossy-transport fleet checkpoint", ", written while "
+     "every frame crossed the network: its SEND payloads and envelope seqs "
+     "index all frames, not the predict-frame stream"),
+    (7, ("fleet", "net"), "fleet checkpoint", ": its event index and "
+     "journal record the old merged event order, not the shard-major order"),
+)
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -202,50 +228,18 @@ class CheckpointStore:
             raise CheckpointError(
                 f"manifest {manifest_path} has invalid format version {version}"
             )
-        if version < 3 and manifest["kind"] == "fleet":
-            raise CheckpointError(
-                f"checkpoint {manifest_path} is a format-{version} fleet "
-                "checkpoint, written before the fleet owned one session "
-                f"ledger (format {CHECKPOINT_FORMAT_VERSION}) — rerun the "
-                "fleet from the start"
-            )
-        if version < 4 and manifest["kind"] in ("serve", "fleet"):
-            raise CheckpointError(
-                f"checkpoint {manifest_path} is a format-{version} "
-                f"{manifest['kind']} checkpoint, written while bypass frames "
-                "were heap ARRIVALs: its heap holds bypass frames the "
-                f"per-session backlog (format {CHECKPOINT_FORMAT_VERSION}) "
-                "would record a second time — rerun from the start"
-            )
-        if version < 5 and manifest["kind"] == "chaos":
-            raise CheckpointError(
-                f"checkpoint {manifest_path} is a format-{version} chaos "
-                "checkpoint, written while the runtime held the circuit "
-                "breakers and the wake-up the worker pool holds in format "
-                f"{CHECKPOINT_FORMAT_VERSION} — rerun from the start"
-            )
         config = manifest["config"]
-        if (
-            version < 6
-            and manifest["kind"] == "fleet"
-            and isinstance(config, dict)
-            and isinstance(config.get("net"), dict)
-            and config["net"].get("enabled")
-        ):
-            raise CheckpointError(
-                f"checkpoint {manifest_path} is a format-{version} "
-                "lossy-transport fleet checkpoint, written while every "
-                "frame crossed the network: its SEND payloads and envelope "
-                "seqs index all frames, not the predict-frame stream "
-                f"(format {CHECKPOINT_FORMAT_VERSION}) — rerun from the start"
-            )
-        if version < 7 and manifest["kind"] == "fleet":
-            raise CheckpointError(
-                f"checkpoint {manifest_path} is a format-{version} fleet "
-                "checkpoint: its event index and journal record the old "
-                "merged event order, not the shard-major order of format "
-                f"{CHECKPOINT_FORMAT_VERSION} — rerun from the start"
-            )
+        net = isinstance(config, dict) and isinstance(config.get("net"), dict)
+        kind = manifest["kind"]
+        if kind == "fleet" and net and config["net"].get("enabled"):
+            kind = "net"  # a lossy-transport fleet
+        for loads_from, kinds, what, why in _REFUSED:
+            if version < loads_from and kind in kinds:
+                raise CheckpointError(
+                    f"checkpoint {manifest_path} is a format-{version} "
+                    f"{what.format(kind=manifest['kind'])}{why} (format "
+                    f"{CHECKPOINT_FORMAT_VERSION}) — rerun from the start"
+                )
         if manifest["event_index"] != event_index:
             raise CheckpointError(
                 f"manifest {manifest_path} claims event index "

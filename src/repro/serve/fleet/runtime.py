@@ -193,9 +193,7 @@ class FleetRuntime:
         # One global stream of predict frames: seq numbers are unique
         # fleet-wide (migrated frames carry theirs onto other shards).
         # Bypass frames stay per-session backlogs in both modes.
-        all_requests = fleet_requests(
-            self.sessions, self.config.serve.deadline_s, bypass=False
-        )
+        all_requests = fleet_requests(self.sessions, self.config.serve.deadline_s)
         for shard_id in sorted(placement):
             for sid in placement[shard_id]:
                 self._session_shard[sid] = shard_id
@@ -877,7 +875,7 @@ class FleetRuntime:
         if self.transport is not None:
             # Derived state: SEND payloads and envelopes index this list.
             self._net_requests = fleet_requests(
-                self.sessions, self.config.serve.deadline_s, bypass=False
+                self.sessions, self.config.serve.deadline_s
             )
             self.transport.load_state(state["net"]["transport"])
 

@@ -179,17 +179,15 @@ class ShardRuntime(ServeRuntime):
         frames: "Sequence[int]",
         arrivals: "Sequence[float]",
         paths: "Sequence[str]",
-        served_s: "float | None" = None,
     ) -> None:
         self.completed_frames += len(frames)
-        super()._record_bypass(session_id, frames, arrivals, paths, served_s)
+        super()._record_bypass(session_id, frames, arrivals, paths)
 
     def _ledger_row(self, session_id: int, now: float) -> SessionStats:
         # A ``--net`` straggler: its session's home shard owns the backlog.
         if session_id not in self._members and self.home_of is not None:
             return self.home_of()(session_id)._ledger_row(session_id, now)
-        self._flush_backlog(self.directory[session_id], now)
-        return self.stats[session_id]
+        return super()._ledger_row(session_id, now)
 
     def _arrival_order(self) -> "Iterable[ClientSession]":
         # Sessions seeded at start are in id order; each admitted one

@@ -61,15 +61,12 @@ class FrameRequest:
 
 
 class BypassFrames(NamedTuple):
-    """A session's saccade and reuse frames as columns, in frame order."""
+    """A session's saccade and reuse frames as columns, in arrival order
+    (a chaos session's also holds its drops and CRC failures)."""
 
     frames: "list[int]"
     arrivals: "list[float]"
     paths: "list[str]"
-
-
-#: The backlog of a runtime whose bypass frames arrive as events.
-NO_BYPASS = BypassFrames([], [], [])
 
 
 @dataclass
@@ -95,7 +92,8 @@ class ClientSession:
 
     @cached_property
     def bypass(self) -> BypassFrames:
-        """The frames Algorithm 1 serves on-device (saccade or reuse)."""
+        """The frames Algorithm 1 serves on-device (saccade or reuse); a
+        chaos session is given its own (``build_chaos_fleet``)."""
         frames = [f for f, path in enumerate(self.decisions) if path != "predict"]
         return BypassFrames(
             frames,
@@ -136,16 +134,16 @@ def build_fleet(config: ServeConfig) -> list[ClientSession]:
 
 
 def fleet_requests(
-    fleet: list[ClientSession], deadline_s: float, bypass: bool = True
+    fleet: list[ClientSession], deadline_s: float
 ) -> list[FrameRequest]:
-    """All frames of all sessions in global arrival order.
+    """The predict frames of all sessions in global arrival order.
 
     ``fleet`` may be any list of sessions (any order, ids need not be
     dense): each frame's path comes from its own session.  Arrival times
     are :attr:`ClientSession.arrivals`, and ties order by
-    ``(session_id, frame_index)``; ``seq`` is the frame's rank in that
-    order.  With ``bypass=False`` only predict frames become requests
-    (they keep their rank, so their ``seq`` numbers have gaps).
+    ``(session_id, frame_index)``; ``seq`` is the frame's rank among all
+    frames in that order, so predict frames' ``seq`` numbers have gaps
+    where the bypass frames are.
     """
     if not fleet:
         return []
@@ -154,11 +152,8 @@ def fleet_requests(
     frames = np.concatenate([np.arange(s.n_frames) for s in fleet])
     paths = [path for s in fleet for path in s.decisions]
     order = np.lexsort((frames, sids, arrivals))
-    seqs = np.arange(len(order))
-    if not bypass:
-        pool = np.fromiter((p == "predict" for p in paths), bool, len(paths))
-        keep = pool[order]
-        order, seqs = order[keep], seqs[keep]
+    keep = np.fromiter((p == "predict" for p in paths), bool, len(paths))[order]
+    order, seqs = order[keep], np.flatnonzero(keep)
     return [
         FrameRequest(sid, f, arrival, arrival + deadline_s, paths[i], seq)
         for i, sid, f, arrival, seq in zip(

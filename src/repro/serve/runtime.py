@@ -15,15 +15,14 @@ then insertion sequence):
   control and joins the cross-session batcher.
 
 Saccade and reuse frames bypass the pool entirely (Algorithm 1 serves
-them on-device), so they are not events: each session keeps them as a
-backlog (:attr:`~repro.serve.request.ClientSession.bypass`) that is
-recorded in bulk wherever its order becomes observable — before any
-other record of that session, before the session changes shard, before
-an SLO evaluation, and at the end of the run.  This holds for a
-``--net`` fleet's shards too: only predict frames cross its transport.
-A runtime whose bypass frames must each be seen (chaos: input faults
-and the watchdog) sets :attr:`bypass_events` and receives them as
-ARRIVALs instead.
+them on-device), so they are not events in any runtime: each session
+keeps them as a backlog (:attr:`~repro.serve.request.ClientSession.bypass`)
+that is recorded in bulk wherever its order becomes observable — before
+any other record of that session, before the session changes shard,
+before an SLO evaluation, and at the end of the run.  Only predict
+frames cross a ``--net`` fleet's transport.  A runtime with per-frame
+state (chaos: the SDC guard and the watchdog) steps it by overriding
+:meth:`ServeRuntime._record_bypass`, in each session's arrival order.
 
 Admission control estimates the wait a new predict frame would see —
 ``ceil((pending + 1) / max_batch) * service(max_batch) / available
@@ -54,14 +53,7 @@ import numpy as np
 from repro.obs import NULL_OBS, Obs, PID_BATCHER, PID_WORKERS, session_pid
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
-from repro.serve.request import (
-    NO_BYPASS,
-    BypassFrames,
-    ClientSession,
-    FrameRequest,
-    build_fleet,
-    fleet_requests,
-)
+from repro.serve.request import ClientSession, FrameRequest, build_fleet, fleet_requests
 from repro.serve.telemetry import (
     FleetReport,
     ServeInstruments,
@@ -84,10 +76,6 @@ InferenceFn = Callable[[list[FrameRequest]], np.ndarray]
 
 class ServeRuntime:
     """One serving simulation: fleet, batcher, pool, and the event heap."""
-
-    #: Saccade and reuse frames enter the heap as their own ARRIVALs
-    #: instead of staying a per-session backlog.
-    bypass_events = False
 
     def __init__(
         self,
@@ -128,6 +116,10 @@ class ServeRuntime:
                 f"config says {config.n_workers}"
             )
         self.batcher = DynamicBatcher(config.max_batch, config.batch_window_s)
+        # Fixed for the runtime's life; read on every predict arrival.
+        self._deadline_s = config.deadline_s
+        self._queue_budget_s = config.queue_budget_s
+        self._full_batch_s = self.service.service_s(config.max_batch)
         self.predictions: "dict[tuple[int, int], np.ndarray] | None" = (
             {} if inference is not None else None
         )
@@ -196,7 +188,7 @@ class ServeRuntime:
         assert self._instruments is not None
         self._instruments.frame_counter(path).inc()
         self._instruments.latency.observe(latency_s)
-        if latency_s > self.config.deadline_s:
+        if latency_s > self._deadline_s:
             self._instruments.misses.inc()
 
     def _trace_batch(
@@ -282,26 +274,22 @@ class ServeRuntime:
         frames: Sequence[int],
         arrivals: Sequence[float],
         paths: Sequence[str],
-        served_s: "float | None" = None,
     ) -> None:
         """Record saccade/reuse frames of one session, in arrival order.
 
-        Each is served on-device at ``served_s`` (default: its own
-        arrival) and completes its path's bypass latency later.  The one
-        way a bypass frame is recorded, whether it arrived as an event
-        or from the session's backlog.
+        Each is served on-device at its arrival and completes its path's
+        bypass latency later.  The one way a backlog is recorded.
         """
         config = self.config
         saccade_s, reuse_s = config.saccade_bypass_s, config.reuse_bypass_s
+        deadline_s = self._deadline_s
         record = self.stats[session_id].record
         trace = self.obs.enabled
         makespan = self._makespan_s
         for frame, arrival, path in zip(frames, arrivals, paths):
-            done = (arrival if served_s is None else served_s) + (
-                saccade_s if path == "saccade" else reuse_s
-            )
+            done = arrival + (saccade_s if path == "saccade" else reuse_s)
             latency = done - arrival
-            record(path, latency, config.deadline_s)
+            record(path, latency, deadline_s)
             if done > makespan:
                 makespan = done
             if trace:
@@ -309,16 +297,22 @@ class ServeRuntime:
         self._makespan_s = makespan
 
     def _record_completion(self, request: FrameRequest, done_s: float) -> None:
-        latency = done_s - request.arrival_s
-        self._ledger_row(request.session_id, done_s).record(
-            request.path, latency, self.config.deadline_s
+        self._ledger_row(request.session_id, done_s)
+        self._record_frame(
+            request.session_id, request.frame_index, request.path,
+            request.arrival_s, done_s,
         )
+
+    def _record_frame(
+        self, session_id: int, frame: int, path: str, arrival_s: float,
+        done_s: float,
+    ) -> None:
+        """Record one frame; its session's earlier frames are recorded."""
+        latency = done_s - arrival_s
+        self.stats[session_id].record(path, latency, self._deadline_s)
         self._makespan_s = max(self._makespan_s, done_s)
         if self.obs.enabled:
-            self._trace_frame(
-                request.session_id, request.frame_index, request.arrival_s,
-                request.path, latency,
-            )
+            self._trace_frame(session_id, frame, arrival_s, path, latency)
 
     def _degrade_now(
         self, request: FrameRequest, now: float, cause: str = "admission"
@@ -328,7 +322,7 @@ class ServeRuntime:
         ``degraded`` bucket."""
         done = now + self.config.reuse_bypass_s
         self._ledger_row(request.session_id, now).record_degraded(
-            self.config.reuse_bypass_s, self.config.deadline_s
+            self.config.reuse_bypass_s, self._deadline_s
         )
         self._makespan_s = max(self._makespan_s, done)
         if self.obs.enabled:
@@ -337,13 +331,8 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # Bypass backlog
     # ------------------------------------------------------------------
-    def _backlog(self, session: ClientSession) -> BypassFrames:
-        """The bypass frames ``session`` keeps off the heap (none when
-        they arrive as events).  The ledger has recorded a prefix of
-        them: :meth:`_backlog_cursor` long."""
-        return NO_BYPASS if self.bypass_events else session.bypass
-
     def _backlog_cursor(self, session: ClientSession) -> int:
+        """How much of ``session.bypass`` the ledger has recorded."""
         counts = self.stats[session.session_id].counts
         return counts["saccade"] + counts["reuse"]
 
@@ -351,7 +340,7 @@ class ServeRuntime:
         """Record ``session``'s backlog up to (not including) ``stop``."""
         start = self._backlog_cursor(session)
         if stop > start:
-            frames, arrivals, paths = self._backlog(session)
+            frames, arrivals, paths = session.bypass
             self._record_bypass(
                 session.session_id,
                 frames[start:stop],
@@ -361,7 +350,7 @@ class ServeRuntime:
 
     def _flush_backlog(self, session: ClientSession, until_s: float) -> None:
         """Record ``session``'s backlog frames that arrive before ``until_s``."""
-        arrivals = self._backlog(session).arrivals
+        arrivals = session.bypass.arrivals
         start = self._backlog_cursor(session)
         if start < len(arrivals) and arrivals[start] < until_s:
             self._record_backlog(session, bisect_left(arrivals, until_s, start))
@@ -377,8 +366,7 @@ class ServeRuntime:
         its bypass frames land in the order they arrived: a COMPLETE at
         ``now`` pops before an ARRIVAL at ``now``, and a session has one
         frame per instant."""
-        if not self.bypass_events:
-            self._flush_backlog(self.directory[session_id], now)
+        self._flush_backlog(self.directory[session_id], now)
         return self.stats[session_id]
 
     def _arrival_order(self) -> "list[ClientSession]":
@@ -403,16 +391,12 @@ class ServeRuntime:
         queued + in-flight + this frame, spread across the pool."""
         pending = len(self.batcher) + self.pool.in_flight_frames() + 1
         batches = math.ceil(pending / self.config.max_batch)
-        return (
-            batches
-            * self.service.service_s(self.config.max_batch)
-            / self.pool.available_count(now)
-        )
+        return batches * self._full_batch_s / self.pool.available_count(now)
 
     def _admit(self, request: FrameRequest, now: float) -> bool:
         if self.config.admission is AdmissionPolicy.ALWAYS:
             return True
-        if self.estimated_wait_s(now) <= self.config.queue_budget_s:
+        if self.estimated_wait_s(now) <= self._queue_budget_s:
             return True
         if self.config.admission is AdmissionPolicy.DEGRADE:
             self._degrade_now(request, now, cause="admission")
@@ -475,15 +459,6 @@ class ServeRuntime:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, request: FrameRequest, now: float) -> None:
-        if request.path != "predict":
-            self._record_bypass(
-                request.session_id,
-                (request.frame_index,),
-                (request.arrival_s,),
-                (request.path,),
-                served_s=now,
-            )
-            return
         if self._admit(request, now):
             self.batcher.enqueue(request)
             self._dispatch_and_arm(now)
@@ -520,15 +495,10 @@ class ServeRuntime:
         return self._started
 
     def start(self) -> None:
-        """Seed the event heap with every frame that becomes an ARRIVAL
-        (idempotent)."""
+        """Seed the event heap with the predict frames (idempotent)."""
         if self._started:
             return
-        self._seed_arrivals(
-            fleet_requests(
-                self.fleet, self.config.deadline_s, bypass=self.bypass_events
-            )
-        )
+        self._seed_arrivals(fleet_requests(self.fleet, self._deadline_s))
         self._started = True
 
     def peek_event(self) -> "tuple[float, int, int] | None":
@@ -741,7 +711,7 @@ def evaluate_slo_through(
         first = None
         for rank, runtime in lanes:
             for position, session in enumerate(runtime._arrival_order()):
-                arrivals = runtime._backlog(session).arrivals
+                arrivals = session.bypass.arrivals
                 start = runtime._backlog_cursor(session)
                 stop = bisect_left(arrivals, True, start, key=slo.due)
                 runtime._record_backlog(session, stop)

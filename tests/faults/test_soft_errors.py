@@ -112,8 +112,8 @@ class TestSnapshot:
         assert baseline.faults.soft_errors_injected > 0
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
-                ChaosRuntime(config), tmp_path, every=60,
-                kill=ProcessKill(at_event=200),
+                ChaosRuntime(config), tmp_path, every=10,
+                kill=ProcessKill(at_event=30),
             )
         recovered = resume(tmp_path)
         assert fleet_report_bytes(recovered) == fleet_report_bytes(baseline)

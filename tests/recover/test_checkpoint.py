@@ -208,17 +208,14 @@ class TestValidation:
         ):
             store.load(7)
 
-    @pytest.mark.parametrize(
-        "kind,config",
-        [("serve", CONFIG), ("chaos", CONFIG)],
-        ids=["serve", "chaos"],
-    )
+    @pytest.mark.parametrize("kind,config", [("serve", CONFIG)], ids=["serve"])
     def test_format_5_serve_chaos_and_direct_fleet_still_load(
         self, tmp_path, kind, config
     ):
         # Format 6 changed only lossy-transport fleet payloads.  Format-5
         # direct-mode fleets loaded until format 7 (see
-        # test_format_6_fleet_is_refused).
+        # test_format_6_fleet_is_refused), chaos runs until format 8 (see
+        # test_format_7_chaos_is_refused).
         store = CheckpointStore(tmp_path)
         store.write(
             STATE, event_index=7, kind=kind, config=config, service=SERVICE
@@ -255,14 +252,43 @@ class TestValidation:
         ):
             store.load(7)
 
-    @pytest.mark.parametrize("kind", ["serve", "chaos"])
+    @pytest.mark.parametrize("kind", ["serve"])
     def test_format_6_serve_and_chaos_still_load(self, tmp_path, kind):
-        # Format 7 changed only the fleet's event order.
+        # Format 7 changed only the fleet's event order; format-6 chaos
+        # runs loaded until format 8 (see test_format_7_chaos_is_refused).
         store = CheckpointStore(tmp_path)
         store.write(
             STATE, event_index=7, kind=kind, config=CONFIG, service=SERVICE
         )
         self.rewrite_format_version(store, 7, 6)
+        assert store.load(7).state == STATE
+
+    @pytest.mark.parametrize("version", [5, 6, 7])
+    def test_format_7_chaos_is_refused(self, tmp_path, version):
+        # Before format 8 every chaos frame was a heap ARRIVAL: the heap
+        # holds frames the per-session backlog would record again.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind="chaos", config=CONFIG, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, version)
+        with pytest.raises(
+            CheckpointError,
+            match=f"format-{version} chaos checkpoint, written while every "
+            "frame was a heap ARRIVAL",
+        ):
+            store.load(7)
+
+    @pytest.mark.parametrize(
+        "kind,config", [("serve", CONFIG), ("fleet", {"n_shards": 2})]
+    )
+    def test_format_7_serve_and_fleet_still_load(self, tmp_path, kind, config):
+        # Format 8 changed only chaos payloads.
+        store = CheckpointStore(tmp_path)
+        store.write(
+            STATE, event_index=7, kind=kind, config=config, service=SERVICE
+        )
+        self.rewrite_format_version(store, 7, 7)
         assert store.load(7).state == STATE
 
     @pytest.mark.parametrize(

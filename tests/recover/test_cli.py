@@ -32,7 +32,7 @@ class TestKillAndRecover:
         assert "Fleet: 6 sessions" in captured.out
 
     def test_chaos_kill_then_recover_verify(self, tmp_path, capsys):
-        code = main(CHAOS + ckpt_flags(tmp_path, kill=60))
+        code = main(CHAOS + ckpt_flags(tmp_path, kill=30, every=20))
         assert code == EXIT_SIMULATED_CRASH
         capsys.readouterr()
         assert main(["recover", "--dir", str(tmp_path), "--verify"]) == 0

@@ -54,7 +54,7 @@ class TestBitIdenticalRecovery:
         crash_at(ServeRuntime(serve_config()), tmp_path, kill_at)
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
-    @pytest.mark.parametrize("kill_at", [8, 130, 260])
+    @pytest.mark.parametrize("kill_at", [8, 70, 130])  # of 145 events
     def test_chaos_recovery_is_bit_identical(self, tmp_path, kill_at):
         baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
         crash_at(ChaosRuntime(chaos_config()), tmp_path, kill_at)
@@ -161,6 +161,20 @@ class TestCorruptionFallback:
             doc["format_version"] = 4
             manifest.write_bytes(canonical_bytes(doc))
         with pytest.raises(RecoveryError, match="format-4 chaos checkpoint"):
+            resume(tmp_path)
+
+    def test_format_7_chaos_checkpoint_is_refused(self, tmp_path):
+        # Format 8 took bypass frames, drops and CRC failures off the
+        # chaos heap: an older chaos checkpoint is refused with the
+        # reason, never resumed with those frames recorded twice.
+        crash_at(ChaosRuntime(chaos_config()), tmp_path, 130)
+        store = CheckpointStore(tmp_path)
+        for index in store.indices():
+            manifest = store.manifest_path(index)
+            doc = json.loads(manifest.read_bytes())
+            doc["format_version"] = 7
+            manifest.write_bytes(canonical_bytes(doc))
+        with pytest.raises(RecoveryError, match="format-7 chaos checkpoint"):
             resume(tmp_path)
 
     def test_journal_divergence_detected(self, tmp_path):

@@ -45,9 +45,7 @@ class TestServeRuntimeSeeding:
         runtime = ServeRuntime(SERVE)
         runtime.start()
         oracle = ServeRuntime(SERVE, fleet=runtime.fleet)
-        push_each(
-            oracle, fleet_requests(oracle.fleet, SERVE.deadline_s, bypass=False)
-        )
+        push_each(oracle, fleet_requests(oracle.fleet, SERVE.deadline_s))
         assert runtime._heap == oracle._heap
         assert runtime._event_seq == oracle._event_seq == len(runtime._heap)
 
@@ -80,9 +78,7 @@ class TestShardSeeding:
     def test_each_shard_heap_equals_filtered_repeated_push(self):
         fleet = FleetRuntime(fleet_config(net=False))
         fleet.start()
-        all_requests = fleet_requests(
-            fleet.sessions, SERVE.deadline_s, bypass=False
-        )
+        all_requests = fleet_requests(fleet.sessions, SERVE.deadline_s)
         seeded = 0
         for shard_id, shard in fleet.shards.items():
             members = {s.session_id for s in shard.fleet}

@@ -233,12 +233,20 @@ def test_only_pool_and_control_frames_are_events(case):
         )
 
 
-def test_chaos_runs_keep_one_arrival_per_frame():
-    base = default_chaos_scenario(seed=3).fault_free()
-    chaos = replace(base, serve=replace(base.serve, n_sessions=4, duration_s=0.2))
+def test_chaos_runs_seed_only_arriving_predict_frames():
+    # Input faults do not make bypass frames events either: an ARRIVAL
+    # is a predict frame the sensor delivered, or a retry of one.
+    base = default_chaos_scenario(seed=3)
+    chaos = replace(base, serve=replace(base.serve, n_sessions=4, duration_s=0.5))
     runtime = ChaosRuntime(chaos)
     counts = tally(runtime)
-    assert counts[_ARRIVAL] == sum(s.n_frames for s in runtime.fleet)
+    delivered = sum(
+        path == "predict" and not trace.dropped[f]
+        for session, trace in zip(runtime.fleet, runtime.traces)
+        for f, path in enumerate(session.decisions)
+    )
+    assert runtime.faults.input_dropped > 0
+    assert counts[_ARRIVAL] == delivered + runtime.faults.retries_scheduled
 
 
 def test_net_runs_send_only_predict_frames():

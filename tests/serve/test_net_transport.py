@@ -387,8 +387,7 @@ class TestExhaustion:
         last = max(
             r.arrival_s
             for r in fleet_requests(
-                FleetRuntime(config).sessions, config.serve.deadline_s,
-                bypass=False,
+                FleetRuntime(config).sessions, config.serve.deadline_s
             )
         )
         report = run_fleet(config)

@@ -44,13 +44,29 @@ class TestBuildFleet:
         assert session.arrival_s(10) == pytest.approx(session.start_s + 0.1)
 
 
+def predict_frames(sessions) -> int:
+    return sum(s.decisions.count("predict") for s in sessions)
+
+
 class TestFleetRequests:
     def test_global_arrival_order_and_seq(self, config, fleet):
+        # Only predict frames become requests; seq is the frame's rank
+        # among all frames in (arrival, session, frame) order.
         requests = fleet_requests(fleet, config.deadline_s)
-        assert len(requests) == 4 * config.frames_per_session
-        arrivals = [r.arrival_s for r in requests]
-        assert arrivals == sorted(arrivals)
-        assert [r.seq for r in requests] == list(range(len(requests)))
+        everything = sorted(
+            (float(s.arrivals[f]), s.session_id, f)
+            for s in fleet
+            for f in range(s.n_frames)
+        )
+        predict = [
+            (rank, key)
+            for rank, key in enumerate(everything)
+            if fleet[key[1]].decisions[key[2]] == "predict"
+        ]
+        assert 0 < len(requests) == predict_frames(fleet) < len(everything)
+        assert [
+            (r.seq, (r.arrival_s, r.session_id, r.frame_index)) for r in requests
+        ] == predict
 
     def test_absolute_deadlines(self, config, fleet):
         for r in fleet_requests(fleet, config.deadline_s)[:50]:
@@ -67,7 +83,7 @@ class TestFleetRequests:
         # A shard's slice of the fleet: any order, ids not dense.
         subset = [fleet[i] for i in order]
         requests = fleet_requests(subset, config.deadline_s)
-        assert len(requests) == len(order) * config.frames_per_session
+        assert len(requests) == predict_frames(subset)
         assert {r.session_id for r in requests} == set(order)
         for r in requests:
             assert r.path == fleet[r.session_id].decisions[r.frame_index]
@@ -86,7 +102,12 @@ class TestFleetRequests:
         requests = fleet_requests(list(reversed(fleet)), config.deadline_s)
         keys = [(r.arrival_s, r.session_id, r.frame_index) for r in requests]
         assert keys == sorted(keys)
-        # Zero stagger: every instant is a three-way tie, in id order.
-        assert [r.session_id for r in requests[:6]] == [0, 1, 2, 0, 1, 2]
+        # Zero stagger: sessions tie at every instant, in id order.
+        tied = [
+            (a.session_id, b.session_id)
+            for a, b in zip(requests, requests[1:])
+            if a.arrival_s == b.arrival_s
+        ]
+        assert tied and all(first < second for first, second in tied)
         for r in requests:
             assert r.arrival_s == fleet[r.session_id].arrival_s(r.frame_index)

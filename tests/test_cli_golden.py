@@ -9,9 +9,9 @@ directory an ``--obs`` run picks by default, the crash exit code of
 ``--help`` at a fixed 100-column width.  :data:`OBS_TREES` pins the
 bytes of every artifact an ``--obs`` row writes under ``obs-out/``.
 
-Serve and fleet runs record saccade and reuse frames in bulk, so their
-bypass spans are emitted when a session's backlog is flushed rather
-than at each frame's arrival.  :data:`OBS_CONTENT` pins what that must
+Serve, chaos and fleet runs record saccade and reuse frames in bulk, so
+their bypass spans are emitted when a session's backlog is flushed
+rather than at each frame's arrival.  :data:`OBS_CONTENT` pins what that must
 not change: the spans as a set and every metric but a histogram's
 float ``_sum`` (whose rounding depends on the order of its samples).
 
@@ -118,7 +118,8 @@ ROWS: "dict[str, list[list[str]]]" = {
     "chaos-compare-fault-free": [CHAOS + ["--compare-fault-free"]],
     "chaos-obs": [CHAOS + ["--obs", "--obs-top", "3"]],
     "chaos-all-flags": [CHAOS_ALL_FLAGS],
-    "chaos-kill-recover": _kill_then_recover(CHAOS, 120),
+    # 57 events: saccade and reuse frames are not events.
+    "chaos-kill-recover": _kill_then_recover(CHAOS, 50),
     "chaos-help": [["chaos", "--help"]],
     "chaos-refuse-slo-checkpoint": [
         CHAOS + ["--slo", "default", "--checkpoint-dir", "ckpt"]
@@ -154,8 +155,8 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "chaos-fault-free": [(0, "6149d6630547e4da", "e3b0c44298fc1c14")],
     "chaos-help": [(0, "261c8720accbe6aa", "e3b0c44298fc1c14")],
     "chaos-kill-recover": [
-        (17, "e3b0c44298fc1c14", "21c0aa9c87a549df"),
-        (0, "07dacb86b78026a3", "56de2d7251b98cba"),
+        (17, "e3b0c44298fc1c14", "cf572b091db1369d"),
+        (0, "07dacb86b78026a3", "70b12dd4489902e9"),
     ],
     "chaos-obs": [(0, "f8781d15afb50546", "e3b0c44298fc1c14")],
     "chaos-refuse-slo-checkpoint": [(2, "e3b0c44298fc1c14", "5a4a1fd7b58bdf1e")],
@@ -198,8 +199,8 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
 
 #: name -> sha256 over the (path, bytes) of every file under obs-out/.
 OBS_TREES: "dict[str, str]" = {
-    "chaos-all-flags": "ca97f825737a9f35",
-    "chaos-obs": "857861dc72ac982e",
+    "chaos-all-flags": "0a66e7975a00aa16",
+    "chaos-obs": "ed7477b651d87db5",
     "fleet-all-flags": "6994581048537ea5",
     "fleet-kill-recover-obs": "6b5212ddd18b5dfb",
     "fleet-net-obs": "70e862509158b98e",
@@ -207,7 +208,7 @@ OBS_TREES: "dict[str, str]" = {
     "fleet-slo-obs": "e689d4223a8855fe",
     "serve-all-flags": "911c27b8c66c7474",
     "serve-obs": "7e347a39a0b48588",
-    "trace-chaos": "53ffc0f6821434c8",
+    "trace-chaos": "b93153c471fc336e",
     "trace-serve": "dc38b478dc97d391",
 }
 
@@ -253,8 +254,11 @@ def test_cli_output_is_pinned(name, tmp_path, monkeypatch, capsys):
 #: metrics.prom without its ``_sum`` lines), both computed with every
 #: bypass frame recorded at its own ARRIVAL event.
 OBS_CONTENT: "dict[str, tuple[str, str]]" = {
+    "chaos-all-flags": ("9e578cb247060beb", "5aad99abe4280273"),
+    "chaos-obs": ("b7dc9e64fb782b14", "45976784f32515a6"),
     "fleet-obs": ("060af2d5cee6b8fe", "da9eba578b9a1ac6"),
     "serve-obs": ("60b552c6f5f1f6dc", "c7d03295829c1c96"),
+    "trace-chaos": ("0c79824411b18a76", "d9c978c108a11e64"),
 }
 
 
