@@ -25,7 +25,8 @@ import pytest
 from benchmarks.conftest import emit
 from repro.faults import ProcessKill, SimulatedCrash, default_chaos_scenario
 from repro.faults.runtime import ChaosRuntime
-from repro.recover import fleet_report_bytes, restore_runtime, resume, run_with_checkpoints
+from repro.recover import fleet_report_bytes
+from repro.recover.manager import restore_runtime, resume, run_with_checkpoints
 from repro.serve import ServeConfig, ServeRuntime
 from repro.system import table_to_text
 

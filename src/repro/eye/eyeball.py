@@ -119,11 +119,6 @@ class EyeGeometry:
             orientation_rad=orientation,
         )
 
-    def iris_center(self, gaze_deg: np.ndarray) -> tuple[float, float]:
-        """Iris center tracks the pupil center in this projection."""
-        pose = self.pupil_pose(gaze_deg)
-        return pose.x, pose.y
-
     def gaze_from_pupil(self, x: float, y: float) -> np.ndarray:
         """Inverse mapping (used by the model-based baselines).
 

@@ -74,15 +74,6 @@ class InputFaultConfig:
         check_in_range("occlusion_level[1]", hi, lo, 1.0)
         check_probability("bit_error_rate", self.bit_error_rate)
 
-    @property
-    def any_active(self) -> bool:
-        return (
-            self.frame_drop_rate > 0
-            or self.noise_burst_rate_hz > 0
-            or self.occlusion_rate_hz > 0
-            or self.bit_error_rate > 0
-        )
-
 
 @dataclass(frozen=True)
 class RecoveryConfig:

@@ -75,10 +75,6 @@ class LinkProfile:
         check_positive("delay_s", self.delay_s, strict=False)
         check_positive("jitter_s", self.jitter_s, strict=False)
 
-    @property
-    def any_faults(self) -> bool:
-        return self.drop_rate > 0 or self.dup_rate > 0 or self.jitter_s > 0
-
 
 @dataclass(frozen=True)
 class PartitionWindow:

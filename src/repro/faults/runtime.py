@@ -42,6 +42,7 @@ from repro.faults.injectors import (
     inject_input_faults,
 )
 from repro.obs import Obs, PID_RELIABILITY, PID_WORKERS, session_pid
+from repro.recover.configio import decode, encode
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
 from repro.serve.config import BatchServiceModel
@@ -508,7 +509,7 @@ class ChaosRuntime(ServeRuntime):
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["faults"] = self.faults.state_dict()
+        state["faults"] = encode(self.faults)
         state["cursors"] = list(self._cursors)
         state["watchdogs"] = [w.state_dict() for w in self.watchdogs]
         state["sdc"] = {
@@ -526,7 +527,7 @@ class ChaosRuntime(ServeRuntime):
         # functions of the (seeded) config and were rebuilt by __init__;
         # only the mutable recovery-stack state needs restoring.
         super().load_state(state)
-        self.faults.load_state(state["faults"])
+        self.faults = decode(FaultReport, state["faults"])
         self._cursors = [int(n) for n in state["cursors"]]
         if len(state["watchdogs"]) != len(self.watchdogs):
             raise ValueError("snapshot watchdog count does not match config")

@@ -211,13 +211,6 @@ class PathReport:
     #: ``abft_protected``); a subset of ``cycles``.
     abft_cycles: int = 0
 
-    @property
-    def abft_overhead(self) -> float:
-        """Fraction of total cycles attributable to ABFT protection."""
-        if self.cycles == 0:
-            return 0.0
-        return self.abft_cycles / self.cycles
-
 
 class PoloAcceleratorModel:
     """Costs POLONet's three execution paths on the POLO accelerator.

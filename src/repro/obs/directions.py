@@ -123,11 +123,3 @@ def metric_direction(name: str) -> int:
         if match:
             return metric_direction(match.group("rest"))
     return 0
-
-
-def lower_is_better(name: str) -> bool:
-    return metric_direction(name) < 0
-
-
-def higher_is_better(name: str) -> bool:
-    return metric_direction(name) > 0

@@ -11,11 +11,14 @@ latest valid checkpoint and replay the journal tail
 :func:`fleet_report_bytes` — to the report of the same seed run
 uninterrupted.
 
-Entry points: :func:`run_with_checkpoints` wraps a runtime's event loop
-with durability (and an optional
-:class:`~repro.faults.injectors.ProcessKill`), :func:`resume` restores
-and runs to completion, and ``python -m repro recover`` does the same
-from the command line.
+Entry points live in :mod:`repro.recover.manager`:
+``run_with_checkpoints`` wraps a runtime's event loop with durability
+(and an optional :class:`~repro.faults.injectors.ProcessKill`),
+``resume`` restores and runs to completion, and ``python -m repro
+recover`` does the same from the command line.  This package's own
+namespace holds only the leaf modules (format, codec, journal), which
+import nothing of the serving layer, so the serving layer can import
+:mod:`repro.recover.configio` at module level.
 """
 
 from repro.recover.checkpoint import (
@@ -33,14 +36,6 @@ from repro.recover.codec import (
 )
 from repro.recover.errors import CheckpointError, JournalError, RecoveryError
 from repro.recover.journal import JOURNAL_NAME, JournalWriter, read_journal
-from repro.recover.manager import (
-    DEFAULT_CHECKPOINT_EVERY,
-    RestoredRuntime,
-    build_runtime,
-    restore_runtime,
-    resume,
-    run_with_checkpoints,
-)
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -48,20 +43,14 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
-    "DEFAULT_CHECKPOINT_EVERY",
     "JOURNAL_NAME",
     "JournalError",
     "JournalWriter",
     "RecoveryError",
-    "RestoredRuntime",
-    "build_runtime",
     "canonical_bytes",
     "canonical_json",
     "config_hash",
     "crc32",
     "fleet_report_bytes",
     "read_journal",
-    "restore_runtime",
-    "resume",
-    "run_with_checkpoints",
 ]

@@ -1,8 +1,9 @@
 """The run-kind table: what ``serve``, ``chaos`` and ``fleet`` runs are.
 
 A run kind is a runtime's ``RUNTIME_KIND``.  :data:`RUN_KINDS` maps it
-to the :mod:`~repro.recover.configio` codec of its config and to the
-runtime class that executes it, and every serving run starts here:
+to its config class, which the :mod:`~repro.recover.configio` codec
+encodes and decodes, and to the runtime class that executes it, and
+every serving run starts here:
 
     CLI flags / campaign params --resolve_run_config--> resolved dict
     resolved dict / checkpoint manifest --build_runtime--> runtime
@@ -18,17 +19,10 @@ from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable
 
-from repro.recover.configio import (
-    chaos_config_from_dict,
-    chaos_config_to_dict,
-    fleet_config_from_dict,
-    fleet_config_to_dict,
-    serve_config_from_dict,
-    serve_config_to_dict,
-    service_model_from_dict,
-    service_model_to_dict,
-)
+from repro.faults.config import ChaosConfig, default_chaos_scenario, fits_pool
+from repro.recover.configio import decode, encode
 from repro.recover.errors import RecoveryError
+from repro.serve.config import BatchServiceModel
 
 #: Chaos params that are scenario knobs rather than config fields, with
 #: the default an omitted param (or ``python -m repro chaos`` flag) gets.
@@ -49,12 +43,10 @@ def chaos_config_from_params(params: dict):
     :data:`CHAOS_KNOBS`; of the default worker faults, those aimed at a
     worker outside the pool are dropped.  Unknown keys are rejected.
     """
-    from repro.faults.config import default_chaos_scenario, fits_pool
-
     params = dict(params)
     knobs = {key: params.pop(key, default) for key, default in CHAOS_KNOBS.items()}
     seed = int(knobs["seed"])
-    state = chaos_config_to_dict(default_chaos_scenario(seed=seed))
+    state = encode(default_chaos_scenario(seed=seed))
     for key in ("serve", "input_faults"):
         state[key].update(params.pop(key, {}))
     if params:
@@ -76,16 +68,21 @@ def chaos_config_from_params(params: dict):
             "acceleration": float(knobs["soft_error_accel"]),
             "seed": seed,
         }
-    config = chaos_config_from_dict(state)
+    config = decode(ChaosConfig, state)
     return config.fault_free() if knobs["fault_free"] else config
+
+
+def _import(path: str) -> type:
+    module, _, name = path.rpartition(".")
+    return getattr(import_module(module), name)
 
 
 @dataclass(frozen=True)
 class RunKind:
-    """One run kind: its config codec and its runtime class."""
+    """One run kind: its config class and its runtime class."""
 
-    to_dict: Callable
-    from_dict: Callable
+    #: ``module.Class`` of the config, imported on first use.
+    config: str
     #: ``module.Class`` of the runtime, imported on first use.
     runtime: str
     #: Campaign params (without ``"service"``) -> config.
@@ -99,28 +96,43 @@ class RunKind:
     takes_inference: bool = True
 
     @property
+    def config_class(self) -> type:
+        return _import(self.config)
+
+    @property
     def runtime_class(self) -> type:
-        module, _, name = self.runtime.rpartition(".")
-        return getattr(import_module(module), name)
+        return _import(self.runtime)
+
+    def from_dict(self, state: dict):
+        return decode(self.config_class, state)
+
+
+def config_dict(config) -> dict:
+    """The canonical dict of a run's config."""
+    state = encode(config)
+    net = state.get("net")
+    if net is not None and not net["enabled"]:
+        # A fleet without the transport records no "net" key, so config
+        # hashes and manifests of plain fleet runs stay byte-for-byte
+        # what they were before the transport existed.
+        del state["net"]
+    return state
 
 
 RUN_KINDS: "dict[str, RunKind]" = {
     "serve": RunKind(
-        serve_config_to_dict,
-        serve_config_from_dict,
+        "repro.serve.config.ServeConfig",
         "repro.serve.runtime.ServeRuntime",
     ),
     "chaos": RunKind(
-        chaos_config_to_dict,
-        chaos_config_from_dict,
+        "repro.faults.config.ChaosConfig",
         "repro.faults.runtime.ChaosRuntime",
         from_params=chaos_config_from_params,
         config_attr="chaos",
         resolves_service=False,
     ),
     "fleet": RunKind(
-        fleet_config_to_dict,
-        fleet_config_from_dict,
+        "repro.serve.fleet.config.FleetConfig",
         "repro.serve.fleet.runtime.FleetRuntime",
         takes_inference=False,
     ),
@@ -138,16 +150,16 @@ def resolve_run_config(kind: str, params: dict) -> dict:
     params = dict(params)
     try:
         service = (
-            service_model_from_dict(params.pop("service", {}))
+            decode(BatchServiceModel, params.pop("service", {}))
             if entry.resolves_service
             else None
         )
         config = (entry.from_params or entry.from_dict)(params)
     except TypeError as err:
         raise ValueError(f"bad {kind} params: {err}") from err
-    resolved = {"kind": kind, "config": entry.to_dict(config)}
+    resolved = {"kind": kind, "config": config_dict(config)}
     if service is not None:
-        resolved["service"] = service_model_to_dict(service)
+        resolved["service"] = encode(service)
     return resolved
 
 
@@ -160,7 +172,7 @@ def build_runtime(resolved: dict, *, service=None, inference=None, obs=None):
     kind = resolved["kind"]
     entry = RUN_KINDS[kind]
     if service is None:
-        service = service_model_from_dict(resolved.get("service", {}))
+        service = decode(BatchServiceModel, resolved.get("service", {}))
     kwargs = {"service": service, "obs": obs}
     if inference is not None:
         if not entry.takes_inference:
@@ -172,4 +184,4 @@ def build_runtime(resolved: dict, *, service=None, inference=None, obs=None):
 def runtime_config_dict(runtime) -> dict:
     """The canonical config dict of a live runtime (for its manifest)."""
     entry = RUN_KINDS[runtime.RUNTIME_KIND]
-    return entry.to_dict(getattr(runtime, entry.config_attr))
+    return config_dict(getattr(runtime, entry.config_attr))

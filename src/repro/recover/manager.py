@@ -30,7 +30,7 @@ from repro.faults.injectors import ProcessKill, SimulatedCrash
 from repro.obs import Obs, PID_RECOVER
 from repro.recover import kinds
 from repro.recover.checkpoint import Checkpoint, CheckpointStore
-from repro.recover.configio import service_model_to_dict
+from repro.recover.configio import encode
 from repro.recover.errors import RecoveryError
 from repro.recover.journal import JOURNAL_NAME, JournalWriter, read_journal
 from repro.serve.config import BatchServiceModel
@@ -101,7 +101,7 @@ def _write_checkpoint(
         event_index=runtime.events_processed,
         kind=runtime.RUNTIME_KIND,
         config=kinds.runtime_config_dict(runtime),
-        service=service_model_to_dict(runtime.service),
+        service=encode(runtime.service),
         checkpoint_every=every,
     )
     if instruments is not None:

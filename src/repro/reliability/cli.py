@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 
 from repro.obs.cli import add_slo_arguments
+from repro.recover.configio import decode, encode
 from repro.reliability.campaign import (
     PROTECTIONS,
     SdcCampaignConfig,
@@ -33,21 +34,17 @@ def resolve_run_config(params: dict) -> dict:
     (``fit_rates`` / ``protections`` accept lists); the resolved dict
     spells out every field so the config hash is spelling-independent.
     """
-    from repro.recover.configio import sdc_campaign_from_dict, sdc_campaign_to_dict
-
     try:
-        config = sdc_campaign_from_dict(params)
+        config = decode(SdcCampaignConfig, params)
     except TypeError as err:
         raise ValueError(f"bad sdc params: {err}") from err
-    return {"kind": "sdc", "config": sdc_campaign_to_dict(config)}
+    return {"kind": "sdc", "config": encode(config)}
 
 
 def run_from_config(params: dict) -> SdcReport:
     """Campaign entry point: params dict -> the campaign's SdcReport."""
-    from repro.recover.configio import sdc_campaign_from_dict
-
     resolved = resolve_run_config(params)
-    return run_sdc_campaign(sdc_campaign_from_dict(resolved["config"]))
+    return run_sdc_campaign(decode(SdcCampaignConfig, resolved["config"]))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,10 @@ The :class:`FleetLog` accumulates what the fleet controller *did*
 ``finish()`` it is frozen, together with per-shard rows, into a
 :class:`FleetSection` attached to the ordinary
 :class:`~repro.serve.telemetry.FleetReport`.  The section is duck-typed
-(``state_dict()`` / ``format()`` / ``summary()``) so the single-runtime
-telemetry module renders and serializes it without importing this
-package.  Net-transport runs additionally freeze the
+(``format()`` / ``summary()``) and serialized by the dataclass codec
+(:mod:`repro.recover.configio`), so the single-runtime telemetry module
+renders and serializes it without importing this package.  Net-transport
+runs additionally freeze the
 :class:`~repro.serve.fleet.transport.FleetTransport`'s protocol counters
 and detector transitions into a :class:`NetSection` with the same
 duck-typed surface.
@@ -64,27 +65,6 @@ class FleetLog:
                 "reason": reason,
             }
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol (repro.recover)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "failovers": [dict(f) for f in self.failovers],
-            "migrations": [dict(m) for m in self.migrations],
-            "migrations_planned": self.migrations_planned,
-            "migrations_skipped": self.migrations_skipped,
-            "rebalance_spawns": self.rebalance_spawns,
-            "rebalance_drains": self.rebalance_drains,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.failovers = [dict(f) for f in state["failovers"]]
-        self.migrations = [dict(m) for m in state["migrations"]]
-        self.migrations_planned = int(state["migrations_planned"])
-        self.migrations_skipped = int(state["migrations_skipped"])
-        self.rebalance_spawns = int(state["rebalance_spawns"])
-        self.rebalance_drains = int(state["rebalance_drains"])
 
 
 @dataclass
@@ -150,30 +130,6 @@ class FleetSection:
             "rebalance_spawns": float(self.log.rebalance_spawns),
             "rebalance_drains": float(self.log.rebalance_drains),
         }
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol (the byte-diff oracle includes the section)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "vnodes": self.vnodes,
-            "shards_started": self.shards_started,
-            "shard_rows": [dict(row) for row in self.shard_rows],
-            "log": self.log.state_dict(),
-            "rehome_breaker_degraded": self.rehome_breaker_degraded,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FleetSection":
-        log = FleetLog()
-        log.load_state(state["log"])
-        return cls(
-            vnodes=int(state["vnodes"]),
-            shards_started=int(state["shards_started"]),
-            shard_rows=[dict(row) for row in state["shard_rows"]],
-            log=log,
-            rehome_breaker_degraded=int(state["rehome_breaker_degraded"]),
-        )
 
     # ------------------------------------------------------------------
     # Rendering (embedded in format_fleet_report)
@@ -287,38 +243,6 @@ class NetSection:
                 c["data_sent"] + c["acks_sent"] + c["heartbeats_sent"]
             ),
         }
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol (the byte-diff oracle includes the section)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "drop_rate": self.drop_rate,
-            "dup_rate": self.dup_rate,
-            "delay_s": self.delay_s,
-            "jitter_s": self.jitter_s,
-            "n_partitions": self.n_partitions,
-            "n_gray": self.n_gray,
-            "on_exhaust": self.on_exhaust,
-            "counters": dict(self.counters),
-            "transitions": [dict(t) for t in self.transitions],
-            "detect_latencies": list(self.detect_latencies),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "NetSection":
-        return cls(
-            drop_rate=float(state["drop_rate"]),
-            dup_rate=float(state["dup_rate"]),
-            delay_s=float(state["delay_s"]),
-            jitter_s=float(state["jitter_s"]),
-            n_partitions=int(state["n_partitions"]),
-            n_gray=int(state["n_gray"]),
-            on_exhaust=str(state["on_exhaust"]),
-            counters={str(k): int(v) for k, v in state["counters"].items()},
-            transitions=[dict(t) for t in state["transitions"]],
-            detect_latencies=[float(x) for x in state["detect_latencies"]],
-        )
 
     # ------------------------------------------------------------------
     # Rendering (embedded in format_fleet_report)

@@ -34,6 +34,7 @@ import math
 import weakref
 
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
+from repro.recover.configio import decode, encode
 from repro.serve.config import BatchServiceModel
 from repro.serve.fleet.config import (
     FleetConfig,
@@ -824,7 +825,7 @@ class FleetRuntime:
                 for sid in sorted(self._session_shard)
             ],
             "rebalance_quiet_until_s": self._rebalance_quiet_until,
-            "log": self.log.state_dict(),
+            "log": encode(self.log),
             "shards": [
                 {
                     "shard_id": sid,
@@ -858,8 +859,7 @@ class FleetRuntime:
             int(sid): int(shard) for sid, shard in state["session_shard"]
         }
         self._rebalance_quiet_until = float(state["rebalance_quiet_until_s"])
-        self.log = FleetLog()
-        self.log.load_state(state["log"])
+        self.log = decode(FleetLog, state["log"])
         self.shards = {}
         for entry in state["shards"]:
             shard_id = int(entry["shard_id"])

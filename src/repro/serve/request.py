@@ -82,12 +82,9 @@ class ClientSession:
     def n_frames(self) -> int:
         return len(self.track)
 
-    def arrival_s(self, frame_index: int) -> float:
-        return self.start_s + frame_index / self.track.fps
-
     @cached_property
     def arrivals(self) -> np.ndarray:
-        """Every frame's arrival time, bit-equal to :meth:`arrival_s`."""
+        """Every frame's arrival time, ``start_s + frame / fps``."""
         return self.start_s + np.arange(self.n_frames) / self.track.fps
 
     @cached_property
@@ -100,9 +97,6 @@ class ClientSession:
             self.arrivals[frames].tolist(),
             [self.decisions[f] for f in frames],
         )
-
-    def gaze_deg(self, frame_index: int) -> np.ndarray:
-        return self.track.gaze_deg[frame_index]
 
 
 def build_fleet(config: ServeConfig) -> list[ClientSession]:

@@ -682,7 +682,7 @@ class ServeRuntime:
 
         Loads the checkpoint, replays the write-ahead journal tail
         deterministically, and returns a runtime ready to continue; see
-        :func:`repro.recover.restore_runtime` for the full contract.
+        :func:`repro.recover.manager.restore_runtime` for the full contract.
         """
         from repro.recover.manager import restore_as
 

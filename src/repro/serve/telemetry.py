@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
+from repro.recover.configio import encode
 from repro.system.metrics import (
     fmt_ms,
     percentile_key,
@@ -154,11 +155,8 @@ class SessionStats:
         self.degraded = int(state["degraded"])
         self.pending = int(state["pending"])
         self.lost_input = int(state["lost_input"])
-        # Checkpoints from before the sharded fleet predate this bucket;
-        # a single-runtime run cannot lose frames to a shard kill.
-        self.lost_shard = int(state.get("lost_shard", 0))
-        # Likewise pre-transport checkpoints predate the net bucket.
-        self.lost_net = int(state.get("lost_net", 0))
+        self.lost_shard = int(state["lost_shard"])
+        self.lost_net = int(state["lost_net"])
         self.counts = {str(k): int(v) for k, v in state["counts"].items()}
 
     @property
@@ -223,57 +221,6 @@ class FaultReport:
     def breaker_opens(self) -> int:
         return sum(1 for _, _, _, to in self.breaker_transitions if to == "OPEN")
 
-    # ------------------------------------------------------------------
-    # Snapshot protocol (repro.recover)
-    # ------------------------------------------------------------------
-    _COUNTER_FIELDS = (
-        "input_dropped",
-        "noise_burst_frames",
-        "occluded_frames",
-        "mipi_corrupted_frames",
-        "batch_failures",
-        "worker_crash_failures",
-        "worker_stall_timeouts",
-        "frames_requeued",
-        "retries_scheduled",
-        "retry_exhausted_degraded",
-        "deadline_degraded",
-        "occlusion_degraded",
-        "watchdog_reuse_frames",
-        "watchdog_full_res_frames",
-        "soft_errors_injected",
-        "sdc_detected",
-        "sdc_recomputed",
-        "sdc_fallback_degraded",
-        "sdc_escaped",
-    )
-
-    def state_dict(self) -> dict:
-        state = {name: getattr(self, name) for name in self._COUNTER_FIELDS}
-        state["breaker_transitions"] = [list(t) for t in self.breaker_transitions]
-        state["degradation_transitions"] = [
-            list(t) for t in self.degradation_transitions
-        ]
-        state["degradation_dwell_s"] = dict(self.degradation_dwell_s)
-        state["widened_delta_theta_deg"] = self.widened_delta_theta_deg
-        return state
-
-    def load_state(self, state: dict) -> None:
-        for name in self._COUNTER_FIELDS:
-            setattr(self, name, int(state[name]))
-        self.breaker_transitions = [
-            (float(t), int(wid), str(src), str(dst))
-            for t, wid, src, dst in state["breaker_transitions"]
-        ]
-        self.degradation_transitions = [
-            (float(t), int(sid), str(src), str(dst))
-            for t, sid, src, dst in state["degradation_transitions"]
-        ]
-        self.degradation_dwell_s = {
-            str(k): float(v) for k, v in state["degradation_dwell_s"].items()
-        }
-        self.widened_delta_theta_deg = float(state["widened_delta_theta_deg"])
-
     def summary(self) -> dict[str, float]:
         return {
             "input_dropped": float(self.input_dropped),
@@ -312,7 +259,7 @@ class FleetReport:
     faults: "FaultReport | None" = None
     #: Sharded-fleet section (``repro.serve.fleet.FleetSection``): per-
     #: shard rows plus the migration/failover/rebalance event log.  Duck-
-    #: typed (``state_dict()`` / ``format()``) so single-runtime reports
+    #: typed (``format()``; encoded as a dataclass) so single-runtime reports
     #: never import the fleet package; ``None`` outside fleet runs.
     shards: "object | None" = None
     #: Net-transport section (``repro.serve.fleet.NetSection``): protocol
@@ -441,19 +388,11 @@ def fleet_report_state(report: FleetReport) -> dict:
         "n_workers": report.n_workers,
         "max_batch": report.max_batch,
         "predictions": predictions,
-        "faults": None if report.faults is None else report.faults.state_dict(),
+        "faults": encode(report.faults),
         # Key present only on fleet runs so single-runtime report bytes
         # (and every pinned byte-diff built on them) are unchanged.
-        **(
-            {}
-            if report.shards is None
-            else {"shards": report.shards.state_dict()}
-        ),
-        **(
-            {}
-            if report.net is None
-            else {"net": report.net.state_dict()}
-        ),
+        **({} if report.shards is None else {"shards": encode(report.shards)}),
+        **({} if report.net is None else {"net": encode(report.net)}),
     }
 
 

@@ -24,7 +24,8 @@ from repro.faults import (
     WorkerFaultSchedule,
     WorkerStall,
 )
-from repro.recover import canonical_bytes, fleet_report_bytes, resume, run_with_checkpoints
+from repro.recover import canonical_bytes, fleet_report_bytes
+from repro.recover.manager import resume, run_with_checkpoints
 from repro.reliability.softerror import SoftErrorConfig
 from repro.serve import ServeConfig
 

@@ -101,11 +101,8 @@ class TestSnapshot:
 
     def test_crash_recovery_bit_identical_with_soft_errors(self, tmp_path):
         from repro.faults import ProcessKill, SimulatedCrash
-        from repro.recover import (
-            fleet_report_bytes,
-            resume,
-            run_with_checkpoints,
-        )
+        from repro.recover import fleet_report_bytes
+        from repro.recover.manager import resume, run_with_checkpoints
 
         config = soft_config()
         baseline = ChaosRuntime(config).run()

@@ -13,10 +13,8 @@ from repro.recover import (
     RecoveryError,
     canonical_bytes,
     fleet_report_bytes,
-    restore_runtime,
-    resume,
-    run_with_checkpoints,
 )
+from repro.recover.manager import restore_runtime, resume, run_with_checkpoints
 from repro.recover.manager import build_runtime
 from repro.serve import ServeConfig
 from repro.serve.fleet import FleetConfig, FleetRuntime, run_fleet

@@ -20,10 +20,10 @@ from repro.recover import (
     RecoveryError,
     canonical_bytes,
     fleet_report_bytes,
-    restore_runtime,
-    resume,
-    run_with_checkpoints,
 )
+from repro.recover.configio import decode
+from repro.recover.kinds import config_dict
+from repro.recover.manager import restore_runtime, resume, run_with_checkpoints
 from repro.serve import ServeConfig
 from repro.serve.fleet import (
     FleetConfig,
@@ -136,24 +136,19 @@ class TestNetCrashRecovery:
             assert shard.stats is runtime.stats
 
     def test_net_config_roundtrips_through_manifest(self):
-        from repro.recover.configio import (
-            fleet_config_from_dict,
-            fleet_config_to_dict,
-        )
-
         config = lossy_fleet()
-        state = fleet_config_to_dict(config)
+        state = config_dict(config)
         assert state["net"]["partitions"] == [
             {"start_s": 0.15, "stop_s": 0.3, "shard_ids": [1]}
         ]
-        clone = fleet_config_from_dict(state)
+        clone = decode(FleetConfig, state)
         assert clone.net == config.net
         # Pre-transport manifests have no "net" key and must still load;
         # plain fleets must keep emitting byte-identical manifests.
         plain = FleetConfig(serve=ServeConfig(n_sessions=4, duration_s=0.1))
-        plain_state = fleet_config_to_dict(plain)
+        plain_state = config_dict(plain)
         assert "net" not in plain_state
-        assert fleet_config_from_dict(plain_state).net == NetConfig()
+        assert decode(FleetConfig, plain_state).net == NetConfig()
 
 
 def events_until(config: FleetConfig, stop) -> int:

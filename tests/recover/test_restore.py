@@ -17,10 +17,8 @@ from repro.recover import (
     canonical_bytes,
     fleet_report_bytes,
     read_journal,
-    restore_runtime,
-    resume,
-    run_with_checkpoints,
 )
+from repro.recover.manager import restore_runtime, resume, run_with_checkpoints
 from repro.serve import FleetConfig, FleetRuntime, ServeConfig, ServeRuntime
 
 

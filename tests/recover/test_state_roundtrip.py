@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.faults import default_chaos_scenario
 from repro.faults.runtime import ChaosRuntime
 from repro.recover import canonical_bytes, fleet_report_bytes
+from repro.recover.configio import decode, encode
 from repro.serve import (
     BatchServiceModel,
     DynamicBatcher,
@@ -97,12 +99,11 @@ class TestComponents:
 
     def test_fault_report_roundtrip(self):
         report = FaultReport()
-        report.frames_dropped_input = 5
+        report.input_dropped = 5
         report.breaker_transitions.append((0.25, 1, "closed", "open"))
-        state = report.state_dict()
-        other = FaultReport()
-        other.load_state(state)
-        assert other.state_dict() == state
+        report.degradation_dwell_s["NOMINAL"] = 1.5
+        state = json.loads(canonical_bytes(encode(report)))
+        assert decode(FaultReport, state) == report
 
     def test_breaker_roundtrip(self):
         breaker = CircuitBreaker(failure_threshold=2, cooldown_s=0.1)

@@ -29,7 +29,8 @@ from repro.obs.slo import (
     default_slo_config,
     parse_slo_config,
 )
-from repro.recover import fleet_report_bytes, resume, run_with_checkpoints
+from repro.recover import fleet_report_bytes
+from repro.recover.manager import resume, run_with_checkpoints
 from repro.serve import ServeConfig, ServeRuntime
 from repro.serve.config import AdmissionPolicy
 from repro.serve.fleet import FleetConfig, FleetRuntime, NetConfig

@@ -13,11 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash
-from repro.recover import (
-    fleet_report_bytes,
-    restore_runtime,
-    run_with_checkpoints,
-)
+from repro.recover import fleet_report_bytes
+from repro.recover.manager import restore_runtime, run_with_checkpoints
 from repro.serve import FleetRuntime, ServeConfig, ServeRuntime
 from repro.serve.fleet import FleetConfig
 

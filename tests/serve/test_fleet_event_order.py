@@ -22,7 +22,8 @@ from repro.faults import ProcessKill, SimulatedCrash
 from repro.faults.netfaults import ShardKill
 from repro.obs import Obs, ObsConfig
 from repro.obs.slo import SloEngine, default_slo_config
-from repro.recover import fleet_report_bytes, resume, run_with_checkpoints
+from repro.recover import fleet_report_bytes
+from repro.recover.manager import resume, run_with_checkpoints
 from repro.recover.codec import canonical_json
 from repro.serve import AdmissionPolicy, ServeConfig
 from repro.serve.fleet import (

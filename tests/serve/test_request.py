@@ -40,8 +40,8 @@ class TestBuildFleet:
 
     def test_arrival_clock(self, fleet):
         session = fleet[2]
-        assert session.arrival_s(0) == pytest.approx(session.start_s)
-        assert session.arrival_s(10) == pytest.approx(session.start_s + 0.1)
+        assert session.arrivals[0] == pytest.approx(session.start_s)
+        assert session.arrivals[10] == pytest.approx(session.start_s + 0.1)
 
 
 def predict_frames(sessions) -> int:
@@ -91,7 +91,7 @@ class TestFleetRequests:
     def test_arrivals_bit_equal_session_clock(self, config, fleet):
         for r in fleet_requests(fleet, config.deadline_s):
             session = fleet[r.session_id]
-            assert r.arrival_s == session.arrival_s(r.frame_index)
+            assert r.arrival_s == session.arrivals[r.frame_index]
             assert r.deadline_s == r.arrival_s + config.deadline_s
 
     def test_arrival_ties_order_by_session_then_frame(self):
@@ -110,4 +110,4 @@ class TestFleetRequests:
         ]
         assert tied and all(first < second for first, second in tied)
         for r in requests:
-            assert r.arrival_s == fleet[r.session_id].arrival_s(r.frame_index)
+            assert r.arrival_s == fleet[r.session_id].arrivals[r.frame_index]

@@ -52,12 +52,14 @@ SERVE_ALL_FLAGS = [
     "--service-per-sample-ms", "0.3", "--seed", "11", "--max-session-rows",
     "3", "--obs", "--obs-top", "4",
 ]
+#: The soft-error acceleration lands upsets on this row's few predict
+#: frames, so its report has a ``Soft errors:`` line.
 CHAOS_ALL_FLAGS = [
     "chaos", "--sessions", "5", "--duration", "0.25", "--workers", "3",
     "--seed", "4", "--drop-rate", "0.2", "--noise-burst-rate", "0.5",
     "--occlusion-rate", "0.3", "--bit-error-rate", "1e-7",
     "--no-worker-faults", "--soft-error-fit", "500", "--soft-error-accel",
-    "1e9", "--max-session-rows", "3", "--obs", "--obs-top", "4",
+    "5e12", "--max-session-rows", "3", "--obs", "--obs-top", "4",
 ]
 FLEET_ALL_FLAGS = [
     "fleet", "--sessions", "7", "--shards", "2", "--duration", "0.25",
@@ -150,7 +152,7 @@ ROWS: "dict[str, list[list[str]]]" = {
 #: name -> per command: (exit code, sha256(stdout)[:16], sha256(stderr)[:16]).
 GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "chaos": [(0, "07dacb86b78026a3", "e3b0c44298fc1c14")],
-    "chaos-all-flags": [(0, "169af4f9bad89db9", "e3b0c44298fc1c14")],
+    "chaos-all-flags": [(0, "7844c238f80cb27e", "e3b0c44298fc1c14")],
     "chaos-compare-fault-free": [(0, "d312e082db80ffe9", "e3b0c44298fc1c14")],
     "chaos-fault-free": [(0, "6149d6630547e4da", "e3b0c44298fc1c14")],
     "chaos-help": [(0, "261c8720accbe6aa", "e3b0c44298fc1c14")],
@@ -199,7 +201,7 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
 
 #: name -> sha256 over the (path, bytes) of every file under obs-out/.
 OBS_TREES: "dict[str, str]" = {
-    "chaos-all-flags": "0a66e7975a00aa16",
+    "chaos-all-flags": "f9ef40ac123aa952",
     "chaos-obs": "ed7477b651d87db5",
     "fleet-all-flags": "6994581048537ea5",
     "fleet-kill-recover-obs": "6b5212ddd18b5dfb",
@@ -254,7 +256,7 @@ def test_cli_output_is_pinned(name, tmp_path, monkeypatch, capsys):
 #: metrics.prom without its ``_sum`` lines), both computed with every
 #: bypass frame recorded at its own ARRIVAL event.
 OBS_CONTENT: "dict[str, tuple[str, str]]" = {
-    "chaos-all-flags": ("9e578cb247060beb", "5aad99abe4280273"),
+    "chaos-all-flags": ("9605b1dbce3c3fba", "a7c4e1871fa9cb5e"),
     "chaos-obs": ("b7dc9e64fb782b14", "45976784f32515a6"),
     "fleet-obs": ("060af2d5cee6b8fe", "da9eba578b9a1ac6"),
     "serve-obs": ("60b552c6f5f1f6dc", "c7d03295829c1c96"),
