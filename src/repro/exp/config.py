@@ -41,6 +41,7 @@ import os
 import re
 
 from repro.exp.errors import CampaignConfigError
+from repro.recover.configio import decode
 
 _NAME_RE = re.compile(r"^[a-zA-Z0-9][a-zA-Z0-9._-]*$")
 
@@ -106,7 +107,10 @@ def _expand_block(block: dict, index: int) -> "list[tuple[str, dict]]":
             "seed" not in grid,
             f"runs[{index}]: 'seeds' and grid['seed'] are mutually exclusive",
         )
-        grid["seed"] = [int(s) for s in seeds]
+        try:
+            grid["seed"] = decode(list[int], seeds, f"runs[{index}].seeds")
+        except TypeError as err:
+            raise CampaignConfigError(str(err)) from err
     for axis, values in grid.items():
         _require(
             isinstance(values, list) and values,

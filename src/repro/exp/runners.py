@@ -22,9 +22,18 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.exp.errors import CampaignConfigError
+from repro.experiments import cli as paper_cli
 from repro.obs.metrics import MetricsRegistry
+from repro.recover import cli as recover_cli
 from repro.recover.codec import canonical_json, config_hash
 from repro.recover.kinds import RUN_KINDS, build_runtime, resolve_run_config
+from repro.reliability import cli as sdc_cli
+from repro.reliability.campaign import format_sdc_report, sdc_summary_metrics
+from repro.serve.telemetry import (
+    fleet_summary_metrics,
+    format_fleet_report,
+    publish_fleet_metrics,
+)
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,6 @@ def _fleet_registry(report) -> MetricsRegistry:
     """Bridge a FleetReport into a registry (gauges, counters, and the
     latency/queue-wait distributions replayed from the per-session
     accumulators — deterministic, no live tracing required)."""
-    from repro.serve.telemetry import publish_fleet_metrics
-
     registry = MetricsRegistry()
     publish_fleet_metrics(report, registry)
     latency = registry.histogram(
@@ -103,8 +110,6 @@ def _fleet_registry(report) -> MetricsRegistry:
 
 
 def _fleet_outcome(report, extra_metrics: "dict | None" = None) -> RunOutcome:
-    from repro.serve.telemetry import fleet_summary_metrics, format_fleet_report
-
     metrics = fleet_summary_metrics(report)
     if extra_metrics:
         metrics.update(extra_metrics)
@@ -119,10 +124,7 @@ def _execute_kind(kind: str, params: dict) -> RunOutcome:
 
 
 def _execute_sdc(params: dict) -> RunOutcome:
-    from repro.reliability.campaign import format_sdc_report, sdc_summary_metrics
-    from repro.reliability.cli import run_from_config
-
-    report = run_from_config(params)
+    report = sdc_cli.run_from_config(params)
     registry = MetricsRegistry()
     metrics: dict = sdc_summary_metrics(report)
     registry.gauge(
@@ -143,9 +145,7 @@ def _execute_sdc(params: dict) -> RunOutcome:
 
 
 def _execute_recover(params: dict) -> RunOutcome:
-    from repro.recover.cli import run_from_config
-
-    probe = run_from_config(params)
+    probe = recover_cli.run_from_config(params)
     outcome = _fleet_outcome(
         probe.report,
         extra_metrics={
@@ -169,9 +169,7 @@ def _execute_recover(params: dict) -> RunOutcome:
 
 
 def _execute_paper(params: dict) -> RunOutcome:
-    from repro.experiments.cli import run_from_config
-
-    text = run_from_config(params)
+    text = paper_cli.run_from_config(params)
     registry = MetricsRegistry()
     registry.gauge("paper_report_lines", "Lines in the generated report").set(
         len(text.splitlines())
@@ -184,24 +182,6 @@ def _execute_paper(params: dict) -> RunOutcome:
     )
 
 
-def _resolve_sdc(params: dict) -> dict:
-    from repro.reliability.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_recover(params: dict) -> dict:
-    from repro.recover.cli import resolve_run_config
-
-    return resolve_run_config(params)
-
-
-def _resolve_paper(params: dict) -> dict:
-    from repro.experiments.cli import resolve_run_config
-
-    return {"kind": "paper", "config": resolve_run_config(params)}
-
-
 #: name -> (resolve, execute).  New workloads register here; the rest of
 #: the campaign machinery (expansion, ledger, compare) is runner-agnostic.
 RUNNERS = {
@@ -209,9 +189,9 @@ RUNNERS = {
         kind: (partial(resolve_run_config, kind), partial(_execute_kind, kind))
         for kind in RUN_KINDS
     },
-    "sdc": (_resolve_sdc, _execute_sdc),
-    "recover": (_resolve_recover, _execute_recover),
-    "paper": (_resolve_paper, _execute_paper),
+    "sdc": (sdc_cli.resolve_run_config, _execute_sdc),
+    "recover": (recover_cli.resolve_run_config, _execute_recover),
+    "paper": (paper_cli.resolve_run_config, _execute_paper),
 }
 
 

@@ -6,8 +6,8 @@ and lets flags scale or disable each fault class.  The printed report is
 byte-identical across runs of the same flags — ``--compare-fault-free``
 additionally replays the identical fleet with every fault disabled and
 prints the degradation budget actually consumed.  The flags are chaos
-campaign params (:func:`repro.recover.kinds.chaos_config_from_params`);
-the shared flags and the run itself are :mod:`repro.serve.frontdoor`'s.
+campaign params (:class:`repro.recover.kinds.ChaosParams`); the shared
+flags and the run itself are :mod:`repro.serve.frontdoor`'s.
 """
 
 from __future__ import annotations

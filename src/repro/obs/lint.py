@@ -14,6 +14,8 @@ import re
 import sys
 from pathlib import Path
 
+from repro.obs.slo import SloConfigError, load_slo_config
+
 _PROM_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _PROM_LABELS = r'(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})?'
 _PROM_VALUE = r"[-+]?(\d+(\.\d+)?([eE][-+]?\d+)?|Inf|NaN)"
@@ -89,8 +91,6 @@ def lint_slo(path: "str | Path") -> list[str]:
     """SLO config violations (empty = ok): full strict parse via
     :func:`repro.obs.slo.load_slo_config` — unknown metric names,
     malformed windows, bad thresholds, duplicate objective names."""
-    from repro.obs.slo import SloConfigError, load_slo_config
-
     try:
         load_slo_config(path)
     except SloConfigError as err:

@@ -54,6 +54,8 @@ from pathlib import Path
 from repro.obs.config import Obs
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import PID_SLO
+from repro.recover.codec import canonical_json
+from repro.recover.configio import decode
 from repro.system.metrics import table_to_text
 
 
@@ -87,57 +89,101 @@ BURN_CAP = 1e3
 #: Alert states, in gauge-encoding order.
 ALERT_STATES = ("OK", "WARN", "PAGE", "RESOLVED")
 
-_REF_KEYS = frozenset({"metric", "labels", "above_s"})
-_OBJECTIVE_KEYS = frozenset({
-    "name", "kind", "description", "total", "bad", "target", "window_s",
-    "fast_window_s", "warn_burn", "page_burn", "min_events", "on_page",
-})
-_SUMMARY_KEYS = frozenset({"name", "metric", "op", "target", "description"})
-_CONFIG_KEYS = frozenset({"eval_interval_s", "objectives", "summary_objectives"})
-
-_NAME_OK = "abcdefghijklmnopqrstuvwxyz0123456789_"
+_NAME_OK = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
-def _check_name(name, where: str) -> str:
-    if not isinstance(name, str) or not name:
-        raise SloConfigError(f"{where}: 'name' must be a non-empty string")
-    if any(c not in _NAME_OK for c in name):
+def _check_name(name: str, where: str) -> None:
+    if not name or not _NAME_OK.issuperset(name):
         raise SloConfigError(
             f"{where}: name {name!r} must be lowercase [a-z0-9_] "
             "(it becomes a metric label)"
         )
-    return name
 
 
 @dataclass(frozen=True)
 class MetricRef:
     """One event stream: a registry instrument, optionally filtered.
 
-    ``above_s`` turns a latency histogram into the stream of samples
-    exceeding the threshold — the bad-event stream of a latency SLO.
+    ``labels`` are sorted ``(label, value)`` pairs, spelled as a JSON
+    object in a config file.  ``above_s`` turns a latency histogram into
+    the stream of samples exceeding the threshold — the bad-event stream
+    of a latency SLO.
     """
 
     metric: str
     labels: "tuple[tuple[str, str], ...]" = ()
     above_s: "float | None" = None
 
+    def __post_init__(self) -> None:
+        if self.metric not in KNOWN_ONLINE_METRICS:
+            raise SloConfigError(
+                f"unknown metric {self.metric!r} "
+                f"(known online instruments: {sorted(KNOWN_ONLINE_METRICS)})"
+            )
+        if self.above_s is not None and self.above_s <= 0:
+            raise SloConfigError(f"{self.metric}: 'above_s' must be positive")
+        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class SloObjective:
     """One declarative online objective."""
 
     name: str
     kind: str  # "ratio" | "rate_min"
     total: MetricRef
-    bad: "MetricRef | None"
+    #: The bad-event stream: required by ratio, refused by rate_min.
+    bad: "MetricRef | None" = None
     target: float
     window_s: float
-    fast_window_s: float
+    #: Defaults to a quarter of ``window_s``.
+    fast_window_s: "float | None" = None
     warn_burn: float = 1.0
     page_burn: float = 4.0
     min_events: int = 1
     on_page: str = "none"  # "none" | "widen"
     description: str = ""
+
+    def __post_init__(self) -> None:
+        where = f"objective {self.name!r}"
+        _check_name(self.name, where)
+        if self.kind == "ratio":
+            if self.bad is None:
+                raise SloConfigError(f"{where}: ratio objectives need a 'bad' ref")
+            if not 0.0 < self.target < 1.0:
+                raise SloConfigError(
+                    f"{where}: ratio target must be in (0, 1), got {self.target}"
+                )
+        elif self.kind == "rate_min":
+            if self.bad is not None:
+                raise SloConfigError(f"{where}: rate_min objectives take no 'bad' ref")
+            if self.target <= 0:
+                raise SloConfigError(f"{where}: rate_min target must be positive")
+        else:
+            raise SloConfigError(
+                f"{where}: 'kind' must be 'ratio' or 'rate_min', got {self.kind!r}"
+            )
+        if self.fast_window_s is None:
+            object.__setattr__(self, "fast_window_s", self.window_s / 4.0)
+        window, fast = self.window_s, self.fast_window_s
+        if window <= 0 or fast <= 0:
+            raise SloConfigError(f"{where}: windows must be positive")
+        if fast >= window:
+            raise SloConfigError(
+                f"{where}: fast_window_s ({fast}) must be shorter than "
+                f"window_s ({window})"
+            )
+        if not 0 < self.warn_burn <= self.page_burn:
+            raise SloConfigError(
+                f"{where}: need 0 < warn_burn <= page_burn, "
+                f"got {self.warn_burn}, {self.page_burn}"
+            )
+        if self.min_events < 1:
+            raise SloConfigError(f"{where}: min_events must be >= 1")
+        if self.on_page not in ("none", "widen"):
+            raise SloConfigError(
+                f"{where}: on_page must be 'none' or 'widen', got {self.on_page!r}"
+            )
 
     @property
     def error_budget(self) -> float:
@@ -155,6 +201,16 @@ class SummaryObjective:
     target: float
     description: str = ""
 
+    def __post_init__(self) -> None:
+        where = f"summary objective {self.name!r}"
+        _check_name(self.name, where)
+        if not self.metric:
+            raise SloConfigError(f"{where}: 'metric' must be a non-empty string")
+        if self.op not in ("<=", ">="):
+            raise SloConfigError(
+                f"{where}: 'op' must be '<=' or '>=', got {self.op!r}"
+            )
+
 
 @dataclass(frozen=True)
 class SloConfig:
@@ -163,6 +219,16 @@ class SloConfig:
     objectives: "tuple[SloObjective, ...]" = ()
     summary_objectives: "tuple[SummaryObjective, ...]" = ()
     eval_interval_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.eval_interval_s <= 0:
+            raise SloConfigError("eval_interval_s must be positive")
+        names = [o.name for o in (*self.objectives, *self.summary_objectives)]
+        if not names:
+            raise SloConfigError("config declares no objectives at all")
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        if dupes:
+            raise SloConfigError(f"duplicate objective names: {dupes}")
 
 
 @dataclass(frozen=True)
@@ -182,154 +248,18 @@ class SloVerdict:
 # ----------------------------------------------------------------------
 # Config parsing
 # ----------------------------------------------------------------------
-def _parse_ref(data, where: str) -> MetricRef:
-    if not isinstance(data, dict):
-        raise SloConfigError(f"{where}: metric ref must be a dict")
-    unknown = sorted(set(data) - _REF_KEYS)
-    if unknown:
-        raise SloConfigError(
-            f"{where}: unknown ref keys {unknown} (known: {sorted(_REF_KEYS)})"
-        )
-    metric = data.get("metric")
-    if not isinstance(metric, str) or not metric:
-        raise SloConfigError(f"{where}: 'metric' must be a non-empty string")
-    if metric not in KNOWN_ONLINE_METRICS:
-        raise SloConfigError(
-            f"{where}: unknown metric {metric!r} "
-            f"(known online instruments: {sorted(KNOWN_ONLINE_METRICS)})"
-        )
-    labels = data.get("labels", {})
-    if not isinstance(labels, dict):
-        raise SloConfigError(f"{where}: 'labels' must be a dict")
-    above = data.get("above_s")
-    if above is not None:
-        above = float(above)
-        if above <= 0:
-            raise SloConfigError(f"{where}: 'above_s' must be positive")
-    return MetricRef(
-        metric=metric,
-        labels=tuple(sorted((str(k), str(v)) for k, v in labels.items())),
-        above_s=above,
-    )
-
-
-def _parse_objective(data, index: int) -> SloObjective:
-    where = f"objectives[{index}]"
-    if not isinstance(data, dict):
-        raise SloConfigError(f"{where}: must be a dict")
-    unknown = sorted(set(data) - _OBJECTIVE_KEYS)
-    if unknown:
-        raise SloConfigError(
-            f"{where}: unknown keys {unknown} (known: {sorted(_OBJECTIVE_KEYS)})"
-        )
-    name = _check_name(data.get("name"), where)
-    kind = data.get("kind")
-    if kind not in ("ratio", "rate_min"):
-        raise SloConfigError(
-            f"{where}: 'kind' must be 'ratio' or 'rate_min', got {kind!r}"
-        )
-    if "total" not in data or "target" not in data or "window_s" not in data:
-        raise SloConfigError(
-            f"{where}: 'total', 'target', and 'window_s' are required"
-        )
-    total = _parse_ref(data["total"], f"{where}.total")
-    bad = None
-    if kind == "ratio":
-        if "bad" not in data:
-            raise SloConfigError(f"{where}: ratio objectives need a 'bad' ref")
-        bad = _parse_ref(data["bad"], f"{where}.bad")
-    elif "bad" in data:
-        raise SloConfigError(f"{where}: rate_min objectives take no 'bad' ref")
-    target = float(data["target"])
-    if kind == "ratio" and not 0.0 < target < 1.0:
-        raise SloConfigError(
-            f"{where}: ratio target must be in (0, 1), got {target}"
-        )
-    if kind == "rate_min" and target <= 0:
-        raise SloConfigError(f"{where}: rate_min target must be positive")
-    window = float(data["window_s"])
-    fast = float(data.get("fast_window_s", window / 4.0))
-    if window <= 0 or fast <= 0:
-        raise SloConfigError(f"{where}: windows must be positive")
-    if fast >= window:
-        raise SloConfigError(
-            f"{where}: fast_window_s ({fast}) must be shorter than "
-            f"window_s ({window})"
-        )
-    warn = float(data.get("warn_burn", 1.0))
-    page = float(data.get("page_burn", 4.0))
-    if not 0 < warn <= page:
-        raise SloConfigError(
-            f"{where}: need 0 < warn_burn <= page_burn, got {warn}, {page}"
-        )
-    min_events = int(data.get("min_events", 1))
-    if min_events < 1:
-        raise SloConfigError(f"{where}: min_events must be >= 1")
-    on_page = data.get("on_page", "none")
-    if on_page not in ("none", "widen"):
-        raise SloConfigError(
-            f"{where}: on_page must be 'none' or 'widen', got {on_page!r}"
-        )
-    return SloObjective(
-        name=name, kind=kind, total=total, bad=bad, target=target,
-        window_s=window, fast_window_s=fast, warn_burn=warn, page_burn=page,
-        min_events=min_events, on_page=on_page,
-        description=str(data.get("description", "")),
-    )
-
-
-def _parse_summary(data, index: int) -> SummaryObjective:
-    where = f"summary_objectives[{index}]"
-    if not isinstance(data, dict):
-        raise SloConfigError(f"{where}: must be a dict")
-    unknown = sorted(set(data) - _SUMMARY_KEYS)
-    if unknown:
-        raise SloConfigError(
-            f"{where}: unknown keys {unknown} (known: {sorted(_SUMMARY_KEYS)})"
-        )
-    name = _check_name(data.get("name"), where)
-    metric = data.get("metric")
-    if not isinstance(metric, str) or not metric:
-        raise SloConfigError(f"{where}: 'metric' must be a non-empty string")
-    op = data.get("op")
-    if op not in ("<=", ">="):
-        raise SloConfigError(f"{where}: 'op' must be '<=' or '>=', got {op!r}")
-    if "target" not in data:
-        raise SloConfigError(f"{where}: 'target' is required")
-    return SummaryObjective(
-        name=name, metric=metric, op=op, target=float(data["target"]),
-        description=str(data.get("description", "")),
-    )
+def _decode_slo(hint, data, path: str = ""):
+    """:func:`~repro.recover.configio.decode`, refusing with
+    :class:`SloConfigError` (the error SLO callers catch)."""
+    try:
+        return decode(hint, data, path)
+    except TypeError as err:
+        raise SloConfigError(str(err)) from err
 
 
 def parse_slo_config(data) -> SloConfig:
     """Validate a config dict -> :class:`SloConfig` (raises on nonsense)."""
-    if not isinstance(data, dict):
-        raise SloConfigError("SLO config must be a dict")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise SloConfigError(
-            f"unknown config keys {unknown} (known: {sorted(_CONFIG_KEYS)})"
-        )
-    interval = float(data.get("eval_interval_s", 0.05))
-    if interval <= 0:
-        raise SloConfigError("eval_interval_s must be positive")
-    raw_online = data.get("objectives", [])
-    raw_summary = data.get("summary_objectives", [])
-    if not isinstance(raw_online, list) or not isinstance(raw_summary, list):
-        raise SloConfigError("'objectives'/'summary_objectives' must be lists")
-    objectives = tuple(_parse_objective(o, i) for i, o in enumerate(raw_online))
-    summary = tuple(_parse_summary(o, i) for i, o in enumerate(raw_summary))
-    if not objectives and not summary:
-        raise SloConfigError("config declares no objectives at all")
-    names = [o.name for o in objectives] + [o.name for o in summary]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise SloConfigError(f"duplicate objective names: {dupes}")
-    return SloConfig(
-        objectives=objectives, summary_objectives=summary,
-        eval_interval_s=interval,
-    )
+    return _decode_slo(SloConfig, data)
 
 
 def load_slo_config(path: "str | Path") -> SloConfig:
@@ -666,13 +596,9 @@ class SloEngine:
 
     def history_jsonl(self) -> str:
         """One canonical-JSON evaluation row per line (``slo.jsonl``)."""
-        from repro.recover.codec import canonical_json
-
         return "".join(canonical_json(row) + "\n" for row in self.history)
 
     def verdicts_json(self) -> str:
-        from repro.recover.codec import canonical_json
-
         return canonical_json([
             {
                 "name": v.name, "kind": v.kind, "target": v.target,
@@ -696,17 +622,14 @@ def parse_summary_slo(block) -> "tuple[SummaryObjective, ...]":
         raise SloConfigError(
             f"campaign slo: unknown keys {unknown} (known: ['objectives'])"
         )
-    raw = block.get("objectives")
-    if not isinstance(raw, list) or not raw:
+    objectives = _decode_slo(
+        tuple[SummaryObjective, ...], block.get("objectives", []), "objectives"
+    )
+    if not objectives:
         raise SloConfigError(
             "campaign slo: 'objectives' must be a non-empty list"
         )
-    objectives = tuple(_parse_summary(o, i) for i, o in enumerate(raw))
-    names = [o.name for o in objectives]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise SloConfigError(f"duplicate objective names: {dupes}")
-    return objectives
+    return SloConfig(summary_objectives=objectives).summary_objectives
 
 
 def evaluate_summary(

@@ -29,6 +29,7 @@ from repro.obs.cli import (
     resolve_obs_out,
 )
 from repro.recover.codec import fleet_report_bytes
+from repro.recover.configio import decode
 from repro.recover.errors import RecoveryError
 from repro.recover import kinds
 from repro.recover.manager import (
@@ -74,9 +75,11 @@ def resolve_run_config(params: dict) -> dict:
     ``kill_at_event`` and ``checkpoint_every``.
     """
     params = dict(params)
-    target = params.pop("target", "serve")
-    kill_at_event = int(params.pop("kill_at_event", 500))
-    checkpoint_every = int(params.pop("checkpoint_every", 200))
+    target = decode(str, params.pop("target", "serve"), "target")
+    kill_at_event = decode(int, params.pop("kill_at_event", 500), "kill_at_event")
+    checkpoint_every = decode(
+        int, params.pop("checkpoint_every", 200), "checkpoint_every"
+    )
     if kill_at_event < 1:
         raise ValueError(f"kill_at_event must be >= 1, got {kill_at_event}")
     if checkpoint_every < 1:

@@ -12,6 +12,12 @@ from __future__ import annotations
 import argparse
 
 from repro.obs.cli import add_slo_arguments
+from repro.obs.slo import (
+    SloConfigError,
+    evaluate_summary,
+    format_summary_verdicts,
+    load_slo_config,
+)
 from repro.recover.configio import decode, encode
 from repro.reliability.campaign import (
     PROTECTIONS,
@@ -91,8 +97,6 @@ def main(argv: "list[str] | None" = None) -> int:
     # summary objectives only: thresholds over the final flat metrics.
     summary_objectives = None
     if args.slo is not None:
-        from repro.obs.slo import SloConfigError, load_slo_config
-
         if args.slo == "default":
             parser.error("--slo default has no sdc objectives; pass a "
                          "*.slo.json with summary_objectives")
@@ -107,8 +111,6 @@ def main(argv: "list[str] | None" = None) -> int:
     report = run_sdc_campaign(config)
     print(format_sdc_report(report))
     if summary_objectives is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-
         rows = evaluate_summary(summary_objectives, sdc_summary_metrics(report))
         print("\n--- SLO verdicts ---\n")
         print(format_summary_verdicts(rows))

@@ -27,9 +27,21 @@ from repro.obs.cli import (
     obs_from_args,
     resolve_obs_out,
 )
+from repro.obs.config import Obs, ObsConfig
+from repro.obs.slo import (
+    SloConfigError,
+    SloEngine,
+    evaluate_summary,
+    format_summary_verdicts,
+    resolve_slo_config,
+)
 from repro.recover.cli import add_checkpoint_arguments, run_checkpointed_cli
 from repro.recover.kinds import RUN_KINDS, build_runtime, resolve_run_config
-from repro.serve.telemetry import FleetReport, format_fleet_report
+from repro.serve.telemetry import (
+    FleetReport,
+    fleet_summary_metrics,
+    format_fleet_report,
+)
 
 
 @dataclass(frozen=True)
@@ -134,9 +146,6 @@ def run_serving_cli(
     obs = obs_from_args(args)
     slo_engine = None
     if args.slo is not None:
-        from repro.obs.config import Obs, ObsConfig
-        from repro.obs.slo import SloConfigError, SloEngine, resolve_slo_config
-
         if obs is None:
             obs = Obs(ObsConfig(top_k=args.obs_top))
         # Chaos and fleet configs wrap a serve template; serve is its own.
@@ -157,9 +166,6 @@ def run_serving_cli(
         report = runtime.run()
     print(format_fleet_report(report, max_session_rows=args.max_session_rows))
     if slo_engine is not None:
-        from repro.obs.slo import evaluate_summary, format_summary_verdicts
-        from repro.serve.telemetry import fleet_summary_metrics
-
         print("\n--- SLO verdicts ---\n")
         print(slo_engine.format_verdicts())
         summary_objectives = slo_engine.config.summary_objectives

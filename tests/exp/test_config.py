@@ -109,6 +109,20 @@ def test_blocks_concatenate_in_order():
     ({"name": "x", "runs": [{"params": {}}]}, "runner"),
     ({"name": "x", "runs": [{"runner": "r", "grid": {"a": []}}]}, "non-empty"),
     ({"name": "x", "runs": [{"runner": "r", "typo": 1}]}, "unknown keys"),
+    (
+        {
+            "name": "x",
+            "runs": [
+                {"runner": "r", "seeds": [0]},
+                {"runner": "r", "seeds": [1.5, True]},
+            ],
+        },
+        r"runs\[1\]\.seeds\[0\] must be int, got 1\.5",
+    ),
+    (
+        {"name": "x", "runs": [{"runner": "r", "seeds": [0, True]}]},
+        r"runs\[0\]\.seeds\[1\] must be int, got True",
+    ),
 ])
 def test_malformed_campaigns_are_rejected(config, match):
     with pytest.raises(CampaignConfigError, match=match):

@@ -70,7 +70,7 @@ class TestConfigParsing:
         assert config.eval_interval_s == pytest.approx(0.02)
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(SloConfigError, match="unknown config keys"):
+        with pytest.raises(SloConfigError, match="unknown slo params"):
             parse_slo_config({"objectives": [], "alerting": {}})
 
     def test_empty_config_rejected(self):
