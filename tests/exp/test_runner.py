@@ -6,8 +6,9 @@ import pytest
 
 from repro.exp.errors import CampaignConfigError, CampaignKilled
 from repro.exp.runner import resolve_campaign, run_campaign
-from repro.exp.runners import resolve_spec
+from repro.exp.runners import execute_spec, resolve_spec
 from repro.exp.track import LEDGER_NAME, load_records
+from repro.experiments.cli import run_analytic
 
 
 class TestIdentity:
@@ -130,3 +131,9 @@ class TestRealRunners:
         run_campaign(self.CAMPAIGN, tmp_path / "par", workers=2)
         assert ((tmp_path / "seq" / LEDGER_NAME).read_bytes()
                 == (tmp_path / "par" / LEDGER_NAME).read_bytes())
+
+
+def test_paper_runner_executes_an_analytic_experiment():
+    outcome = execute_spec("paper", {"experiment": "fig1"})
+    assert outcome.metrics["report_lines"] > 0
+    assert outcome.artifacts["report.txt"] == run_analytic("fig1") + "\n"
