@@ -24,7 +24,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.faults import ProcessKill, SimulatedCrash, default_chaos_scenario
-from repro.faults.runtime import ChaosRuntime
+from repro.faults.runtime import chaos_runtime
 from repro.recover import fleet_report_bytes
 from repro.recover.manager import restore_runtime, resume, run_with_checkpoints
 from repro.serve import ServeConfig, ServeRuntime
@@ -122,14 +122,14 @@ def test_chaos_crash_recovery_is_bit_identical(benchmark, tmp_path):
     chaos = replace(
         chaos, serve=replace(chaos.serve, n_sessions=16, duration_s=1.0)
     )
-    baseline_bytes = fleet_report_bytes(ChaosRuntime(chaos).run())
+    baseline_bytes = fleet_report_bytes(chaos_runtime(chaos).run())
 
-    probe = ChaosRuntime(chaos)
+    probe = chaos_runtime(chaos)
     probe.run()
     kill_at = probe.events_processed // 2
 
     def crash_and_resume():
-        runtime = ChaosRuntime(chaos)
+        runtime = chaos_runtime(chaos)
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
                 runtime, tmp_path, every=300, kill=ProcessKill(at_event=kill_at)

@@ -31,13 +31,13 @@ from repro.faults.injectors import (
     inject_input_faults,
 )
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow, ShardKill
-from repro.faults.runtime import ChaosRuntime, build_chaos_fleet, run_chaos
+from repro.faults.runtime import ChaosModel, build_chaos_fleet, chaos_runtime, run_chaos
 from repro.serve.breaker import BreakerState, CircuitBreaker
 
 __all__ = [
     "BreakerState",
     "ChaosConfig",
-    "ChaosRuntime",
+    "ChaosModel",
     "CircuitBreaker",
     "DEFAULT_TRACKER_PROFILE",
     "FaultyMipiLink",
@@ -58,6 +58,7 @@ __all__ = [
     "WorkerFaultSchedule",
     "WorkerStall",
     "build_chaos_fleet",
+    "chaos_runtime",
     "default_chaos_scenario",
     "inject_input_faults",
     "run_chaos",

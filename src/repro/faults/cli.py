@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _compare_fault_free(args, runtime, report) -> None:
     if not args.compare_fault_free or args.fault_free:
         return
-    baseline = run_chaos(runtime.chaos.fault_free())
+    baseline = run_chaos(runtime.chaos.config.fault_free())
     print("\n--- fault-free baseline ---\n")
     print(format_fleet_report(baseline, max_session_rows=args.max_session_rows))
     miss = report.deadline_miss_rate

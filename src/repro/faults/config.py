@@ -77,7 +77,7 @@ class InputFaultConfig:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Retry, backoff, and circuit-breaker policy of the chaos runtime.
+    """Retry, backoff, and circuit-breaker policy of a chaos run.
 
     A failed batch's frames are requeued after an exponential backoff
     (``backoff_base_s * backoff_factor ** retries``) — unless the retry

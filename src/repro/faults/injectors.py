@@ -199,7 +199,7 @@ def inject_input_faults(
 
     Returns the faulted track (perturbed gaze, reduced openness,
     re-labelled blind frames, recomputed velocities) plus the per-frame
-    fault trace the chaos runtime and watchdog consume.
+    fault trace the chaos model and its watchdogs consume.
     """
     rng = default_rng(seed)
     sensor = sensor or CameraSensor()

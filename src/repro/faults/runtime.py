@@ -1,7 +1,8 @@
-"""Fault-aware serving loop: injection, recovery, graceful degradation.
+"""The chaos fault model: injection, recovery, graceful degradation.
 
-:class:`ChaosRuntime` extends the deterministic discrete-event loop of
-:class:`repro.serve.runtime.ServeRuntime` with the full fault model:
+:class:`ChaosModel` is a fault component of
+:class:`repro.serve.runtime.ServeRuntime`, held as ``runtime.chaos``.
+It owns the per-session fault state the serving loop steps:
 
 * **Input faults** — each session's oculomotor trace is pre-faulted by
   :func:`repro.faults.injectors.inject_input_faults`; dropped frames are
@@ -11,21 +12,23 @@
 * **Serving faults + recovery** — dispatches go through a
   :class:`~repro.serve.workers.FaultyWorkerPool`, whose per-worker circuit
   breakers evict flapping workers until a cooldown + half-open probe
-  re-admits them; a failed batch's frames are re-queued with exponential
-  backoff, or degraded instead when the retry could not beat the frame's
-  deadline.
+  re-admits them; the model re-queues a failed batch's frames with
+  exponential backoff, or degrades them instead when the retry could
+  not beat the frame's deadline.
 * **Tracking-quality watchdog** — one
   :class:`~repro.system.watchdog.TrackingWatchdog` per session monitors
   realized error/confidence and walks the degradation ladder: widen the
   foveal radius (Eq. 1), stop trusting fresh predictions, fall back to
   full-resolution rendering; recovery is hysteretic.
 
-Input faults are set-up: only delivered predict frames and retries are
-ARRIVALs.  The SDC guard and the watchdog are per-session state, stepped
-in each session's arrival order: a backlog frame when the backlog is
-recorded, a predict frame at its ARRIVAL.  An SLO page that widens every
-watchdog lands where the base loop evaluates the SLO, after every frame
-before it.  A seed reproduces bit-identical fault/degradation telemetry.
+:func:`chaos_runtime` builds a chaos run: the faulted fleet, the faulty
+pool and the model, handed to a plain ``ServeRuntime``.  Input faults are
+set-up: only delivered predict frames and retries are ARRIVALs.  The SDC
+guard and the watchdog are per-session state, stepped in each session's
+arrival order: a backlog frame when the backlog is recorded, a predict
+frame at its ARRIVAL.  An SLO page that widens every watchdog lands
+where the loop evaluates the SLO, after every frame before it.  A seed
+reproduces bit-identical fault/degradation telemetry.
 """
 
 from __future__ import annotations
@@ -41,16 +44,15 @@ from repro.faults.injectors import (
     InputFaultTrace,
     inject_input_faults,
 )
-from repro.obs import Obs, PID_RELIABILITY, PID_WORKERS, session_pid
+from repro.obs import NULL_OBS, Obs, PID_RELIABILITY, PID_WORKERS, session_pid
 from repro.recover.configio import decode, encode
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
 from repro.serve.config import BatchServiceModel
-from repro.serve.request import BypassFrames, ClientSession, FrameRequest
-from repro.serve.request import build_fleet, fleet_requests
-from repro.serve.runtime import _ARRIVAL, InferenceFn, ServeRuntime
+from repro.serve.request import BypassFrames, ClientSession, FrameRequest, build_fleet
+from repro.serve.runtime import InferenceFn, ServeRuntime
 from repro.serve.telemetry import FaultReport, FleetReport
-from repro.serve.workers import FaultyWorkerPool, WorkerState
+from repro.serve.workers import FaultyWorkerPool
 from repro.system.session import SessionConfig, decide_paths
 from repro.system.watchdog import DegradationLevel, TrackingWatchdog
 
@@ -90,11 +92,8 @@ def build_chaos_fleet(
             config.input_faults,
             seed=config.fault_seed * _FAULT_SEED_STRIDE + session.session_id,
         )
-        chaos_session = ClientSession(
-            session_id=session.session_id,
-            track=faulted,
-            decisions=decide_paths(faulted, session_config),
-            start_s=session.start_s,
+        chaos_session = replace(
+            session, track=faulted, decisions=decide_paths(faulted, session_config)
         )
         late = trace.retransmit_s.tolist()
         backlog = []
@@ -119,78 +118,66 @@ def build_chaos_fleet(
     return fleet, traces
 
 
-class ChaosRuntime(ServeRuntime):
-    """One chaos scenario: faulted fleet, faulty pool, recovery stack."""
+class ChaosModel:
+    """The chaos fault model of one run, held as ``runtime.chaos``.
 
-    def __init__(
-        self,
-        chaos: ChaosConfig,
-        service: "BatchServiceModel | None" = None,
-        inference: "InferenceFn | None" = None,
-        obs: "Obs | None" = None,
-    ):
-        fleet, traces = build_chaos_fleet(chaos)
-        service = service if service is not None else BatchServiceModel()
-        pool = FaultyWorkerPool(
-            chaos.serve.n_workers,
-            service,
-            schedule=chaos.worker_faults,
-            stall_timeout_s=chaos.recovery.dispatch_timeout_s,
-            breaker_threshold=chaos.recovery.breaker_threshold,
-            breaker_cooldown_s=chaos.recovery.breaker_cooldown_s,
-        )
-        super().__init__(
-            chaos.serve, service=service, inference=inference, fleet=fleet,
-            obs=obs, pool=pool,
-        )
-        self.chaos = chaos
-        self.traces = traces
+    It builds the run's faulted fleet (:func:`build_chaos_fleet`).  The
+    runtime asks the model which predict frames arrive and when, steps it
+    once per frame in each session's arrival order, and hands it every
+    failed batch; the model keeps the counters of :attr:`report`.
+    """
+
+    def __init__(self, config: ChaosConfig, obs: "Obs | None" = None):
+        self.config = config
+        fleet, self.traces = build_chaos_fleet(config)
+        self.fleet = fleet
+        self.obs = obs if obs is not None else NULL_OBS
         self.watchdogs = [
             TrackingWatchdog(
-                chaos.profile,
-                chaos.watchdog,
+                config.profile,
+                config.watchdog,
                 start_s=s.start_s,
                 on_transition=self._watchdog_hook(s.session_id),
             )
-            for s in self.fleet
+            for s in fleet
         ]
-        self.faults = FaultReport()
+        self.report = FaultReport()
         # Per-session realized tracking error of the healthy tracker: a
         # half-normal stream whose P95 equals the profile's delta-theta.
-        scale = chaos.profile.delta_theta_deg / 1.96
+        scale = config.profile.delta_theta_deg / 1.96
         self.base_error = [
             np.abs(
                 np.random.default_rng(
-                    chaos.fault_seed * _ERROR_SEED_STRIDE + s.session_id
+                    config.fault_seed * _ERROR_SEED_STRIDE + s.session_id
                 ).normal(0.0, scale, size=s.n_frames)
             )
-            for s in self.fleet
+            for s in fleet
         ]
         #: Backlog entries recorded so far, per session.
-        self._cursors = [0] * len(self.fleet)
+        self.cursors = [0] * len(fleet)
         # Silicon soft errors (repro.reliability): one seeded schedule
         # over the whole window, events dealt round-robin onto sessions
         # and consumed by each session's next predict-path frame (SRAM
         # corruption persists until the datapath fetches it).
         self._sdc_queues: list[list[tuple[int, SoftErrorEvent]]] = [
-            [] for _ in self.fleet
+            [] for _ in fleet
         ]
-        self._sdc_next: list[int] = [0] * len(self.fleet)
-        self._sdc_persistent = [np.zeros(2) for _ in self.fleet]
-        self._guard_last_frame: list["int | None"] = [None] * len(self.fleet)
+        self._sdc_next: list[int] = [0] * len(fleet)
+        self._sdc_persistent = [np.zeros(2) for _ in fleet]
+        self._guard_last_frame: list["int | None"] = [None] * len(fleet)
         self.guards: "list[PlausibilityGuard] | None" = None
-        if chaos.soft_errors.active:
+        if config.soft_errors.active:
             self.guards = [
-                PlausibilityGuard(PlausibilityConfig(fps=chaos.serve.fps))
-                for _ in self.fleet
+                PlausibilityGuard(PlausibilityConfig(fps=config.serve.fps))
+                for _ in fleet
             ]
-            schedule = SoftErrorModel(chaos.soft_errors).schedule(
-                chaos.serve.duration_s
+            schedule = SoftErrorModel(config.soft_errors).schedule(
+                config.serve.duration_s
             )
             for index, event in enumerate(schedule):
-                sid = index % len(self.fleet)
-                session = self.fleet[sid]
-                frame = int((event.t_s - session.start_s) * chaos.serve.fps)
+                sid = index % len(fleet)
+                session = fleet[sid]
+                frame = int((event.t_s - session.start_s) * config.serve.fps)
                 frame = min(max(frame, 0), session.n_frames - 1)
                 self._sdc_queues[sid].append((frame, event))
             for queue in self._sdc_queues:
@@ -199,15 +186,11 @@ class ChaosRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # SLO coupling: a paging latency budget widens the fovea
     # ------------------------------------------------------------------
-    def attach_slo(self, engine) -> None:
-        """Attach an SLO engine and wire its PAGE action to the ladder:
-        an objective with ``on_page: "widen"`` escalates every session's
-        watchdog to WIDENED — the Eq. 1 foveal-radius widening path —
-        the moment the error budget pages."""
-        super().attach_slo(engine)
-        engine.on_page = self._slo_page_hook
-
-    def _slo_page_hook(self, objective, now_s: float) -> None:
+    def on_page(self, objective, now_s: float) -> None:
+        """The SLO engine's PAGE hook: an objective with ``on_page:
+        "widen"`` escalates every session's watchdog to WIDENED — the
+        Eq. 1 foveal-radius widening path — the moment the error budget
+        pages."""
         if objective.on_page != "widen":
             return
         for watchdog in self.watchdogs:
@@ -307,7 +290,7 @@ class ChaosRuntime(ServeRuntime):
                 persistent += offset
             else:
                 transient += offset
-            self.faults.soft_errors_injected += 1
+            self.report.soft_errors_injected += 1
             if self.obs.enabled:
                 self.obs.tracer.instant(
                     f"sdc.flip.{event.site.value}", now, cat="reliability",
@@ -330,80 +313,115 @@ class ChaosRuntime(ServeRuntime):
             corrupted, recompute=lambda: gaze + persistent, frames=gap
         )
         if verdict is GazeVerdict.FALLBACK:
-            self.faults.sdc_detected += 1
-            self.faults.sdc_fallback_degraded += 1
+            self.report.sdc_detected += 1
+            self.report.sdc_fallback_degraded += 1
             # The guard cannot localize the fault, but two implausible
             # computes in a row say state is corrupted: scrub the store.
             persistent[:] = 0.0
             self._sdc_obs(sid, i, now, "fallback")
             return 0.0, True
         if verdict is GazeVerdict.RECOMPUTED:
-            self.faults.sdc_detected += 1
-            self.faults.sdc_recomputed += 1
+            self.report.sdc_detected += 1
+            self.report.sdc_recomputed += 1
             self._sdc_obs(sid, i, now, "recomputed")
         deviation = float(np.linalg.norm(out - gaze))
         if deviation > SDC_THRESHOLD_DEG:
-            self.faults.sdc_escaped += 1
+            self.report.sdc_escaped += 1
             self._sdc_obs(sid, i, now, "escaped")
         return deviation, False
 
     # ------------------------------------------------------------------
-    # Retry / backoff
+    # Failed batches: retry with backoff, or degrade
     # ------------------------------------------------------------------
-    def _retry_or_degrade(self, request: FrameRequest, now: float) -> None:
-        recovery = self.chaos.recovery
+    def batch_failed(
+        self, worker_id: int, batch_size: int, cause: str, now: float
+    ) -> None:
+        """Count one batch the pool failed (``"crash"`` or ``"stall"``)."""
+        self.report.batch_failures += 1
+        if cause == "crash":
+            self.report.worker_crash_failures += 1
+        else:
+            self.report.worker_stall_timeouts += 1
+        if self.obs.enabled:
+            self.obs.tracer.instant(
+                f"batch.failed.{cause}", now, cat="faults",
+                pid=PID_WORKERS, tid=worker_id,
+                args={"batch_size": batch_size},
+            )
+            self.obs.metrics.counter(
+                "serve_batch_failures_total",
+                help="Dispatched batches that failed, by fault cause.",
+                cause=cause,
+            ).inc()
+
+    def retry_or_degrade(
+        self, request: FrameRequest, now: float, full_batch_s: float
+    ) -> "tuple[float, FrameRequest] | str":
+        """A failed frame's fate: ``(retry_at, retried request)`` to
+        re-queue after backoff, or the cause to degrade it for now."""
+        recovery = self.config.recovery
         next_attempt = request.retries + 1
         backoff = recovery.backoff_base_s * recovery.backoff_factor**request.retries
         retry_at = now + backoff
-        expected_done = retry_at + self._full_batch_s
         if next_attempt > recovery.max_retries:
-            self.faults.retry_exhausted_degraded += 1
-            self._degrade_now(request, now, cause="retry_exhausted")
-        elif expected_done > request.deadline_s:
+            self.report.retry_exhausted_degraded += 1
+            return "retry_exhausted"
+        if retry_at + full_batch_s > request.deadline_s:
             # The retry cannot beat the deadline: degrade immediately —
             # a stale-but-on-time gaze beats a fresh-but-late one.
-            self.faults.deadline_degraded += 1
-            self._degrade_now(request, now, cause="deadline")
-        else:
-            self.faults.retries_scheduled += 1
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    "retry.scheduled", now, cat="faults",
-                    pid=session_pid(request.session_id),
-                    args={"frame": request.frame_index, "attempt": next_attempt},
-                )
-            self._push(retry_at, _ARRIVAL, replace(request, retries=next_attempt))
+            self.report.deadline_degraded += 1
+            return "deadline"
+        self.report.retries_scheduled += 1
+        if self.obs.enabled:
+            self.obs.tracer.instant(
+                "retry.scheduled", now, cat="faults",
+                pid=session_pid(request.session_id),
+                args={"frame": request.frame_index, "attempt": next_attempt},
+            )
+        return retry_at, replace(request, retries=next_attempt)
 
     # ------------------------------------------------------------------
     # Set-up and the per-frame step
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Seed the predict frames that arrive, as the backlog orders
-        them (idempotent)."""
-        if self._started:
-            return
+    def delivered(
+        self, requests: "list[FrameRequest]"
+    ) -> "list[tuple[float, FrameRequest]]":
+        """The predict frames that arrive, as ``(arrival, request)`` in
+        the order the backlog orders them: a dropped frame never
+        arrives, a retransmitted one late."""
         arriving = []
-        for request in fleet_requests(self.fleet, self._deadline_s):
+        for request in requests:
             trace, i = self.traces[request.session_id], request.frame_index
             if not trace.dropped[i]:
                 late = float(trace.retransmit_s[i])
                 arriving.append(
                     (request.arrival_s + late, late > 0, request.seq, request)
                 )
-        for time_s, _, _, request in sorted(arriving):
-            self._push(time_s, _ARRIVAL, request)
-        self._started = True
+        return [(time_s, request) for time_s, _, _, request in sorted(arriving)]
 
-    def _fault_step(self, sid: int, i: int, path: str, now: float) -> "str | None":
+    def fault_step(self, sid: int, i: int, path: str, now: float) -> "str | None":
         """Frame ``i``'s SDC guard and watchdog step at its arrival
-        ``now``.  Returns ``"full_res"``, a degrade cause, or None."""
+        ``now``.  Returns ``"full_res"``, a degrade cause, or None; a
+        ``"dropped"`` or ``"retransmit"`` backlog entry only counts, and
+        returns its path."""
+        if path == "dropped" or path == "retransmit":
+            if path == "dropped":
+                self.report.input_dropped += 1
+            else:
+                self.report.mipi_corrupted_frames += 1
+            if self.obs.enabled:
+                self.obs.tracer.instant(
+                    f"input.{path}", now, cat="faults",
+                    pid=session_pid(sid), args={"frame": i},
+                )
+            return path
         trace = self.traces[sid]
         openness = float(self.fleet[sid].track.openness[i])
         blind = openness < OCCLUSION_BLIND_OPENNESS
         if trace.noise_deg[i] > 0:
-            self.faults.noise_burst_frames += 1
+            self.report.noise_burst_frames += 1
         if trace.occlusion[i] > 0:
-            self.faults.occluded_frames += 1
+            self.report.occluded_frames += 1
         sdc_error_deg = 0.0
         if self.guards is not None:
             sdc_error_deg, degrade = self._sdc_layer(path, sid, i, now, blind)
@@ -419,116 +437,43 @@ class ChaosRuntime(ServeRuntime):
         if level is DegradationLevel.FULL_RES:
             # Tracking lost: render full-resolution — no gaze needed, the
             # frame completes without touching the serving path at all.
-            self.faults.watchdog_full_res_frames += 1
+            self.report.watchdog_full_res_frames += 1
             return "full_res"
         if path == "predict":
             if blind:
-                self.faults.occlusion_degraded += 1
+                self.report.occlusion_degraded += 1
                 return "occlusion"
             if level >= DegradationLevel.REUSE_ONLY:
-                self.faults.watchdog_reuse_frames += 1
+                self.report.watchdog_reuse_frames += 1
                 return "watchdog"
         return None
-
-    def _backlog_cursor(self, session: ClientSession) -> int:
-        return self._cursors[session.session_id]
-
-    def _record_bypass(self, session_id, frames, arrivals, paths) -> None:
-        """Record backlog entries; a frame's latency counts from its
-        capture, not its (retransmitted) arrival."""
-        self._cursors[session_id] += len(frames)
-        captured = self.fleet[session_id].arrivals
-        saccade_s, reuse_s = self.config.saccade_bypass_s, self.config.reuse_bypass_s
-        for frame, now, path in zip(frames, arrivals, paths):
-            if path in ("dropped", "retransmit"):
-                if path == "dropped":
-                    self.faults.input_dropped += 1
-                    self.stats[session_id].record_lost_input()
-                else:
-                    self.faults.mipi_corrupted_frames += 1
-                if self.obs.enabled:
-                    self.obs.tracer.instant(
-                        f"input.{path}", now, cat="faults",
-                        pid=session_pid(session_id), args={"frame": frame},
-                    )
-                continue
-            if self._fault_step(session_id, frame, path, now) == "full_res":
-                path, done = "full_res", now
-            else:
-                done = now + (saccade_s if path == "saccade" else reuse_s)
-            self._record_frame(session_id, frame, path, float(captured[frame]), done)
-
-    # ------------------------------------------------------------------
-    # Event handlers
-    # ------------------------------------------------------------------
-    def _on_arrival(self, request: FrameRequest, now: float) -> None:
-        if request.retries > 0:
-            # A retried frame rejoining the batcher after backoff; it was
-            # admitted on first arrival and is never silently dropped.
-            self.batcher.requeue([request])
-            self.faults.frames_requeued += 1
-            self._try_dispatch(now)
-            return
-        sid, i = request.session_id, request.frame_index
-        self._ledger_row(sid, now)  # the session's earlier frames step first
-        outcome = self._fault_step(sid, i, "predict", now)
-        if outcome == "full_res":
-            self._record_frame(sid, i, outcome, request.arrival_s, now)
-        elif outcome is not None:
-            self._degrade_now(request, now, cause=outcome)
-        else:
-            super()._on_arrival(request, now)
-
-    def _on_failed_batch(
-        self, worker: WorkerState, batch: "list[FrameRequest]", cause: str,
-        now: float,
-    ) -> None:
-        self.faults.batch_failures += 1
-        if cause == "crash":
-            self.faults.worker_crash_failures += 1
-        else:
-            self.faults.worker_stall_timeouts += 1
-        if self.obs.enabled:
-            self.obs.tracer.instant(
-                f"batch.failed.{cause}", now, cat="faults",
-                pid=PID_WORKERS, tid=worker.worker_id,
-                args={"batch_size": len(batch)},
-            )
-            self.obs.metrics.counter(
-                "serve_batch_failures_total",
-                help="Dispatched batches that failed, by fault cause.",
-                cause=cause,
-            ).inc()
-        for request in batch:
-            self._retry_or_degrade(request, now)
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
-    RUNTIME_KIND = "chaos"
-
     def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["faults"] = encode(self.faults)
-        state["cursors"] = list(self._cursors)
-        state["watchdogs"] = [w.state_dict() for w in self.watchdogs]
-        state["sdc"] = {
-            "next": list(self._sdc_next),
-            "persistent": [[float(x) for x in p] for p in self._sdc_persistent],
-            "guard_last_frame": list(self._guard_last_frame),
-            "guards": None
-            if self.guards is None
-            else [g.state_dict() for g in self.guards],
+        """The model's mutable state, under the checkpoint's top-level
+        ``faults``, ``cursors``, ``watchdogs`` and ``sdc`` keys."""
+        return {
+            "faults": encode(self.report),
+            "cursors": list(self.cursors),
+            "watchdogs": [w.state_dict() for w in self.watchdogs],
+            "sdc": {
+                "next": list(self._sdc_next),
+                "persistent": [[float(x) for x in p] for p in self._sdc_persistent],
+                "guard_last_frame": list(self._guard_last_frame),
+                "guards": None
+                if self.guards is None
+                else [g.state_dict() for g in self.guards],
+            },
         }
-        return state
 
     def load_state(self, state: dict) -> None:
         # Input-fault traces and the per-session error streams are pure
         # functions of the (seeded) config and were rebuilt by __init__;
         # only the mutable recovery-stack state needs restoring.
-        super().load_state(state)
-        self.faults = decode(FaultReport, state["faults"])
-        self._cursors = [int(n) for n in state["cursors"]]
+        self.report = decode(FaultReport, state["faults"])
+        self.cursors = [int(n) for n in state["cursors"]]
         if len(state["watchdogs"]) != len(self.watchdogs):
             raise ValueError("snapshot watchdog count does not match config")
         for watchdog, saved in zip(self.watchdogs, state["watchdogs"]):
@@ -548,33 +493,59 @@ class ChaosRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # Telemetry assembly
     # ------------------------------------------------------------------
-    def _fault_report(self) -> FaultReport:
-        end_s = max(self.config.duration_s, self._makespan_s)
+    def finalize(self, end_s: float, pool: FaultyWorkerPool) -> FaultReport:
+        """Close the watchdogs at ``end_s`` and fill in :attr:`report`'s
+        transitions, dwell and widening."""
         dwell: dict[str, float] = {}
-        degradation: list[tuple[float, int, str, str]] = []
-        widened = self.chaos.profile.delta_theta_deg
-        for sid, watchdog in enumerate(self.watchdogs):
+        widened = self.config.profile.delta_theta_deg
+        for watchdog in self.watchdogs:
             watchdog.finalize(end_s)
             for name, seconds in watchdog.dwell_s().items():
                 dwell[name] = dwell.get(name, 0.0) + seconds
-            degradation.extend(
-                (t, sid, src, dst) for (t, src, dst) in watchdog.transitions
-            )
             widened = max(widened, watchdog.max_widened_delta_theta_deg)
-        degradation.sort(key=lambda item: (item[0], item[1]))
-        breaker_transitions: list[tuple[float, int, str, str]] = []
-        for wid, breaker in enumerate(self.pool.breakers):
-            breaker_transitions.extend(
-                (t, wid, src, dst) for (t, src, dst) in breaker.transitions
-            )
-        breaker_transitions.sort(key=lambda item: (item[0], item[1]))
-        self.faults.breaker_transitions = breaker_transitions
-        self.faults.degradation_transitions = degradation
-        self.faults.degradation_dwell_s = {
+        self.report.breaker_transitions = _merged_transitions(pool.breakers)
+        self.report.degradation_transitions = _merged_transitions(self.watchdogs)
+        self.report.degradation_dwell_s = {
             name: dwell[name] for name in sorted(dwell)
         }
-        self.faults.widened_delta_theta_deg = widened
-        return self.faults
+        self.report.widened_delta_theta_deg = widened
+        return self.report
+
+
+def _merged_transitions(machines) -> "list[tuple[float, int, str, str]]":
+    """Every ``(t, src, dst)`` transition of ``machines`` as ``(t, index,
+    src, dst)``, ordered by time, then index."""
+    merged = [
+        (t, index, src, dst)
+        for index, machine in enumerate(machines)
+        for (t, src, dst) in machine.transitions
+    ]
+    merged.sort(key=lambda item: (item[0], item[1]))
+    return merged
+
+
+def chaos_runtime(
+    config: ChaosConfig,
+    service: "BatchServiceModel | None" = None,
+    inference: "InferenceFn | None" = None,
+    obs: "Obs | None" = None,
+) -> ServeRuntime:
+    """One chaos scenario: the faulted fleet on a faulty pool, with a
+    :class:`ChaosModel` as the runtime's ``chaos`` component."""
+    model = ChaosModel(config, obs)
+    service = service if service is not None else BatchServiceModel()
+    pool = FaultyWorkerPool(
+        config.serve.n_workers,
+        service,
+        schedule=config.worker_faults,
+        stall_timeout_s=config.recovery.dispatch_timeout_s,
+        breaker_threshold=config.recovery.breaker_threshold,
+        breaker_cooldown_s=config.recovery.breaker_cooldown_s,
+    )
+    return ServeRuntime(
+        config.serve, service=service, inference=inference, fleet=model.fleet,
+        obs=obs, pool=pool, chaos=model,
+    )
 
 
 def run_chaos(
@@ -584,4 +555,4 @@ def run_chaos(
     obs: "Obs | None" = None,
 ) -> FleetReport:
     """Run one seeded chaos scenario; the report carries ``.faults``."""
-    return ChaosRuntime(chaos, service=service, inference=inference, obs=obs).run()
+    return chaos_runtime(chaos, service=service, inference=inference, obs=obs).run()

@@ -22,6 +22,8 @@ from pathlib import Path
 
 from repro.obs.config import Obs, ObsConfig
 from repro.obs.export import slowest_spans_table, write_chrome_trace, write_jsonl
+from repro.recover.kinds import build_runtime, resolve_run_config
+from repro.serve.config import ServeConfig
 
 
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -186,9 +188,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     obs = Obs(ObsConfig(top_k=args.top))
     try:
-        from repro.recover.kinds import build_runtime, resolve_run_config
-        from repro.serve.config import ServeConfig
-
         serve = {
             "n_sessions": args.sessions,
             "n_workers": args.workers,

@@ -29,7 +29,7 @@ track and counted in the registry, so alerts are visible in Perfetto
 next to the frames that caused them and in the Prometheus export.
 
 Pages can act, not just report: an objective with ``on_page: "widen"``
-makes :class:`~repro.faults.runtime.ChaosRuntime` escalate every
+makes a chaos run's :class:`~repro.faults.runtime.ChaosModel` escalate every
 session's :class:`~repro.system.watchdog.TrackingWatchdog` to WIDENED —
 a burning latency budget triggers the Eq. 1 foveal-radius widening path
 instead of silently missing deadlines.

@@ -52,6 +52,7 @@ def fleet_report_bytes(report) -> bytes:
     The bit-identity oracle: a recovered run and its uninterrupted twin
     must produce byte-equal output from this function.
     """
+    # Cycle: serve.telemetry -> recover.configio -> recover/__init__ -> codec.
     from repro.serve.telemetry import fleet_report_state
 
     return canonical_bytes(fleet_report_state(report))

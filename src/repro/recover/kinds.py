@@ -2,8 +2,8 @@
 
 A run kind is a runtime's ``RUNTIME_KIND``.  :data:`RUN_KINDS` maps it
 to its config class, which the :mod:`~repro.recover.configio` codec
-encodes and decodes, and to the runtime class that executes it, and
-every serving run starts here:
+encodes and decodes, and to the runtime class or factory that builds
+its runtime, and every serving run starts here:
 
     CLI flags / campaign params --resolve_run_config--> resolved dict
     resolved dict / checkpoint manifest --build_runtime--> runtime
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import import_module
+from operator import attrgetter
 from typing import Callable
 
 from repro.faults.config import ChaosConfig, default_chaos_scenario, fits_pool
@@ -69,22 +70,23 @@ def chaos_config_from_params(params: dict):
     return config.fault_free() if knobs.fault_free else config
 
 
-def _import(path: str) -> type:
+def _import(path: str):
     module, _, name = path.rpartition(".")
     return getattr(import_module(module), name)
 
 
 @dataclass(frozen=True)
 class RunKind:
-    """One run kind: its config class and its runtime class."""
+    """One run kind: its config class and what builds its runtime."""
 
     #: ``module.Class`` of the config, imported on first use.
     config: str
-    #: ``module.Class`` of the runtime, imported on first use.
+    #: ``module.name`` of the runtime class, or of a function that
+    #: builds the runtime from a config, imported on first use.
     runtime: str
     #: Campaign params (without ``"service"``) -> config.
     from_params: "Callable | None" = None
-    #: The runtime attribute that holds the config.
+    #: The (dotted) runtime attribute that holds the config.
     config_attr: str = "config"
     #: Whether params (and so the resolved dict) carry a ``"service"``
     #: model; without one the runtime gets the default model.
@@ -95,10 +97,6 @@ class RunKind:
     @property
     def config_class(self) -> type:
         return _import(self.config)
-
-    @property
-    def runtime_class(self) -> type:
-        return _import(self.runtime)
 
     def from_dict(self, state: dict):
         return decode(self.config_class, state)
@@ -123,9 +121,9 @@ RUN_KINDS: "dict[str, RunKind]" = {
     ),
     "chaos": RunKind(
         "repro.faults.config.ChaosConfig",
-        "repro.faults.runtime.ChaosRuntime",
+        "repro.faults.runtime.chaos_runtime",
         from_params=chaos_config_from_params,
-        config_attr="chaos",
+        config_attr="chaos.config",
         resolves_service=False,
     ),
     "fleet": RunKind(
@@ -175,10 +173,10 @@ def build_runtime(resolved: dict, *, service=None, inference=None, obs=None):
         if not entry.takes_inference:
             raise RecoveryError(f"{kind} runs do not support an inference hook")
         kwargs["inference"] = inference
-    return entry.runtime_class(entry.from_dict(resolved["config"]), **kwargs)
+    return _import(entry.runtime)(entry.from_dict(resolved["config"]), **kwargs)
 
 
 def runtime_config_dict(runtime) -> dict:
     """The canonical config dict of a live runtime (for its manifest)."""
     entry = RUN_KINDS[runtime.RUNTIME_KIND]
-    return config_dict(getattr(runtime, entry.config_attr))
+    return config_dict(attrgetter(entry.config_attr)(runtime))

@@ -264,7 +264,7 @@ def restore_runtime(
 
 
 def restore_as(cls: type, directory: "str | os.PathLike", **kwargs):
-    """:func:`restore_runtime` for the ``restore`` classmethods: the
+    """:func:`restore_runtime` for ``FleetRuntime.restore``: the
     restored runtime, which must be a ``cls``.
 
     A checkpoint of another kind raises :class:`TypeError`.

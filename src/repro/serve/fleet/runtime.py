@@ -887,7 +887,8 @@ class FleetRuntime:
         obs: "Obs | None" = None,
     ) -> "FleetRuntime":
         """Warm-restart the fleet checkpointed in ``directory``; see
-        :meth:`repro.serve.runtime.ServeRuntime.restore`."""
+        :func:`repro.recover.manager.restore_runtime`."""
+        # Cycle: recover.manager -> repro.faults -> repro.serve -> this module.
         from repro.recover.manager import restore_as
 
         return restore_as(cls, directory, service=service, obs=obs)

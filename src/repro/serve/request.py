@@ -33,7 +33,7 @@ class FrameRequest:
     deadline_s: float  # absolute completion deadline
     path: str  # Algorithm-1 decision: saccade | reuse | predict
     seq: int  # global arrival order (deterministic tie-break)
-    retries: int = 0  # dispatch attempts already failed (chaos runtime)
+    retries: int = 0  # dispatch attempts already failed (chaos runs)
 
     def to_dict(self) -> dict:
         """JSON-safe snapshot (exact float round-trip via repr)."""

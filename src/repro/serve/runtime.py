@@ -20,9 +20,9 @@ keeps them as a backlog (:attr:`~repro.serve.request.ClientSession.bypass`)
 that is recorded in bulk wherever its order becomes observable — before
 any other record of that session, before the session changes shard,
 before an SLO evaluation, and at the end of the run.  Only predict
-frames cross a ``--net`` fleet's transport.  A runtime with per-frame
-state (chaos: the SDC guard and the watchdog) steps it by overriding
-:meth:`ServeRuntime._record_bypass`, in each session's arrival order.
+frames cross a ``--net`` fleet's transport.  A chaos run's per-frame
+state (the SDC guard and the watchdog) lives in :attr:`ServeRuntime.chaos`,
+stepped in each session's arrival order.
 
 Admission control estimates the wait a new predict frame would see —
 ``ceil((pending + 1) / max_batch) * service(max_batch) / available
@@ -37,8 +37,8 @@ The loop is exposed as ``start()`` / ``step()`` / ``finish()`` so the
 durability layer (``repro.recover``) can checkpoint between events and
 journal each event before applying it; :meth:`ServeRuntime.state_dict`
 captures the complete serving state (heap, batcher, pool, per-session
-stats) and :meth:`ServeRuntime.restore` warm-restarts from disk with a
-bit-identical final report.
+stats, the chaos model) for :mod:`repro.recover` to warm-restart from
+with a bit-identical final report.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class ServeRuntime:
         obs: "Obs | None" = None,
         stats: "dict[int, SessionStats] | None" = None,
         pool: "WorkerPool | None" = None,
+        chaos: "ChaosModel | None" = None,
     ):
         self.config = config
         self.service = service if service is not None else BatchServiceModel()
@@ -106,7 +107,7 @@ class ServeRuntime:
         #: record (a fleet shard is handed its fleet's directory).
         self.directory = {s.session_id: s for s in self.fleet}
         #: The worker pool: a plain one unless the caller hands one in
-        #: (the chaos runtime hands in a faulty pool).
+        #: (a chaos run hands in a faulty pool).
         self.pool = (
             pool if pool is not None else WorkerPool(config.n_workers, self.service)
         )
@@ -116,6 +117,8 @@ class ServeRuntime:
                 f"config says {config.n_workers}"
             )
         self.batcher = DynamicBatcher(config.max_batch, config.batch_window_s)
+        #: A chaos run's :class:`~repro.faults.runtime.ChaosModel`, or None.
+        self.chaos = chaos
         # Fixed for the runtime's life; read on every predict arrival.
         self._deadline_s = config.deadline_s
         self._queue_budget_s = config.queue_budget_s
@@ -152,6 +155,8 @@ class ServeRuntime:
         if not self.obs.enabled:
             raise ValueError("attach_slo requires an enabled Obs bundle")
         self.slo = engine
+        if self.chaos is not None:
+            engine.on_page = self.chaos.on_page
 
     # ------------------------------------------------------------------
     # Tracing (no-ops unless ``obs`` is enabled)
@@ -278,10 +283,29 @@ class ServeRuntime:
         """Record saccade/reuse frames of one session, in arrival order.
 
         Each is served on-device at its arrival and completes its path's
-        bypass latency later.  The one way a backlog is recorded.
+        bypass latency later.  The one way a backlog is recorded.  A chaos
+        backlog steps the fault model per entry, and a frame's latency
+        counts from its capture, not its (retransmitted) arrival.
         """
         config = self.config
         saccade_s, reuse_s = config.saccade_bypass_s, config.reuse_bypass_s
+        chaos = self.chaos
+        if chaos is not None:
+            chaos.cursors[session_id] += len(frames)
+            captured = self.directory[session_id].arrivals
+            for frame, now, path in zip(frames, arrivals, paths):
+                outcome = chaos.fault_step(session_id, frame, path, now)
+                if outcome == "dropped":
+                    self.stats[session_id].record_lost_input()
+                elif outcome != "retransmit":
+                    done = now if outcome == "full_res" else (
+                        now + (saccade_s if path == "saccade" else reuse_s)
+                    )
+                    self._record_frame(
+                        session_id, frame, outcome or path,
+                        float(captured[frame]), done,
+                    )
+            return
         deadline_s = self._deadline_s
         record = self.stats[session_id].record
         trace = self.obs.enabled
@@ -333,6 +357,8 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     def _backlog_cursor(self, session: ClientSession) -> int:
         """How much of ``session.bypass`` the ledger has recorded."""
+        if self.chaos is not None:
+            return self.chaos.cursors[session.session_id]
         counts = self.stats[session.session_id].counts
         return counts["saccade"] + counts["reuse"]
 
@@ -459,6 +485,24 @@ class ServeRuntime:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, request: FrameRequest, now: float) -> None:
+        chaos = self.chaos
+        if chaos is not None:
+            if request.retries > 0:
+                # A retried frame rejoining the batcher after backoff; it
+                # was admitted on first arrival and is never dropped.
+                self.batcher.requeue([request])
+                chaos.report.frames_requeued += 1
+                self._try_dispatch(now)
+                return
+            sid, i = request.session_id, request.frame_index
+            self._ledger_row(sid, now)  # the session's earlier frames step first
+            outcome = chaos.fault_step(sid, i, "predict", now)
+            if outcome == "full_res":
+                self._record_frame(sid, i, outcome, request.arrival_s, now)
+                return
+            if outcome is not None:
+                self._degrade_now(request, now, cause=outcome)
+                return
         if self._admit(request, now):
             self.batcher.enqueue(request)
             self._dispatch_and_arm(now)
@@ -479,13 +523,23 @@ class ServeRuntime:
         self, worker: WorkerState, batch: "list[FrameRequest]", cause: str,
         now: float,
     ) -> None:
-        """Hook: the pool failed ``batch`` (``cause`` is ``"crash"`` or
-        ``"stall"``).  The chaos runtime retries or degrades its frames;
-        a plain pool never fails a batch."""
-        raise RuntimeError(
-            f"worker {worker.worker_id} failed a batch ({cause}) but "
-            f"{type(self).__name__} does not handle batch failures"
-        )
+        """The pool failed ``batch`` (``cause`` is ``"crash"`` or
+        ``"stall"``).  The chaos model decides, frame by frame, to retry
+        after backoff or to degrade now; a plain pool never fails a
+        batch, and a runtime without a chaos model raises."""
+        chaos = self.chaos
+        if chaos is None:
+            raise RuntimeError(
+                f"worker {worker.worker_id} failed a batch ({cause}) but "
+                f"{type(self).__name__} does not handle batch failures"
+            )
+        chaos.batch_failed(worker.worker_id, len(batch), cause, now)
+        for request in batch:
+            fate = chaos.retry_or_degrade(request, now, self._full_batch_s)
+            if isinstance(fate, str):
+                self._degrade_now(request, now, cause=fate)
+            else:
+                self._push(fate[0], _ARRIVAL, fate[1])
 
     # ------------------------------------------------------------------
     # Main loop
@@ -498,7 +552,12 @@ class ServeRuntime:
         """Seed the event heap with the predict frames (idempotent)."""
         if self._started:
             return
-        self._seed_arrivals(fleet_requests(self.fleet, self._deadline_s))
+        requests = fleet_requests(self.fleet, self._deadline_s)
+        if self.chaos is None:
+            self._seed_arrivals(requests)
+        else:
+            for time_s, request in self.chaos.delivered(requests):
+                self._push(time_s, _ARRIVAL, request)
         self._started = True
 
     def peek_event(self) -> "tuple[float, int, int] | None":
@@ -573,18 +632,18 @@ class ServeRuntime:
             n_workers=self.config.n_workers,
             max_batch=self.config.max_batch,
             predictions=self.predictions,
-            faults=self._fault_report(),
+            faults=None if self.chaos is None
+            else self.chaos.finalize(duration, self.pool),
         )
-
-    def _fault_report(self):
-        """Fault telemetry attached to the report (None outside chaos runs)."""
-        return None
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
-    #: Checkpoint kind tag; ``repro.recover`` maps it back to the class.
-    RUNTIME_KIND = "serve"
+    @property
+    def RUNTIME_KIND(self) -> str:
+        """Checkpoint kind tag; ``repro.recover`` maps it back to a
+        runtime: ``"chaos"`` exactly when the runtime has a chaos model."""
+        return "serve" if self.chaos is None else "chaos"
 
     def _encode_payload(self, kind: int, payload: object) -> object:
         """JSON-safe form of one heap payload (kind-specific)."""
@@ -628,7 +687,7 @@ class ServeRuntime:
                 [sid, frame, [float(x) for x in gaze]]
                 for (sid, frame), gaze in sorted(self.predictions.items())
             ]
-        return {
+        state = {
             "started": self._started,
             "events_processed": self.events_processed,
             "event_seq": self._event_seq,
@@ -642,6 +701,9 @@ class ServeRuntime:
             "stats": [self.stats[sid].state_dict() for sid in self._member_ids()],
             "predictions": predictions,
         }
+        if self.chaos is not None:
+            state.update(self.chaos.state_dict())
+        return state
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto a freshly
@@ -669,26 +731,8 @@ class ServeRuntime:
                 (int(sid), int(frame)): np.asarray(gaze, dtype=np.float64)
                 for sid, frame, gaze in state["predictions"]
             }
-
-    @classmethod
-    def restore(
-        cls,
-        directory,
-        service: "BatchServiceModel | None" = None,
-        inference: "InferenceFn | None" = None,
-        obs: "Obs | None" = None,
-    ) -> "ServeRuntime":
-        """Warm-restart from the latest valid checkpoint in ``directory``.
-
-        Loads the checkpoint, replays the write-ahead journal tail
-        deterministically, and returns a runtime ready to continue; see
-        :func:`repro.recover.manager.restore_runtime` for the full contract.
-        """
-        from repro.recover.manager import restore_as
-
-        return restore_as(
-            cls, directory, service=service, inference=inference, obs=obs
-        )
+        if self.chaos is not None:
+            self.chaos.load_state(state)
 
 
 def evaluate_slo_through(

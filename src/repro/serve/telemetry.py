@@ -175,7 +175,7 @@ def new_ledger(sessions) -> "dict[int, SessionStats]":
 class FaultReport:
     """Fault-injection and degradation telemetry of one chaos run.
 
-    Populated by ``repro.faults.ChaosRuntime``; attached to the
+    Populated by a chaos run's ``repro.faults.ChaosModel``; attached to the
     :class:`FleetReport` so fault accounting travels with the serving
     numbers it explains.  Everything here is derived from seeded streams
     and deterministic event ordering — two runs of the same scenario

@@ -10,13 +10,13 @@ import pytest
 from repro.__main__ import main
 from repro.faults import (
     ChaosConfig,
-    ChaosRuntime,
     InputFaultConfig,
     LatencySpike,
     RecoveryConfig,
     WorkerCrash,
     WorkerFaultSchedule,
     WorkerStall,
+    chaos_runtime,
     default_chaos_scenario,
     run_chaos,
 )
@@ -71,7 +71,7 @@ class TestConservation:
                 stalls=(WorkerStall(worker_id=0, start_s=0.2, stop_s=0.4),)
             )
         )
-        runtime = ChaosRuntime(config)
+        runtime = chaos_runtime(config)
         report = runtime.run()
         assert len(runtime.batcher) == 0
         assert (

@@ -22,10 +22,10 @@ import pytest
 from repro.__main__ import main
 from repro.faults import (
     ChaosConfig,
-    ChaosRuntime,
     InputFaultConfig,
     WorkerFaultSchedule,
     WorkerStall,
+    chaos_runtime,
     default_chaos_scenario,
 )
 from repro.obs import Obs, ObsConfig
@@ -125,29 +125,29 @@ REPORTS = {
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_chaos_report_is_pinned(name):
     build, digest = REPORTS[name]
-    assert sha(fleet_report_bytes(ChaosRuntime(build()).run())) == digest
+    assert sha(fleet_report_bytes(chaos_runtime(build()).run())) == digest
 
 
 def test_the_grid_reaches_every_fault_step():
-    soft = ChaosRuntime(soft_errors()).run().faults
+    soft = chaos_runtime(soft_errors()).run().faults
     assert soft.soft_errors_injected > 0 and soft.sdc_detected > 0
-    lost = ChaosRuntime(full_res()).run().faults
+    lost = chaos_runtime(full_res()).run().faults
     assert lost.watchdog_full_res_frames > 0 and lost.occlusion_degraded > 0
-    runtime = ChaosRuntime(fast_link())
+    runtime = chaos_runtime(fast_link())
     runtime.run()
     # A retransmitted frame whose successor arrives before it does.
     assert any(
         trace.corrupted[i] and not trace.dropped[i] and not trace.dropped[i + 1]
-        for trace in runtime.traces
+        for trace in runtime.chaos.traces
         for i in range(trace.n_frames - 1)
     )
-    assert runtime.faults.mipi_corrupted_frames > 0
-    assert runtime.faults.batch_failures > 0
+    assert runtime.chaos.report.mipi_corrupted_frames > 0
+    assert runtime.chaos.report.batch_failures > 0
 
 
 def test_widening_page_is_pinned():
     obs = Obs(ObsConfig())
-    runtime = ChaosRuntime(widen(), obs=obs)
+    runtime = chaos_runtime(widen(), obs=obs)
     engine = SloEngine(parse_slo_config(STRICT_LATENCY), obs)
     runtime.attach_slo(engine)
     report = runtime.run()

@@ -17,12 +17,12 @@ import pytest
 
 from repro.faults import (
     ChaosConfig,
-    ChaosRuntime,
     InputFaultConfig,
     ProcessKill,
     SimulatedCrash,
     WorkerFaultSchedule,
     WorkerStall,
+    chaos_runtime,
 )
 from repro.recover import canonical_bytes, fleet_report_bytes
 from repro.recover.manager import resume, run_with_checkpoints
@@ -51,24 +51,24 @@ def config() -> ChaosConfig:
 
 @pytest.fixture(scope="module")
 def baseline():
-    runtime = ChaosRuntime(config())
+    runtime = chaos_runtime(config())
     report = runtime.run()
     faults = report.faults
     assert faults.soft_errors_injected > 0 and faults.batch_failures > 0
     assert faults.input_dropped > 0 and faults.mipi_corrupted_frames > 0
-    assert any(w.transitions for w in runtime.watchdogs)
+    assert any(w.transitions for w in runtime.chaos.watchdogs)
     assert runtime.events_processed < 200
     return runtime.events_processed, fleet_report_bytes(report)
 
 
 def test_snapshot_at_every_event_restores_byte_identical(baseline):
     total, expected = baseline
-    donor = ChaosRuntime(config())
+    donor = chaos_runtime(config())
     donor.start()
     for index in range(total + 1):
         # Through JSON, as a checkpoint stores it.
         state = json.loads(canonical_bytes(donor.state_dict()))
-        heir = ChaosRuntime(config())
+        heir = chaos_runtime(config())
         heir.load_state(state)
         while heir.step():
             pass
@@ -82,7 +82,7 @@ def test_kill_and_resume_every_few_events(baseline, tmp_path):
         directory = tmp_path / str(kill_at)
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
-                ChaosRuntime(config()), directory, every=5,
+                chaos_runtime(config()), directory, every=5,
                 kill=ProcessKill(at_event=kill_at),
             )
         assert fleet_report_bytes(resume(directory)) == expected, kill_at

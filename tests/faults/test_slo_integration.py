@@ -6,9 +6,9 @@ import pytest
 
 from repro.faults import (
     ChaosConfig,
-    ChaosRuntime,
     WorkerFaultSchedule,
     WorkerStall,
+    chaos_runtime,
 )
 from repro.obs import Obs, ObsConfig, PID_SLO
 from repro.obs.slo import SloEngine, parse_slo_config
@@ -51,7 +51,7 @@ def stall_config() -> ChaosConfig:
 
 def run_with_slo(config_dict=STRICT_LATENCY):
     obs = Obs(ObsConfig())
-    runtime = ChaosRuntime(stall_config(), obs=obs)
+    runtime = chaos_runtime(stall_config(), obs=obs)
     engine = SloEngine(parse_slo_config(config_dict), obs)
     runtime.attach_slo(engine)
     report = runtime.run()
@@ -66,16 +66,16 @@ class TestPageToWiden:
         # The page hook escalated the fleet's watchdogs to WIDENED (or
         # further, if a watchdog had already climbed on its own).
         widened = [
-            w for w in runtime.watchdogs
+            w for w in runtime.chaos.watchdogs
             if any(dst != "NOMINAL" for _, _, dst in w.transitions)
         ]
-        assert len(widened) == len(runtime.watchdogs)
+        assert len(widened) == len(runtime.chaos.watchdogs)
         page_t = min(
             s.ts_s for s in engine.obs.tracer.spans()
             if s.pid == PID_SLO and s.name.endswith("->PAGE")
         )
         hook_widened = [
-            w for w in runtime.watchdogs
+            w for w in runtime.chaos.watchdogs
             if any(
                 t == pytest.approx(page_t) and dst == "WIDENED"
                 for t, _, dst in w.transitions
@@ -119,13 +119,13 @@ class TestPageToWiden:
         # No watchdog moved at the page instant: on_page none observes.
         assert not any(
             t == pytest.approx(page_t) and dst == "WIDENED"
-            for w in runtime.watchdogs
+            for w in runtime.chaos.watchdogs
             for t, _, dst in w.transitions
         )
 
     def test_attach_slo_requires_observed_runtime(self):
         obs = Obs(ObsConfig())
         engine = SloEngine(parse_slo_config(STRICT_LATENCY), obs)
-        runtime = ChaosRuntime(stall_config())  # no obs bundle
+        runtime = chaos_runtime(stall_config())  # no obs bundle
         with pytest.raises(ValueError, match="Obs bundle"):
             runtime.attach_slo(engine)

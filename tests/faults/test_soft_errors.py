@@ -8,8 +8,8 @@ import pytest
 
 from repro.faults import (
     ChaosConfig,
-    ChaosRuntime,
     SoftErrorConfig,
+    chaos_runtime,
     default_chaos_scenario,
     run_chaos,
 )
@@ -89,13 +89,13 @@ class TestSnapshot:
     def test_state_roundtrip_midrun(self):
         """SDC queues, persistent offsets, and guards all snapshot."""
         config = soft_config()
-        runtime = ChaosRuntime(config)
+        runtime = chaos_runtime(config)
         runtime.start()
         for _ in range(150):
             runtime.step()
         state = runtime.state_dict()
 
-        restored = ChaosRuntime(config)
+        restored = chaos_runtime(config)
         restored.load_state(state)
         assert restored.state_dict() == state
 
@@ -105,11 +105,11 @@ class TestSnapshot:
         from repro.recover.manager import resume, run_with_checkpoints
 
         config = soft_config()
-        baseline = ChaosRuntime(config).run()
+        baseline = chaos_runtime(config).run()
         assert baseline.faults.soft_errors_injected > 0
         with pytest.raises(SimulatedCrash):
             run_with_checkpoints(
-                ChaosRuntime(config), tmp_path, every=10,
+                chaos_runtime(config), tmp_path, every=10,
                 kill=ProcessKill(at_event=30),
             )
         recovered = resume(tmp_path)

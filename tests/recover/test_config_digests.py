@@ -16,7 +16,7 @@ import pytest
 
 from repro.faults.config import default_chaos_scenario
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow, ShardKill
-from repro.faults.runtime import ChaosRuntime
+from repro.faults.runtime import chaos_runtime
 from repro.recover import CheckpointStore, canonical_bytes
 from repro.recover.kinds import resolve_run_config, runtime_config_dict
 from repro.recover.manager import run_with_checkpoints
@@ -104,7 +104,7 @@ DIGESTS = {
 def _encoded(sample: str) -> dict:
     if sample.startswith("chaos-"):
         seed = int(sample.removeprefix("chaos-"))
-        return runtime_config_dict(ChaosRuntime(default_chaos_scenario(seed=seed)))
+        return runtime_config_dict(chaos_runtime(default_chaos_scenario(seed=seed)))
     if sample == "fleet-net":
         return runtime_config_dict(FleetRuntime(net_fleet()))
     if sample == "fleet-migrating":

@@ -26,7 +26,7 @@ from repro.faults.config import (
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow, ShardKill
 from repro.recover.codec import canonical_json, config_hash
 from repro.recover.configio import decode, encode
-from repro.recover.kinds import resolve_run_config
+from repro.recover.kinds import build_runtime, resolve_run_config
 from repro.reliability.campaign import PROTECTIONS, SdcCampaignConfig
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
 from repro.serve.fleet import FleetConfig
@@ -174,9 +174,10 @@ class TestPartialDicts:
 class TestRunKinds:
     @pytest.mark.parametrize("kind", ["serve", "chaos", "fleet"])
     def test_table_is_keyed_by_runtime_kind(self, kind):
-        from repro.recover.kinds import RUN_KINDS
-
-        assert RUN_KINDS[kind].runtime_class.RUNTIME_KIND == kind
+        serve = {"n_sessions": 2, "duration_s": 0.1}
+        params = dict(serve) if kind == "serve" else {"serve": serve}
+        runtime = build_runtime(resolve_run_config(kind, params))
+        assert runtime.RUNTIME_KIND == kind
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash, default_chaos_scenario
-from repro.faults.runtime import ChaosRuntime
+from repro.faults.runtime import chaos_runtime
 from repro.recover import (
     JOURNAL_NAME,
     CheckpointStore,
@@ -54,8 +54,8 @@ class TestBitIdenticalRecovery:
 
     @pytest.mark.parametrize("kill_at", [8, 70, 130])  # of 145 events
     def test_chaos_recovery_is_bit_identical(self, tmp_path, kill_at):
-        baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
-        crash_at(ChaosRuntime(chaos_config()), tmp_path, kill_at)
+        baseline = fleet_report_bytes(chaos_runtime(chaos_config()).run())
+        crash_at(chaos_runtime(chaos_config()), tmp_path, kill_at)
         assert fleet_report_bytes(resume(tmp_path)) == baseline
 
     def test_double_crash_recovery(self, tmp_path):
@@ -151,7 +151,7 @@ class TestCorruptionFallback:
         # Format 5 moved the breakers and the armed wake-up into the worker
         # pool's state: a chaos run checkpointed under format 4 is refused
         # with the reason, never resumed with fresh breakers.
-        crash_at(ChaosRuntime(chaos_config()), tmp_path, 130)
+        crash_at(chaos_runtime(chaos_config()), tmp_path, 130)
         store = CheckpointStore(tmp_path)
         for index in store.indices():
             manifest = store.manifest_path(index)
@@ -165,7 +165,7 @@ class TestCorruptionFallback:
         # Format 8 took bypass frames, drops and CRC failures off the
         # chaos heap: an older chaos checkpoint is refused with the
         # reason, never resumed with those frames recorded twice.
-        crash_at(ChaosRuntime(chaos_config()), tmp_path, 130)
+        crash_at(chaos_runtime(chaos_config()), tmp_path, 130)
         store = CheckpointStore(tmp_path)
         for index in store.indices():
             manifest = store.manifest_path(index)

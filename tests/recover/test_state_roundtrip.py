@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import default_chaos_scenario
-from repro.faults.runtime import ChaosRuntime
+from repro.faults.runtime import chaos_runtime
 from repro.recover import canonical_bytes, fleet_report_bytes
 from repro.recover.configio import decode, encode
 from repro.serve import (
@@ -146,22 +146,22 @@ class TestRuntimeSnapshot:
 
     @pytest.mark.parametrize("snapshot_at", [1, 120])
     def test_chaos_snapshot_resumes_bit_identical(self, snapshot_at):
-        baseline = fleet_report_bytes(ChaosRuntime(chaos_config()).run())
+        baseline = fleet_report_bytes(chaos_runtime(chaos_config()).run())
 
-        donor = ChaosRuntime(chaos_config())
+        donor = chaos_runtime(chaos_config())
         donor.start()
         for _ in range(snapshot_at):
             assert donor.step()
         state = donor.state_dict()
 
-        heir = ChaosRuntime(chaos_config())
+        heir = chaos_runtime(chaos_config())
         heir.load_state(state)
         while heir.step():
             pass
         assert fleet_report_bytes(heir.finish()) == baseline
 
     def test_snapshot_is_json_canonicalizable(self):
-        runtime = ChaosRuntime(chaos_config())
+        runtime = chaos_runtime(chaos_config())
         runtime.start()
         for _ in range(40):
             runtime.step()

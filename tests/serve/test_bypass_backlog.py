@@ -21,7 +21,7 @@ import pytest
 
 from repro.faults import ProcessKill, SimulatedCrash, default_chaos_scenario
 from repro.faults.netfaults import ShardKill
-from repro.faults.runtime import ChaosRuntime
+from repro.faults.runtime import chaos_runtime
 from repro.obs import Obs, ObsConfig
 from repro.obs.slo import (
     SloConfig,
@@ -239,15 +239,15 @@ def test_chaos_runs_seed_only_arriving_predict_frames():
     # is a predict frame the sensor delivered, or a retry of one.
     base = default_chaos_scenario(seed=3)
     chaos = replace(base, serve=replace(base.serve, n_sessions=4, duration_s=0.5))
-    runtime = ChaosRuntime(chaos)
+    runtime = chaos_runtime(chaos)
     counts = tally(runtime)
     delivered = sum(
         path == "predict" and not trace.dropped[f]
-        for session, trace in zip(runtime.fleet, runtime.traces)
+        for session, trace in zip(runtime.fleet, runtime.chaos.traces)
         for f, path in enumerate(session.decisions)
     )
-    assert runtime.faults.input_dropped > 0
-    assert counts[_ARRIVAL] == delivered + runtime.faults.retries_scheduled
+    assert runtime.chaos.report.input_dropped > 0
+    assert counts[_ARRIVAL] == delivered + runtime.chaos.report.retries_scheduled
 
 
 def test_net_runs_send_only_predict_frames():

@@ -1,8 +1,8 @@
 """Restoring old single-runtime checkpoints next to fleet ones.
 
 ``FleetRuntime.restore`` restores fleets and refuses any other kind:
-like ``ServeRuntime.restore``, it returns only its own class and raises
-:class:`TypeError` on a checkpoint of another kind.  An old
+it returns only its own class and raises :class:`TypeError` on a
+checkpoint of another kind.  An old
 single-runtime ("serve"/"chaos") checkpoint still warm-restarts through
 ``restore_runtime`` (and ``python -m repro recover``) to its original
 runtime class and completes byte-identically.
