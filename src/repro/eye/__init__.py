@@ -22,7 +22,13 @@ from repro.eye.events import (
 )
 from repro.eye.eyeball import EyeAppearance, EyeGeometry, PupilPose
 from repro.eye.loader import load_dataset, load_sequence
-from repro.eye.motion import GazeTrack, OculomotorConfig, OculomotorModel
+from repro.eye.motion import (
+    GazeTrack,
+    OculomotorConfig,
+    OculomotorModel,
+    TrackStack,
+    generate_tracks,
+)
 from repro.eye.renderer import NearEyeRenderer, RenderConfig
 
 __all__ = [
@@ -45,6 +51,8 @@ __all__ = [
     "GazeTrack",
     "OculomotorConfig",
     "OculomotorModel",
+    "TrackStack",
+    "generate_tracks",
     "NearEyeRenderer",
     "RenderConfig",
 ]

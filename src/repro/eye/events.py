@@ -84,13 +84,14 @@ def saccade_fraction(labels: np.ndarray) -> float:
 
 def post_saccade_mask(labels: np.ndarray, window: int) -> np.ndarray:
     """Flag the ``window`` frames following each saccade end (the
-    post-saccadic low-acuity period, ~50 ms in the paper)."""
+    post-saccadic low-acuity period, ~50 ms in the paper), along the
+    last axis of ``labels`` (one row per trace)."""
     in_saccade = np.asarray(labels) == MovementType.SACCADE
-    frames = np.arange(in_saccade.size)
+    frames = np.arange(in_saccade.shape[-1])
     # A saccade ends at frame i when frame i - 1 is saccadic and i is not;
     # each frame is flagged when the latest end at or before it is fewer
     # than ``window`` frames back (ends start out ``window`` back: none).
-    ends = np.zeros(in_saccade.size, dtype=bool)
-    ends[1:] = in_saccade[:-1] & ~in_saccade[1:]
-    latest_end = np.maximum.accumulate(np.where(ends, frames, -window))
+    ends = np.zeros(in_saccade.shape, dtype=bool)
+    ends[..., 1:] = in_saccade[..., :-1] & ~in_saccade[..., 1:]
+    latest_end = np.maximum.accumulate(np.where(ends, frames, -window), axis=-1)
     return (frames - latest_end < window) & ~in_saccade

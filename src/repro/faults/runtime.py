@@ -38,6 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.eye.motion import TrackStack
 from repro.faults.config import ChaosConfig
 from repro.faults.injectors import (
     OCCLUSION_BLIND_OPENNESS,
@@ -73,28 +74,32 @@ def build_chaos_fleet(
 
     Starts from the *same* clean fleet ``build_fleet`` would produce for
     the serve config (so fault-free comparisons replay identical
-    behaviour), then perturbs each track and recomputes its Algorithm-1
-    decisions — noisy gaze breaks reuse anchors exactly the way real
-    tracking noise does.  A session's backlog holds, in arrival order,
-    its saccade and reuse frames and every ``"dropped"`` frame and
-    ``"retransmit"`` CRC failure, both at capture; a retransmitted frame
-    arrives late, after any on-time frame of that instant.
+    behaviour), then perturbs each track and recomputes the Algorithm-1
+    decisions of all faulted tracks in one call — noisy gaze breaks
+    reuse anchors exactly the way real tracking noise does.  A session's
+    backlog holds, in arrival order, its saccade and reuse frames and
+    every ``"dropped"`` frame and ``"retransmit"`` CRC failure, both at
+    capture; a retransmitted frame arrives late, after any on-time frame
+    of that instant.
     """
     clean = build_fleet(config.serve)
     session_config = SessionConfig(
         reuse_displacement_deg=config.serve.reuse_displacement_deg,
         post_saccade_low_res=config.serve.post_saccade_low_res,
     )
-    fleet, traces = [], []
+    faulted, traces = [], []
     for session in clean:
-        faulted, trace = inject_input_faults(
+        track, trace = inject_input_faults(
             session.track,
             config.input_faults,
             seed=config.fault_seed * _FAULT_SEED_STRIDE + session.session_id,
         )
-        chaos_session = replace(
-            session, track=faulted, decisions=decide_paths(faulted, session_config)
-        )
+        faulted.append(track)
+        traces.append(trace)
+    decisions = decide_paths(TrackStack.of(faulted), session_config)
+    fleet = []
+    for session, track, paths, trace in zip(clean, faulted, decisions, traces):
+        chaos_session = replace(session, track=track, decisions=paths)
         late = trace.retransmit_s.tolist()
         backlog = []
         for f, (t, path) in enumerate(
@@ -114,7 +119,6 @@ def build_chaos_fleet(
             [entry[3] for entry in backlog],
         )
         fleet.append(chaos_session)
-        traces.append(trace)
     return fleet, traces
 
 

@@ -1,13 +1,17 @@
 """Client sessions and per-frame requests of the serving runtime.
 
 Each simulated HMD client is an independent oculomotor trace sampled from
-:class:`repro.eye.OculomotorModel` with its own seed.  Every frame carries
-its Algorithm-1 path decision (computed by ``repro.system.decide_paths``
-from the trace kinematics): saccade and reuse frames are handled on-device
-and never reach the serving pool, so only the predict-path skew — highly
-uneven across sessions — arrives as load.  A session keeps its bypass
-frames as columns (:attr:`ClientSession.bypass`); only a frame that can
-reach the pool needs to become a :class:`FrameRequest`.
+:class:`repro.eye.OculomotorModel` with its own seed.  A fleet's traces
+are drawn session by session but filled as one ``(n_sessions, n_frames)``
+stack (:func:`repro.eye.motion.generate_tracks`), and each session's
+track is a read-only row of it.  Every frame carries its Algorithm-1 path
+decision (computed by ``repro.system.decide_paths`` from the trace
+kinematics, for the whole stack in one call): saccade and reuse frames
+are handled on-device and never reach the serving pool, so only the
+predict-path skew — highly uneven across sessions — arrives as load.  A
+session keeps its bypass frames as columns (:attr:`ClientSession.bypass`);
+only a frame that can reach the pool needs to become a
+:class:`FrameRequest`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.eye.motion import GazeTrack, OculomotorConfig, OculomotorModel
+from repro.eye.motion import (
+    GazeTrack,
+    OculomotorConfig,
+    OculomotorModel,
+    generate_tracks,
+)
 from repro.serve.config import ServeConfig
 from repro.system.session import SessionConfig, decide_paths
 
@@ -105,26 +114,31 @@ def build_fleet(config: ServeConfig) -> list[ClientSession]:
     Session ``i`` uses oculomotor seed ``config.seed * 10007 + i`` (unique
     and reproducible per session) and starts ``i * stagger_s`` after the
     simulation origin, so arrivals interleave instead of stampeding at
-    exactly the same instants.
+    exactly the same instants.  The traces are generated as one stack
+    and decided in one call; each session's track is its read-only row.
     """
     session_config = SessionConfig(
         reuse_displacement_deg=config.reuse_displacement_deg,
         post_saccade_low_res=config.post_saccade_low_res,
     )
     motion = OculomotorConfig(fps=config.fps)
-    fleet = []
-    for i in range(config.n_sessions):
-        model = OculomotorModel(motion, seed=config.seed * 10007 + i)
-        track = model.generate(config.frames_per_session)
-        fleet.append(
-            ClientSession(
-                session_id=i,
-                track=track,
-                decisions=decide_paths(track, session_config),
-                start_s=i * config.stagger_s,
-            )
+    tracks = generate_tracks(
+        [
+            OculomotorModel(motion, seed=config.seed * 10007 + i)
+            for i in range(config.n_sessions)
+        ],
+        config.frames_per_session,
+    )
+    decisions = decide_paths(tracks, session_config)
+    return [
+        ClientSession(
+            session_id=i,
+            track=tracks[i],
+            decisions=decisions[i],
+            start_s=i * config.stagger_s,
         )
-    return fleet
+        for i in range(config.n_sessions)
+    ]
 
 
 def fleet_requests(

@@ -15,9 +15,10 @@ from repro.eye import (
     OculomotorModel,
     segments_from_labels,
 )
-from repro.eye.motion import POST_SACCADE_S, GazeTrack
+from repro.eye.motion import POST_SACCADE_S, GazeTrack, generate_tracks
 from repro.serve.config import ServeConfig
 from repro.serve.request import build_fleet
+from repro.system.session import SessionConfig, decide_paths
 from repro.utils.rng import RngMixin
 from tests.eye.test_events import scalar_post_saccade_mask
 
@@ -317,6 +318,75 @@ class TestGenerateOracle:
                 track.post_saccade, scalar_post_saccade_mask(track.labels, window)
             )
         assert not hasattr(OculomotorConfig(), "post_saccade_s")
+
+
+class TestGenerateTracksOracle:
+    """A stack of traces is the per-segment reference, row by row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=oracle_cases(),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8, unique=True),
+    )
+    def test_stack_matches_per_segment_generator(self, case, seeds):
+        _, n_frames, config = case
+        models = [OculomotorModel(config, seed=seed) for seed in seeds]
+        stack = generate_tracks(models, n_frames)
+        assert len(stack) == len(seeds)
+        assert stack.gaze_deg.shape == (len(seeds), n_frames, 2)
+        for i, (model, seed) in enumerate(zip(models, seeds)):
+            gaze, labels, openness, velocity, post_saccade, rng = scalar_generate(
+                config, seed, n_frames
+            )
+            np.testing.assert_array_equal(stack.gaze_deg[i], gaze)
+            np.testing.assert_array_equal(stack.labels[i], labels)
+            np.testing.assert_array_equal(stack.openness[i], openness)
+            np.testing.assert_array_equal(stack.velocity_deg_s[i], velocity)
+            np.testing.assert_array_equal(stack.post_saccade[i], post_saccade)
+            assert model.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_models_must_share_a_config(self):
+        models = [
+            OculomotorModel(OculomotorConfig(), seed=0),
+            OculomotorModel(OculomotorConfig(fps=60.0), seed=1),
+        ]
+        with pytest.raises(ValueError, match="share one OculomotorConfig"):
+            generate_tracks(models, 10)
+        with pytest.raises(ValueError, match="at least one model"):
+            generate_tracks([], 10)
+
+
+TRACK_ARRAYS = ("gaze_deg", "labels", "openness", "velocity_deg_s", "post_saccade")
+
+
+class TestFleetRows:
+    CONFIG = ServeConfig(seed=3, n_sessions=6, duration_s=0.5)
+
+    def test_fleet_row_equals_lone_generate(self):
+        config = self.CONFIG
+        session_config = SessionConfig(
+            reuse_displacement_deg=config.reuse_displacement_deg,
+            post_saccade_low_res=config.post_saccade_low_res,
+        )
+        for session in build_fleet(config):
+            model = OculomotorModel(
+                OculomotorConfig(fps=config.fps),
+                seed=config.seed * 10007 + session.session_id,
+            )
+            lone = model.generate(config.frames_per_session)
+            for name in TRACK_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(session.track, name), getattr(lone, name)
+                )
+            assert session.decisions == decide_paths(lone, session_config)
+
+    @pytest.mark.parametrize("name", TRACK_ARRAYS)
+    def test_writing_into_a_session_track_raises(self, name):
+        fleet = build_fleet(self.CONFIG)
+        before = getattr(fleet[2].track, name).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(fleet[1].track, name)[0] = 0
+        np.testing.assert_array_equal(getattr(fleet[2].track, name), before)
 
 
 #: sha256 of ``build_fleet``'s gaze, labels, openness and decisions for the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.eye import OculomotorModel
 from repro.eye.events import EventMix, MovementType
-from repro.eye.motion import GazeTrack, velocities_from_gaze
+from repro.eye.motion import GazeTrack, TrackStack, velocities_from_gaze
 from repro.render import RES_1080P, RES_720P, scene_by_name
 from repro.system import Schedule, TrackerSystemProfile, decide_paths
 from repro.system.session import SessionConfig, SessionReport, simulate_session
@@ -261,39 +261,53 @@ def scalar_decide_paths(track, config, supports_event_gating=True):
 
 
 @st.composite
-def gated_tracks(draw):
-    """A track, threshold and flags for the decide_paths oracle test.
+def gated_stacks(draw, max_rows=6):
+    """Equal-length tracks, a threshold and flags for the decide_paths
+    oracle tests.
 
     Three gaze families: free floats; a lattice of step ``u`` with the
     threshold at ``5u``, so (5, 0) and (3, 4) moves land exactly on it;
     and free floats with the threshold set to one frame's
-    ``np.linalg.norm`` from frame 0 (exactly on it in numpy's rounding).
+    ``np.linalg.norm`` from frame 0 of one row (exactly on it in numpy's
+    rounding).
     """
+    n_rows = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, 40))
-    labels = draw(st.lists(st.sampled_from(list(MovementType)), min_size=n, max_size=n))
     family = draw(st.sampled_from(["free", "lattice", "norm"]))
+    fps = draw(st.sampled_from([60.0, 100.0, 120.0]))
     if family == "lattice":
         u = draw(st.integers(1, 256)) / 256.0
         cells = st.lists(st.integers(-8, 8), min_size=2 * n, max_size=2 * n)
-        gaze = np.array(draw(cells), dtype=float).reshape(n, 2) * u
+        rows = [
+            np.array(draw(cells), dtype=float).reshape(n, 2) * u for _ in range(n_rows)
+        ]
         threshold = 5.0 * u
     else:
-        coords = st.floats(-10.0, 10.0, allow_nan=False)
-        gaze = np.array(draw(st.lists(coords, min_size=2 * n, max_size=2 * n)))
-        gaze = gaze.reshape(n, 2)
+        coords = st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False), min_size=2 * n, max_size=2 * n
+        )
+        rows = [np.array(draw(coords)).reshape(n, 2) for _ in range(n_rows)]
         threshold = draw(st.floats(0.01, 5.0))
         if family == "norm" and n > 1:
+            gaze = rows[draw(st.integers(0, n_rows - 1))]
             j = draw(st.integers(1, n - 1))
             distance = float(np.linalg.norm(gaze[j] - gaze[0]))
             if distance > 0:
                 threshold = distance
+    kinds = st.lists(st.sampled_from(list(MovementType)), min_size=n, max_size=n)
+    tracks = [
+        make_track(gaze, labels=[int(m) for m in draw(kinds)], fps=fps) for gaze in rows
+    ]
     config = SessionConfig(
         reuse_displacement_deg=threshold,
         post_saccade_low_res=draw(st.booleans()),
     )
-    fps = draw(st.sampled_from([60.0, 100.0, 120.0]))
-    track = make_track(gaze, labels=[int(m) for m in labels], fps=fps)
-    return track, config, draw(st.booleans())
+    return tracks, config, draw(st.booleans())
+
+
+def gated_tracks():
+    """One track, a threshold and flags (:func:`gated_stacks`' one-row case)."""
+    return gated_stacks(max_rows=1).map(lambda case: (case[0][0], *case[1:]))
 
 
 class TestDecidePathsOracle:
@@ -304,6 +318,17 @@ class TestDecidePathsOracle:
         assert decide_paths(track, config, supports_event_gating=gating) == (
             scalar_decide_paths(track, config, supports_event_gating=gating)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=gated_stacks())
+    def test_stack_matches_scalar_loop_row_by_row(self, case):
+        tracks, config, gating = case
+        assert decide_paths(
+            TrackStack.of(tracks), config, supports_event_gating=gating
+        ) == [
+            scalar_decide_paths(track, config, supports_event_gating=gating)
+            for track in tracks
+        ]
 
     def test_matches_scalar_loop_on_generated_traces(self, track):
         for threshold in (0.01, 0.05, 1.0, 5.0):
