@@ -54,7 +54,7 @@ from repro.serve.request import BypassFrames, ClientSession, FrameRequest, build
 from repro.serve.runtime import InferenceFn, ServeRuntime
 from repro.serve.telemetry import FaultReport, FleetReport
 from repro.serve.workers import FaultyWorkerPool
-from repro.system.session import SessionConfig, decide_paths
+from repro.system.session import SessionConfig, decide_path_codes
 from repro.system.watchdog import DegradationLevel, TrackingWatchdog
 
 #: Per-session sub-seed strides (distinct odd primes keep the fault and
@@ -75,8 +75,10 @@ def build_chaos_fleet(
     Starts from the *same* clean fleet ``build_fleet`` would produce for
     the serve config (so fault-free comparisons replay identical
     behaviour), then perturbs each track and recomputes the Algorithm-1
-    decisions of all faulted tracks in one call — noisy gaze breaks
-    reuse anchors exactly the way real tracking noise does.  A session's
+    path codes of all faulted tracks in one call — noisy gaze breaks
+    reuse anchors exactly the way real tracking noise does.  Each chaos
+    session holds its row of that re-decided stack, so its predict
+    frames and backlog both come from its faulted track.  A session's
     backlog holds, in arrival order, its saccade and reuse frames and
     every ``"dropped"`` frame and ``"retransmit"`` CRC failure, both at
     capture; a retransmitted frame arrives late, after any on-time frame
@@ -96,10 +98,11 @@ def build_chaos_fleet(
         )
         faulted.append(track)
         traces.append(trace)
-    decisions = decide_paths(TrackStack.of(faulted), session_config)
+    codes = decide_path_codes(TrackStack.of(faulted), session_config)
+    codes.flags.writeable = False
     fleet = []
-    for session, track, paths, trace in zip(clean, faulted, decisions, traces):
-        chaos_session = replace(session, track=track, decisions=paths)
+    for session, track, row, trace in zip(clean, faulted, codes, traces):
+        chaos_session = replace(session, track=track, codes=row)
         late = trace.retransmit_s.tolist()
         backlog = []
         for f, (t, path) in enumerate(
@@ -382,7 +385,7 @@ class ChaosModel:
                 pid=session_pid(request.session_id),
                 args={"frame": request.frame_index, "attempt": next_attempt},
             )
-        return retry_at, replace(request, retries=next_attempt)
+        return retry_at, request._replace(retries=next_attempt)
 
     # ------------------------------------------------------------------
     # Set-up and the per-frame step

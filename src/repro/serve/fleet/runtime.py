@@ -33,6 +33,8 @@ import heapq
 import math
 import weakref
 
+import numpy as np
+
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
 from repro.recover.configio import decode, encode
 from repro.serve.config import BatchServiceModel
@@ -194,24 +196,23 @@ class FleetRuntime:
         # One global stream of predict frames: seq numbers are unique
         # fleet-wide (migrated frames carry theirs onto other shards).
         # Bypass frames stay per-session backlogs in both modes.
-        all_requests = fleet_requests(self.sessions, self.config.serve.deadline_s)
+        stream = fleet_requests(self.sessions, self.config.serve.deadline_s)
+        home = np.empty(len(self.sessions), dtype=np.intp)  # session -> shard
         for shard_id in sorted(placement):
+            home[placement[shard_id]] = shard_id
             for sid in placement[shard_id]:
                 self._session_shard[sid] = shard_id
-        # One pass over the global stream hands every shard its slice, in
-        # arrival order (net-mode shards get none; see below).
-        arrivals: dict[int, list] = {shard_id: [] for shard_id in placement}
-        if self.transport is None:
-            for request in all_requests:
-                arrivals[self._session_shard[request.session_id]].append(request)
+        # Every shard gets its rows of the stream, in arrival order
+        # (net-mode shards get none; see below).
+        owner = home[stream.session_ids] if self.transport is None else None
         for shard_id in sorted(placement):
             shard = self.shards[shard_id]
             shard.fleet = [self.sessions[sid] for sid in placement[shard_id]]
             if shard.obs.enabled:
                 shard._declare_tracks()
-            shard.start(arrivals[shard_id])
+            shard.start(None if owner is None else stream[owner == shard_id])
         if self.transport is not None:
-            self._seed_net_schedule(all_requests)
+            self._seed_net_schedule(list(stream))
         for kill in sorted(
             self.config.kills, key=lambda k: (k.at_s, k.shard_id)
         ):
@@ -874,8 +875,8 @@ class FleetRuntime:
         }
         if self.transport is not None:
             # Derived state: SEND payloads and envelopes index this list.
-            self._net_requests = fleet_requests(
-                self.sessions, self.config.serve.deadline_s
+            self._net_requests = list(
+                fleet_requests(self.sessions, self.config.serve.deadline_s)
             )
             self.transport.load_state(state["net"]["transport"])
 

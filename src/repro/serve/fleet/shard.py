@@ -45,7 +45,7 @@ from repro.obs import Obs, PID_WORKERS, session_pid
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import FailoverConfig
-from repro.serve.request import ClientSession, FrameRequest
+from repro.serve.request import ClientSession, FrameRequest, PredictStream
 from repro.serve.runtime import ServeRuntime, _ARRIVAL, _COMPLETE
 from repro.serve.telemetry import SessionStats, new_ledger
 from repro.system.metrics import percentile_summary
@@ -398,18 +398,20 @@ class ShardRuntime(ServeRuntime):
             )
         return payloads, lost
 
-    def start(self, requests: "list[FrameRequest] | None" = None) -> None:
+    def start(self, stream: "PredictStream | None" = None) -> None:
         """Seed the given arrivals (idempotent).
 
-        The fleet controller generates ALL frame requests once from the
-        dense session list — global ``seq`` numbers must be unique
-        fleet-wide because migrated frames carry theirs onto other
-        shards — and hands each shard its slice in global arrival
-        order.  A freshly spawned shard starts with none.
+        The fleet controller cuts ALL predict frames once from the dense
+        session list — global ``seq`` numbers must be unique fleet-wide
+        because migrated frames carry theirs onto other shards — and
+        hands each shard its rows of the stream, in global arrival
+        order.  A freshly spawned shard, or a ``--net`` one, starts with
+        none.
         """
         if self._started:
             return
-        self._seed_arrivals(requests or [])
+        if stream is not None:
+            self._seed_arrivals(stream)
         self._started = True
 
     # ------------------------------------------------------------------

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
 from repro.obs import NULL_OBS, PID_NET
+from repro.utils.validation import check_positive
 
 # Net control-event kinds.  Negative so the write-ahead journal encoding
 # stays disjoint from both the classic control kinds (1..3) and the
@@ -87,8 +88,6 @@ class NetConfig:
     on_exhaust: str = "degrade"
 
     def __post_init__(self) -> None:
-        from repro.utils.validation import check_positive
-
         check_positive("ack_timeout_s", self.ack_timeout_s)
         if self.backoff_factor < 1.0:
             raise ValueError(

@@ -5,20 +5,24 @@ Each simulated HMD client is an independent oculomotor trace sampled from
 are drawn session by session but filled as one ``(n_sessions, n_frames)``
 stack (:func:`repro.eye.motion.generate_tracks`), and each session's
 track is a read-only row of it.  Every frame carries its Algorithm-1 path
-decision (computed by ``repro.system.decide_paths`` from the trace
-kinematics, for the whole stack in one call): saccade and reuse frames
-are handled on-device and never reach the serving pool, so only the
-predict-path skew — highly uneven across sessions — arrives as load.  A
-session keeps its bypass frames as columns (:attr:`ClientSession.bypass`);
-only a frame that can reach the pool needs to become a
-:class:`FrameRequest`.
+(computed by ``repro.system.decide_path_codes`` from the trace
+kinematics, for the whole stack in one call) as a ``uint8`` code, and
+each session holds its read-only row of the fleet's code stack
+(:attr:`ClientSession.codes`).  Saccade and reuse frames are handled
+on-device and never reach the serving pool, so only the predict-path
+skew — highly uneven across sessions — arrives as load.  A session keeps
+its bypass frames as columns (:attr:`ClientSession.bypass`), cut from
+its codes with one mask; the predict frames of a fleet are columns too
+(:class:`PredictStream`), and only a frame that can reach the pool
+becomes a :class:`FrameRequest`, when a runtime seeds its heap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,11 +33,12 @@ from repro.eye.motion import (
     generate_tracks,
 )
 from repro.serve.config import ServeConfig
-from repro.system.session import SessionConfig, decide_paths
+from repro.system.session import PATHS, PREDICT, SessionConfig, decide_path_codes
+
+_PREDICT_PATH = PATHS[PREDICT]
 
 
-@dataclass(frozen=True)
-class FrameRequest:
+class FrameRequest(NamedTuple):
     """One frame of one session entering the runtime."""
 
     session_id: int
@@ -80,16 +85,24 @@ class BypassFrames(NamedTuple):
 
 @dataclass
 class ClientSession:
-    """One HMD client: its trace, per-frame decisions, and arrival clock."""
+    """One HMD client: its trace, per-frame path codes, and arrival clock."""
 
     session_id: int
     track: GazeTrack
-    decisions: list[str]
+    #: Algorithm-1 path code of every frame (``uint8``, indices into
+    #: :data:`repro.system.session.PATHS`): a read-only row of its
+    #: fleet's code stack.
+    codes: np.ndarray
     start_s: float
 
     @property
     def n_frames(self) -> int:
         return len(self.track)
+
+    @cached_property
+    def decisions(self) -> list[str]:
+        """Every frame's Algorithm-1 path as a string."""
+        return PATHS[self.codes].tolist()
 
     @cached_property
     def arrivals(self) -> np.ndarray:
@@ -100,11 +113,55 @@ class ClientSession:
     def bypass(self) -> BypassFrames:
         """The frames Algorithm 1 serves on-device (saccade or reuse); a
         chaos session is given its own (``build_chaos_fleet``)."""
-        frames = [f for f, path in enumerate(self.decisions) if path != "predict"]
+        frames = np.flatnonzero(self.codes != PREDICT)
         return BypassFrames(
-            frames,
+            frames.tolist(),
             self.arrivals[frames].tolist(),
-            [self.decisions[f] for f in frames],
+            PATHS[self.codes[frames]].tolist(),
+        )
+
+
+@dataclass(frozen=True)
+class PredictStream:
+    """Predict frames in global arrival order, as columns.
+
+    Row ``k`` is the frame ``frames[k]`` of session ``session_ids[k]``,
+    arriving at ``arrivals[k]`` with global rank ``seqs[k]``; its
+    deadline is ``arrivals[k] + deadline_s``.  Indexing with a slice, a
+    mask or an index array selects rows; iterating yields the rows as
+    :class:`FrameRequest` objects, built in one pass.
+    """
+
+    session_ids: np.ndarray
+    frames: np.ndarray
+    arrivals: np.ndarray
+    seqs: np.ndarray
+    deadline_s: float
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def __getitem__(self, rows) -> "PredictStream":
+        return PredictStream(
+            self.session_ids[rows],
+            self.frames[rows],
+            self.arrivals[rows],
+            self.seqs[rows],
+            self.deadline_s,
+        )
+
+    def __iter__(self) -> Iterator[FrameRequest]:
+        return map(
+            FrameRequest._make,
+            zip(
+                self.session_ids.tolist(),
+                self.frames.tolist(),
+                self.arrivals.tolist(),
+                (self.arrivals + self.deadline_s).tolist(),
+                repeat(_PREDICT_PATH),
+                self.seqs.tolist(),
+                repeat(0),
+            ),
         )
 
 
@@ -115,7 +172,8 @@ def build_fleet(config: ServeConfig) -> list[ClientSession]:
     and reproducible per session) and starts ``i * stagger_s`` after the
     simulation origin, so arrivals interleave instead of stampeding at
     exactly the same instants.  The traces are generated as one stack
-    and decided in one call; each session's track is its read-only row.
+    and decided in one call; each session's track and path codes are
+    read-only rows of the fleet's stacks.
     """
     session_config = SessionConfig(
         reuse_displacement_deg=config.reuse_displacement_deg,
@@ -129,46 +187,39 @@ def build_fleet(config: ServeConfig) -> list[ClientSession]:
         ],
         config.frames_per_session,
     )
-    decisions = decide_paths(tracks, session_config)
+    codes = decide_path_codes(tracks, session_config)
+    codes.flags.writeable = False
     return [
         ClientSession(
             session_id=i,
             track=tracks[i],
-            decisions=decisions[i],
+            codes=codes[i],
             start_s=i * config.stagger_s,
         )
         for i in range(config.n_sessions)
     ]
 
 
-def fleet_requests(
-    fleet: list[ClientSession], deadline_s: float
-) -> list[FrameRequest]:
+def fleet_requests(fleet: list[ClientSession], deadline_s: float) -> PredictStream:
     """The predict frames of all sessions in global arrival order.
 
     ``fleet`` may be any list of sessions (any order, ids need not be
-    dense): each frame's path comes from its own session.  Arrival times
-    are :attr:`ClientSession.arrivals`, and ties order by
+    dense): each frame's path comes from its own session's codes.
+    Arrival times are :attr:`ClientSession.arrivals`, and ties order by
     ``(session_id, frame_index)``; ``seq`` is the frame's rank among all
     frames in that order, so predict frames' ``seq`` numbers have gaps
     where the bypass frames are.
     """
     if not fleet:
-        return []
+        empty = np.empty(0, dtype=np.int64)
+        return PredictStream(empty, empty, np.empty(0), empty, deadline_s)
+    codes = np.concatenate([s.codes for s in fleet])
     arrivals = np.concatenate([s.arrivals for s in fleet])
     sids = np.repeat([s.session_id for s in fleet], [s.n_frames for s in fleet])
     frames = np.concatenate([np.arange(s.n_frames) for s in fleet])
-    paths = [path for s in fleet for path in s.decisions]
     order = np.lexsort((frames, sids, arrivals))
-    keep = np.fromiter((p == "predict" for p in paths), bool, len(paths))[order]
-    order, seqs = order[keep], np.flatnonzero(keep)
-    return [
-        FrameRequest(sid, f, arrival, arrival + deadline_s, paths[i], seq)
-        for i, sid, f, arrival, seq in zip(
-            order.tolist(),
-            sids[order].tolist(),
-            frames[order].tolist(),
-            arrivals[order].tolist(),
-            seqs.tolist(),
-        )
-    ]
+    keep = codes[order] == PREDICT
+    order = order[keep]
+    return PredictStream(
+        sids[order], frames[order], arrivals[order], np.flatnonzero(keep), deadline_s
+    )

@@ -46,6 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +54,13 @@ import numpy as np
 from repro.obs import NULL_OBS, Obs, PID_BATCHER, PID_WORKERS, session_pid
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
-from repro.serve.request import ClientSession, FrameRequest, build_fleet, fleet_requests
+from repro.serve.request import (
+    ClientSession,
+    FrameRequest,
+    PredictStream,
+    build_fleet,
+    fleet_requests,
+)
 from repro.serve.telemetry import (
     FleetReport,
     ServeInstruments,
@@ -254,21 +261,26 @@ class ServeRuntime:
         heapq.heappush(self._heap, (time_s, kind, self._event_seq, payload))
         self._event_seq += 1
 
-    def _seed_arrivals(self, requests: "list[FrameRequest]") -> None:
-        """Seed an empty heap with ``requests``, given in arrival order.
+    def _seed_arrivals(self, stream: PredictStream) -> None:
+        """Seed an empty heap with the predict frames of ``stream``.
 
-        Equivalent to one :meth:`_push` per request, in one assignment:
-        the keys ``(arrival_s, _ARRIVAL, seq)`` strictly increase along
-        the list, so a sorted list is exactly the heap repeated pushes
-        build (and that checkpoints serialize).
+        Equivalent to one :meth:`_push` per frame in stream order, in one
+        pass that builds each frame's :class:`FrameRequest` and its heap
+        entry together: the keys ``(arrival_s, _ARRIVAL, seq)`` strictly
+        increase along the stream, so a sorted list is exactly the heap
+        repeated pushes build (and that checkpoints serialize).
         """
         assert not self._heap, "arrivals are seeded into an empty heap"
         seq0 = self._event_seq
-        self._heap = [
-            (request.arrival_s, _ARRIVAL, seq0 + i, request)
-            for i, request in enumerate(requests)
-        ]
-        self._event_seq = seq0 + len(requests)
+        self._event_seq = seq0 + len(stream)
+        self._heap = list(
+            zip(
+                stream.arrivals.tolist(),
+                repeat(_ARRIVAL),
+                range(seq0, self._event_seq),
+                stream,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Recording
@@ -552,11 +564,11 @@ class ServeRuntime:
         """Seed the event heap with the predict frames (idempotent)."""
         if self._started:
             return
-        requests = fleet_requests(self.fleet, self._deadline_s)
+        stream = fleet_requests(self.fleet, self._deadline_s)
         if self.chaos is None:
-            self._seed_arrivals(requests)
+            self._seed_arrivals(stream)
         else:
-            for time_s, request in self.chaos.delivered(requests):
+            for time_s, request in self.chaos.delivered(list(stream)):
                 self._push(time_s, _ARRIVAL, request)
         self._started = True
 

@@ -87,10 +87,10 @@ class SessionReport:
         }
 
 
-#: Algorithm-1 paths by code, so a whole stack of decisions becomes
-#: strings with one ``tolist()``.
-_PATHS = np.array(["saccade", "reuse", "predict"], dtype=object)
-_SACCADE, _REUSE, _PREDICT = range(3)
+#: Algorithm-1 paths by ``uint8`` code (:func:`decide_path_codes`), so
+#: a whole stack of codes becomes strings with one ``tolist()``.
+PATHS = np.array(["saccade", "reuse", "predict"], dtype=object)
+_SACCADE, _REUSE, PREDICT = range(3)
 
 
 def decide_paths(
@@ -99,7 +99,19 @@ def decide_paths(
     supports_event_gating: bool = True,
 ) -> "list[str] | list[list[str]]":
     """Per-frame Algorithm-1 path decisions for an oculomotor trace, or
-    one list per row for a :class:`~repro.eye.motion.TrackStack`.
+    one list per row for a :class:`~repro.eye.motion.TrackStack`: the
+    :func:`decide_path_codes` as strings."""
+    return PATHS[decide_path_codes(track, config, supports_event_gating)].tolist()
+
+
+def decide_path_codes(
+    track: "GazeTrack | TrackStack",
+    config: "SessionConfig | None" = None,
+    supports_event_gating: bool = True,
+) -> np.ndarray:
+    """Per-frame Algorithm-1 path codes (indices into :data:`PATHS`,
+    ``uint8``) for an oculomotor trace, ``(n_frames,)``, or for a
+    :class:`~repro.eye.motion.TrackStack`, ``(n_tracks, n_frames)``.
 
     The decision is derived from the trace's kinematics (the behavioural
     ground truth the trained detector approximates): saccadic frames — plus
@@ -108,8 +120,8 @@ def decide_paths(
     path; everything else pays for a fresh prediction.  Methods without
     event gating always pay the predict path.  This is shared by the
     single-session replay here and the multi-session serving runtime
-    (``repro.serve``), which decides a whole fleet's stack in one call and
-    routes only predict frames to its worker pool.
+    (``repro.serve``), which decides a whole fleet's stack in one call,
+    keeps the codes, and routes only predict frames to its worker pool.
 
     A trace is the one-row stack.  The saccade gate is one numpy mask
     over the stack, and the reuse-anchor recurrence steps through the
@@ -130,25 +142,23 @@ def decide_paths(
     if n_frames == 0:
         raise ValueError("empty gaze track")
     if not supports_event_gating:
-        codes = np.full(labels.shape, _PREDICT)
-    else:
-        gated = labels == MovementType.SACCADE
-        if config.post_saccade_low_res:
-            gated |= track.post_saccade
-        codes = _reuse_anchor_pass(
-            gated.reshape(-1, n_frames),
-            track.gaze_deg.reshape(-1, n_frames, 2),
-            config.reuse_displacement_deg,
-        ).reshape(labels.shape)
-    return _PATHS[codes].tolist()
+        return np.full(labels.shape, PREDICT, dtype=np.uint8)
+    gated = labels == MovementType.SACCADE
+    if config.post_saccade_low_res:
+        gated |= track.post_saccade
+    return _reuse_anchor_pass(
+        gated.reshape(-1, n_frames),
+        track.gaze_deg.reshape(-1, n_frames, 2),
+        config.reuse_displacement_deg,
+    ).reshape(labels.shape)
 
 
 def _reuse_anchor_pass(
     gated: np.ndarray, gaze: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Path codes ``(n_rows, n_frames)`` of Algorithm 1 for gated masks
-    ``(n_rows, n_frames)`` and gaze ``(n_rows, n_frames, 2)``, one frame
-    column at a time.
+    """``uint8`` path codes ``(n_rows, n_frames)`` of Algorithm 1 for
+    gated masks ``(n_rows, n_frames)`` and gaze ``(n_rows, n_frames, 2)``,
+    one frame column at a time.
 
     A row without an anchor holds NaN, so its distance is NaN and no
     comparison holds: its first ungated frame predicts.
@@ -174,7 +184,8 @@ def _reuse_anchor_pass(
         fresh = ungated > hit
         np.copyto(ax, x, where=fresh)
         np.copyto(ay, y, where=fresh)
-    codes = np.where(reuse.T, _REUSE, _PREDICT)
+    codes = np.full(gated.shape, PREDICT, dtype=np.uint8)
+    codes[reuse.T] = _REUSE
     codes[gated] = _SACCADE
     return codes
 

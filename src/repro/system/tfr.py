@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from repro.eye.events import EventMix
 from repro.hw.mipi import MipiLink
 from repro.hw.sensor import CameraSensor
+# The leaf module, not the package: repro.obs -> obs.metrics -> repro.system.
+from repro.obs.tracer import PID_TFR
 from repro.render.pipeline import RenderPipeline
 from repro.render.scene import Resolution, SceneProfile
 from repro.utils.validation import check_positive
@@ -187,7 +189,6 @@ class TfrSystem:
         """Emit the stage layout of one TFR frame as sim-clock spans."""
         if tracer is None or not tracer.enabled:
             return
-        from repro.obs import PID_TFR
 
         def span(name: str, start: float, dur: float, tid: int = 0) -> None:
             tracer.record_span(

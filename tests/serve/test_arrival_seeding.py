@@ -1,9 +1,9 @@
 """Arrival seeding: the one-assignment heap equals repeated pushes.
 
 ``ServeRuntime._seed_arrivals`` replaces one ``heappush`` per frame with
-a single list assignment, and ``FleetRuntime.start`` partitions the
-global request stream in one pass.  Checkpoints serialize the raw heap,
-so both must reproduce the per-frame push path element for element.
+a single list assignment, and ``FleetRuntime.start`` hands every shard
+its rows of the global predict stream.  Checkpoints serialize the raw
+heap, so both must reproduce the per-frame push path element for element.
 Only predict frames are seeded: bypass frames stay per-session backlogs.
 """
 
