@@ -46,7 +46,7 @@ from repro.faults.injectors import (
     inject_input_faults,
 )
 from repro.obs import NULL_OBS, Obs, PID_RELIABILITY, PID_WORKERS, session_pid
-from repro.recover.configio import decode, encode
+from repro.recover.configio import decode, encode, field_path
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
 from repro.serve.config import BatchServiceModel
@@ -467,7 +467,7 @@ class ChaosModel:
             "watchdogs": [w.state_dict() for w in self.watchdogs],
             "sdc": {
                 "next": list(self._sdc_next),
-                "persistent": [[float(x) for x in p] for p in self._sdc_persistent],
+                "persistent": [p.tolist() for p in self._sdc_persistent],
                 "guard_last_frame": list(self._guard_last_frame),
                 "guards": None
                 if self.guards is None
@@ -475,27 +475,29 @@ class ChaosModel:
             },
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, path: str = "") -> None:
         # Input-fault traces and the per-session error streams are pure
         # functions of the (seeded) config and were rebuilt by __init__;
         # only the mutable recovery-stack state needs restoring.
-        self.report = decode(FaultReport, state["faults"])
-        self.cursors = [int(n) for n in state["cursors"]]
-        if len(state["watchdogs"]) != len(self.watchdogs):
-            raise ValueError("snapshot watchdog count does not match config")
-        for watchdog, saved in zip(self.watchdogs, state["watchdogs"]):
-            watchdog.load_state(saved)
-        sdc = state["sdc"]
-        self._sdc_next = [int(n) for n in sdc["next"]]
-        self._sdc_persistent = [
-            np.asarray(p, dtype=np.float64) for p in sdc["persistent"]
-        ]
-        self._guard_last_frame = [
-            None if f is None else int(f) for f in sdc["guard_last_frame"]
-        ]
+        at = field_path(path, "")
+        self.report = decode(FaultReport, state["faults"], at + "faults")
+        self.cursors = decode(list[int], state["cursors"], at + "cursors")
+        saved = zip(self.watchdogs, state["watchdogs"], strict=True)
+        for i, (watchdog, watchdog_state) in enumerate(saved):
+            watchdog.load_state(watchdog_state, f"{at}watchdogs[{i}]")
+        sdc, at = state["sdc"], at + "sdc."
+        self._sdc_next = decode(list[int], sdc["next"], at + "next")
+        persistent = decode(
+            list[tuple[float, float]], sdc["persistent"], at + "persistent"
+        )
+        self._sdc_persistent = [np.array(p, dtype=np.float64) for p in persistent]
+        self._guard_last_frame = decode(
+            list[int | None], sdc["guard_last_frame"], at + "guard_last_frame"
+        )
         if sdc["guards"] is not None and self.guards is not None:
-            for guard, saved in zip(self.guards, sdc["guards"]):
-                guard.load_state(saved)
+            saved = zip(self.guards, sdc["guards"], strict=True)
+            for i, (guard, guard_state) in enumerate(saved):
+                guard.load_state(guard_state, f"{at}guards[{i}]")
 
     # ------------------------------------------------------------------
     # Telemetry assembly

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.recover.configio import decode, decode_into, encode, field_path
 from repro.utils.validation import check_positive
 
 #: Peak-to-mean velocity ratio of a minimum-jerk displacement profile
@@ -89,15 +90,22 @@ class PlausibilityConfig:
         return self.field_deg / 2.0 * self.margin
 
 
+@dataclass(init=False, eq=False)
 class PlausibilityGuard:
     """Stateful gaze-sample gate: flag -> recompute once -> gaze reuse.
 
     Feed every tracker output through :meth:`check`.  The guard keeps
     the last *accepted* gaze as its reference, so a corrupted sample
-    never poisons subsequent plausibility judgements.  Counters are
-    plain ints and the whole guard snapshots via ``state_dict`` /
-    ``load_state`` so :mod:`repro.recover` restores it bit-identically.
+    never poisons subsequent plausibility judgements.  Its dataclass
+    fields are its counters; the guard snapshots them with that
+    reference via ``state_dict`` / ``load_state`` so :mod:`repro.recover`
+    restores it bit-identically.
     """
+
+    checks: int
+    flagged: int
+    recomputes: int
+    fallbacks: int
 
     def __init__(self, config: "PlausibilityConfig | None" = None):
         self.config = config or PlausibilityConfig()
@@ -172,24 +180,13 @@ class PlausibilityGuard:
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict[str, int]:
-        return {
-            "checks": self.checks,
-            "flagged": self.flagged,
-            "recomputes": self.recomputes,
-            "fallbacks": self.fallbacks,
-        }
+        return encode(self)
 
     def state_dict(self) -> dict:
-        return {
-            "last": None if self._last is None else [float(v) for v in self._last],
-            "counters": self.as_dict(),
-        }
+        last = None if self._last is None else self._last.tolist()
+        return {"last": last, "counters": self.as_dict()}
 
-    def load_state(self, state: dict) -> None:
-        last = state["last"]
+    def load_state(self, state: dict, path: str = "") -> None:
+        last = decode(list[float] | None, state["last"], field_path(path, "last"))
         self._last = None if last is None else np.asarray(last, dtype=np.float64)
-        counters = state["counters"]
-        self.checks = int(counters["checks"])
-        self.flagged = int(counters["flagged"])
-        self.recomputes = int(counters["recomputes"])
-        self.fallbacks = int(counters["fallbacks"])
+        decode_into(self, state["counters"], field_path(path, "counters"))

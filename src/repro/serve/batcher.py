@@ -22,12 +22,23 @@ holds at every instant (:meth:`check_accounting`).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
+from repro.recover.configio import decode_into, encode
 from repro.serve.request import FrameRequest
 
 
+@dataclass(init=False, eq=False)
 class DynamicBatcher:
-    """FIFO queue with a size-or-timeout batch-formation policy."""
+    """FIFO queue with a size-or-timeout batch-formation policy.
+
+    Its dataclass fields are the conservation counters it checkpoints;
+    the queue is checkpointed beside them, frame by frame.
+    """
+
+    admitted_total: int
+    requeued_total: int
+    taken_total: int
 
     def __init__(self, max_batch: int, window_s: float = 0.0):
         if max_batch <= 0:
@@ -119,21 +130,13 @@ class DynamicBatcher:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-safe snapshot of the queue and conservation counters."""
-        return {
-            "queue": [request.to_dict() for request in self._queue],
-            "admitted_total": self.admitted_total,
-            "requeued_total": self.requeued_total,
-            "taken_total": self.taken_total,
-        }
+        return {**encode(self), "queue": [r.to_dict() for r in self._queue]}
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, path: str = "") -> None:
         """Restore a :meth:`state_dict` snapshot (FIFO order preserved)."""
-        self._queue = deque(
-            FrameRequest.from_dict(entry) for entry in state["queue"]
-        )
-        self.admitted_total = int(state["admitted_total"])
-        self.requeued_total = int(state["requeued_total"])
-        self.taken_total = int(state["taken_total"])
+        counters = dict(state)
+        self._queue = deque(map(FrameRequest.from_dict, counters.pop("queue")))
+        decode_into(self, counters, path)
 
     def check_accounting(self) -> None:
         """Assert the conservation invariant; raises on a leak."""

@@ -17,7 +17,9 @@ log (consumed by the fault telemetry) is bit-reproducible.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
+from repro.recover.configio import decode, encode
 from repro.utils.validation import check_positive
 
 
@@ -25,6 +27,18 @@ class BreakerState(enum.Enum):
     CLOSED = "CLOSED"
     OPEN = "OPEN"
     HALF_OPEN = "HALF_OPEN"
+
+
+@dataclass
+class CircuitState:
+    """What a breaker checkpoints (everything but its two knobs)."""
+
+    state: BreakerState
+    consecutive_failures: int
+    open_until_s: float
+    probe_in_flight: bool
+    #: ``(time_s, from_state, to_state)`` per transition.
+    transitions: list[tuple[float, str, str]]
 
 
 class CircuitBreaker:
@@ -35,18 +49,19 @@ class CircuitBreaker:
             check_positive("failure_threshold", failure_threshold)
         )
         self.cooldown_s = check_positive("cooldown_s", cooldown_s)
-        self._state = BreakerState.CLOSED
-        self._consecutive_failures = 0
-        self._open_until_s = 0.0
-        self._probe_in_flight = False
-        self.transitions: list[tuple[float, str, str]] = []
+        self.circuit = CircuitState(BreakerState.CLOSED, 0, 0.0, False, [])
+
+    @property
+    def transitions(self) -> "list[tuple[float, str, str]]":
+        return self.circuit.transitions
 
     # ------------------------------------------------------------------
     def state(self, now: float) -> BreakerState:
         """Current state, observing cooldown expiry lazily."""
-        if self._state is BreakerState.OPEN and now >= self._open_until_s:
-            self._transition(self._open_until_s, BreakerState.HALF_OPEN)
-        return self._state
+        circuit = self.circuit
+        if circuit.state is BreakerState.OPEN and now >= circuit.open_until_s:
+            self._transition(circuit.open_until_s, BreakerState.HALF_OPEN)
+        return circuit.state
 
     def allow(self, now: float) -> bool:
         """May a batch be dispatched to this worker right now?"""
@@ -54,66 +69,58 @@ class CircuitBreaker:
         if state is BreakerState.CLOSED:
             return True
         if state is BreakerState.HALF_OPEN:
-            return not self._probe_in_flight
+            return not self.circuit.probe_in_flight
         return False
 
     def note_dispatch(self, now: float) -> None:
         """A batch was actually dispatched (marks the half-open probe)."""
         if self.state(now) is BreakerState.HALF_OPEN:
-            self._probe_in_flight = True
+            self.circuit.probe_in_flight = True
 
     # ------------------------------------------------------------------
     def record_success(self, now: float) -> None:
-        self._consecutive_failures = 0
-        self._probe_in_flight = False
+        circuit = self.circuit
+        circuit.consecutive_failures = 0
+        circuit.probe_in_flight = False
         if self.state(now) is BreakerState.HALF_OPEN:
             self._transition(now, BreakerState.CLOSED)
 
     def record_failure(self, now: float) -> None:
         state = self.state(now)
-        self._probe_in_flight = False
+        circuit = self.circuit
+        circuit.probe_in_flight = False
         if state is BreakerState.HALF_OPEN:
             self._open(now)
             return
-        self._consecutive_failures += 1
+        circuit.consecutive_failures += 1
         if (
             state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.failure_threshold
+            and circuit.consecutive_failures >= self.failure_threshold
         ):
             self._open(now)
 
     # ------------------------------------------------------------------
     def _open(self, now: float) -> None:
-        self._consecutive_failures = 0
-        self._open_until_s = now + self.cooldown_s
+        self.circuit.consecutive_failures = 0
+        self.circuit.open_until_s = now + self.cooldown_s
         self._transition(now, BreakerState.OPEN)
 
     def _transition(self, now: float, to: BreakerState) -> None:
-        self.transitions.append((now, self._state.value, to.value))
-        self._state = to
+        circuit = self.circuit
+        circuit.transitions.append((now, circuit.state.value, to.value))
+        circuit.state = to
 
     @property
     def reopen_s(self) -> "float | None":
         """When an OPEN breaker re-admits its worker (None otherwise)."""
-        return self._open_until_s if self._state is BreakerState.OPEN else None
+        circuit = self.circuit
+        return circuit.open_until_s if circuit.state is BreakerState.OPEN else None
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        return {
-            "state": self._state.value,
-            "consecutive_failures": self._consecutive_failures,
-            "open_until_s": self._open_until_s,
-            "probe_in_flight": self._probe_in_flight,
-            "transitions": [list(t) for t in self.transitions],
-        }
+        return encode(self.circuit)
 
-    def load_state(self, state: dict) -> None:
-        self._state = BreakerState(state["state"])
-        self._consecutive_failures = int(state["consecutive_failures"])
-        self._open_until_s = float(state["open_until_s"])
-        self._probe_in_flight = bool(state["probe_in_flight"])
-        self.transitions = [
-            (float(t), str(src), str(dst)) for t, src, dst in state["transitions"]
-        ]
+    def load_state(self, state: dict, path: str = "") -> None:
+        self.circuit = decode(CircuitState, state, path)

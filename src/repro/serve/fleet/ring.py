@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from dataclasses import dataclass, field
+
+from repro.recover.configio import decode, encode
 
 #: Ring positions are the top 64 bits of a SHA-256 digest.
 _RING_BITS = 64
@@ -34,18 +37,28 @@ def _digest64(key: str) -> int:
     )
 
 
+@dataclass(eq=False)
 class HashRing:
-    """Consistent-hash ring over shard ids with virtual nodes."""
+    """Consistent-hash ring over shard ids with virtual nodes.
 
-    def __init__(self, vnodes: int = 64, seed: int = 0):
-        if vnodes <= 0:
-            raise ValueError(f"vnodes must be positive, got {vnodes}")
-        self.vnodes = int(vnodes)
-        self.seed = int(seed)
+    Its fields are what a checkpoint stores; the ring points are derived
+    from them.
+    """
+
+    vnodes: int = 64
+    seed: int = 0
+    #: Alive shard ids, sorted.
+    nodes: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.vnodes <= 0:
+            raise ValueError(f"vnodes must be positive, got {self.vnodes}")
         #: Sorted parallel arrays: ring position -> owning shard.
         self._points: list[int] = []
         self._owners: list[int] = []
-        self._nodes: set[int] = set()
+        members, self.nodes = self.nodes, []
+        for shard_id in members:
+            self.add(shard_id)
 
     # ------------------------------------------------------------------
     # Membership
@@ -59,9 +72,9 @@ class HashRing:
     def add(self, shard_id: int) -> None:
         """Join one shard (its virtual nodes enter the ring)."""
         shard_id = int(shard_id)
-        if shard_id in self._nodes:
+        if shard_id in self.nodes:
             raise ValueError(f"shard {shard_id} is already on the ring")
-        self._nodes.add(shard_id)
+        bisect.insort(self.nodes, shard_id)
         for point in self._shard_points(shard_id):
             index = bisect.bisect_left(self._points, point)
             self._points.insert(index, point)
@@ -70,9 +83,9 @@ class HashRing:
     def remove(self, shard_id: int) -> None:
         """Leave the ring (failover / drain); other arcs are untouched."""
         shard_id = int(shard_id)
-        if shard_id not in self._nodes:
+        if shard_id not in self.nodes:
             raise ValueError(f"shard {shard_id} is not on the ring")
-        self._nodes.discard(shard_id)
+        self.nodes.remove(shard_id)
         keep = [
             (point, owner)
             for point, owner in zip(self._points, self._owners)
@@ -81,16 +94,11 @@ class HashRing:
         self._points = [point for point, _ in keep]
         self._owners = [owner for _, owner in keep]
 
-    @property
-    def nodes(self) -> list[int]:
-        """Alive shard ids, sorted."""
-        return sorted(self._nodes)
-
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     def __contains__(self, shard_id: int) -> bool:
-        return int(shard_id) in self._nodes
+        return int(shard_id) in self.nodes
 
     # ------------------------------------------------------------------
     # Routing
@@ -103,9 +111,9 @@ class HashRing:
         ring would place it if that shard were gone, so a later real
         removal does not move it again.
         """
-        if not self._nodes:
+        if not self.nodes:
             raise RuntimeError("ring has no alive shards to route to")
-        if avoid is not None and self._nodes == {int(avoid)}:
+        if avoid is not None and self.nodes == [int(avoid)]:
             raise RuntimeError(
                 f"cannot route around shard {avoid}: it is the only shard"
             )
@@ -133,11 +141,8 @@ class HashRing:
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        return {"vnodes": self.vnodes, "seed": self.seed, "nodes": self.nodes}
+        return encode(self)
 
     @classmethod
-    def from_state(cls, state: dict) -> "HashRing":
-        ring = cls(vnodes=int(state["vnodes"]), seed=int(state["seed"]))
-        for shard_id in state["nodes"]:
-            ring.add(int(shard_id))
-        return ring
+    def from_state(cls, state: dict, path: str = "") -> "HashRing":
+        return decode(cls, state, path)

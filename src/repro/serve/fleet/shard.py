@@ -42,6 +42,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.obs import Obs, PID_WORKERS, session_pid
+from repro.recover.configio import decode_into, encode, field_path
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import FailoverConfig
@@ -69,8 +70,33 @@ def _frame_order(request: FrameRequest) -> tuple[float, int]:
     return (request.arrival_s, request.seq)
 
 
+@dataclass(init=False, eq=False, repr=False)
 class ShardRuntime(ServeRuntime):
-    """A ServeRuntime whose session set is dynamic (fleet membership)."""
+    """A ServeRuntime whose session set is dynamic (fleet membership).
+
+    Its dataclass fields are the fleet-lifecycle state it checkpoints
+    under ``"shard"``, beside its re-home breaker and the base
+    runtime's snapshot.
+    """
+
+    #: Queue waits of frames dispatched since the last rebalancer tick
+    #: (the rebalancer's P95 window).
+    wait_samples: list[float]
+    #: session id -> absolute sim time until which re-admission of that
+    #: (re-homed) session's predict frames is breaker-guarded.
+    rehome_guard_until: dict[int, float]
+    spawned_at_s: "float | None"
+    killed_at_s: "float | None"
+    retired_at_s: "float | None"
+    # Per-shard frame counters, attributing work to the shard that did
+    # it (the session ledger is the fleet's).
+    completed_frames: int
+    degraded_frames: int
+    lost_frames: int
+    migrations_in: int
+    migrations_out: int
+    rehomed_in: int
+    breaker_degraded: int
 
     def __init__(
         self,
@@ -108,17 +134,11 @@ class ShardRuntime(ServeRuntime):
             failure_threshold=self.failover.breaker_threshold,
             cooldown_s=self.failover.breaker_cooldown_s,
         )
-        #: session id -> absolute sim time until which re-admission of
-        #: that (re-homed) session's predict frames is breaker-guarded.
-        self._rehome_guard_until: dict[int, float] = {}
-        #: Queue waits of frames dispatched since the last rebalancer
-        #: tick (the rebalancer's P95 window).
-        self._wait_samples: list[float] = []
-        self.spawned_at_s: "float | None" = None
-        self.killed_at_s: "float | None" = None
-        self.retired_at_s: "float | None" = None
-        # Per-shard frame counters, attributing work to the shard that
-        # did it (the session ledger is the fleet's).
+        self.rehome_guard_until = {}
+        self.wait_samples = []
+        self.spawned_at_s = None
+        self.killed_at_s = None
+        self.retired_at_s = None
         self.completed_frames = 0
         self.degraded_frames = 0
         self.lost_frames = 0
@@ -203,13 +223,13 @@ class ShardRuntime(ServeRuntime):
 
     def _note_dispatch(self, batch: "list[FrameRequest]", now: float) -> None:
         for request in batch:
-            self._wait_samples.append(now - request.arrival_s)
+            self.wait_samples.append(now - request.arrival_s)
 
     def _admit(self, request: FrameRequest, now: float) -> bool:
-        guard_until = self._rehome_guard_until.get(request.session_id)
+        guard_until = self.rehome_guard_until.get(request.session_id)
         if guard_until is not None:
             if now > guard_until:
-                del self._rehome_guard_until[request.session_id]
+                del self.rehome_guard_until[request.session_id]
             else:
                 breaker = self.rehome_breaker
                 if not breaker.allow(now):
@@ -230,10 +250,10 @@ class ShardRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     def take_queue_wait_p95(self) -> float:
         """P95 queue wait over the window since the last call; resets."""
-        if not self._wait_samples:
+        if not self.wait_samples:
             return 0.0
-        p95 = float(percentile_summary(self._wait_samples, (95,))["p95"])
-        self._wait_samples = []
+        p95 = float(percentile_summary(self.wait_samples, (95,))["p95"])
+        self.wait_samples = []
         return p95
 
     # ------------------------------------------------------------------
@@ -290,7 +310,7 @@ class ShardRuntime(ServeRuntime):
         session = self._members.pop(session_id, None)
         if session is None:
             raise KeyError(f"session {session_id} not on shard {self.shard_id}")
-        self._rehome_guard_until.pop(session_id, None)
+        self.rehome_guard_until.pop(session_id, None)
         return session
 
     def guard_rehomed(self, session_id: int, now: float) -> None:
@@ -298,7 +318,7 @@ class ShardRuntime(ServeRuntime):
         its predict frames with the re-home breaker for ``guard_s``."""
         self.rehomed_in += 1
         if self.failover.guard_s > 0:
-            self._rehome_guard_until[session_id] = now + self.failover.guard_s
+            self.rehome_guard_until[session_id] = now + self.failover.guard_s
 
     def extract_session(self, session_id: int, now: float) -> MigrationPayload:
         """Remove one session and everything it owns (live migration)."""
@@ -380,7 +400,7 @@ class ShardRuntime(ServeRuntime):
         self._heap = []
         self.batcher.check_accounting()
         self.lost_frames = lost
-        self._rehome_guard_until = {}
+        self.rehome_guard_until = {}
         self.killed_at_s = now
         payloads: dict[int, MigrationPayload] = {}
         if silent:
@@ -418,51 +438,13 @@ class ShardRuntime(ServeRuntime):
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["shard"] = {
-            "wait_samples": [float(w) for w in self._wait_samples],
-            "rehome_guard_until": [
-                [sid, self._rehome_guard_until[sid]]
-                for sid in sorted(self._rehome_guard_until)
-            ],
-            "rehome_breaker": self.rehome_breaker.state_dict(),
-            "spawned_at_s": self.spawned_at_s,
-            "killed_at_s": self.killed_at_s,
-            "retired_at_s": self.retired_at_s,
-            "completed_frames": self.completed_frames,
-            "degraded_frames": self.degraded_frames,
-            "lost_frames": self.lost_frames,
-            "migrations_in": self.migrations_in,
-            "migrations_out": self.migrations_out,
-            "rehomed_in": self.rehomed_in,
-            "breaker_degraded": self.breaker_degraded,
-        }
-        return state
+        shard = {**encode(self), "rehome_breaker": self.rehome_breaker.state_dict()}
+        return {**super().state_dict(), "shard": shard}
 
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        shard = state["shard"]
-        self._wait_samples = [float(w) for w in shard["wait_samples"]]
-        self._rehome_guard_until = {
-            int(sid): float(t) for sid, t in shard["rehome_guard_until"]
-        }
-        self.rehome_breaker.load_state(shard["rehome_breaker"])
-        self.spawned_at_s = (
-            None if shard["spawned_at_s"] is None
-            else float(shard["spawned_at_s"])
-        )
-        self.killed_at_s = (
-            None if shard["killed_at_s"] is None
-            else float(shard["killed_at_s"])
-        )
-        self.retired_at_s = (
-            None if shard["retired_at_s"] is None
-            else float(shard["retired_at_s"])
-        )
-        self.completed_frames = int(shard["completed_frames"])
-        self.degraded_frames = int(shard["degraded_frames"])
-        self.lost_frames = int(shard["lost_frames"])
-        self.migrations_in = int(shard["migrations_in"])
-        self.migrations_out = int(shard["migrations_out"])
-        self.rehomed_in = int(shard["rehomed_in"])
-        self.breaker_degraded = int(shard["breaker_degraded"])
+    def load_state(self, state: dict, path: str = "") -> None:
+        super().load_state(state, path)
+        at = field_path(path, "shard")
+        shard = dict(state["shard"])
+        breaker = shard.pop("rehome_breaker")
+        decode_into(self, shard, at)
+        self.rehome_breaker.load_state(breaker, field_path(at, "rehome_breaker"))

@@ -29,8 +29,9 @@ Determinism and recovery: every random decision is a pure SHA-256 hash
 of ``(seed, purpose, shard, seq, attempt[, dup])`` — there is no RNG
 state to checkpoint — and the protocol state (pending envelopes, applied /
 exhausted registries, detector estimates, displaced sessions, counters)
-round-trips through ``state_dict()`` / ``load_state()`` so a checkpoint
-taken mid-partition restores byte-identically.
+is the transport's dataclass fields, which round-trip through the typed
+codec (``state_dict()`` / ``load_state()``) so a checkpoint taken
+mid-partition restores byte-identically.
 
 The transport owns protocol *state and policy*; the
 :class:`~repro.serve.fleet.runtime.FleetRuntime` owns the event heap and
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.netfaults import GraySlow, LinkProfile, PartitionWindow
 from repro.obs import NULL_OBS, PID_NET
+from repro.recover.configio import decode_into, encode
 from repro.utils.validation import check_positive
 
 # Net control-event kinds.  Negative so the write-ahead journal encoding
@@ -149,8 +151,32 @@ _unpack_u64 = struct.Struct(">Q").unpack_from
 _INV_2_64 = 2.0**-64
 
 
+@dataclass(init=False, eq=False, repr=False)
 class FleetTransport:
-    """Protocol state machine of the lossy router<->shard channel."""
+    """Protocol state machine of the lossy router<->shard channel.
+
+    Its dataclass fields are the protocol state it checkpoints.
+    """
+
+    #: seq -> attempt number of the envelope awaiting an ack.
+    pending: dict[int, int]
+    #: Sequence numbers applied to some shard exactly once.
+    applied: set[int]
+    #: Sequence numbers the router gave up on (degraded/lost).
+    exhausted: set[int]
+    #: Shards currently suspected by the failure detector.
+    suspected: set[int]
+    #: shard -> sim time of its last delivered heartbeat (0.0 = start).
+    last_seen: dict[int, float]
+    #: shard -> EMA of observed heartbeat intervals.
+    mean_interval: dict[int, float]
+    #: session -> the suspected shard it was displaced from.
+    displaced: dict[int, int]
+    #: Detector transitions: {"at_s","shard","kind","phi","dead"}.
+    transitions: list[dict]
+    #: Kill-to-suspicion latencies of real (dead-shard) failovers.
+    detect_latencies: list[float]
+    counters: dict[str, int]
 
     def __init__(self, config: NetConfig, obs=None):
         self.config = config
@@ -172,25 +198,16 @@ class FleetTransport:
             self._gray.setdefault(int(window.shard_id), []).append(
                 (window.start_s, window.stop_s, window.delay_factor)
             )
-        #: seq -> attempt number of the envelope awaiting an ack.
-        self.pending: dict[int, int] = {}
-        #: Sequence numbers applied to some shard exactly once.
-        self.applied: set[int] = set()
-        #: Sequence numbers the router gave up on (degraded/lost).
-        self.exhausted: set[int] = set()
-        #: Shards currently suspected by the failure detector.
-        self.suspected: set[int] = set()
-        #: shard -> sim time of its last delivered heartbeat (0.0 = start).
-        self.last_seen: dict[int, float] = {}
-        #: shard -> EMA of observed heartbeat intervals.
-        self.mean_interval: dict[int, float] = {}
-        #: session -> the suspected shard it was displaced from.
-        self.displaced: dict[int, int] = {}
-        #: Detector transitions: {"at_s","shard","kind","phi","dead"}.
-        self.transitions: list[dict] = []
-        #: Kill-to-suspicion latencies of real (dead-shard) failovers.
-        self.detect_latencies: list[float] = []
-        self.counters: dict[str, int] = {name: 0 for name in COUNTER_NAMES}
+        self.pending = {}
+        self.applied = set()
+        self.exhausted = set()
+        self.suspected = set()
+        self.last_seen = {}
+        self.mean_interval = {}
+        self.displaced = {}
+        self.transitions = []
+        self.detect_latencies = []
+        self.counters = {name: 0 for name in COUNTER_NAMES}
 
     # ------------------------------------------------------------------
     # Channel model
@@ -419,43 +436,7 @@ class FleetTransport:
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        return {
-            "pending": [
-                [seq, self.pending[seq]] for seq in sorted(self.pending)
-            ],
-            "applied": sorted(self.applied),
-            "exhausted": sorted(self.exhausted),
-            "suspected": sorted(self.suspected),
-            "last_seen": [
-                [sid, self.last_seen[sid]] for sid in sorted(self.last_seen)
-            ],
-            "mean_interval": [
-                [sid, self.mean_interval[sid]]
-                for sid in sorted(self.mean_interval)
-            ],
-            "displaced": [
-                [sid, self.displaced[sid]] for sid in sorted(self.displaced)
-            ],
-            "transitions": [dict(t) for t in self.transitions],
-            "detect_latencies": list(self.detect_latencies),
-            "counters": dict(self.counters),
-        }
+        return encode(self)
 
-    def load_state(self, state: dict) -> None:
-        self.pending = {
-            int(seq): int(attempt) for seq, attempt in state["pending"]
-        }
-        self.applied = {int(s) for s in state["applied"]}
-        self.exhausted = {int(s) for s in state["exhausted"]}
-        self.suspected = {int(s) for s in state["suspected"]}
-        self.last_seen = {int(s): float(t) for s, t in state["last_seen"]}
-        self.mean_interval = {
-            int(s): float(v) for s, v in state["mean_interval"]
-        }
-        self.displaced = {int(s): int(h) for s, h in state["displaced"]}
-        self.transitions = [dict(t) for t in state["transitions"]]
-        self.detect_latencies = [float(x) for x in state["detect_latencies"]]
-        self.counters = {name: 0 for name in COUNTER_NAMES}
-        self.counters.update(
-            {str(k): int(v) for k, v in state["counters"].items()}
-        )
+    def load_state(self, state: dict, path: str = "") -> None:
+        decode_into(self, state, path)

@@ -19,9 +19,11 @@ sampled ones, so a seeded chaos run is bit-reproducible.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.recover.configio import decode_into, encode, field_path
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.config import BatchServiceModel
 from repro.utils.validation import check_positive
@@ -49,16 +51,26 @@ class DispatchOutcome(NamedTuple):
     cause: "str | None" = None  # "crash" | "stall" on failure
 
 
+@dataclass(init=False, eq=False)
 class WorkerPool:
-    """Fixed pool of identical batched-inference workers."""
+    """Fixed pool of identical batched-inference workers.
+
+    Its dataclass fields are what it checkpoints.
+    """
+
+    workers: list[WorkerState]
+    #: batch size -> batches dispatched at that size.
+    batch_occupancy: dict[int, int]
+    #: worker id -> size of the batch it is serving.
+    in_flight: dict[int, int]
 
     def __init__(self, n_workers: int, service: BatchServiceModel):
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
         self.service = service
         self.workers = [WorkerState(i) for i in range(n_workers)]
-        self.batch_occupancy: dict[int, int] = {}
-        self._in_flight: dict[int, int] = {}  # worker_id -> batch size
+        self.batch_occupancy = {}
+        self.in_flight = {}
 
     @property
     def n_workers(self) -> int:
@@ -74,7 +86,7 @@ class WorkerPool:
 
     def in_flight_frames(self) -> int:
         """Frames currently being served (for admission estimates)."""
-        return sum(self._in_flight.values())
+        return sum(self.in_flight.values())
 
     def available_count(self, now: float) -> int:
         """Workers the admission estimate spreads queued work over."""
@@ -103,13 +115,13 @@ class WorkerPool:
         worker.batches_served += 1
         worker.frames_served += batch_size
         self.batch_occupancy[batch_size] = self.batch_occupancy.get(batch_size, 0) + 1
-        self._in_flight[worker.worker_id] = batch_size
+        self.in_flight[worker.worker_id] = batch_size
         return DispatchOutcome(worker.busy_until_s)
 
     def complete(self, worker: WorkerState, now: float) -> "str | None":
         """``worker``'s batch finished at ``now``: the cause of its
         failure, or None if it was served (always, on this pool)."""
-        self._in_flight.pop(worker.worker_id, None)
+        self.in_flight.pop(worker.worker_id, None)
         return None
 
     def utilization(self, duration_s: float) -> float:
@@ -129,42 +141,17 @@ class WorkerPool:
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """JSON-safe snapshot (int-keyed dicts become pair lists)."""
-        return {
-            "workers": [
-                {
-                    "worker_id": w.worker_id,
-                    "busy_until_s": w.busy_until_s,
-                    "busy_s": w.busy_s,
-                    "batches_served": w.batches_served,
-                    "frames_served": w.frames_served,
-                }
-                for w in self.workers
-            ],
-            "batch_occupancy": sorted(self.batch_occupancy.items()),
-            "in_flight": sorted(self._in_flight.items()),
-        }
+        return encode(self)
 
-    def load_state(self, state: dict) -> None:
-        if len(state["workers"]) != self.n_workers:
+    def load_state(self, state: dict, path: str = "") -> None:
+        slots = [w.worker_id for w in self.workers]
+        decode_into(self, state, path)
+        ids = [w.worker_id for w in self.workers]
+        if ids != slots:
             raise ValueError(
-                f"snapshot has {len(state['workers'])} workers, "
-                f"pool has {self.n_workers}"
+                f"snapshot has {len(ids)} workers {ids}, "
+                f"pool has {len(slots)} {slots}"
             )
-        for worker, saved in zip(self.workers, state["workers"]):
-            if worker.worker_id != int(saved["worker_id"]):
-                raise ValueError(
-                    f"snapshot worker id {saved['worker_id']} does not match "
-                    f"pool slot {worker.worker_id}"
-                )
-            worker.busy_until_s = float(saved["busy_until_s"])
-            worker.busy_s = float(saved["busy_s"])
-            worker.batches_served = int(saved["batches_served"])
-            worker.frames_served = int(saved["frames_served"])
-        self.batch_occupancy = {
-            int(size): int(count) for size, count in state["batch_occupancy"]
-        }
-        self._in_flight = {int(wid): int(size) for wid, size in state["in_flight"]}
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +269,7 @@ class WorkerFaultSchedule:
         return not (self.crashes or self.stalls or self.spikes)
 
 
+@dataclass(init=False, eq=False)
 class FaultyWorkerPool(WorkerPool):
     """Worker pool whose dispatches can crash, stall, or slow down, each
     worker behind a circuit breaker.
@@ -291,8 +279,15 @@ class FaultyWorkerPool(WorkerPool):
     :meth:`complete` hands their cause to the serving loop, which
     re-queues their frames.  Breakers open after ``breaker_threshold``
     consecutive failures and re-admit their worker through one half-open
-    probe after ``breaker_cooldown_s``.
+    probe after ``breaker_cooldown_s``.  The breakers are checkpointed
+    beside the dataclass fields.
     """
+
+    #: ``(worker id, failure time, cause)`` of each failing in-flight
+    #: batch, sorted.
+    failing: list[tuple[int, float, str]]
+    #: The wake-up :meth:`wake_s` last handed out (spent once due).
+    wake_armed_s: "float | None"
 
     def __init__(
         self,
@@ -310,10 +305,8 @@ class FaultyWorkerPool(WorkerPool):
             CircuitBreaker(breaker_threshold, breaker_cooldown_s)
             for _ in range(n_workers)
         ]
-        #: (worker id, failure time) -> cause, per failing in-flight batch.
-        self._failing: dict[tuple[int, float], str] = {}
-        #: The wake-up :meth:`wake_s` last handed out (spent once due).
-        self._wake_armed_s: "float | None" = None
+        self.failing = []
+        self.wake_armed_s = None
 
     def _up(self, worker: WorkerState, now: float) -> bool:
         """Not inside a crash downtime window."""
@@ -356,10 +349,10 @@ class FaultyWorkerPool(WorkerPool):
                 at = max(at, reopen)
             candidates.append(at)
         wake = max(min(candidates), now + 1e-9)
-        armed = self._wake_armed_s
+        armed = self.wake_armed_s
         if armed is not None and now < armed <= wake:
             return None  # armed and not yet fired
-        self._wake_armed_s = wake
+        self.wake_armed_s = wake
         return wake
 
     def dispatch(
@@ -389,14 +382,19 @@ class FaultyWorkerPool(WorkerPool):
     ) -> DispatchOutcome:
         worker.busy_until_s = fail_s
         worker.busy_s += fail_s - now
-        self._in_flight[worker.worker_id] = batch_size
-        self._failing[(worker.worker_id, fail_s)] = cause
+        self.in_flight[worker.worker_id] = batch_size
+        insort(self.failing, (worker.worker_id, fail_s, cause))
         return DispatchOutcome(fail_s, ok=False, cause=cause)
 
     def complete(self, worker: WorkerState, now: float) -> "str | None":
         """Also tells ``worker``'s breaker whether the batch failed."""
         super().complete(worker, now)
-        cause = self._failing.pop((worker.worker_id, now), None)
+        cause = None
+        for failing in self.failing:
+            if failing[:2] == (worker.worker_id, now):
+                self.failing.remove(failing)
+                cause = failing[2]
+                break
         breaker = self.breakers[worker.worker_id]
         if cause is None:
             breaker.record_success(now)
@@ -408,22 +406,12 @@ class FaultyWorkerPool(WorkerPool):
     # Snapshot protocol (repro.recover)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["breakers"] = [b.state_dict() for b in self.breakers]
-        state["failing"] = [
-            [wid, fail_s, cause]
-            for (wid, fail_s), cause in sorted(self._failing.items())
-        ]
-        state["wake_armed_s"] = self._wake_armed_s
-        return state
+        return {**encode(self), "breakers": [b.state_dict() for b in self.breakers]}
 
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        for breaker, saved in zip(self.breakers, state["breakers"], strict=True):
-            breaker.load_state(saved)
-        self._failing = {
-            (int(wid), float(fail_s)): str(cause)
-            for wid, fail_s, cause in state["failing"]
-        }
-        wake = state["wake_armed_s"]
-        self._wake_armed_s = None if wake is None else float(wake)
+    def load_state(self, state: dict, path: str = "") -> None:
+        fields = dict(state)
+        breakers = fields.pop("breakers")
+        super().load_state(fields, path)
+        saved = zip(self.breakers, breakers, strict=True)
+        for i, (breaker, state) in enumerate(saved):
+            breaker.load_state(state, field_path(path, f"breakers[{i}]"))

@@ -447,14 +447,6 @@ class TestTransportStateRoundtrip:
         assert clone.suspected == runtime.transport.suspected
         assert clone.counters == runtime.transport.counters
 
-    def test_loading_old_state_tolerates_missing_counters(self):
-        transport = FleetTransport(NetConfig(enabled=True))
-        state = transport.state_dict()
-        state["counters"].pop("late_discards")
-        clone = FleetTransport(NetConfig(enabled=True))
-        clone.load_state(state)
-        assert clone.counters["late_discards"] == 0
-
 
 class TestConfigGuards:
     def test_net_rejects_live_migration(self):
