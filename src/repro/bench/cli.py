@@ -34,6 +34,7 @@ from repro.bench.ledger import (
 from repro.bench.report import render_report
 from repro.bench.suites import SUITES
 from repro.bench.trend import format_trend
+from repro.recover.codec import canonical_json
 
 
 def _add_ledger_argument(parser: argparse.ArgumentParser) -> None:
@@ -80,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.recover.codec import canonical_json
-
     args.snapshot_dir.mkdir(parents=True, exist_ok=True)
     for suite in args.suite:
         payload, metrics = SUITES[suite]()

@@ -22,12 +22,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from repro.exp.compare import format_comparison, format_run_list, format_run_show
+from repro.exp.compare import (
+    _select,
+    format_comparison,
+    format_run_list,
+    format_run_show,
+)
 from repro.exp.config import load_campaign
 from repro.exp.errors import CampaignConfigError, CampaignKilled, LedgerError
 from repro.exp.runner import resolve_campaign, run_campaign
-from repro.exp.track import export_jsonl, export_prometheus, load_records
+from repro.exp.track import (
+    OBJECTS_DIR,
+    ArtifactStore,
+    export_jsonl,
+    export_prometheus,
+    load_records,
+)
+from repro.recover.cli import EXIT_SIMULATED_CRASH
 from repro.system.metrics import table_to_text
 
 
@@ -82,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from repro.recover.cli import EXIT_SIMULATED_CRASH
-
     config = load_campaign(args.config)
     try:
         result = run_campaign(
@@ -114,11 +125,6 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_cat(args) -> int:
-    from repro.exp.compare import _select
-    from repro.exp.track import ArtifactStore, OBJECTS_DIR
-
-    from pathlib import Path
-
     records = load_records(args.dir)
     (record,) = _select(records, [args.run])
     digest = record["artifacts"].get(args.artifact)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exp.errors import LedgerError
+from repro.obs.metrics import MetricsRegistry
 from repro.recover.codec import canonical_json, config_hash
 from repro.recover.errors import JournalError
 from repro.recover.journal import JournalWriter, _verify_line, read_journal
@@ -243,8 +244,6 @@ def export_jsonl(directory: "str | os.PathLike") -> str:
 
 def export_prometheus(directory: "str | os.PathLike") -> str:
     """Every numeric run metric as a labelled gauge, one scrape page."""
-    from repro.obs.metrics import MetricsRegistry
-
     manifest = load_manifest(directory)
     registry = MetricsRegistry()
     for record in load_records(directory):

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.obs.config import Obs, ObsConfig
 from repro.obs.export import slowest_spans_table, write_chrome_trace, write_jsonl
+from repro.recover.codec import config_hash
 from repro.recover.kinds import build_runtime, resolve_run_config
 from repro.serve.config import ServeConfig
 
@@ -75,8 +76,6 @@ def resolve_obs_out(out: "Path | None", kind: str, resolved_config: dict) -> Pat
     """
     if out is not None:
         return out
-    from repro.recover.codec import config_hash
-
     return Path("obs-out") / f"{kind}-{config_hash(resolved_config)}"
 
 

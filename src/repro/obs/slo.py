@@ -55,7 +55,7 @@ from repro.obs.config import Obs
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import PID_SLO
 from repro.recover.codec import canonical_json
-from repro.recover.configio import decode
+from repro.recover.configio import decode, encode
 from repro.system.metrics import table_to_text
 
 
@@ -599,14 +599,7 @@ class SloEngine:
         return "".join(canonical_json(row) + "\n" for row in self.history)
 
     def verdicts_json(self) -> str:
-        return canonical_json([
-            {
-                "name": v.name, "kind": v.kind, "target": v.target,
-                "attained": v.attained, "ok": v.ok, "pages": v.pages,
-                "warns": v.warns, "final_state": v.final_state,
-            }
-            for v in self.verdicts
-        ]) + "\n"
+        return canonical_json(encode(self.verdicts, list[SloVerdict])) + "\n"
 
 
 # ----------------------------------------------------------------------

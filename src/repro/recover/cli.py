@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from repro.faults.injectors import ProcessKill, SimulatedCrash
@@ -105,8 +106,6 @@ def run_from_config(params: dict) -> RecoverProbeReport:
     The checkpoint directory is ephemeral — the probe's durable outputs
     are the recovered report and the verification verdict.
     """
-    import tempfile
-
     resolved = resolve_run_config(params)
     every = resolved["checkpoint_every"]
     with tempfile.TemporaryDirectory(prefix="repro-recover-probe-") as tmp:

@@ -217,7 +217,17 @@ def restore_runtime(
         detail = "; ".join(reason for _, reason in skipped) or "directory is empty"
         raise RecoveryError(f"no valid checkpoint under {directory}: {detail}")
     runtime = build_runtime(checkpoint, service, inference, obs)
-    runtime.load_state(checkpoint.state)
+    try:
+        runtime.load_state(checkpoint.state)
+    except (TypeError, ValueError, KeyError) as err:
+        # The payload passed its CRC, so it is intact: it was written by
+        # a build whose format differs, and an older checkpoint would not
+        # load either.
+        detail = f"{err.args[0]} is missing" if isinstance(err, KeyError) else err
+        raise RecoveryError(
+            f"checkpoint {checkpoint.manifest_path} does not match this "
+            f"build: {detail}"
+        ) from err
     instruments = _instruments(runtime.obs)
 
     tail = read_journal(directory / JOURNAL_NAME, after_index=checkpoint.event_index)

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.eye.motion import OculomotorConfig, OculomotorModel
 from repro.nn.quantization import QuantSpec
+from repro.recover.configio import encode
 from repro.reliability.abft import AbftOutcome, AbftStats, abft_matmul
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import (
@@ -124,23 +125,7 @@ class SdcRunResult:
         return 1.0 - self.escaped_sdc / self.corrupted_frames
 
     def as_dict(self) -> dict:
-        return {
-            "protection": self.protection,
-            "fit_per_mbit": self.fit_per_mbit,
-            "frames": self.frames,
-            "injected": self.injected,
-            "corrupted_frames": self.corrupted_frames,
-            "detected": self.detected,
-            "corrected": self.corrected,
-            "recomputed": self.recomputed,
-            "guard_flagged": self.guard_flagged,
-            "guard_fallbacks": self.guard_fallbacks,
-            "scrubs": self.scrubs,
-            "escaped_sdc": self.escaped_sdc,
-            "coverage": self.coverage,
-            "mean_error_deg": self.mean_error_deg,
-            "p95_error_deg": self.p95_error_deg,
-        }
+        return {**encode(self), "coverage": self.coverage}
 
 
 @dataclass

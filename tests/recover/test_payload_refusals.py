@@ -1,0 +1,63 @@
+"""A checkpoint payload this build cannot read is refused by field path.
+
+The payload below passes its CRC, so it is not corruption: it was
+written by a build whose format differs.  Restoring must neither coerce
+a mistyped value (``bool("false")`` is True) nor fall back to an older
+checkpoint; it raises :class:`RecoveryError` naming the field.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.faults import ProcessKill, SimulatedCrash
+from repro.recover import RecoveryError, canonical_bytes
+from repro.recover.codec import crc32
+from repro.recover.kinds import build_runtime, resolve_run_config
+from repro.recover.manager import restore_runtime, run_with_checkpoints
+
+#: ``chaos --sessions 12 --duration 1 --seed 7``: checkpoint 150 holds
+#: worker 0's OPEN breaker.
+CI = {"seed": 7, "serve": {"n_sessions": 12, "duration_s": 1.0}}
+
+
+def breaker_probe(state: dict) -> None:
+    state["pool"]["breakers"][0]["probe_in_flight"] = "false"
+
+
+def worker_busy_s(state: dict) -> None:
+    state["pool"]["workers"][0]["busy_s"] = "0.5"
+
+
+def no_batcher(state: dict) -> None:
+    del state["batcher"]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (breaker_probe, r"pool\.breakers\[0\]\.probe_in_flight must be bool"),
+        (worker_busy_s, r"pool\.workers\[0\]\.busy_s must be float"),
+        (no_batcher, r"batcher is missing"),
+    ],
+)
+def test_mistyped_payload_is_refused_with_its_field_path(tmp_path, tamper, message):
+    with pytest.raises(SimulatedCrash):
+        run_with_checkpoints(
+            build_runtime(resolve_run_config("chaos", CI)), tmp_path, every=25,
+            kill=ProcessKill(at_event=170),
+        )
+    manifest_path = tmp_path / "ckpt-000000150.manifest.json"
+    payload_path = tmp_path / "ckpt-000000150.state.json"
+    state = json.loads(payload_path.read_bytes())
+    tamper(state)
+    payload = canonical_bytes(state)
+    payload_path.write_bytes(payload)
+    manifest = json.loads(manifest_path.read_bytes())
+    manifest.update(payload_crc32=crc32(payload), payload_bytes=len(payload))
+    manifest_path.write_bytes(canonical_bytes(manifest))
+    with pytest.raises(RecoveryError, match=message) as refused:
+        restore_runtime(tmp_path)
+    assert "ckpt-000000150" in str(refused.value)
