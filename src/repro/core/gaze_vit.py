@@ -23,7 +23,7 @@ from repro.nn import (
     no_grad,
     quantize_weights,
 )
-from repro.nn.transformer import BatchTokenTrace, TokenTrace
+from repro.nn.transformer import BatchTokenTrace, EncoderPrefix, TokenTrace
 from repro.obs.profile import profiled
 from repro.utils.image import resize_bilinear
 
@@ -56,6 +56,13 @@ def vit_workload(config: GazeViTConfig, tokens_per_block: "list[int] | None" = N
     return ops
 
 
+def _filter_at(threshold: "float | None") -> "TokenFilter | None":
+    """The received-attention token filter at ``threshold`` (None: none)."""
+    if threshold is None:
+        return None
+    return TokenFilter(threshold=threshold, criterion="max")
+
+
 class PoloViT(Module):
     """Gaze-regression ViT with inference-time token pruning."""
 
@@ -86,9 +93,17 @@ class PoloViT(Module):
     # ------------------------------------------------------------------
     def forward(self, images: Tensor, token_filter: "TokenFilter | None" = None) -> Tensor:
         """(N, H, W) images -> (N, 2) gaze in degrees."""
+        return self._finish(self.encode_prefix(images), token_filter)
+
+    def encode_prefix(self, images: Tensor) -> EncoderPrefix:
+        """The INT8 input quantizer and the encoder's
+        threshold-independent prefix (:meth:`ViTEncoder.encode_prefix`)."""
         if self._int8:
             images = self._input_quant(images)
-        emb, trace = self.encoder(images, token_filter=token_filter)
+        return self.encoder.encode_prefix(images)
+
+    def _finish(self, prefix: EncoderPrefix, token_filter: "TokenFilter | None") -> Tensor:
+        emb, trace = self.encoder.encode_rest(prefix, token_filter)
         self.last_trace = trace
         return self.head(emb)
 
@@ -103,24 +118,37 @@ class PoloViT(Module):
 
     @profiled(name="vit.predict", cat="nn")
     def predict(
-        self, images: np.ndarray, prune: bool = True, chunk: int = 64
-    ) -> np.ndarray:
+        self,
+        images: np.ndarray,
+        prune: bool = True,
+        chunk: int = 64,
+        thresholds: "list[float | None] | None" = None,
+    ) -> "np.ndarray | list[np.ndarray]":
         """Batch inference; pruning applies per-sample via masked selection.
 
         Pruned batches run one vectorized forward per chunk: each sample
         keeps its own token subset behind a live-token mask, so batching
         never changes a sample's result beyond float round-off.
+
+        ``thresholds`` evaluates several pruning thresholds sigma at once
+        (None: no pruning) in place of ``prune`` and returns one array per
+        threshold: no threshold changes a chunk's encoder prefix, so it is
+        encoded once.  ``last_trace`` is the last chunk's, at the last
+        threshold.
         """
+        single = thresholds is None
+        if single:
+            thresholds = [self._prune_threshold if prune else None]
+        filters = [_filter_at(threshold) for threshold in thresholds]
         prepared = self.prepare(images)
-        token_filter = self.token_filter() if prune else None
-        outputs = []
+        outputs: list[list[np.ndarray]] = [[] for _ in filters]
         with no_grad():
             for start in range(0, len(prepared), chunk):
-                pred = self.forward(
-                    Tensor(prepared[start : start + chunk]), token_filter=token_filter
-                )
-                outputs.append(pred.data.copy())
-        return np.concatenate(outputs, axis=0)
+                prefix = self.encode_prefix(Tensor(prepared[start : start + chunk]))
+                for token_filter, output in zip(filters, outputs):
+                    output.append(self._finish(prefix, token_filter).data.copy())
+        predictions = [np.concatenate(output, axis=0) for output in outputs]
+        return predictions[0] if single else predictions
 
     def predict_single(self, image: np.ndarray, prune: bool = True):
         """One frame -> (gaze (2,), TokenTrace) — the POLONet runtime path."""
@@ -130,10 +158,13 @@ class PoloViT(Module):
     # ------------------------------------------------------------------
     # Token pruning
     # ------------------------------------------------------------------
+    @property
+    def prune_threshold(self) -> "float | None":
+        """The received-attention threshold sigma (None: no pruning)."""
+        return self._prune_threshold
+
     def token_filter(self) -> "TokenFilter | None":
-        if self._prune_threshold is None:
-            return None
-        return TokenFilter(threshold=self._prune_threshold, criterion="max")
+        return _filter_at(self._prune_threshold)
 
     def set_prune_threshold(self, threshold: "float | None") -> None:
         """Directly set the received-attention pruning threshold sigma."""
@@ -142,40 +173,41 @@ class PoloViT(Module):
     def calibrate_pruning(
         self, images: np.ndarray, target_ratio: float, tolerance: float = 0.02
     ) -> float:
-        """Find the threshold sigma whose overall compute-pruning ratio
-        matches ``target_ratio`` on calibration images (§7.3's sweep knob).
+        """Set the threshold :meth:`pruning_threshold` finds; returns it
+        (0.0 for a zero target, which disables pruning)."""
+        threshold = self.pruning_threshold(images, target_ratio, tolerance)
+        self._prune_threshold = threshold
+        return 0.0 if threshold is None else threshold
 
-        Uses bisection on the threshold; returns the chosen sigma.
+    def pruning_threshold(
+        self, images: np.ndarray, target_ratio: float, tolerance: float = 0.02
+    ) -> "float | None":
+        """Find the threshold sigma whose overall compute-pruning ratio
+        matches ``target_ratio`` on calibration images (§7.3's sweep knob);
+        None for a zero target.  The model is left as it is.
+
+        Bisects on the threshold.  The images' encoder prefix is encoded
+        once; each step runs only the blocks up to the last filter point
+        and reads the batch trace's pruning ratio.
         """
         if not 0.0 <= target_ratio < 1.0:
             raise ValueError(f"target_ratio must be in [0, 1), got {target_ratio}")
         if target_ratio == 0.0:
-            self._prune_threshold = None
-            return 0.0
-        prepared = self.prepare(images)
-
-        def ratio_at(threshold: float) -> float:
-            # One vectorized forward: the batch trace reports every sample's
-            # independent pruning ratio.
-            with no_grad():
-                self.forward(
-                    Tensor(prepared),
-                    token_filter=TokenFilter(threshold=threshold, criterion="max"),
-                )
-            return self.last_trace.pruning_ratio
-
-        lo, hi = 0.0, 1.0
-        threshold = 0.5
-        for _ in range(20):
-            threshold = 0.5 * (lo + hi)
-            achieved = ratio_at(threshold)
-            if abs(achieved - target_ratio) <= tolerance:
-                break
-            if achieved < target_ratio:
-                lo = threshold
-            else:
-                hi = threshold
-        self._prune_threshold = threshold
+            return None
+        with no_grad():
+            prefix = self.encode_prefix(Tensor(self.prepare(images)))
+            lo, hi = 0.0, 1.0
+            threshold = 0.5
+            for _ in range(20):
+                threshold = 0.5 * (lo + hi)
+                trace = self.encoder.prune_trace(prefix, _filter_at(threshold))
+                achieved = trace.pruning_ratio
+                if abs(achieved - target_ratio) <= tolerance:
+                    break
+                if achieved < target_ratio:
+                    lo = threshold
+                else:
+                    hi = threshold
         return threshold
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ how a commercial VOG system would actually ship.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,10 +91,28 @@ class ExperimentContext:
     val: EyeDataset
     bundle: PolonetBundle
     baselines: dict[str, GazeTracker] = field(default_factory=dict)
+    #: Per-frame validation errors by Table 1 row; see :meth:`validation_errors`.
+    _errors: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def polonet_config(self) -> PolonetConfig:
         return self.bundle.polonet.config
+
+    def remember_errors(self, name: str, errors: np.ndarray) -> None:
+        """Keep a copy of Table 1 row ``name``'s per-frame errors."""
+        self._errors[name] = np.array(errors, copy=True)
+
+    def validation_errors(self, name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """A copy of row ``name``'s remembered errors, ``compute()``d and
+        remembered first if no one has.
+
+        The memo lives on this context, so it holds only for the trained
+        models in it: a retrained context (``clear_context_cache`` and
+        ``get_context``) starts empty.
+        """
+        if name not in self._errors:
+            self.remember_errors(name, compute())
+        return self._errors[name].copy()
 
 
 _CONTEXT_CACHE: dict[tuple[str, int], ExperimentContext] = {}
@@ -318,17 +337,20 @@ def tracker_validation_errors(
     return np.concatenate(errors)
 
 
+def validation_crops(context: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
+    """POLOViT's validation crops and their gaze labels: the full
+    preprocessing (crop) pipeline over the scored frames."""
+    return build_crop_dataset(context.val, context.polonet_config, min_openness=MIN_OPENNESS)
+
+
 def polovit_validation_errors(
     vit: PoloViT,
     context: ExperimentContext,
     prune: bool = True,
 ) -> np.ndarray:
     """POLOViT errors through the full preprocessing (crop) pipeline."""
-    crops, gaze = build_crop_dataset(
-        context.val, context.polonet_config, min_openness=MIN_OPENNESS
-    )
-    pred = vit.predict(crops, prune=prune)
-    return angular_errors(pred, gaze)
+    crops, gaze = validation_crops(context)
+    return angular_errors(vit.predict(crops, prune=prune), gaze)
 
 
 def summarize(errors: np.ndarray) -> ErrorSummary:

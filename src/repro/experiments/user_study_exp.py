@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines import angular_errors
 from repro.experiments.common import (
     ExperimentContext,
     polovit_validation_errors,
     tracker_validation_errors,
 )
+from repro.experiments.gaze_error import DEPLOYED_RATIO, polovit_row
 from repro.perception import DEFAULT_VIDEOS, StudyResult, run_user_study
 from repro.system.metrics import table_to_text
 
@@ -32,9 +32,16 @@ class UserStudyExperiment:
 
 
 def error_traces(context: ExperimentContext) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame error traces: (POLOViT(0.2), ResNet-34)."""
-    candidate = polovit_validation_errors(context.bundle.vit, context, prune=True)
-    baseline = tracker_validation_errors(context.baselines["ResNet-34"], context)
+    """Per-frame error traces: (POLOViT(0.2), ResNet-34), as Table 1
+    remembered them on ``context`` or computed here in that order."""
+    candidate = context.validation_errors(
+        polovit_row(DEPLOYED_RATIO),
+        lambda: polovit_validation_errors(context.bundle.vit, context, prune=True),
+    )
+    baseline = context.validation_errors(
+        "ResNet-34",
+        lambda: tracker_validation_errors(context.baselines["ResNet-34"], context),
+    )
     return candidate, baseline
 
 

@@ -46,7 +46,7 @@ from repro.faults.injectors import (
     inject_input_faults,
 )
 from repro.obs import NULL_OBS, Obs, PID_RELIABILITY, PID_WORKERS, session_pid
-from repro.recover.configio import decode, encode, field_path
+from repro.recover.configio import decode, encode, field_path, section
 from repro.reliability.guard import GazeVerdict, PlausibilityConfig, PlausibilityGuard
 from repro.reliability.softerror import FaultSite, SoftErrorEvent, SoftErrorModel
 from repro.serve.config import BatchServiceModel
@@ -479,25 +479,24 @@ class ChaosModel:
         # Input-fault traces and the per-session error streams are pure
         # functions of the (seeded) config and were rebuilt by __init__;
         # only the mutable recovery-stack state needs restoring.
-        at = field_path(path, "")
-        self.report = decode(FaultReport, state["faults"], at + "faults")
-        self.cursors = decode(list[int], state["cursors"], at + "cursors")
-        saved = zip(self.watchdogs, state["watchdogs"], strict=True)
+        def read(hint, at: str, saved: dict, key: str):
+            return decode(hint, section(saved, key, at), field_path(at, key))
+
+        self.report = read(FaultReport, path, state, "faults")
+        self.cursors = read(list[int], path, state, "cursors")
+        saved = zip(self.watchdogs, section(state, "watchdogs", path), strict=True)
         for i, (watchdog, watchdog_state) in enumerate(saved):
-            watchdog.load_state(watchdog_state, f"{at}watchdogs[{i}]")
-        sdc, at = state["sdc"], at + "sdc."
-        self._sdc_next = decode(list[int], sdc["next"], at + "next")
-        persistent = decode(
-            list[tuple[float, float]], sdc["persistent"], at + "persistent"
-        )
+            watchdog.load_state(watchdog_state, f"{field_path(path, 'watchdogs')}[{i}]")
+        sdc, at = section(state, "sdc", path), field_path(path, "sdc")
+        self._sdc_next = read(list[int], at, sdc, "next")
+        persistent = read(list[tuple[float, float]], at, sdc, "persistent")
         self._sdc_persistent = [np.array(p, dtype=np.float64) for p in persistent]
-        self._guard_last_frame = decode(
-            list[int | None], sdc["guard_last_frame"], at + "guard_last_frame"
-        )
-        if sdc["guards"] is not None and self.guards is not None:
-            saved = zip(self.guards, sdc["guards"], strict=True)
+        self._guard_last_frame = read(list[int | None], at, sdc, "guard_last_frame")
+        guards = section(sdc, "guards", at)
+        if guards is not None and self.guards is not None:
+            saved = zip(self.guards, guards, strict=True)
             for i, (guard, guard_state) in enumerate(saved):
-                guard.load_state(guard_state, f"{at}guards[{i}]")
+                guard.load_state(guard_state, f"{at}.guards[{i}]")
 
     # ------------------------------------------------------------------
     # Telemetry assembly

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.attention import MultiHeadSelfAttention, TokenFilter
+from repro.nn.attention import AttentionStats, MultiHeadSelfAttention, TokenFilter
 from repro.nn.layers import GELU, LayerNorm, Linear, Module, Sequential
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, concatenate
 from repro.utils.rng import default_rng
 
 
@@ -85,6 +84,20 @@ class BatchTokenTrace:
     def mean_tokens_per_block(self) -> list[int]:
         """Rounded batch-mean per-block token counts (workload costing)."""
         return [int(round(t)) for t in self.tokens_per_block.mean(axis=0)]
+
+
+@dataclass
+class EncoderPrefix:
+    """The part of an encoder forward that no token filter changes.
+
+    A token filter first fires after block ``prune_every - 1``, so up to
+    that block every sample keeps every token, whatever the threshold.
+    ``tokens`` is that block's output and ``stats`` its received-attention
+    statistics, the first filter's input.
+    """
+
+    tokens: Tensor
+    stats: AttentionStats
 
 
 class PatchEmbed(Module):
@@ -177,6 +190,12 @@ class ViTEncoder(Module):
         ]
         self.norm = LayerNorm(dim)
 
+    @property
+    def prefix_depth(self) -> int:
+        """Blocks up to and including the first token-filter point: no
+        threshold changes their output."""
+        return min(self.prune_every, self.depth)
+
     def forward(
         self, x: Tensor, token_filter: "TokenFilter | None" = None
     ) -> "tuple[Tensor, TokenTrace | BatchTokenTrace]":
@@ -189,38 +208,95 @@ class ViTEncoder(Module):
         exact single-sample pruning with no masking overhead — bit-identical
         to running the sample alone.  Returns a :class:`TokenTrace` for a
         single sample and a :class:`BatchTokenTrace` otherwise.
+
+        The forward is :meth:`encode_prefix` followed by
+        :meth:`encode_rest`; a caller trying several filters on one batch
+        encodes the prefix once.
         """
+        return self.encode_rest(self.encode_prefix(x), token_filter)
+
+    def encode_prefix(self, x: Tensor) -> EncoderPrefix:
+        """Patch embed, class and position tokens, and the blocks up to
+        and including the first filter point (:attr:`prefix_depth`)."""
         n = x.shape[0]
         tokens = self.patch_embed(x)
         # Broadcast the class token across the batch via a differentiable
         # multiply so its gradient accumulates over samples.
         cls = self.cls_token * Tensor(np.ones((n, 1, 1)))
-        from repro.nn.tensor import concatenate
-
         tokens = concatenate([cls, tokens], axis=1)
         tokens = tokens + self.pos_embed
+        for block in self.blocks[: self.prefix_depth]:
+            tokens = block(tokens)
+        return EncoderPrefix(tokens, self.blocks[self.prefix_depth - 1].attn.last_stats)
 
-        initial_tokens = tokens.shape[1]
-        active = np.ones((n, initial_tokens), dtype=bool)
-        counts: list[np.ndarray] = []
-        for i, block in enumerate(self.blocks):
-            counts.append(active.sum(axis=1))
-            tokens = block(tokens, key_mask=None if active.all() else active)
-            at_filter = (i + 1) % self.prune_every == 0 and (i + 1) < self.depth
-            if token_filter is not None and at_filter:
-                active = token_filter.keep_mask(block.attn.last_stats, active)
-                live_cols = active.any(axis=0)
-                if not live_cols.all():
-                    tokens = tokens[:, np.flatnonzero(live_cols), :]
-                    active = active[:, live_cols]
+    def encode_rest(
+        self, prefix: EncoderPrefix, token_filter: "TokenFilter | None" = None
+    ) -> "tuple[Tensor, TokenTrace | BatchTokenTrace]":
+        """Finish the forward begun by :meth:`encode_prefix` under
+        ``token_filter``: the remaining blocks, the final norm and the
+        class token; the prefix is left as it was."""
+        tokens, counts = self._blocks_after(prefix, token_filter, self.depth)
         tokens = self.norm(tokens)
-        emb = tokens[:, 0, :]
-        per_block = np.stack(counts, axis=1)  # (N, depth)
-        if n == 1:
-            return emb, TokenTrace(
-                tokens_per_block=[int(t) for t in per_block[0]],
-                initial_tokens=initial_tokens,
-            )
-        return emb, BatchTokenTrace(
-            tokens_per_block=per_block, initial_tokens=initial_tokens
+        return tokens[:, 0, :], _trace(counts, prefix.tokens.shape[1])
+
+    def prune_trace(
+        self, prefix: EncoderPrefix, token_filter: "TokenFilter | None"
+    ) -> "TokenTrace | BatchTokenTrace":
+        """The trace :meth:`encode_rest` would report, without running the
+        blocks after the last filter point or the final norm: their token
+        counts are the tokens that survive the last filter."""
+        last_filter = self.prune_every * ((self.depth - 1) // self.prune_every)
+        _, counts = self._blocks_after(prefix, token_filter, last_filter)
+        return _trace(counts, prefix.tokens.shape[1])
+
+    def _blocks_after(
+        self, prefix: EncoderPrefix, token_filter: "TokenFilter | None", stop: int
+    ) -> "tuple[Tensor, np.ndarray]":
+        """Run blocks ``prefix_depth .. stop - 1`` behind ``token_filter``;
+        returns the tokens and the (N, depth) live-token counts."""
+        active = np.ones(prefix.tokens.shape[:2], dtype=bool)
+        counts = [active.sum(axis=1)] * self.prefix_depth
+        tokens, active = self._prune(
+            token_filter, self.prefix_depth - 1, prefix.stats, prefix.tokens, active
         )
+        for i in range(self.prefix_depth, stop):
+            counts.append(active.sum(axis=1))
+            block = self.blocks[i]
+            tokens = block(tokens, key_mask=None if active.all() else active)
+            tokens, active = self._prune(
+                token_filter, i, block.attn.last_stats, tokens, active
+            )
+        # Blocks from ``stop`` on would see the tokens that are live now.
+        counts += [active.sum(axis=1)] * (self.depth - len(counts))
+        return tokens, np.stack(counts, axis=1)
+
+    def _prune(
+        self,
+        token_filter: "TokenFilter | None",
+        i: int,
+        stats: AttentionStats,
+        tokens: Tensor,
+        active: np.ndarray,
+    ) -> "tuple[Tensor, np.ndarray]":
+        """Apply ``token_filter`` if one runs after block ``i``; columns no
+        sample keeps are compacted away."""
+        at_filter = (i + 1) % self.prune_every == 0 and (i + 1) < self.depth
+        if token_filter is None or not at_filter:
+            return tokens, active
+        active = token_filter.keep_mask(stats, active)
+        live_cols = active.any(axis=0)
+        if not live_cols.all():
+            tokens = tokens[:, np.flatnonzero(live_cols), :]
+            active = active[:, live_cols]
+        return tokens, active
+
+
+def _trace(per_block: np.ndarray, initial_tokens: int) -> "TokenTrace | BatchTokenTrace":
+    """A :class:`TokenTrace` for one sample, a :class:`BatchTokenTrace`
+    for a batch."""
+    if per_block.shape[0] == 1:
+        return TokenTrace(
+            tokens_per_block=[int(t) for t in per_block[0]],
+            initial_tokens=initial_tokens,
+        )
+    return BatchTokenTrace(tokens_per_block=per_block, initial_tokens=initial_tokens)

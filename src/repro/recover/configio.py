@@ -75,6 +75,15 @@ def field_path(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
+def section(state: dict, key: str, path: str = ""):
+    """``state[key]`` of the snapshot at ``path``; a missing key is a
+    ``KeyError`` naming its full field path (``shards[1].state.batcher``)."""
+    try:
+        return state[key]
+    except KeyError:
+        raise KeyError(field_path(path, key)) from None
+
+
 @cache
 def _hints(cls) -> dict:
     return typing.get_type_hints(cls)

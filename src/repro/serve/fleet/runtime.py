@@ -36,7 +36,7 @@ import weakref
 import numpy as np
 
 from repro.obs import NULL_OBS, Obs, PID_FLEET, PID_NET
-from repro.recover.configio import decode, encode
+from repro.recover.configio import decode, encode, section
 from repro.serve.config import BatchServiceModel
 from repro.serve.fleet.config import (
     FleetConfig,
@@ -845,13 +845,13 @@ class FleetRuntime:
         """Restore a :meth:`state_dict` snapshot onto a freshly
         constructed runtime of the same config."""
         def read(hint, key: str):
-            return decode(hint, state[key], key)
+            return decode(hint, section(state, key), key)
 
         self._started = read(bool, "started")
         self.events_processed = read(int, "events_processed")
         self._control = [
             (float(time_s), int(seq), int(kind), payload)
-            for time_s, seq, kind, payload in state["control"]
+            for time_s, seq, kind, payload in section(state, "control")
         ]
         self._control_seq = read(int, "control_seq")
         self.ring = read(HashRing, "ring")
@@ -860,11 +860,12 @@ class FleetRuntime:
         self._rebalance_quiet_until = read(float, "rebalance_quiet_until_s")
         self.log = read(FleetLog, "log")
         self.shards = {}
-        for i, entry in enumerate(state["shards"]):
-            shard_id = decode(int, entry["shard_id"], f"shards[{i}].shard_id")
-            members = decode(list[int], entry["sessions"], f"shards[{i}].sessions")
+        for i, entry in enumerate(section(state, "shards")):
+            at = f"shards[{i}]"
+            shard_id = decode(int, section(entry, "shard_id", at), f"{at}.shard_id")
+            members = decode(list[int], section(entry, "sessions", at), f"{at}.sessions")
             shard = self._build_shard(shard_id, [self.sessions[m] for m in members])
-            shard.load_state(entry["state"], f"shards[{i}].state")
+            shard.load_state(section(entry, "state", at), f"{at}.state")
             self.shards[shard_id] = shard
         self._order = list(self.shards.values())  # in id order
         self._cursor = 0
@@ -876,7 +877,8 @@ class FleetRuntime:
             self._net_requests = list(
                 fleet_requests(self.sessions, self.config.serve.deadline_s)
             )
-            self.transport.load_state(state["net"]["transport"], "net.transport")
+            net = section(state, "net")
+            self.transport.load_state(section(net, "transport", "net"), "net.transport")
 
     @classmethod
     def restore(

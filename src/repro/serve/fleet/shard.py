@@ -42,7 +42,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.obs import Obs, PID_WORKERS, session_pid
-from repro.recover.configio import decode_into, encode, field_path
+from repro.recover.configio import decode_into, encode, field_path, section
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import FailoverConfig
@@ -444,7 +444,8 @@ class ShardRuntime(ServeRuntime):
     def load_state(self, state: dict, path: str = "") -> None:
         super().load_state(state, path)
         at = field_path(path, "shard")
-        shard = dict(state["shard"])
-        breaker = shard.pop("rehome_breaker")
+        shard = dict(section(state, "shard", path))
+        breaker = section(shard, "rehome_breaker", at)
+        del shard["rehome_breaker"]
         decode_into(self, shard, at)
         self.rehome_breaker.load_state(breaker, field_path(at, "rehome_breaker"))

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.obs import NULL_OBS, Obs, PID_BATCHER, PID_WORKERS, session_pid
-from repro.recover.configio import decode, field_path
+from repro.recover.configio import decode, field_path, section
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
 from repro.serve.request import (
@@ -719,28 +719,32 @@ class ServeRuntime:
         snapshot in errors (a fleet shard's is its place in the fleet's)."""
         at = field_path(path, "")
 
+        def get(key: str):
+            return section(state, key, path)
+
         def read(hint, key: str):
-            return decode(hint, state[key], at + key)
+            return decode(hint, get(key), at + key)
 
         self._started = read(bool, "started")
         self.events_processed = read(int, "events_processed")
         self._event_seq = read(int, "event_seq")
         self._makespan_s = read(float, "makespan_s")
         # The pool first: COMPLETE payloads name its workers.
-        self.pool.load_state(state["pool"], at + "pool")
+        self.pool.load_state(get("pool"), at + "pool")
         self._heap = [
             (float(time_s), int(kind), int(seq), self._decode_payload(int(kind), data))
-            for time_s, kind, seq, data in state["heap"]
+            for time_s, kind, seq, data in get("heap")
         ]
-        self.batcher.load_state(state["batcher"], at + "batcher")
+        self.batcher.load_state(get("batcher"), at + "batcher")
         # One row per member session, in session-id order.
-        rows = zip(self._member_ids(), state["stats"], strict=True)
+        rows = zip(self._member_ids(), get("stats"), strict=True)
         for i, (sid, saved) in enumerate(rows):
             self.stats[sid].load_state(saved, f"{at}stats[{i}]")
-        if state["predictions"] is not None:
+        predictions = get("predictions")
+        if predictions is not None:
             self.predictions = {
                 (int(sid), int(frame)): np.asarray(gaze, dtype=np.float64)
-                for sid, frame, gaze in state["predictions"]
+                for sid, frame, gaze in predictions
             }
         if self.chaos is not None:
             self.chaos.load_state(state, path)
