@@ -29,6 +29,7 @@ from repro.core.preprocessing import (
     find_pupil_center,
     frame_difference,
     preprocess_frame,
+    sequence_binary_maps,
     should_reuse,
 )
 from repro.core.saccade import SaccadeDetector, saccade_metrics
@@ -38,6 +39,7 @@ from repro.core.training import (
     build_polonet,
     build_saccade_sequences,
     evaluate_saccade_detector,
+    iter_crops,
     train_polovit,
     train_saccade_detector,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "find_pupil_center",
     "frame_difference",
     "preprocess_frame",
+    "sequence_binary_maps",
     "should_reuse",
     "SaccadeDetector",
     "saccade_metrics",
@@ -75,6 +78,7 @@ __all__ = [
     "build_polonet",
     "build_saccade_sequences",
     "evaluate_saccade_detector",
+    "iter_crops",
     "train_polovit",
     "train_saccade_detector",
 ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PolonetConfig
+from repro.eye.dataset import EyeSequence
 from repro.utils.image import block_reduce_mean, crop_centered
 
 
@@ -37,6 +38,12 @@ def binarize(pooled: np.ndarray, gamma1_unit: float) -> np.ndarray:
 def binary_map(frame: np.ndarray, config: PolonetConfig) -> np.ndarray:
     """Pooling + binarization in one call (Algorithm 1 lines 2-3)."""
     return binarize(average_pool(frame, config.pool_m), config.gamma1_unit)
+
+
+def sequence_binary_maps(seq: EyeSequence, config: PolonetConfig) -> np.ndarray:
+    """``binary_map`` of every frame of ``seq`` as (T, h, w) uint8, binarized
+    from the sequence's pooled frames (each frame is pooled once)."""
+    return binarize(seq.pooled(config.pool_m), config.gamma1_unit)
 
 
 def frame_difference(current: np.ndarray, previous: np.ndarray) -> int:

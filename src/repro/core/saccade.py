@@ -28,7 +28,15 @@ import numpy as np
 
 from repro.core.config import SaccadeNetConfig
 from repro.hw.ops import MatMulOp, NonlinearKind, NonlinearOp, conv2d_as_matmul
-from repro.nn import Conv2d, LeakyRecurrentCell, Linear, Module, Tensor, no_grad
+from repro.nn import (
+    Conv2d,
+    LeakyRecurrentCell,
+    Linear,
+    Module,
+    Tensor,
+    concatenate,
+    no_grad,
+)
 from repro.nn import functional as F
 
 
@@ -77,15 +85,25 @@ class SaccadeDetector(Module):
             h = self.head_hidden(h).relu()
         return self.fc(h)
 
+    def _pair(self, current: np.ndarray, previous: np.ndarray) -> np.ndarray:
+        """(N, H, W) current and previous maps -> the (N, C, H, W) conv input."""
+        if self.config.input_channels == 1:
+            return current[:, None]
+        return np.stack([current, previous], axis=1)
+
     def _stack_step(self, maps: np.ndarray, step: int) -> np.ndarray:
         """Assemble the (B, C, H, W) input for one timestep of (B, T, H, W)
         sequences; the previous map of the first frame is the frame itself
         (no motion evidence)."""
         current = maps[:, step]
-        if self.config.input_channels == 1:
-            return current[:, None]
-        previous = maps[:, step - 1] if step > 0 else current
-        return np.stack([current, previous], axis=1)
+        return self._pair(current, maps[:, step - 1] if step > 0 else current)
+
+    def _advance(self, features: Tensor, h: "np.ndarray | None"):
+        """One recurrent step at runtime: (1, feature_dim) features and the
+        previous hidden state -> (saccade probability, new hidden state)."""
+        new_h = self.cell(features, Tensor(h) if h is not None else None)
+        prob = self.classify(new_h).sigmoid()
+        return float(prob.data[0, 0]), new_h.data.copy()
 
     def forward(self, sequences: Tensor, h0: "Tensor | None" = None) -> Tensor:
         """(B, T, H, W) binary-map sequences -> (B, T) saccade logits."""
@@ -97,8 +115,6 @@ class SaccadeDetector(Module):
             x = self.features(Tensor(self._stack_step(maps, step)))
             h = self.cell(x, h)
             logits.append(self.classify(h))
-        from repro.nn import concatenate
-
         return concatenate(logits, axis=1)  # (B, T)
 
     # ------------------------------------------------------------------
@@ -119,22 +135,28 @@ class SaccadeDetector(Module):
         Returns:
             (saccade_probability, new_hidden_state)
         """
-        current = binary_map.astype(np.float64)
-        if self.config.input_channels == 1:
-            stacked = current[None, None]
-        else:
-            prev = (
-                previous_map.astype(np.float64)
-                if previous_map is not None
-                else current
-            )
-            stacked = np.stack([current, prev])[None]
+        current = binary_map.astype(np.float64)[None]
+        prev = (
+            previous_map.astype(np.float64)[None] if previous_map is not None else current
+        )
         with no_grad():
-            h_t = Tensor(h) if h is not None else None
-            feats = self.features(Tensor(stacked))
-            new_h = self.cell(feats, h_t)
-            prob = self.classify(new_h).sigmoid()
-        return float(prob.data[0, 0]), new_h.data.copy()
+            feats = self.features(Tensor(self._pair(current, prev)))
+            return self._advance(feats, h)
+
+    def sequence_probabilities(self, maps: np.ndarray) -> np.ndarray:
+        """Runtime path over a whole (T, H, W) binary-map sequence from a
+        fresh hidden state: the (T,) saccade probabilities that ``step``
+        gives frame by frame.  The convolution runs once over all frames;
+        only the recurrence steps per frame."""
+        current = maps.astype(np.float64)
+        previous = np.concatenate([current[:1], current[:-1]])
+        probs = np.empty(len(current))
+        h = None
+        with no_grad():
+            feats = self.features(Tensor(self._pair(current, previous))).data
+            for t in range(len(current)):
+                probs[t], h = self._advance(Tensor(feats[t : t + 1]), h)
+        return probs
 
     def detect(self, prob: float, threshold: float = 0.5) -> bool:
         return prob >= threshold

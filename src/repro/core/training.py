@@ -10,6 +10,7 @@ weighting), and a one-call builder that assembles a ready-to-run
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from repro.core.config import (
 from repro.core.gaze_vit import PoloViT
 from repro.core.losses import make_performance_loss, mse_radians_loss
 from repro.core.polonet import PoloNet
-from repro.core.saccade import SaccadeDetector
+from repro.core.saccade import SaccadeDetector, saccade_metrics
 from repro.eye.dataset import EyeDataset
 from repro.eye.events import MovementType
 from repro.nn import Adam, CosineSchedule, Tensor
@@ -36,12 +37,13 @@ from repro.utils.rng import default_rng
 # Dataset preparation
 # ----------------------------------------------------------------------
 
-def build_crop_dataset(
+def iter_crops(
     dataset: EyeDataset,
     config: "PolonetConfig | None" = None,
     min_openness: float = 0.35,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the §4.2 analytical cropper to every usable frame.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Apply the §4.2 analytical cropper to every usable frame, in order,
+    yielding (float64 crop, gaze) pairs.
 
     Frames with the eye mostly closed carry no gaze signal and are
     excluded (their labels are nominal, not observable); partially
@@ -49,19 +51,34 @@ def build_crop_dataset(
     performance-aware loss exists to handle.
     """
     config = config or PolonetConfig()
-    crops, gazes = [], []
     for seq in dataset.sequences:
+        binaries = pre.sequence_binary_maps(seq, config)
         for i in range(len(seq)):
             if seq.openness[i] < min_openness:
                 continue
-            _, detection, crop = pre.preprocess_frame(
-                seq.images[i].astype(np.float64), config
+            detection = pre.find_pupil_center(
+                binaries[i], config.pupil_window, config.pool_m
             )
-            crops.append(crop)
-            gazes.append(seq.gaze_deg[i])
-    if not crops:
+            crop = pre.crop_frame(seq.images[i], detection, config)
+            yield crop.astype(np.float64), seq.gaze_deg[i]
+
+
+def stack_crops(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (crop, gaze) pairs into (N, H1, H2) crops and (N, 2) gaze."""
+    pairs = list(pairs)
+    if not pairs:
         raise ValueError("no usable frames after openness filtering")
+    crops, gazes = zip(*pairs)
     return np.stack(crops), np.stack(gazes)
+
+
+def build_crop_dataset(
+    dataset: EyeDataset,
+    config: "PolonetConfig | None" = None,
+    min_openness: float = 0.35,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every usable frame's crop and gaze (see ``iter_crops``), stacked."""
+    return stack_crops(iter_crops(dataset, config, min_openness))
 
 
 def build_saccade_sequences(
@@ -79,9 +96,7 @@ def build_saccade_sequences(
     stride = stride or window
     seq_maps, seq_labels = [], []
     for seq in dataset.sequences:
-        maps = np.stack(
-            [pre.binary_map(im.astype(np.float64), config) for im in seq.images]
-        ).astype(np.float64)
+        maps = pre.sequence_binary_maps(seq, config).astype(np.float64)
         labels = (seq.labels == MovementType.SACCADE).astype(np.float64)
         for start in range(0, len(seq) - window + 1, stride):
             seq_maps.append(maps[start : start + window])
@@ -227,19 +242,12 @@ def evaluate_saccade_detector(
     threshold: float = 0.5,
 ) -> dict[str, float]:
     """Run the stateful detector over each sequence and score it."""
-    from repro.core.saccade import saccade_metrics
-
     config = config or PolonetConfig()
     predicted, actual = [], []
     for seq in dataset.sequences:
-        hidden = None
-        previous = None
-        for i in range(len(seq)):
-            binary = pre.binary_map(seq.images[i].astype(np.float64), config)
-            prob, hidden = detector.step(binary, hidden, previous_map=previous)
-            previous = binary
-            predicted.append(prob >= threshold)
-            actual.append(seq.labels[i] == MovementType.SACCADE)
+        probs = detector.sequence_probabilities(pre.sequence_binary_maps(seq, config))
+        predicted.extend(probs >= threshold)
+        actual.extend(seq.labels == MovementType.SACCADE)
     return saccade_metrics(np.array(predicted), np.array(actual))
 
 

@@ -4,11 +4,13 @@ ratios 0.0 / 0.2 / 0.4) against the five baselines."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from repro.baselines import ErrorSummary, angular_errors
-from repro.core import build_crop_dataset
+from repro.core import iter_crops
+from repro.core.training import stack_crops
 from repro.experiments.common import (
     ExperimentContext,
     tracker_validation_errors,
@@ -67,9 +69,8 @@ def polovit_row(ratio: float) -> str:
 
 
 def _calibration_crops(context: ExperimentContext):
-    crops, gaze = build_crop_dataset(context.train, context.polonet_config)
-    n = min(16, len(crops))
-    return crops[:n], gaze[:n]
+    """The first 16 training crops: the set ``build_polonet`` calibrated on."""
+    return stack_crops(islice(iter_crops(context.train, context.polonet_config), 16))
 
 
 def format_table1(result: GazeErrorResult) -> str:

@@ -17,13 +17,18 @@ import numpy as np
 from repro.eye.eyeball import EyeAppearance
 from repro.eye.motion import GazeTrack, OculomotorConfig, OculomotorModel
 from repro.eye.renderer import NearEyeRenderer, RenderConfig
+from repro.utils.image import block_reduce_mean
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_positive
 
 
 @dataclass
 class EyeSequence:
-    """One participant's contiguous recording."""
+    """One participant's contiguous recording.
+
+    ``images`` must not be written after construction: ``pooled``
+    remembers the pooled frames for the life of the sequence.
+    """
 
     participant: int
     images: np.ndarray  # (T, H, W) float32 in [0, 1]
@@ -33,6 +38,7 @@ class EyeSequence:
     velocity_deg_s: np.ndarray  # (T,)
     post_saccade: np.ndarray  # (T,) bool
     fps: float
+    _pooled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.images.shape[0]
@@ -42,6 +48,22 @@ class EyeSequence:
 
     def __len__(self) -> int:
         return self.images.shape[0]
+
+    def pooled(self, pool_m: int) -> np.ndarray:
+        """Every frame average-pooled by ``pool_m`` x ``pool_m`` tiles (the
+        IPU's first stage), as a read-only float64 (T, H // pool_m,
+        W // pool_m) array.  Each frame is pooled once per pool size."""
+        pooled = self._pooled.get(pool_m)
+        if pooled is None:
+            pooled = np.stack(
+                [
+                    block_reduce_mean(frame.astype(np.float64), pool_m)
+                    for frame in self.images
+                ]
+            )
+            pooled.flags.writeable = False
+            self._pooled[pool_m] = pooled
+        return pooled
 
 
 @dataclass

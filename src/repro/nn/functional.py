@@ -32,7 +32,7 @@ def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (matches the SFU's piecewise model)."""
     x = _to_tensor(x)
     data = x.data
-    inner = _SQRT_2_OVER_PI * (data + 0.044715 * data**3)
+    inner = _SQRT_2_OVER_PI * (data + 0.044715 * (data * data * data))
     t = np.tanh(inner)
     out_data = 0.5 * data * (1.0 + t)
 
@@ -226,7 +226,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: "int | None" = None) -> Tensor:
         jj = (np.arange(out_w) * stride)[None, None, None, :] + kj
         nn_idx = np.arange(n)[:, None, None, None]
         cc_idx = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (nn_idx, cc_idx, ii, jj), grad)
+        index = (nn_idx, cc_idx, ii, jj)
+        if stride >= kernel:  # windows do not overlap: every index is distinct
+            gx[index] += grad
+        else:
+            np.add.at(gx, index, grad)
         x._accumulate(gx)
 
     return Tensor._make(out_data, (x,), backward)

@@ -77,6 +77,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (ints, slices, ``None`` and
+    ``Ellipsis``), which selects each element at most once."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
+
+
 def _as_array(value) -> np.ndarray:
     if isinstance(value, np.ndarray):
         if value.dtype == np.float64 or value.dtype == np.float32:
@@ -322,7 +335,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if _is_basic_index(index):  # each element is selected at most once
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)
