@@ -52,7 +52,12 @@ from repro.serve.fleet.transport import (
     K_NET_HEARTBEAT,
     K_NET_SEND,
 )
-from repro.serve.request import FrameRequest, build_fleet, fleet_requests
+from repro.serve.request import (
+    BypassLedger,
+    FrameRequest,
+    build_fleet,
+    fleet_requests,
+)
 from repro.serve.runtime import evaluate_slo_through
 from repro.serve.telemetry import (
     FleetReport,
@@ -94,6 +99,8 @@ class FleetRuntime:
         #: move with a migrated or re-homed session.
         self.stats = new_ledger(self.sessions)
         self._directory = {s.session_id: s for s in self.sessions}
+        #: The ledger's bypass columns, shared by every shard.
+        self.bypass = BypassLedger(self.sessions, config.serve)
         self.ring = HashRing(vnodes=config.vnodes, seed=config.ring_seed)
         self.shards: dict[int, ShardRuntime] = {}
         #: The shards in id order; ``_order[:_cursor]`` drained the
@@ -150,6 +157,7 @@ class FleetRuntime:
             failover=self.config.failover,
             stats=self.stats,
             directory=self._directory,
+            bypass=self.bypass,
         )
         # Weak, so a dropped fleet is freed without the cycle collector.
         shard.home_of = weakref.WeakMethod(self._home_shard)

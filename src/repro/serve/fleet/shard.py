@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.obs import Obs, PID_WORKERS, session_pid
@@ -46,7 +46,12 @@ from repro.recover.configio import decode_into, encode, field_path, section
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import BatchServiceModel, ServeConfig
 from repro.serve.fleet.config import FailoverConfig
-from repro.serve.request import ClientSession, FrameRequest, PredictStream
+from repro.serve.request import (
+    BypassLedger,
+    ClientSession,
+    FrameRequest,
+    PredictStream,
+)
 from repro.serve.runtime import ServeRuntime, _ARRIVAL, _COMPLETE
 from repro.serve.telemetry import SessionStats, new_ledger
 from repro.system.metrics import percentile_summary
@@ -108,11 +113,13 @@ class ShardRuntime(ServeRuntime):
         failover: "FailoverConfig | None" = None,
         stats: "dict[int, SessionStats] | None" = None,
         directory: "dict[int, ClientSession] | None" = None,
+        bypass: "BypassLedger | None" = None,
     ):
         # ``template`` sizes the per-shard pool/batcher; its n_sessions
         # refers to the whole fleet, of which the shard holds a subset
-        # (none, when freshly spawned).  ``stats`` is the fleet's ledger
-        # and ``directory`` its sessions by id.
+        # (none, when freshly spawned).  ``stats`` is the fleet's ledger,
+        # ``directory`` its sessions by id and ``bypass`` its ledger's
+        # bypass columns.
         if shard_id < 0:
             raise ValueError(f"shard_id must be non-negative, got {shard_id}")
         self.shard_id = shard_id
@@ -123,6 +130,7 @@ class ShardRuntime(ServeRuntime):
             fleet=fleet,
             obs=obs,
             stats=stats if stats is not None else new_ledger(fleet),
+            bypass=bypass,
         )
         if directory is not None:
             self.directory = directory
@@ -189,19 +197,8 @@ class ShardRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # Base-class hooks
     # ------------------------------------------------------------------
-    def _record_completion(self, request: FrameRequest, done_s: float) -> None:
-        self.completed_frames += 1
-        super()._record_completion(request, done_s)
-
-    def _record_bypass(
-        self,
-        session_id: int,
-        frames: "Sequence[int]",
-        arrivals: "Sequence[float]",
-        paths: "Sequence[str]",
-    ) -> None:
-        self.completed_frames += len(frames)
-        super()._record_bypass(session_id, frames, arrivals, paths)
+    def _count_completed(self, n_frames: int) -> None:
+        self.completed_frames += n_frames
 
     def _ledger_row(self, session_id: int, now: float) -> SessionStats:
         # A ``--net`` straggler: its session's home shard owns the backlog.

@@ -10,15 +10,19 @@ kinematics, for the whole stack in one call) as a ``uint8`` code, and
 each session holds its read-only row of the fleet's code stack
 (:attr:`ClientSession.codes`).  Saccade and reuse frames are handled
 on-device and never reach the serving pool, so only the predict-path
-skew — highly uneven across sessions — arrives as load.  A session keeps
-its bypass frames as columns (:attr:`ClientSession.bypass`), cut from
-its codes with one mask; the predict frames of a fleet are columns too
-(:class:`PredictStream`), and only a frame that can reach the pool
-becomes a :class:`FrameRequest`, when a runtime seeds its heap.
+skew — highly uneven across sessions — arrives as load.  The bypass
+frames of every session of a ledger are one set of columns
+(:class:`BypassColumns`), cut from the code stack with one mask and
+built once per ledger on first use (:class:`BypassLedger`); a run of one
+session's bypass frames is a slice of them.  The predict frames of a
+fleet are columns too (:class:`PredictStream`), and only a frame that
+can reach the pool becomes a :class:`FrameRequest`, when a runtime seeds
+its heap.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -34,7 +38,13 @@ from repro.eye.motion import (
     generate_tracks,
 )
 from repro.serve.config import ServeConfig
-from repro.system.session import PATHS, PREDICT, SessionConfig, decide_path_codes
+from repro.system.session import (
+    PATHS,
+    PREDICT,
+    SessionConfig,
+    _SACCADE,
+    decide_path_codes,
+)
 
 _PREDICT_PATH = PATHS[PREDICT]
 
@@ -112,14 +122,155 @@ class ClientSession:
 
     @cached_property
     def bypass(self) -> BypassFrames:
-        """The frames Algorithm 1 serves on-device (saccade or reuse); a
-        chaos session is given its own (``build_chaos_fleet``)."""
-        frames = np.flatnonzero(self.codes != PREDICT)
+        """The frames Algorithm 1 serves on-device (saccade or reuse), cut
+        as :class:`BypassColumns` cuts them; a chaos session is given its
+        own (``build_chaos_fleet``).  Runtimes record a plain session's
+        bypass frames from their ledger's :class:`BypassColumns`."""
+        _, frames, arrivals, codes = _bypass_rows([self])
         return BypassFrames(
-            frames.tolist(),
-            self.arrivals[frames].tolist(),
-            PATHS[self.codes[frames]].tolist(),
+            frames.tolist(), arrivals.tolist(), PATHS[codes].tolist()
         )
+
+
+def _bypass_rows(
+    sessions: "list[ClientSession]",
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Every bypass frame of ``sessions``, session by session in arrival
+    order: ``(session row, frame index, arrival, path code)``.
+
+    One mask over the sessions' code rows (padded with predict codes to
+    the longest); each arrival is ``start_s + frame / fps``, the same
+    operations as :attr:`ClientSession.arrivals`.
+    """
+    width = max((s.n_frames for s in sessions), default=0)
+    codes = np.full((len(sessions), width), PREDICT, dtype=np.uint8)
+    for row, session in zip(codes, sessions):
+        row[: session.n_frames] = session.codes
+    rows, frames = np.nonzero(codes != PREDICT)
+    starts = np.array([s.start_s for s in sessions], dtype=np.float64)
+    fps = np.array([s.track.fps for s in sessions], dtype=np.float64)
+    arrivals = frames / fps[rows]
+    arrivals += starts[rows]  # IEEE addition commutes: start_s + frame / fps
+    return rows, frames, arrivals, codes[rows, frames]
+
+
+def _view(column: array) -> np.ndarray:
+    """A writable numpy view of an :class:`array.array` column."""
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+def _count_from(prefix: np.ndarray, lo: int, flags: np.ndarray) -> None:
+    """Continue the exclusive prefix counts ``prefix`` past row ``lo``
+    over ``flags``."""
+    counts = prefix[lo + 1 : lo + 1 + len(flags)]
+    np.cumsum(flags, out=counts)
+    counts += prefix[lo]
+
+
+#: Frames per vectorized block of a :class:`BypassColumns` build.  The
+#: block bounds the build's numpy temporaries (64 KiB per float64 one):
+#: one pass over a whole 800-session fleet left the process's peak RSS
+#: 4 MB higher.
+_BUILD_FRAMES = 8192
+
+
+class BypassColumns:
+    """The bypass frames of a ledger's sessions as one set of columns.
+
+    Row ``k`` is one saccade or reuse frame; each session's rows are
+    contiguous, in arrival order, at :attr:`bounds`.  A run of a
+    session's frames, rows ``[start, stop)``, is recorded from a slice
+    (``ServeRuntime._record_bypass``):
+
+    * ``latencies[start:stop]`` are its latency samples, each
+      ``(arrival + bypass_s) - arrival`` for its path's ``bypass_s``;
+    * ``saccades[stop] - saccades[start]`` of them are saccade frames,
+      the rest reuse, and ``misses[stop] - misses[start]`` exceed the
+      deadline (both exclusive prefix counts, one entry longer than the
+      columns);
+    * ``done_max[k]`` is the latest completion, ``arrival + bypass_s``,
+      among row ``k`` and its session's earlier rows.
+
+    Every column is an :class:`array.array`: compact, and a per-event
+    lookup yields a Python number, not a numpy scalar.
+    """
+
+    def __init__(self, sessions: "list[ClientSession]", config: ServeConfig):
+        self._bypass_s = (config.saccade_bypass_s, config.reuse_bypass_s)
+        n = sum(int(np.count_nonzero(s.codes != PREDICT)) for s in sessions)
+        # Each column is allocated once, at its size, and filled a block
+        # of sessions at a time.
+        self.frames = array("i", [0]) * n
+        self.arrivals = array("d", [0.0]) * n
+        #: Path codes (indices into :data:`~repro.system.session.PATHS`).
+        self.codes = array("B", [0]) * n
+        self.latencies = array("d", [0.0]) * n
+        self.saccades = array("i", [0]) * (n + 1)
+        self.misses = array("i", [0]) * (n + 1)
+        self.done_max = array("d", [0.0]) * n
+        #: Session id -> its rows ``(lo, hi)``.
+        self.bounds: dict[int, tuple[int, int]] = {}
+        width = max((s.n_frames for s in sessions), default=1)
+        block = max(1, _BUILD_FRAMES // max(width, 1))
+        lo = 0
+        for i in range(0, len(sessions), block):
+            lo = self._fill(sessions[i : i + block], lo, config.deadline_s)
+
+    def _fill(
+        self, sessions: "list[ClientSession]", lo: int, deadline_s: float
+    ) -> int:
+        """Fill the rows of ``sessions`` from row ``lo`` in one vectorized
+        pass; returns the row after them."""
+        rows, frames, arrivals, codes = _bypass_rows(sessions)
+        hi = lo + len(frames)
+        ends = (lo + np.cumsum(np.bincount(rows, minlength=len(sessions)))).tolist()
+        self.bounds.update(
+            (s.session_id, (start, end))
+            for s, start, end in zip(sessions, [lo] + ends[:-1], ends)
+        )
+        _view(self.frames)[lo:hi] = frames
+        _view(self.arrivals)[lo:hi] = arrivals
+        _view(self.codes)[lo:hi] = codes
+        saccade = codes == _SACCADE
+        done = np.where(saccade, *self._bypass_s)
+        done += arrivals  # IEEE addition commutes: arrival + bypass_s
+        latencies = _view(self.latencies)[lo:hi]
+        np.subtract(done, arrivals, out=latencies)
+        _count_from(_view(self.saccades), lo, saccade)
+        _count_from(_view(self.misses), lo, latencies > deadline_s)
+        # Each session's running max, along its row of a padded matrix.
+        running = np.full((len(sessions), int(frames.max(initial=-1)) + 1), -np.inf)
+        running[rows, frames] = done
+        np.maximum.accumulate(running, axis=1, out=running)
+        _view(self.done_max)[lo:hi] = running[rows, frames]
+        return hi
+
+    def slice_done_max(self, start: int, stop: int) -> float:
+        """The latest completion among rows ``[start, stop)`` alone."""
+        saccade_s, reuse_s = self._bypass_s
+        return max(
+            arrival + (saccade_s if code == _SACCADE else reuse_s)
+            for arrival, code in zip(
+                self.arrivals[start:stop], self.codes[start:stop]
+            )
+        )
+
+
+class BypassLedger:
+    """A session ledger's :class:`BypassColumns`, built on first use.
+
+    The ledger's owner makes one (a :class:`~repro.serve.runtime.ServeRuntime`
+    for its fleet, a fleet for all of its shards) and every runtime that
+    records into that ledger reads :attr:`columns`; they die with it.
+    """
+
+    def __init__(self, sessions: "list[ClientSession]", config: ServeConfig):
+        self._sessions = sessions
+        self._config = config
+
+    @cached_property
+    def columns(self) -> BypassColumns:
+        return BypassColumns(self._sessions, self._config)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,16 @@ then insertion sequence):
 
 Saccade and reuse frames bypass the pool entirely (Algorithm 1 serves
 them on-device), so they are not events in any runtime: each session
-keeps them as a backlog (:attr:`~repro.serve.request.ClientSession.bypass`)
-that is recorded in bulk wherever its order becomes observable — before
-any other record of that session, before the session changes shard,
-before an SLO evaluation, and at the end of the run.  Only predict
-frames cross a ``--net`` fleet's transport.  A chaos run's per-frame
-state (the SDC guard and the watchdog) lives in :attr:`ServeRuntime.chaos`,
+keeps them as a backlog that is recorded in bulk wherever its order
+becomes observable — before any other record of that session, before
+the session changes shard, before an SLO evaluation, and at the end of
+the run.  A plain session's backlog is its rows of the ledger's
+:class:`~repro.serve.request.BypassColumns`, and a run of it is recorded
+as one slice; a completed batch is recorded in one call.  Only predict
+frames cross a ``--net`` fleet's transport.  A chaos session keeps its
+own backlog (:attr:`~repro.serve.request.ClientSession.bypass`, with its
+drops and CRC failures), recorded entry by entry: its per-frame state
+(the SDC guard and the watchdog) lives in :attr:`ServeRuntime.chaos`,
 stepped in each session's arrival order.
 
 Admission control estimates the wait a new predict frame would see —
@@ -56,6 +60,7 @@ from repro.recover.configio import decode, field_path, section
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.config import AdmissionPolicy, BatchServiceModel, ServeConfig
 from repro.serve.request import (
+    BypassLedger,
     ClientSession,
     FrameRequest,
     PredictStream,
@@ -71,6 +76,7 @@ from repro.serve.telemetry import (
     publish_fleet_metrics,
 )
 from repro.serve.workers import WorkerPool, WorkerState
+from repro.system.session import PATHS
 
 # Event-kind priorities: at equal timestamps, completions free workers
 # before window expiries ask for them, and both precede new arrivals.
@@ -96,6 +102,7 @@ class ServeRuntime:
         stats: "dict[int, SessionStats] | None" = None,
         pool: "WorkerPool | None" = None,
         chaos: "ChaosModel | None" = None,
+        bypass: "BypassLedger | None" = None,
     ):
         self.config = config
         self.service = service if service is not None else BatchServiceModel()
@@ -112,6 +119,11 @@ class ServeRuntime:
             stats = new_ledger(self.fleet)
         #: The session ledger, keyed by session id.
         self.stats = stats
+        #: The ledger's bypass columns (a fleet shard is handed its
+        #: fleet's, with its ledger).
+        self.bypass = (
+            bypass if bypass is not None else BypassLedger(self.fleet, config)
+        )
         #: Session id -> session, for every session this runtime may
         #: record (a fleet shard is handed its fleet's directory).
         self.directory = {s.session_id: s for s in self.fleet}
@@ -287,59 +299,93 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _record_bypass(
-        self,
-        session_id: int,
-        frames: Sequence[int],
-        arrivals: Sequence[float],
-        paths: Sequence[str],
-    ) -> None:
-        """Record saccade/reuse frames of one session, in arrival order.
+    def _record_bypass(self, session_id: int, start: int, stop: int) -> None:
+        """Record rows ``[start, stop)`` of the bypass columns: saccade
+        and reuse frames of one session, in arrival order.
 
         Each is served on-device at its arrival and completes its path's
-        bypass latency later.  The one way a backlog is recorded.  A chaos
-        backlog steps the fault model per entry, and a frame's latency
-        counts from its capture, not its (retransmitted) arrival.
+        bypass latency later.  The one way a plain backlog is recorded:
+        one slice of latencies, and counts, misses and the makespan from
+        the prefix columns.
         """
+        columns = self.bypass.columns
+        stats = self.stats[session_id]
+        stats.latencies_s.extend(columns.latencies[start:stop])
+        saccades = columns.saccades[stop] - columns.saccades[start]
+        counts = stats.counts
+        counts["saccade"] += saccades
+        counts["reuse"] += stop - start - saccades
+        stats.misses += columns.misses[stop] - columns.misses[start]
+        done = columns.done_max[stop - 1]
+        if done > self._makespan_s:
+            # ``done`` may be an earlier frame's, recorded by another
+            # shard before the session moved here: then take this
+            # slice's own latest completion.
+            if start == 0 or columns.done_max[start - 1] == done:
+                done = columns.slice_done_max(start, stop)
+            self._makespan_s = max(self._makespan_s, done)
+        if self.obs.enabled:
+            for frame, arrival, code, latency in zip(
+                columns.frames[start:stop],
+                columns.arrivals[start:stop],
+                columns.codes[start:stop],
+                columns.latencies[start:stop],
+            ):
+                self._trace_frame(session_id, frame, arrival, PATHS[code], latency)
+        self._count_completed(stop - start)
+
+    def _record_chaos_backlog(
+        self, session: ClientSession, start: int, stop: int
+    ) -> None:
+        """Record entries ``[start, stop)`` of a chaos session's backlog,
+        stepping the fault model per entry; a frame's latency counts from
+        its capture, not its (retransmitted) arrival."""
         config = self.config
         saccade_s, reuse_s = config.saccade_bypass_s, config.reuse_bypass_s
         chaos = self.chaos
-        if chaos is not None:
-            chaos.cursors[session_id] += len(frames)
-            captured = self.directory[session_id].arrivals
-            for frame, now, path in zip(frames, arrivals, paths):
-                outcome = chaos.fault_step(session_id, frame, path, now)
-                if outcome == "dropped":
-                    self.stats[session_id].record_lost_input()
-                elif outcome != "retransmit":
-                    done = now if outcome == "full_res" else (
-                        now + (saccade_s if path == "saccade" else reuse_s)
-                    )
-                    self._record_frame(
-                        session_id, frame, outcome or path,
-                        float(captured[frame]), done,
-                    )
+        session_id = session.session_id
+        chaos.cursors[session_id] += stop - start
+        captured = session.arrivals
+        frames, arrivals, paths = session.bypass
+        for frame, now, path in zip(
+            frames[start:stop], arrivals[start:stop], paths[start:stop]
+        ):
+            outcome = chaos.fault_step(session_id, frame, path, now)
+            if outcome == "dropped":
+                self.stats[session_id].record_lost_input()
+            elif outcome != "retransmit":
+                done = now if outcome == "full_res" else (
+                    now + (saccade_s if path == "saccade" else reuse_s)
+                )
+                self._record_frame(
+                    session_id, frame, outcome or path,
+                    float(captured[frame]), done,
+                )
+
+    def _record_batch(self, batch: "list[FrameRequest]", done_s: float) -> None:
+        """Record a batch that completed at ``done_s``."""
+        if not batch:
             return
         deadline_s = self._deadline_s
-        record = self.stats[session_id].record
         trace = self.obs.enabled
-        makespan = self._makespan_s
-        for frame, arrival, path in zip(frames, arrivals, paths):
-            done = arrival + (saccade_s if path == "saccade" else reuse_s)
-            latency = done - arrival
-            record(path, latency, deadline_s)
-            if done > makespan:
-                makespan = done
+        for request in batch:
+            session_id = request.session_id
+            latency = done_s - request.arrival_s
+            self._ledger_row(session_id, done_s).record(
+                request.path, latency, deadline_s
+            )
             if trace:
-                self._trace_frame(session_id, frame, arrival, path, latency)
-        self._makespan_s = makespan
+                self._trace_frame(
+                    session_id, request.frame_index, request.arrival_s,
+                    request.path, latency,
+                )
+        self._makespan_s = max(self._makespan_s, done_s)
+        self._count_completed(len(batch))
 
-    def _record_completion(self, request: FrameRequest, done_s: float) -> None:
-        self._ledger_row(request.session_id, done_s)
-        self._record_frame(
-            request.session_id, request.frame_index, request.path,
-            request.arrival_s, done_s,
-        )
+    def _count_completed(self, n_frames: int) -> None:
+        """Hook: this runtime completed ``n_frames`` predict or bypass
+        frames.  The sharded fleet counts them per shard; the base
+        runtime does nothing."""
 
     def _record_frame(
         self, session_id: int, frame: int, path: str, arrival_s: float,
@@ -369,31 +415,38 @@ class ServeRuntime:
     # ------------------------------------------------------------------
     # Bypass backlog
     # ------------------------------------------------------------------
-    def _backlog_cursor(self, session: ClientSession) -> int:
-        """How much of ``session.bypass`` the ledger has recorded."""
+    def _backlog(self, session: ClientSession) -> "tuple[Sequence[float], int, int]":
+        """``session``'s unrecorded backlog as ``(arrivals, start, stop)``:
+        entries ``[start, stop)`` of the arrival column ``arrivals``.  A
+        plain session's are its rows of the bypass columns, recorded up
+        to its saccade and reuse counts; a chaos session's are its own
+        backlog, recorded up to the chaos model's cursor."""
+        session_id = session.session_id
         if self.chaos is not None:
-            return self.chaos.cursors[session.session_id]
-        counts = self.stats[session.session_id].counts
-        return counts["saccade"] + counts["reuse"]
+            arrivals = session.bypass.arrivals
+            return arrivals, self.chaos.cursors[session_id], len(arrivals)
+        columns = self.bypass.columns
+        lo, hi = columns.bounds[session_id]
+        counts = self.stats[session_id].counts
+        return columns.arrivals, lo + counts["saccade"] + counts["reuse"], hi
 
-    def _record_backlog(self, session: ClientSession, stop: int) -> None:
-        """Record ``session``'s backlog up to (not including) ``stop``."""
-        start = self._backlog_cursor(session)
+    def _record_backlog(
+        self, session: ClientSession, start: int, stop: int
+    ) -> None:
+        """Record entries ``[start, stop)`` of ``session``'s backlog."""
         if stop > start:
-            frames, arrivals, paths = session.bypass
-            self._record_bypass(
-                session.session_id,
-                frames[start:stop],
-                arrivals[start:stop],
-                paths[start:stop],
-            )
+            if self.chaos is None:
+                self._record_bypass(session.session_id, start, stop)
+            else:
+                self._record_chaos_backlog(session, start, stop)
 
     def _flush_backlog(self, session: ClientSession, until_s: float) -> None:
         """Record ``session``'s backlog frames that arrive before ``until_s``."""
-        arrivals = session.bypass.arrivals
-        start = self._backlog_cursor(session)
-        if start < len(arrivals) and arrivals[start] < until_s:
-            self._record_backlog(session, bisect_left(arrivals, until_s, start))
+        arrivals, start, stop = self._backlog(session)
+        if start < stop and arrivals[start] < until_s:
+            self._record_backlog(
+                session, start, bisect_left(arrivals, until_s, start, stop)
+            )
 
     def flush_backlogs(self, until_s: float = math.inf) -> None:
         """Record every member session's backlog up to ``until_s``."""
@@ -527,8 +580,7 @@ class ServeRuntime:
         worker, batch = worker_batch
         cause = self.pool.complete(worker, now)
         if cause is None:
-            for request in batch:
-                self._record_completion(request, now)
+            self._record_batch(batch, now)
         else:
             self._on_failed_batch(worker, batch, cause, now)
         self._try_dispatch(now)
@@ -770,18 +822,18 @@ def evaluate_slo_through(
         first = None
         for rank, runtime in lanes:
             for position, session in enumerate(runtime._arrival_order()):
-                arrivals = session.bypass.arrivals
-                start = runtime._backlog_cursor(session)
-                stop = bisect_left(arrivals, True, start, key=slo.due)
-                runtime._record_backlog(session, stop)
-                if stop < len(arrivals):
+                arrivals, start, end = runtime._backlog(session)
+                stop = bisect_left(arrivals, True, start, end, key=slo.due)
+                runtime._record_backlog(session, start, stop)
+                if stop < end:
                     key = (arrivals[stop], rank, _ARRIVAL, position)
                     if first is None or key < first[0]:
                         first = (key, runtime, session)
         if first is None or (next_key is not None and next_key < first[0]):
             return
         key, runtime, session = first
-        runtime._record_backlog(session, runtime._backlog_cursor(session) + 1)
+        _, start, _ = runtime._backlog(session)
+        runtime._record_backlog(session, start, start + 1)
         slo.maybe_evaluate(key[0])
 
 

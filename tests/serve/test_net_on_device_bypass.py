@@ -41,6 +41,7 @@ from repro.serve.fleet import (
 from repro.serve.fleet.shard import ShardRuntime
 from repro.serve.fleet.transport import K_NET_SEND
 from repro.serve.telemetry import SessionStats
+from repro.system.session import PATHS
 
 N_SHARDS = 3
 
@@ -110,18 +111,19 @@ def bypass_records(config: FleetConfig):
     #: session -> sim time of the event that last wrote its ledger row.
     written_s: dict[int, float] = {}
 
-    def spy(stats, path, latency_s, deadline_s):
+    def written(session_id):
         # Each row is written in sim-time order, whichever shard writes.
-        assert now[0] >= written_s.get(stats.session_id, 0.0)
-        written_s[stats.session_id] = now[0]
-        if path in ("saccade", "reuse"):
-            records.setdefault(stats.session_id, []).append((path, latency_s))
-        else:
-            # Any other latency lands after every bypass frame that
-            # arrived before it: the ledger stays in arrival order.
-            arrivals = runtime.sessions[stats.session_id].bypass.arrivals
-            recorded = stats.counts["saccade"] + stats.counts["reuse"]
-            assert recorded == bisect_left(arrivals, now[0])
+        assert now[0] >= written_s.get(session_id, 0.0)
+        written_s[session_id] = now[0]
+
+    def spy(stats, path, latency_s, deadline_s):
+        written(stats.session_id)
+        # Any other latency lands after every bypass frame that arrived
+        # before it: the ledger stays in arrival order.
+        columns = runtime.bypass.columns
+        lo, hi = columns.bounds[stats.session_id]
+        recorded = stats.counts["saccade"] + stats.counts["reuse"]
+        assert recorded == bisect_left(columns.arrivals, now[0], lo, hi) - lo
         record(stats, path, latency_s, deadline_s)
 
     record_bypass = ShardRuntime._record_bypass
@@ -137,14 +139,27 @@ def bypass_records(config: FleetConfig):
     # session -> [(since_s, shard id)]: where the fleet routed it.
     homes = {sid: [(0.0, home)] for sid, home in runtime._session_shard.items()}
 
-    def homed(shard, session_id, frames, arrivals, *args):
+    def homed(shard, session_id, start, stop):
         # A bypass frame counts on the shard its session was homed on
-        # when the frame arrived.
+        # when the frame arrived; its rows are the session's.
+        columns = runtime.bypass.columns
+        lo, hi = columns.bounds[session_id]
+        assert lo <= start < stop <= hi
+        written(session_id)
         history = homes[session_id]
-        for arrival in arrivals:
+        for arrival in columns.arrivals[start:stop]:
             at = bisect_right([since for since, _ in history], arrival) - 1
             assert history[at][1] == shard.shard_id
-        record_bypass(shard, session_id, frames, arrivals, *args)
+        stats = runtime.stats[session_id]
+        paths = PATHS[list(columns.codes[start:stop])].tolist()
+        counted = [stats.counts[path] for path in ("saccade", "reuse")]
+        record_bypass(shard, session_id, start, stop)
+        assert [
+            stats.counts[path] - before
+            for path, before in zip(("saccade", "reuse"), counted)
+        ] == [paths.count("saccade"), paths.count("reuse")]
+        latencies = stats.latencies_s[len(stats.latencies_s) - len(paths):]
+        records.setdefault(session_id, []).extend(zip(paths, latencies))
 
     with mock.patch.object(SessionStats, "record", spy), mock.patch.object(
         ShardRuntime, "_record_bypass", homed
