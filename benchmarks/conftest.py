@@ -13,7 +13,6 @@ Set ``REPRO_BENCH_SCALE=tiny`` to smoke-test the harness quickly.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,36 +77,3 @@ def measured_event_mix(bench_context):
 def emit(text: str) -> None:
     """Print a benchmark's reproduction table (visible with -s or -rA)."""
     print("\n" + text + "\n")
-
-
-def emit_bench_json(name: str, payload: dict, metrics: "dict | None" = None) -> "Path":
-    """Write ``BENCH_<name>.json`` at the repo root and return its path.
-
-    Canonical JSON (sorted keys, repr-exact floats) so two runs of a
-    deterministic bench produce byte-identical files; wall-clock fields
-    are the one sanctioned exception.  These files are the machine-read
-    counterpart of :func:`emit` — CI and campaign tooling pick them up
-    without scraping pytest output.
-
-    When ``metrics`` is given and ``REPRO_BENCH_LEDGER`` is set, the
-    flattened metrics are also appended to the bench history ledger
-    (``1`` means the tracked repo-root ``BENCH_HISTORY.jsonl``, any
-    other value is a ledger path).  Env-gated so routine test runs
-    never pollute the tracked trajectory.
-    """
-    from repro.recover.codec import canonical_json
-
-    root = Path(__file__).resolve().parent.parent
-    path = root / f"BENCH_{name}.json"
-    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    ledger_env = os.environ.get("REPRO_BENCH_LEDGER")
-    if metrics is not None and ledger_env:
-        from repro.bench.ledger import BENCH_LEDGER_NAME, append_bench_record
-
-        ledger = (
-            root / BENCH_LEDGER_NAME if ledger_env == "1" else Path(ledger_env)
-        )
-        append_bench_record(
-            ledger, payload["bench"], metrics, context={"source": "pytest"}
-        )
-    return path

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit, emit_bench_json
 from repro.core import GazeViTConfig, PoloViT
 from repro.nn import matmul_guard
 from repro.reliability import (
@@ -32,17 +31,6 @@ from repro.reliability import (
 @pytest.fixture(scope="module")
 def report():
     return run_sdc_campaign(default_sdc_campaign())
-
-
-@pytest.fixture(scope="module")
-def campaign_wall_s():
-    """Wall clock of one full campaign, timed separately so the shared
-    ``report`` fixture's first-use cost never pollutes the number."""
-    import time
-
-    t0 = time.perf_counter()
-    run_sdc_campaign(default_sdc_campaign())
-    return time.perf_counter() - t0
 
 
 class TestBitIdentityWhenClean:
@@ -102,11 +90,3 @@ class TestDeterminism:
     def test_report_reproduces_bit_identically(self, report):
         again = run_sdc_campaign(default_sdc_campaign())
         assert format_sdc_report(again) == format_sdc_report(report)
-
-
-def test_emit_report(report, campaign_wall_s):
-    from repro.bench.suites import flatten_sdc_payload, sdc_payload
-
-    emit(format_sdc_report(report))
-    payload = sdc_payload(report, campaign_wall_s)
-    emit_bench_json("sdc", payload, metrics=flatten_sdc_payload(payload))

@@ -15,7 +15,7 @@ a killed checkpointed run (see ``repro.recover.cli``),
 resilience campaign (see ``repro.reliability.cli``), and
 ``python -m repro exp [...]`` runs declarative experiment campaigns with
 the on-disk tracking backend (see ``repro.exp.cli``),
-``python -m repro bench [...]`` runs benchmark suites against the
+``python -m repro bench [...]`` gates, trends and renders the
 persisted performance-trajectory ledger (see ``repro.bench.cli``), and
 ``python -m repro fleet [...]`` runs the sharded fleet with
 consistent-hash routing, live migration, and shard failover

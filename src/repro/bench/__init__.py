@@ -1,15 +1,11 @@
 """Persisted performance trajectories: ledger, trends, regression gate.
 
-The benchmark suites (``benchmarks/``) emit one flat metrics dict per
-run.  ``repro.bench`` turns those one-shot snapshots into a *history*:
+``repro.bench`` keeps a *history* of flat benchmark metrics dicts:
 
 * :mod:`repro.bench.ledger` — ``BENCH_HISTORY.jsonl``, an append-only
   CRC-sealed ledger of benchmark results (the same journal format the
   crash-recovery WAL and the campaign runs ledger use), tracked in git
   so the repository carries its own performance trajectory.
-* :mod:`repro.bench.suites` — the benchmark workloads as plain callables
-  (the pytest benches reuse them), each returning the exact snapshot
-  payload plus a flattened metrics dict.
 * :mod:`repro.bench.trend` — ASCII sparklines + signed deltas over the
   history (``python -m repro bench trend``).
 * :mod:`repro.bench.gate` — the regression gate: compares the newest
@@ -18,6 +14,10 @@ run.  ``repro.bench`` turns those one-shot snapshots into a *history*:
   nonzero on any out-of-tolerance move (``python -m repro bench gate``).
 * :mod:`repro.bench.report` — a self-contained zero-dependency HTML
   dashboard of bench trajectories and SLO outcomes.
+
+The serving workloads whose metrics the tracked history records run as
+the ``examples/campaigns/acceptance.json`` campaign
+(``python -m repro exp run``).
 """
 
 from repro.bench.gate import GATE_EXIT_REGRESSION, evaluate_gate, format_gate
@@ -26,31 +26,15 @@ from repro.bench.ledger import (
     append_bench_record,
     read_bench_history,
 )
-from repro.bench.suites import (
-    SUITES,
-    flatten_net_payload,
-    flatten_sdc_payload,
-    flatten_serve_payload,
-    run_net_transport,
-    run_sdc_resilience,
-    run_serve_scaling,
-)
 from repro.bench.trend import format_trend, sparkline
 
 __all__ = [
     "BENCH_LEDGER_NAME",
     "GATE_EXIT_REGRESSION",
-    "SUITES",
     "append_bench_record",
     "evaluate_gate",
-    "flatten_net_payload",
-    "flatten_sdc_payload",
-    "flatten_serve_payload",
     "format_gate",
     "format_trend",
     "read_bench_history",
-    "run_net_transport",
-    "run_sdc_resilience",
-    "run_serve_scaling",
     "sparkline",
 ]

@@ -1,17 +1,15 @@
-"""``python -m repro bench`` — run suites, view trends, gate regressions.
+"""``python -m repro bench`` — view trends, gate regressions, render a report.
 
 Subcommands::
 
-    bench run    [--suite serve sdc] [--ledger PATH] [--snapshot-dir DIR]
     bench trend  [--ledger PATH] [--bench NAME ...]
     bench gate   [--ledger PATH] [--tolerance SPEC ...]
     bench report [--ledger PATH] [--slo-dir DIR] [-o FILE]
 
-``run`` executes the named suites (all by default), writes the classic
-``BENCH_<name>.json`` snapshot per suite, and appends one sealed record
-per suite to the history ledger.  ``gate`` exits 4 on any regression
-beyond tolerance (``0.05`` default; ``p95_ms=0.1`` overrides one
-metric).  ``trend`` and ``report`` are pure functions of the ledger.
+``gate`` exits 4 on any regression beyond tolerance (``0.05`` default;
+``p95_ms=0.1`` overrides one metric).  ``trend`` and ``report`` are pure
+functions of the ledger.  The workloads behind the tracked history run
+as ``python -m repro exp run examples/campaigns/acceptance.json``.
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ from repro.bench.gate import (
 from repro.bench.ledger import (
     BENCH_LEDGER_NAME,
     BenchLedgerError,
-    append_bench_record,
     read_bench_history,
 )
 from repro.bench.report import render_report
-from repro.bench.suites import SUITES
 from repro.bench.trend import format_trend
-from repro.recover.codec import canonical_json
 
 
 def _add_ledger_argument(parser: argparse.ArgumentParser) -> None:
@@ -47,17 +42,9 @@ def _add_ledger_argument(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Benchmark history: run suites, trend, regression gate.",
+        description="Benchmark history: trend, regression gate, report.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run suites, snapshot + append history")
-    run.add_argument("--suite", nargs="+", choices=sorted(SUITES),
-                     default=sorted(SUITES))
-    run.add_argument("--snapshot-dir", type=Path, default=Path("."),
-                     metavar="DIR",
-                     help="where BENCH_<suite>.json snapshots go")
-    _add_ledger_argument(run)
 
     trend = sub.add_parser("trend", help="sparkline history per metric")
     trend.add_argument("--bench", nargs="+", default=None, metavar="NAME",
@@ -78,20 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=Path("bench-report.html"))
     _add_ledger_argument(report)
     return parser
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    args.snapshot_dir.mkdir(parents=True, exist_ok=True)
-    for suite in args.suite:
-        payload, metrics = SUITES[suite]()
-        snapshot = args.snapshot_dir / f"BENCH_{suite}.json"
-        snapshot.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-        record = append_bench_record(
-            args.ledger, payload["bench"], metrics, context={"source": "cli"},
-        )
-        print(f"suite {suite}: wrote {snapshot}, "
-              f"appended i={record['i']} to {args.ledger}")
-    return 0
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
@@ -129,7 +102,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
     "trend": _cmd_trend,
     "gate": _cmd_gate,
     "report": _cmd_report,

@@ -39,14 +39,18 @@ from repro.baselines import (
     ResNetGazeTracker,
     angular_errors,
 )
+from repro.baselines.base import TrainingLog
 from repro.core import (
     PoloViT,
     PolonetConfig,
     build_crop_dataset,
     build_polonet,
 )
+from repro.core.persistence import load_polonet, save_polonet
 from repro.core.training import PolonetBundle
 from repro.eye import EyeDataset, EyeSequence, synthesize_dataset
+from repro.eye.events import post_saccade_mask
+from repro.nn import load_weights, save_weights
 
 MIN_OPENNESS = 0.3
 CALIBRATION_FRAMES = 40
@@ -216,8 +220,6 @@ def _dataset_to_arrays(dataset: EyeDataset) -> dict:
 
 
 def _dataset_from_arrays(archive) -> EyeDataset:
-    from repro.eye.events import post_saccade_mask
-
     n = int(archive["n_sequences"])
     sequences = []
     for i in range(n):
@@ -240,9 +242,6 @@ def _dataset_from_arrays(archive) -> EyeDataset:
 
 
 def _save_context_to_disk(directory, context: ExperimentContext) -> None:
-    from repro.core.persistence import save_polonet
-    from repro.nn import save_weights
-
     directory.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(directory / "train.npz", **_dataset_to_arrays(context.train))
     np.savez_compressed(directory / "val.npz", **_dataset_to_arrays(context.val))
@@ -254,11 +253,6 @@ def _save_context_to_disk(directory, context: ExperimentContext) -> None:
 
 
 def _load_context_from_disk(directory, scale: ContextScale, seed: int):
-    from repro.core.persistence import load_polonet
-    from repro.core.training import PolonetBundle
-    from repro.baselines.base import TrainingLog
-    from repro.nn import load_weights
-
     if not (directory / "DONE").exists():
         return None
     with np.load(directory / "train.npz") as archive:

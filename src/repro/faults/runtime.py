@@ -54,7 +54,7 @@ from repro.serve.request import BypassFrames, ClientSession, FrameRequest, build
 from repro.serve.runtime import InferenceFn, ServeRuntime
 from repro.serve.telemetry import FaultReport, FleetReport
 from repro.serve.workers import FaultyWorkerPool
-from repro.system.session import SessionConfig, decide_path_codes
+from repro.system.session import PATHS, SessionConfig, decide_path_codes
 from repro.system.watchdog import DegradationLevel, TrackingWatchdog
 
 #: Per-session sub-seed strides (distinct odd primes keep the fault and
@@ -102,11 +102,10 @@ def build_chaos_fleet(
     codes.flags.writeable = False
     fleet = []
     for session, track, row, trace in zip(clean, faulted, codes, traces):
-        chaos_session = replace(session, track=track, codes=row)
         late = trace.retransmit_s.tolist()
         backlog = []
         for f, (t, path) in enumerate(
-            zip(session.arrivals.tolist(), chaos_session.decisions)
+            zip(session.arrivals.tolist(), PATHS[row].tolist())
         ):
             if trace.dropped[f]:
                 backlog.append((t, False, f, "dropped"))
@@ -116,12 +115,16 @@ def build_chaos_fleet(
             if path != "predict":
                 backlog.append((t + late[f], late[f] > 0, f, path))
         backlog.sort()
-        chaos_session.bypass = BypassFrames(
-            [entry[2] for entry in backlog],
-            [entry[0] for entry in backlog],
-            [entry[3] for entry in backlog],
-        )
-        fleet.append(chaos_session)
+        fleet.append(replace(
+            session,
+            track=track,
+            codes=row,
+            backlog=BypassFrames(
+                [entry[2] for entry in backlog],
+                [entry[0] for entry in backlog],
+                [entry[3] for entry in backlog],
+            ),
+        ))
     return fleet, traces
 
 

@@ -86,8 +86,8 @@ _request_fields = itemgetter(*FrameRequest._fields)
 
 
 class BypassFrames(NamedTuple):
-    """A session's saccade and reuse frames as columns, in arrival order
-    (a chaos session's also holds its drops and CRC failures)."""
+    """A chaos session's backlog as columns, in arrival order: its
+    saccade and reuse frames, drops and CRC failures."""
 
     frames: "list[int]"
     arrivals: "list[float]"
@@ -105,6 +105,10 @@ class ClientSession:
     #: fleet's code stack.
     codes: np.ndarray
     start_s: float
+    #: A chaos session's backlog (``build_chaos_fleet``); None for a
+    #: plain session, whose bypass frames are rows of its ledger's
+    #: :class:`BypassColumns`.
+    backlog: "BypassFrames | None" = None
 
     @property
     def n_frames(self) -> int:
@@ -119,17 +123,6 @@ class ClientSession:
     def arrivals(self) -> np.ndarray:
         """Every frame's arrival time, ``start_s + frame / fps``."""
         return self.start_s + np.arange(self.n_frames) / self.track.fps
-
-    @cached_property
-    def bypass(self) -> BypassFrames:
-        """The frames Algorithm 1 serves on-device (saccade or reuse), cut
-        as :class:`BypassColumns` cuts them; a chaos session is given its
-        own (``build_chaos_fleet``).  Runtimes record a plain session's
-        bypass frames from their ledger's :class:`BypassColumns`."""
-        _, frames, arrivals, codes = _bypass_rows([self])
-        return BypassFrames(
-            frames.tolist(), arrivals.tolist(), PATHS[codes].tolist()
-        )
 
 
 def _bypass_rows(

@@ -23,7 +23,7 @@ the run.  A plain session's backlog is its rows of the ledger's
 :class:`~repro.serve.request.BypassColumns`, and a run of it is recorded
 as one slice; a completed batch is recorded in one call.  Only predict
 frames cross a ``--net`` fleet's transport.  A chaos session keeps its
-own backlog (:attr:`~repro.serve.request.ClientSession.bypass`, with its
+own backlog (:attr:`~repro.serve.request.ClientSession.backlog`, with its
 drops and CRC failures), recorded entry by entry: its per-frame state
 (the SDC guard and the watchdog) lives in :attr:`ServeRuntime.chaos`,
 stepped in each session's arrival order.
@@ -346,7 +346,7 @@ class ServeRuntime:
         session_id = session.session_id
         chaos.cursors[session_id] += stop - start
         captured = session.arrivals
-        frames, arrivals, paths = session.bypass
+        frames, arrivals, paths = session.backlog
         for frame, now, path in zip(
             frames[start:stop], arrivals[start:stop], paths[start:stop]
         ):
@@ -423,7 +423,7 @@ class ServeRuntime:
         backlog, recorded up to the chaos model's cursor."""
         session_id = session.session_id
         if self.chaos is not None:
-            arrivals = session.bypass.arrivals
+            arrivals = session.backlog.arrivals
             return arrivals, self.chaos.cursors[session_id], len(arrivals)
         columns = self.bypass.columns
         lo, hi = columns.bounds[session_id]

@@ -96,10 +96,6 @@ def _net(runs):
     ]
 
 
-def _lost(report) -> int:
-    return sum(s.lost_net + s.lost_shard for s in report.sessions)
-
-
 def test_thirteen_runs_with_pinned_ids_and_summaries(runs):
     got = [
         (
@@ -175,10 +171,11 @@ class TestLossyTransport:
         )
         for window, report in windows:
             counters = report.net.counters
-            first_sends = counters["data_sent"] - counters["retransmits"]
-            assert counters["retransmits"] / first_sends > 0, window
+            assert counters["retransmits"] > 0, window
             assert counters["frames_deduped"] > 0, window
-            assert _lost(report) == 0, window
+            assert sum(
+                s.lost_net + s.lost_shard for s in report.sessions
+            ) == 0, window
             assert report.predict_goodput_fps > 0, window
 
     def test_only_the_longer_partitions_fail_over_and_heal(self, runs):
@@ -195,34 +192,3 @@ class TestLossyTransport:
         assert heals and heals[0] - long_window["stop_s"] > 0
         assert long.net.counters["false_suspects"] == 1
         assert long.net.counters["heals"] == 1
-
-
-def test_runs_are_the_suite_runs(runs, monkeypatch):
-    """Each campaign run resolves to the config ``repro.bench.suites``
-    builds for it, and reports the same summary metrics."""
-    import repro.reliability.campaign as campaign
-    import repro.serve.fleet as fleet
-    import repro.serve.runtime as runtime
-    from repro.bench.suites import SUITES
-    from repro.recover.kinds import config_dict
-
-    suite_runs = {}
-
-    def recording(run):
-        def wrapped(config, *args, **kwargs):
-            report = run(config, *args, **kwargs)
-            suite_runs[canonical_json(config_dict(config))] = report
-            return report
-        return wrapped
-
-    monkeypatch.setattr(runtime, "serve_fleet", recording(runtime.serve_fleet))
-    monkeypatch.setattr(fleet, "run_fleet", recording(fleet.run_fleet))
-    monkeypatch.setattr(
-        campaign, "run_sdc_campaign", recording(campaign.run_sdc_campaign)
-    )
-    for suite in SUITES.values():
-        suite()
-    assert len(suite_runs) == len(runs)
-    for spec, report in runs:
-        suite_report = suite_runs[canonical_json(spec.config["config"])]
-        assert _summary(spec, suite_report) == _summary(spec, report)

@@ -22,10 +22,10 @@ from repro.faults import default_chaos_scenario
 from repro.faults.runtime import build_chaos_fleet, chaos_runtime
 from repro.serve import ServeConfig, ServeRuntime, build_fleet, fleet_requests
 from repro.serve.fleet import FleetConfig, FleetRuntime
-from repro.serve.request import BypassFrames, FrameRequest
+from repro.serve.request import BypassColumns, BypassFrames, FrameRequest
 from repro.serve.runtime import _ARRIVAL
 from repro.serve.telemetry import new_ledger
-from repro.system.session import SessionConfig, decide_paths
+from repro.system.session import PATHS, SessionConfig, decide_paths
 
 
 def string_fleet_requests(fleet, deadline_s, decisions=None):
@@ -147,12 +147,14 @@ class TestStreamOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=shuffled_subsets())
     def test_bypass_from_codes_equals_string_backlog(self, case):
-        _, fleet, _ = case
-        for session in fleet:
-            codes_built, expected = session.bypass, string_bypass(session)
-            assert codes_built.frames == expected.frames
-            assert codes_built.arrivals == expected.arrivals
-            assert codes_built.paths == expected.paths
+        config, _, subset = case
+        columns = BypassColumns(subset, config)
+        for session in subset:
+            lo, hi = columns.bounds[session.session_id]
+            expected = string_bypass(session)
+            assert columns.frames[lo:hi].tolist() == expected.frames
+            assert columns.arrivals[lo:hi].tolist() == expected.arrivals
+            assert PATHS[columns.codes[lo:hi]].tolist() == expected.paths
 
 
 class TestCodeRows:
