@@ -56,28 +56,11 @@ from repro.recover.errors import CheckpointError
 #: frames and retries are ARRIVALs, and the payload holds each session's
 #: backlog cursor instead of the set of retransmitted frames.  Serve and
 #: fleet payloads are unchanged since 7.
-CHECKPOINT_FORMAT_VERSION = 8
-
-#: The older checkpoints a format cannot load, checked in order:
-#: ``(first format that loads, kinds, what it is, why it cannot load)``.
-#: Kind ``net`` is a lossy-transport fleet.
-_REFUSED = (
-    (3, ("fleet", "net"), "fleet checkpoint", ", written before the fleet "
-     "owned one session ledger"),
-    (4, ("serve", "fleet", "net"), "{kind} checkpoint", ", written while "
-     "bypass frames were heap ARRIVALs: its heap holds bypass frames the "
-     "per-session backlog would record a second time"),
-    (5, ("chaos",), "chaos checkpoint", ", written while the runtime held "
-     "the circuit breakers and the wake-up the worker pool holds"),
-    (8, ("chaos",), "chaos checkpoint", ", written while every frame was a "
-     "heap ARRIVAL: its heap holds the bypass frames, drops and CRC "
-     "failures the per-session backlog would record a second time"),
-    (6, ("net",), "lossy-transport fleet checkpoint", ", written while "
-     "every frame crossed the network: its SEND payloads and envelope seqs "
-     "index all frames, not the predict-frame stream"),
-    (7, ("fleet", "net"), "fleet checkpoint", ": its event index and "
-     "journal record the old merged event order, not the shard-major order"),
-)
+#: Version 9: a runtime arms one batch-window event per deadline, and
+#: none for a deadline already passed; the batcher holds the armed
+#: deadline.  Every kind's heap, event indices and journal change, so
+#: every older checkpoint is refused.
+CHECKPOINT_FORMAT_VERSION = 9
 
 _MANIFEST_KEYS = frozenset(
     {
@@ -224,22 +207,11 @@ class CheckpointStore:
                 f"newer than the supported {CHECKPOINT_FORMAT_VERSION} — "
                 "upgrade repro to restore it"
             )
-        if version < 1:
+        if version < CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
-                f"manifest {manifest_path} has invalid format version {version}"
+                f"checkpoint {manifest_path} is format {version}; this build "
+                f"reads only {CHECKPOINT_FORMAT_VERSION} — rerun"
             )
-        config = manifest["config"]
-        net = isinstance(config, dict) and isinstance(config.get("net"), dict)
-        kind = manifest["kind"]
-        if kind == "fleet" and net and config["net"].get("enabled"):
-            kind = "net"  # a lossy-transport fleet
-        for loads_from, kinds, what, why in _REFUSED:
-            if version < loads_from and kind in kinds:
-                raise CheckpointError(
-                    f"checkpoint {manifest_path} is a format-{version} "
-                    f"{what.format(kind=manifest['kind'])}{why} (format "
-                    f"{CHECKPOINT_FORMAT_VERSION}) — rerun from the start"
-                )
         if manifest["event_index"] != event_index:
             raise CheckpointError(
                 f"manifest {manifest_path} claims event index "

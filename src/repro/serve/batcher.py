@@ -32,13 +32,16 @@ from repro.serve.request import FrameRequest
 class DynamicBatcher:
     """FIFO queue with a size-or-timeout batch-formation policy.
 
-    Its dataclass fields are the conservation counters it checkpoints;
-    the queue is checkpointed beside them, frame by frame.
+    Its dataclass fields are the conservation counters and the armed
+    window it checkpoints; the queue is checkpointed beside them, frame
+    by frame.
     """
 
     admitted_total: int
     requeued_total: int
     taken_total: int
+    #: The deadline :meth:`arm_window` last handed out (spent once due).
+    window_armed_s: "float | None"
 
     def __init__(self, max_batch: int, window_s: float = 0.0):
         if max_batch <= 0:
@@ -51,6 +54,7 @@ class DynamicBatcher:
         self.admitted_total = 0
         self.requeued_total = 0
         self.taken_total = 0
+        self.window_armed_s = None
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -88,6 +92,18 @@ class DynamicBatcher:
         if not self._queue:
             return None
         return self._queue[0].arrival_s + self.window_s
+
+    def arm_window(self, now: float) -> "float | None":
+        """The deadline to arm a window event at, or None: the queue's
+        :meth:`next_deadline_s` while it is still ahead of ``now`` and
+        not the one armed last.  A passed deadline needs no window (the
+        queue is then ready and only a worker is missing), and an armed
+        one is not yet fired."""
+        deadline = self.next_deadline_s()
+        if deadline is None or deadline <= now or deadline == self.window_armed_s:
+            return None
+        self.window_armed_s = deadline
+        return deadline
 
     def take(self) -> list[FrameRequest]:
         """Pop the next batch (up to ``max_batch`` requests, FIFO)."""

@@ -541,12 +541,14 @@ class ServeRuntime:
 
     def _dispatch_and_arm(self, now: float) -> None:
         """Dispatch what the queue allows, then arm the batch window of
-        whatever stays queued."""
+        whatever stays queued, once per deadline (see
+        :meth:`DynamicBatcher.arm_window`): past its deadline a queued
+        frame waits for a worker, and the COMPLETE or pool wake-up that
+        frees one retries the dispatch."""
         self._try_dispatch(now)
-        if len(self.batcher) > 0 and self.batcher.window_s > 0:
-            deadline = self.batcher.next_deadline_s()
-            if deadline is not None:
-                self._push(deadline, _WINDOW, None)
+        deadline = self.batcher.arm_window(now)
+        if deadline is not None:
+            self._push(deadline, _WINDOW, None)
 
     # ------------------------------------------------------------------
     # Event handlers

@@ -10,10 +10,10 @@ their values may not move.
 Both runs are built the way ``python -m repro chaos`` and ``recover``
 build them, from campaign params through :mod:`repro.recover.kinds`:
 
-* the CI scenario (``chaos --sessions 12 --duration 1 --seed 7``, 184
+* the CI scenario (``chaos --sessions 12 --duration 1 --seed 7``, 177
   events), whose worker 0 breaker is OPEN at event 150;
 * the soft-error scenario (``chaos --sessions 6 --duration 0.5 --seed 2
-  --soft-error-fit 500 --soft-error-accel 2e11``, 103 events, 21 upsets,
+  --soft-error-fit 500 --soft-error-accel 2e11``, 100 events, 21 upsets,
   4 detections), whose snapshots carry the SDC guards.
 """
 
@@ -63,10 +63,10 @@ def state_digests(params: dict, events: "tuple[int, ...]") -> dict:
 
 def test_ci_scenario_checkpoints_are_pinned():
     assert state_digests(CI, (150,)) == {
-        0: "490c8754928f0648",
-        150: "107eec3d236e16be",
-        "last": "efd25b939a2e3d66",
-        "finished": "fc200ce6787e4430",
+        0: "b4b48a751a91ecb5",
+        150: "e8926eb3565d1e56",
+        "last": "7e3158c8863f1231",
+        "finished": "ec0295145f99ff1a",
     }
 
 
@@ -86,13 +86,13 @@ def test_soft_error_checkpoints_are_pinned():
         runtime.step()
     assert runtime.state_dict()["sdc"]["guards"] is not None
     report = runtime.run()
-    assert runtime.events_processed == 103
+    assert runtime.events_processed == 100
     assert (report.faults.soft_errors_injected, report.faults.sdc_detected) == (21, 4)
     assert state_digests(SOFT, (60,)) == {
-        0: "33cc5c825b943dc7",
-        60: "1f02bd44f589a599",
-        "last": "e2ae30e2f15f45e1",
-        "finished": "21e000c6db7286ee",
+        0: "7f13811fc3036708",
+        60: "eb0d12c58deea445",
+        "last": "58a50fbb7b1e5fab",
+        "finished": "70525b65d04607a8",
     }
 
 

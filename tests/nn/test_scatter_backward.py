@@ -20,9 +20,11 @@ from repro.nn import functional as F
 
 SHAPE = (4, 5, 6)
 
+# A plain-Python index is labelled by its repr; a numpy one by name, since
+# numpy's repr is long, multi-line for a 3-D mask, and varies by version.
 BASIC = [
     2,
-    np.int64(-1),
+    pytest.param(np.int64(-1), id="np-int64-negative"),
     slice(None),
     slice(1, None, 2),
     slice(None, None, -2),
@@ -33,12 +35,19 @@ BASIC = [
     (3, 4, 5),
 ]
 ADVANCED = [
-    np.array([0, 0, 2, 0]),
+    pytest.param(np.array([0, 0, 2, 0]), id="int-array-repeats"),
     [3, 1, 3],
-    (slice(None), np.array([4, 4, 1])),
-    (np.array([0, 1, 0]), slice(None), np.array([2, 2, 2])),
-    np.array([True, False, True, True]),
-    np.zeros(SHAPE, dtype=bool) | (np.arange(np.prod(SHAPE)).reshape(SHAPE) % 3 == 0),
+    pytest.param((slice(None), np.array([4, 4, 1])), id="slice-then-int-array"),
+    pytest.param(
+        (np.array([0, 1, 0]), slice(None), np.array([2, 2, 2])),
+        id="int-arrays-around-slice",
+    ),
+    pytest.param(np.array([True, False, True, True]), id="bool-mask-1d"),
+    pytest.param(
+        np.zeros(SHAPE, dtype=bool)
+        | (np.arange(np.prod(SHAPE)).reshape(SHAPE) % 3 == 0),
+        id="bool-mask-3d",
+    ),
 ]
 
 

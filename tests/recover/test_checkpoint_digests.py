@@ -11,10 +11,10 @@ The runs are built from campaign params through
 :mod:`repro.recover.kinds`, as ``python -m repro`` and ``recover`` build
 them:
 
-* a serve run (24 sessions x 1 s, 221 events);
-* a direct fleet (325 events) whose rebalancer spawns a shard and later
+* a serve run (24 sessions x 1 s, 205 events);
+* a direct fleet (305 events) whose rebalancer spawns a shard and later
   drains it, with a planned migration and a shard kill;
-* a ``--net`` fleet (3,491 events) with a partition, a gray window,
+* a ``--net`` fleet (3,311 events) with a partition, a gray window,
   drops, duplicates and ``on_exhaust="drop"`` exhaustion, whose detector
   suspects and heals two shards.
 """
@@ -78,53 +78,52 @@ RUNS = {
 #: event, after the last event and after ``finish()``.
 STATE_PINS = {
     "serve": {
-        0: "a8c9ebc552c31659",
-        25: "366756cbe4ed6197",
-        50: "aeef8f3309208f15",
-        75: "7e42ad4df146f0c1",
-        100: "3aa991483234904c",
-        125: "33f22a50bc11013e",
-        150: "114bbfc2f5a9906f",
-        175: "93dbfcf54d28468e",
-        200: "64a74a1413fa63ff",
-        "last": "0f10269ee308e578",
-        "finished": "8c492b5d49805bc0",
+        0: "83f9df89de7dc6ab",
+        25: "bd55f1f069ec5fcc",
+        50: "3b59f7128818d451",
+        75: "16f70e3f5f264df6",
+        100: "ff4cf4e393473b8e",
+        125: "e82a08ef4493baeb",
+        150: "ae488cca6d889784",
+        175: "13df2a321df77746",
+        200: "c262fc2172f6c957",
+        "last": "8c5a3bb32ab37b5f",
+        "finished": "9b74fc9af29474e3",
     },
     "direct": {
-        0: "6bd5e725ba09f68f",
-        25: "0dd8f15140eb8572",
-        50: "11e04b872ff82b57",
-        75: "2f814961d138d9bf",
-        100: "e041e8b3e72c32f4",
-        125: "317f4691e7c46d6f",
-        150: "63e10cf32252845b",
-        175: "4b9e6223cfd69cf7",
-        200: "15081d23fc53efd7",
-        225: "9be53f4f53296db8",
-        250: "37e4682766f68853",
-        275: "56e3f22298be78bb",
-        300: "d09ff4142e56bfe9",
-        325: "c6a54cf7445f0d3c",
-        "last": "c6a54cf7445f0d3c",
-        "finished": "60c0b841d505f501",
+        0: "15cf70c9e2d6e73f",
+        25: "db8d774e065d9817",
+        50: "c400cb055b0dad47",
+        75: "df1811817db158f8",
+        100: "b8088a4be186cd9a",
+        125: "7f9812ebbc49a3c8",
+        150: "539c039b8a1b6034",
+        175: "0af217e2a5d19ceb",
+        200: "fa73debc55f269ae",
+        225: "ddb4f6674a248aed",
+        250: "f0c422205f85f8e1",
+        275: "03ceaf846ed2401d",
+        300: "3c667b833287ba9a",
+        "last": "7acef05f789892aa",
+        "finished": "d8184e8976b14f75",
     },
     "net": {
-        0: "400f9ba2a69c14f1",
-        250: "ea433c2fc6bdf391",
-        500: "6cfcc7c3ee79bca0",
-        750: "35321cf21d860f1f",
-        1000: "27c8af68f0f5ae11",
-        1250: "baa761c0693052c5",
-        1500: "ecfd14cbea51d8b2",
-        1750: "f0ed97adfd57b9a0",
-        2000: "5cb1ce73941e85fa",
-        2250: "b6904947c6cc83ed",
-        2500: "b20c0a7ad43aa0c6",
-        2750: "73534a77cf73c297",
-        3000: "33b052d2f08d026e",
-        3250: "17f053da78a7e9e3",
-        "last": "0263439a4016ea1e",
-        "finished": "9f8812ddda9f557b",
+        0: "dedeb03ec2707ffb",
+        250: "730e6570007e27eb",
+        500: "274aab26b23220db",
+        750: "51757c6113f80b97",
+        1000: "f4548ea8370be2bf",
+        1250: "35b7e018ce5659d2",
+        1500: "4d1c8c904665df1d",
+        1750: "988295359e95b705",
+        2000: "168efb7b8392bdc2",
+        2250: "d42463ad6687f6c6",
+        2500: "e95355fa9774fc52",
+        2750: "fe114225dcfdb82a",
+        3000: "6523a333342e5c72",
+        3250: "696a571cc16a96c6",
+        "last": "1cc22f5efe3d17f9",
+        "finished": "375de62dae898f04",
     },
 }
 

@@ -87,7 +87,7 @@ class TestFleetCrashRecovery:
             doc["format_version"] = 6
             manifest.write_bytes(canonical_bytes(doc))
         with pytest.raises(
-            RecoveryError, match="format-6 fleet checkpoint: its event index"
+            RecoveryError, match="is format 6; this build reads only 9 — rerun"
         ):
             resume(tmp_path)
 

@@ -1,14 +1,23 @@
-"""A format-8 checkpoint written by an earlier build still restores.
+"""A checkpoint written by an earlier build restores, or is refused.
 
-``data/net-midpartition-format8`` holds one ``--net`` fleet checkpoint
+``data/net-midpartition-format9`` holds one ``--net`` fleet checkpoint
 (8 sessions x 0.4 s over 3 shards, drops, duplicates and
-``on_exhaust="drop"``) taken at event 800, t = 0.199 s: shard 1 sits
+``on_exhaust="drop"``) taken at event 810, t = 0.212 s: shard 1 sits
 inside its 0.10-0.25 s partition, is suspected, one session is
-displaced and envelopes are pending.  The journal holds the 150 events
-after it, up to a kill at event 950.  The files are committed as that
-build wrote them; this build must restore them, replay the journal and
-finish with the report of an uninterrupted run, byte for byte.  A change
-to how snapshots are written or read that forks the format fails here.
+displaced, an envelope is pending and shard 2 has a batch window armed
+ahead of the checkpoint.  The journal holds the 150 events after it, up
+to a kill at event 960.  It was written by ``run_with_checkpoints(...,
+every=810, kill=ProcessKill(at_event=960))`` on the run its manifest
+names, keeping the last checkpoint and the journal after it.  The files
+are committed as that build wrote them; this build must restore them,
+replay the journal and finish with the report of an uninterrupted run,
+byte for byte.  A change to how snapshots are written or read that forks
+the format fails here.
+
+``data/net-midpartition-format8`` is the same run written by the
+format-8 build, at event 800 (t = 0.199 s) with its journal to a kill at
+950.  Format 9 arms one batch window per deadline, so its heaps and
+journal name events this build no longer makes: it is refused.
 """
 
 from __future__ import annotations
@@ -17,23 +26,63 @@ import json
 import shutil
 from pathlib import Path
 
-from repro.recover import fleet_report_bytes
+import pytest
+
+from repro.recover import RecoveryError, fleet_report_bytes
 from repro.recover.checkpoint import CHECKPOINT_FORMAT_VERSION
 from repro.recover.kinds import build_runtime
 from repro.recover.manager import restore_runtime, resume
 
-FROZEN = Path(__file__).parent / "data" / "net-midpartition-format8"
+DATA = Path(__file__).parent / "data"
+FROZEN = DATA / "net-midpartition-format9"
+FORMAT8 = DATA / "net-midpartition-format8"
 
 
 def test_frozen_checkpoint_is_a_mid_partition_format_8_net_fleet():
-    manifest = json.loads((FROZEN / "ckpt-000000800.manifest.json").read_bytes())
-    assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 8
+    manifest = json.loads((FORMAT8 / "ckpt-000000800.manifest.json").read_bytes())
+    assert manifest["format_version"] == 8
     assert manifest["kind"] == "fleet"
     (partition,) = manifest["config"]["net"]["partitions"]
-    state = json.loads((FROZEN / "ckpt-000000800.state.json").read_bytes())
+    state = json.loads((FORMAT8 / "ckpt-000000800.state.json").read_bytes())
     transport = state["net"]["transport"]
     assert transport["suspected"] == partition["shard_ids"] == [1]
     assert transport["displaced"] and transport["pending"]
+
+
+def test_frozen_format_8_checkpoint_is_refused(tmp_path):
+    directory = tmp_path / "ckpt"
+    shutil.copytree(FORMAT8, directory)
+    with pytest.raises(
+        RecoveryError, match="is format 8; this build reads only 9 — rerun"
+    ):
+        restore_runtime(directory)
+
+
+def test_frozen_checkpoint_is_a_mid_partition_format_9_net_fleet():
+    manifest = json.loads((FROZEN / "ckpt-000000810.manifest.json").read_bytes())
+    assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
+    assert manifest["kind"] == "fleet"
+    config = manifest["config"]
+    assert (config["serve"]["n_sessions"], config["serve"]["duration_s"]) == (8, 0.4)
+    assert config["n_shards"] == 3
+    (partition,) = config["net"]["partitions"]
+    state = json.loads((FROZEN / "ckpt-000000810.state.json").read_bytes())
+    transport = state["net"]["transport"]
+    assert transport["suspected"] == partition["shard_ids"] == [1]
+    assert transport["displaced"] and transport["pending"]
+    journal = [
+        json.loads(line)
+        for line in (FROZEN / "journal.jsonl").read_text().splitlines()
+    ]
+    assert [record["i"] for record in journal] == list(range(811, 961))
+    now = journal[0]["t"]
+    assert partition["start_s"] < now < partition["stop_s"]
+    # A shard's window is armed ahead of the checkpoint: restoring must
+    # know it, or the next admission would arm a second window.
+    shard = state["shards"][2]["state"]
+    armed = shard["batcher"]["window_armed_s"]
+    assert armed > now
+    assert any(kind == 1 and time_s == armed for time_s, kind, _, _ in shard["heap"])
 
 
 def test_frozen_checkpoint_restores_replays_and_resumes_byte_identically(
@@ -42,7 +91,7 @@ def test_frozen_checkpoint_restores_replays_and_resumes_byte_identically(
     directory = tmp_path / "ckpt"
     shutil.copytree(FROZEN, directory)
     restored = restore_runtime(directory)
-    assert restored.checkpoint.event_index == 800
+    assert restored.checkpoint.event_index == 810
     assert restored.replayed_events == 150
     assert restored.skipped_checkpoints == []
     reference = build_runtime(restored.checkpoint.resolved).run()

@@ -23,8 +23,8 @@ from repro.recover.manager import restore_runtime, run_with_checkpoints
 #: ``chaos --sessions 12 --duration 1 --seed 7``: checkpoint 150 holds
 #: worker 0's OPEN breaker.
 CI = {"seed": 7, "serve": {"n_sessions": 12, "duration_s": 1.0}}
-#: A committed format-8 ``--net`` fleet checkpoint taken at event 800.
-FROZEN = Path(__file__).parent / "data" / "net-midpartition-format8"
+#: A committed format-9 ``--net`` fleet checkpoint taken at event 810.
+FROZEN = Path(__file__).parent / "data" / "net-midpartition-format9"
 
 
 def rewrite_payload(manifest_path: Path, payload_path: Path, tamper) -> None:
@@ -105,8 +105,8 @@ def test_fleet_shard_payload_is_refused_with_its_place_in_the_fleet(
     directory = tmp_path / "ckpt"
     shutil.copytree(FROZEN, directory)
     rewrite_payload(
-        directory / "ckpt-000000800.manifest.json",
-        directory / "ckpt-000000800.state.json",
+        directory / "ckpt-000000810.manifest.json",
+        directory / "ckpt-000000810.state.json",
         tamper,
     )
     with pytest.raises(RecoveryError, match=message):

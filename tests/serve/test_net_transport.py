@@ -310,7 +310,7 @@ class TestGoldenEventStream:
     """
 
     STREAM_SHA256 = (
-        "b064cc2a8d40c5b3e213c1664e48f0ad840085b5a64c7213011f1c36226ca0d0"
+        "b6d3ff2d8fe1047f052be5e0b8861e071c7d15a42f72a734e6312c77f260d31f"
     )
     REPORT_SHA256 = (
         "d5081d6348124eb033f64a2a878a9f4b4dbde0ec7d80ee94c7bb8bc89ebdbb56"

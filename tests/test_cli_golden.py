@@ -108,7 +108,7 @@ ROWS: "dict[str, list[list[str]]]" = {
     "serve-slo": [SERVE + ["--slo", "default"]],
     "serve-obs": [SERVE + ["--obs", "--obs-top", "3"]],
     "serve-all-flags": [SERVE_ALL_FLAGS],
-    # 15 events: saccade and reuse frames are not events.
+    # 12 events: saccade and reuse frames are not events.
     "serve-kill-recover": _kill_then_recover(SERVE, 10, every=4),
     "serve-help": [["serve", "--help"]],
     "serve-refuse-slo-checkpoint": [
@@ -120,7 +120,7 @@ ROWS: "dict[str, list[list[str]]]" = {
     "chaos-compare-fault-free": [CHAOS + ["--compare-fault-free"]],
     "chaos-obs": [CHAOS + ["--obs", "--obs-top", "3"]],
     "chaos-all-flags": [CHAOS_ALL_FLAGS],
-    # 57 events: saccade and reuse frames are not events.
+    # 54 events: saccade and reuse frames are not events.
     "chaos-kill-recover": _kill_then_recover(CHAOS, 50),
     "chaos-help": [["chaos", "--help"]],
     "chaos-refuse-slo-checkpoint": [
@@ -157,7 +157,7 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "chaos-fault-free": [(0, "6149d6630547e4da", "e3b0c44298fc1c14")],
     "chaos-help": [(0, "261c8720accbe6aa", "e3b0c44298fc1c14")],
     "chaos-kill-recover": [
-        (17, "e3b0c44298fc1c14", "cf572b091db1369d"),
+        (17, "e3b0c44298fc1c14", "88969f729bd9274c"),
         (0, "07dacb86b78026a3", "70b12dd4489902e9"),
     ],
     "chaos-obs": [(0, "f8781d15afb50546", "e3b0c44298fc1c14")],
@@ -167,12 +167,12 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "fleet-help": [(0, "a93d0c15c6024181", "e3b0c44298fc1c14")],
     "fleet-kill": [(0, "0f6a930f5a9da2fa", "e3b0c44298fc1c14")],
     "fleet-kill-recover": [
-        (17, "e3b0c44298fc1c14", "7ac150e30c84203f"),
+        (17, "e3b0c44298fc1c14", "169e83ad66a9f04b"),
         (0, "0f6a930f5a9da2fa", "87295d4a90aceb55"),
     ],
     "fleet-kill-recover-obs": [
-        (17, "e3b0c44298fc1c14", "7ac150e30c84203f"),
-        (0, "91888ad3a3d06d24", "1c16a0cd1f606283"),
+        (17, "e3b0c44298fc1c14", "169e83ad66a9f04b"),
+        (0, "f57054d45a320e32", "1c16a0cd1f606283"),
     ],
     "fleet-net-all-flags": [(0, "e14c3ab6d7a7e957", "e3b0c44298fc1c14")],
     "fleet-net-compare-no-fault": [(0, "4dedda435df54379", "e3b0c44298fc1c14")],
@@ -187,7 +187,7 @@ GOLDEN: "dict[str, list[tuple[int, str, str]]]" = {
     "serve-compare-sequential": [(0, "c1b49f851802ce0d", "e3b0c44298fc1c14")],
     "serve-help": [(0, "b522a18fcae9079c", "e3b0c44298fc1c14")],
     "serve-kill-recover": [
-        (17, "e3b0c44298fc1c14", "b1fedf5243bcf5fd"),
+        (17, "e3b0c44298fc1c14", "b9e7c79b94d6a0ec"),
         (0, "59a267edb94c866d", "3f63394c6f2aca11"),
     ],
     "serve-obs": [(0, "c7ea91026db07aa4", "e3b0c44298fc1c14")],
@@ -204,7 +204,7 @@ OBS_TREES: "dict[str, str]" = {
     "chaos-all-flags": "f9ef40ac123aa952",
     "chaos-obs": "ed7477b651d87db5",
     "fleet-all-flags": "6994581048537ea5",
-    "fleet-kill-recover-obs": "6b5212ddd18b5dfb",
+    "fleet-kill-recover-obs": "dc6981370ad68418",
     "fleet-net-obs": "70e862509158b98e",
     "fleet-obs": "39d5290ca7a515cd",
     "fleet-slo-obs": "e689d4223a8855fe",
