@@ -27,6 +27,8 @@ from __future__ import annotations
 import sys
 from importlib import import_module
 
+from repro.experiments.cli import main as experiments_main
+
 #: Subcommand registry: name -> module exposing ``main(argv) -> int``.
 #: New subcommands register here (and nowhere else); anything not listed
 #: falls through to the paper-experiment generator.
@@ -47,8 +49,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if raw and raw[0] in SUBCOMMANDS:
         module = import_module(SUBCOMMANDS[raw[0]])
         return module.main(raw[1:])
-    from repro.experiments.cli import main as experiments_main
-
     return experiments_main(raw, description=__doc__)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn import Module, Adam, Tensor
+from repro.nn import Module, Adam, Tensor, no_grad
 from repro.nn import functional as F
 from repro.utils.rng import default_rng
 
@@ -144,8 +144,6 @@ def train_regressor(
 
 def predict_in_batches(model: Module, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Run inference in batches under no-grad."""
-    from repro.nn import no_grad
-
     outputs = []
     model.eval()
     with no_grad():

@@ -24,7 +24,6 @@ from repro.nn import (
     quantize_weights,
 )
 from repro.nn.transformer import BatchTokenTrace, EncoderPrefix, TokenTrace
-from repro.obs.profile import profiled
 from repro.utils.image import resize_bilinear
 
 
@@ -116,7 +115,6 @@ class PoloViT(Module):
         resized = resize_bilinear(images, c.image_size, c.image_size)
         return resized - 0.5
 
-    @profiled(name="vit.predict", cat="nn")
     def predict(
         self,
         images: np.ndarray,

@@ -23,7 +23,6 @@ from repro.core.config import PolonetConfig
 from repro.core.gaze_vit import PoloViT
 from repro.core.saccade import SaccadeDetector
 from repro.nn.transformer import TokenTrace
-from repro.obs.profile import get_global_tracer
 
 
 class Decision(enum.Enum):
@@ -107,21 +106,12 @@ class PoloNet:
 
     # ------------------------------------------------------------------
     def process_frame(self, frame: np.ndarray) -> FrameResult:
-        """Run Algorithm 1 on one (H, W) frame in [0, 1].
-
-        Each stage runs under a wall-clock span on the global tracer
-        (no-ops unless an enabled tracer was installed via
-        :func:`repro.obs.set_global_tracer`).
-        """
+        """Run Algorithm 1 on one (H, W) frame in [0, 1]."""
         cfg = self.config
-        tracer = get_global_tracer()
-        with tracer.span("polonet.binarize", cat="polonet"):
-            binary = pre.binary_map(frame, cfg)
-
-        with tracer.span("polonet.saccade", cat="polonet"):
-            prob, self._hidden = self.saccade_detector.step(
-                binary, self._hidden, previous_map=self._prev_binary
-            )
+        binary = pre.binary_map(frame, cfg)
+        prob, self._hidden = self.saccade_detector.step(
+            binary, self._hidden, previous_map=self._prev_binary
+        )
         if prob >= self.saccade_threshold:
             # Saccade: halt everything; rendering will use the saccade path.
             self._prev_binary = binary
@@ -136,12 +126,11 @@ class PoloNet:
             self.stats.record(result.decision)
             return result
 
-        with tracer.span("polonet.reuse_check", cat="polonet"):
-            diff = (
-                pre.frame_difference(binary, self._prev_binary)
-                if self._prev_binary is not None
-                else None
-            )
+        diff = (
+            pre.frame_difference(binary, self._prev_binary)
+            if self._prev_binary is not None
+            else None
+        )
         if (
             diff is not None
             and diff < cfg.gamma2
@@ -159,11 +148,9 @@ class PoloNet:
             self.stats.record(result.decision)
             return result
 
-        with tracer.span("polonet.crop", cat="polonet"):
-            detection = pre.find_pupil_center(binary, cfg.pupil_window, cfg.pool_m)
-            crop = pre.crop_frame(frame, detection, cfg)
-        with tracer.span("polonet.vit", cat="polonet"):
-            gaze, trace = self.gaze_vit.predict_single(crop, prune=self.prune)
+        detection = pre.find_pupil_center(binary, cfg.pupil_window, cfg.pool_m)
+        crop = pre.crop_frame(frame, detection, cfg)
+        gaze, trace = self.gaze_vit.predict_single(crop, prune=self.prune)
         self._buffered_gaze = gaze.copy()
         self._prev_binary = binary
         result = FrameResult(

@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.core import PoloNet
 from repro.experiments.common import ExperimentContext
-from repro.experiments.profiles import SYSTEM_BASELINES, system_profiles
+from repro.experiments.profiles import (
+    SYSTEM_BASELINES,
+    polo_execution,
+    profile_from_execution,
+    system_profiles,
+)
 from repro.eye import MovementType
 from repro.eye.events import EventMix
 from repro.perception.qoe import (
@@ -27,7 +32,7 @@ from repro.perception.qoe import (
     latency_qoe,
     misdetection_qoe,
 )
-from repro.render import RESOLUTIONS, SCENES
+from repro.render import RES_1080P, RESOLUTIONS, SCENES, scene_by_name
 from repro.system import TfrSystem
 from repro.system.metrics import table_to_text
 
@@ -138,9 +143,6 @@ def run_saccade_sensitivity(
     thresholds: tuple = (0.3, 0.5, 0.7, 0.9),
     system: "TfrSystem | None" = None,
 ) -> SaccadeSensitivityResult:
-    from repro.experiments.profiles import polo_execution, profile_from_execution
-    from repro.render import RES_1080P, scene_by_name
-
     system = system or TfrSystem()
     scene = scene_by_name("E")
     profile = profile_from_execution(polo_execution(0.2), errors_p95["POLO"])

@@ -22,8 +22,10 @@ from repro.baselines import (
 )
 from repro.core import GazeViTConfig, SaccadeDetector
 from repro.core.gaze_vit import vit_workload
+from repro.experiments.common import PAPER_TABLE1
 from repro.hw import (
     EnergyBreakdown,
+    PathReport,
     PoloAcceleratorModel,
     baseline_accelerator,
     polo_accelerator,
@@ -46,6 +48,8 @@ _BASELINE_CLASSES = {
 BASELINE_NAMES = tuple(_BASELINE_CLASSES)
 #: The four baselines that appear in the §7 system figures.
 SYSTEM_BASELINES = ("ResNet-34", "IncResNet", "EdGaze", "DeepVOG")
+#: POLONet's three execution paths, in the order a trace lays them out.
+POLO_PATHS = ("saccade", "reuse", "predict")
 
 
 @dataclass(frozen=True)
@@ -59,35 +63,53 @@ class GazeExecution:
     td_reuse_s: "float | None" = None
 
 
+def polo_path_reports(
+    pruning_ratio: float = 0.2,
+    vit_config: "GazeViTConfig | None" = None,
+    *,
+    abft: bool = False,
+    tracer=None,
+) -> dict[str, PathReport]:
+    """POLONet's three paths on the paper-scale POLO accelerator.
+
+    The gaze ViT runs :func:`pruned_vit_workload` at ``pruning_ratio``;
+    ``abft`` costs every GEMM with its checksum protection.  With a
+    ``tracer``, each path's stage spans land on the accelerator track,
+    laid out back to back from t = 0 in :data:`POLO_PATHS` order.
+    """
+    vit_ops = pruned_vit_workload(vit_config or GazeViTConfig.paper(), pruning_ratio)
+    saccade_ops = SaccadeDetector(PAPER_MAP_SHAPE).workload(PAPER_MAP_SHAPE)
+    model = PoloAcceleratorModel(
+        polo_accelerator(abft=abft),
+        frame_shape=PAPER_FRAME_SHAPE,
+        pool_m=PAPER_POOL_M,
+    )
+    reports = {}
+    t = 0.0
+    for path in POLO_PATHS:
+        reports[path] = model.path_report(
+            path,
+            saccade_ops,
+            vit_ops if path == "predict" else None,
+            tracer=tracer,
+            t0_s=t,
+        )
+        t += reports[path].latency_s
+    return reports
+
+
 def polo_execution(
     pruning_ratio: float = 0.2,
     vit_config: "GazeViTConfig | None" = None,
 ) -> GazeExecution:
-    """Run POLONet's three paths on the POLO accelerator.
-
-    Token pruning is applied to the paper-scale ViT workload by scaling
-    block token counts the way the compact model's calibrated filter does:
-    full tokens for the first ``prune_every`` blocks, then a geometric
-    reduction reaching the target overall compute ratio.
-    """
-    vit_config = vit_config or GazeViTConfig.paper()
-    ops = pruned_vit_workload(vit_config, pruning_ratio)
-
-    detector = SaccadeDetector(PAPER_MAP_SHAPE)
-    saccade_ops = detector.workload(PAPER_MAP_SHAPE)
-
-    model = PoloAcceleratorModel(
-        polo_accelerator(), frame_shape=PAPER_FRAME_SHAPE, pool_m=PAPER_POOL_M
-    )
-    predict = model.path_report("predict", saccade_ops, ops)
-    saccade = model.path_report("saccade", saccade_ops)
-    reuse = model.path_report("reuse", saccade_ops)
+    """Run POLONet's three paths on the POLO accelerator."""
+    reports = polo_path_reports(pruning_ratio, vit_config)
     return GazeExecution(
         name="POLO",
-        td_predict_s=predict.latency_s,
-        energy_predict=predict.energy,
-        td_saccade_s=saccade.latency_s,
-        td_reuse_s=reuse.latency_s,
+        td_predict_s=reports["predict"].latency_s,
+        energy_predict=reports["predict"].energy,
+        td_saccade_s=reports["saccade"].latency_s,
+        td_reuse_s=reports["reuse"].latency_s,
     )
 
 
@@ -177,8 +199,6 @@ def system_profiles(
 
 def paper_reference_errors(pruning_ratio: float = 0.2) -> dict[str, float]:
     """P95 errors straight from the paper's Table 1."""
-    from repro.experiments.common import PAPER_TABLE1
-
     key = f"POLOViT({pruning_ratio:.1f})"
     if key not in PAPER_TABLE1:
         raise KeyError(f"paper reports no pruning ratio {pruning_ratio}")

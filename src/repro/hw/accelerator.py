@@ -22,6 +22,7 @@ from repro.hw.ipu import IpuModel, IpuReport
 from repro.hw.mapper import ScheduleReport, WorkloadMapper
 from repro.hw.sfu import SpecialFunctionUnit
 from repro.hw.systolic import SystolicArray
+from repro.obs.tracer import PID_ACCEL
 from repro.utils.validation import check_positive
 
 
@@ -304,8 +305,6 @@ class PoloAcceleratorModel:
         saccade_exec: ExecutionReport,
         vit_exec: "ExecutionReport | None",
     ) -> None:
-        from repro.obs import PID_ACCEL
-
         t = t0_s
         for report in stage_reports:
             dur = report.cycles / clock_hz

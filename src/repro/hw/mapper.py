@@ -17,7 +17,6 @@ from repro.hw.energy import EnergyBreakdown, EnergyTable
 from repro.hw.ops import ElementwiseOp, MatMulOp, NonlinearOp
 from repro.hw.sfu import SpecialFunctionUnit
 from repro.hw.systolic import SystolicArray
-from repro.obs.profile import profiled
 
 _BYTES_PER_ELEM = {"int8": 1, "fp16": 2}
 
@@ -90,7 +89,6 @@ class WorkloadMapper:
     def bytes_per_elem(self) -> int:
         return _BYTES_PER_ELEM[self.array.precision]
 
-    @profiled(name="mapper.map", cat="hw")
     def map(self, ops: list) -> ScheduleReport:
         """Schedule the op list; ops execute back-to-back (no overlap)."""
         report = ScheduleReport(peak_macs_per_cycle=self.array.macs_per_cycle)

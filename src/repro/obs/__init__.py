@@ -1,18 +1,19 @@
-"""Observability: structured tracing, metrics, and per-stage profiling.
+"""Observability: structured tracing and metrics on the simulated clock.
 
 Zero-dependency subsystem threaded through the serving + accelerator
-stack.  Three pieces:
+stack.  Two pieces:
 
 * **Tracer** (:mod:`repro.obs.tracer`) — hierarchical spans (session ->
-  frame -> stage) in two clock domains: deterministic sim-time spans
-  from the event loops / hardware models, wall-time spans from real
-  compute.  The default is a no-op tracer; :class:`ObsConfig` enables
-  the real ring-buffer one.
+  frame -> stage) timed by the simulations' own clocks: the event
+  loops, the accelerator cycle model and the TFR latency model.  The
+  default is a no-op tracer; :class:`ObsConfig` enables the real
+  ring-buffer one.
 * **Metrics** (:mod:`repro.obs.metrics`) — a counters/gauges/histograms
   registry with exact percentiles, a Prometheus text exporter, and an
   aligned-table snapshot.
-* **Profiling hooks** (:mod:`repro.obs.profile`) — the ``@profiled``
-  decorator and the global tracer that library hot paths record into.
+
+The simulator's own host time is measured from outside, by the hooks
+of ``perf/`` (see ``perf/README.md``).
 
 ``python -m repro trace`` runs a traced fleet and writes ``trace.json``
 (Perfetto / chrome://tracing), ``trace.jsonl``, and ``metrics.prom``.
@@ -33,7 +34,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import get_global_tracer, profiled, set_global_tracer
 from repro.obs.tracer import (
     NULL_TRACER,
     PID_ACCEL,
@@ -45,11 +45,9 @@ from repro.obs.tracer import (
     PID_SESSION_BASE,
     PID_SLO,
     PID_TFR,
-    PID_WALL,
     PID_WORKERS,
     SHARD_PID_STRIDE,
     SIM_CLOCK,
-    WALL_CLOCK,
     NullTracer,
     ScopedTracer,
     SpanRecord,
@@ -78,20 +76,15 @@ __all__ = [
     "PID_SESSION_BASE",
     "PID_SLO",
     "PID_TFR",
-    "PID_WALL",
     "PID_WORKERS",
     "SHARD_PID_STRIDE",
     "SIM_CLOCK",
     "ScopedTracer",
     "SpanRecord",
     "Tracer",
-    "WALL_CLOCK",
     "chrome_trace",
-    "get_global_tracer",
-    "profiled",
     "session_pid",
     "shard_pid",
-    "set_global_tracer",
     "slowest_spans_table",
     "spans_jsonl",
     "write_chrome_trace",

@@ -9,10 +9,10 @@ trace and one TFR frame layout, then writes:
 * ``trace.jsonl`` — one span per line for grep/jq.
 * ``metrics.prom`` — the metrics registry in Prometheus text format.
 
-and prints the top-K slowest spans.  Every span in this run is
-sim-clock (the CLI never installs the global wall tracer), so the
-artifacts are byte-identical across runs of the same flags — the
-obs-smoke CI job diffs two runs to prove it.
+and prints the top-K slowest spans.  Every span is timed by a
+simulation's own clock, so the artifacts are byte-identical across
+runs of the same flags — the obs-smoke CI job diffs two runs to prove
+it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,15 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.obs.config import Obs, ObsConfig
+from repro.experiments.profiles import POLO_PATHS, polo_path_reports
+from repro.obs.config import Obs
 from repro.obs.export import slowest_spans_table, write_chrome_trace, write_jsonl
+from repro.obs.tracer import PID_ACCEL, PID_TFR
 from repro.recover.codec import config_hash
 from repro.recover.kinds import build_runtime, resolve_run_config
+from repro.render.scene import RES_1080P, scene_by_name
 from repro.serve.config import ServeConfig
+from repro.system import Schedule, TfrSystem, TrackerSystemProfile
 
 
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +47,7 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def obs_from_args(args: argparse.Namespace) -> "Obs | None":
-    return Obs(ObsConfig(top_k=args.obs_top)) if args.obs else None
+    return Obs() if args.obs else None
 
 
 def add_slo_arguments(parser: argparse.ArgumentParser) -> None:
@@ -103,44 +107,13 @@ def _trace_accelerator_and_tfr(obs: Obs) -> None:
     are deterministic; they showcase the accel/tfr span taxonomy on
     their own tracks alongside the serving trace.
     """
-    from repro.core import GazeViTConfig, SaccadeDetector
-    from repro.experiments.profiles import (
-        PAPER_FRAME_SHAPE,
-        PAPER_MAP_SHAPE,
-        PAPER_POOL_M,
-        pruned_vit_workload,
-    )
-    from repro.hw import PoloAcceleratorModel, polo_accelerator
-    from repro.obs import PID_ACCEL, PID_TFR
-    from repro.render.scene import RES_1080P, scene_by_name
-    from repro.system import Schedule, TfrSystem, TrackerSystemProfile
-
     tracer = obs.tracer
     tracer.declare_track(PID_ACCEL, "accelerator", thread_name="stages")
     tracer.declare_track(PID_ACCEL, "accelerator", tid=1, thread_name="vit-engines")
     tracer.declare_track(PID_TFR, "tfr", thread_name="chain")
     tracer.declare_track(PID_TFR, "tfr", tid=1, thread_name="render")
 
-    detector = SaccadeDetector(PAPER_MAP_SHAPE)
-    saccade_ops = detector.workload(PAPER_MAP_SHAPE)
-    vit_ops = pruned_vit_workload(GazeViTConfig.paper(), 0.2)
-    model = PoloAcceleratorModel(
-        polo_accelerator(), frame_shape=PAPER_FRAME_SHAPE, pool_m=PAPER_POOL_M
-    )
-    # Lay the three paths out back-to-back on the accelerator track.
-    t = 0.0
-    reports = {}
-    for path in ("saccade", "reuse", "predict"):
-        report = model.path_report(
-            path,
-            saccade_ops,
-            vit_ops if path == "predict" else None,
-            tracer=tracer,
-            t0_s=t,
-        )
-        reports[path] = report
-        t += report.latency_s
-
+    reports = polo_path_reports(tracer=tracer)
     profile = TrackerSystemProfile(
         name="POLO",
         td_predict_s=reports["predict"].latency_s,
@@ -151,7 +124,7 @@ def _trace_accelerator_and_tfr(obs: Obs) -> None:
     tfr = TfrSystem()
     scene = scene_by_name("D")
     t = 0.0
-    for path in ("saccade", "reuse", "predict"):
+    for path in POLO_PATHS:
         latency = tfr.frame_latency(
             profile, scene, RES_1080P, path, Schedule.PARALLEL,
             tracer=tracer, t0_s=t,
@@ -185,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    obs = Obs(ObsConfig(top_k=args.top))
+    obs = Obs()
     try:
         serve = {
             "n_sessions": args.sessions,

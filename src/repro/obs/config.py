@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, ScopedTracer, Tracer
-from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -21,12 +20,6 @@ class ObsConfig:
     """
 
     enabled: bool = True
-    ring_capacity: int = 1 << 16
-    top_k: int = 10
-
-    def __post_init__(self) -> None:
-        check_positive("ring_capacity", self.ring_capacity)
-        check_positive("top_k", self.top_k)
 
 
 class Obs:
@@ -35,7 +28,7 @@ class Obs:
     def __init__(self, config: "ObsConfig | None" = None):
         self.config = config or ObsConfig()
         self.tracer: "Tracer | NullTracer" = (
-            Tracer(self.config.ring_capacity) if self.config.enabled else NULL_TRACER
+            Tracer() if self.config.enabled else NULL_TRACER
         )
         self.metrics = MetricsRegistry()
 

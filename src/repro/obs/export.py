@@ -4,8 +4,9 @@ The Chrome format (the JSON Array/Object format consumed by Perfetto and
 ``chrome://tracing``) maps our records directly: complete spans become
 ``"ph": "X"`` events with microsecond ``ts``/``dur``, instants become
 ``"ph": "i"`` with thread scope, and track names are emitted as ``"M"``
-metadata events.  Sim-clock and wall-clock spans land on disjoint
-``pid`` ranges so the two time bases never interleave on one track.
+metadata events.  Every record is stamped with the one clock domain,
+``sim``, in its ``cat`` suffix, its ``clock`` key and the table's
+``Clock`` column.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.tracer import NullTracer, SpanRecord, Tracer
+from repro.obs.tracer import SIM_CLOCK, NullTracer, SpanRecord, Tracer
 from repro.system.metrics import table_to_text
 
 
 def _event(span: SpanRecord) -> dict:
     event = {
         "name": span.name,
-        "cat": f"{span.cat},{span.clock}",
+        "cat": f"{span.cat},{SIM_CLOCK}",
         "ph": span.ph,
         "ts": span.ts_s * 1e6,  # trace_event timestamps are microseconds
         "pid": span.pid,
@@ -82,7 +83,7 @@ def spans_jsonl(tracer: "Tracer | NullTracer") -> str:
                 {
                     "name": span.name,
                     "cat": span.cat,
-                    "clock": span.clock,
+                    "clock": SIM_CLOCK,
                     "ph": span.ph,
                     "ts_s": span.ts_s,
                     "dur_s": span.dur_s,
@@ -102,17 +103,15 @@ def write_jsonl(tracer: "Tracer | NullTracer", path: "str | Path") -> Path:
     return path
 
 
-def slowest_spans_table(
-    tracer: "Tracer | NullTracer", k: int = 10, clock: "str | None" = None
-) -> str:
+def slowest_spans_table(tracer: "Tracer | NullTracer", k: int = 10) -> str:
     """Top-k slowest spans as an aligned text table."""
     rows = []
-    for span in tracer.slowest(k, clock=clock):
+    for span in tracer.slowest(k):
         rows.append(
             [
                 span.name,
                 span.cat,
-                span.clock,
+                SIM_CLOCK,
                 f"{span.ts_s * 1e3:.3f}",
                 f"{span.dur_s * 1e3:.3f}",
                 f"{span.pid}/{span.tid}",

@@ -1,19 +1,17 @@
-"""Span-based tracer with two clock domains and a bounded ring buffer.
+"""Sim-clock span tracer with a bounded ring buffer.
 
 Every span lives on a *track*, identified Chrome-trace-style by a
 ``(pid, tid)`` pair: sessions are processes (one frame track each),
 the worker pool is a process with one thread per worker, and the
 accelerator / TFR stage models get processes of their own (see the
-``PID_*`` constants).  Two clock domains coexist:
+``PID_*`` constants).
 
-* ``sim`` — timestamps come from a simulation's own clock (the serving
-  event loop, the accelerator cycle model, the TFR latency composition).
-  Sim spans are recorded retroactively via :meth:`Tracer.record_span`
-  with explicit start/duration, so two same-seed runs produce identical
-  span streams (the obs-smoke CI job diffs them byte-for-byte).
-* ``wall`` — timestamps come from ``time.perf_counter()`` relative to
-  the tracer's creation, recorded via the :meth:`Tracer.span` context
-  manager around real compute (POLOViT forwards, workload mapping).
+Timestamps come from a simulation's own clock (the serving event loop,
+the accelerator cycle model, the TFR latency composition).  Spans are
+recorded retroactively via :meth:`Tracer.record_span` with explicit
+start/duration, so two same-seed runs produce identical span streams
+(the obs-smoke CI job diffs them byte-for-byte).  The simulator's own
+host time is not traced here: ``perf/`` measures it from outside.
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose every method
 is a no-op — instrumentation stays in the code at zero configuration and
@@ -23,23 +21,21 @@ real one.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-#: Clock-domain names stamped on every record.
+#: The clock domain every exported record is stamped with.
 SIM_CLOCK = "sim"
-WALL_CLOCK = "wall"
 
 #: Chrome-trace process ids of the fixed tracks.  Sessions map to
 #: ``PID_SESSION_BASE + session_id`` so per-session frame streams render
-#: as separate processes in Perfetto.
+#: as separate processes in Perfetto.  Pid 5 is unused: the pids after
+#: it keep their numbers so exported traces do not move.
 PID_WORKERS = 1
 PID_BATCHER = 2
 PID_ACCEL = 3
 PID_TFR = 4
-PID_WALL = 5
 PID_RECOVER = 6
 PID_RELIABILITY = 7
 PID_SLO = 8
@@ -85,7 +81,6 @@ class SpanRecord:
     dur_s: float
     pid: int
     tid: int
-    clock: str
     ph: str = "X"
     args: "dict | None" = None
 
@@ -104,21 +99,6 @@ class SpanRecord:
         )
 
 
-class _NullSpan:
-    """Reusable no-op context manager returned by the null tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
     """The default tracer: every operation is a no-op.
 
@@ -135,16 +115,13 @@ class NullTracer:
     def instant(self, *args, **kwargs) -> None:
         pass
 
-    def span(self, *args, **kwargs) -> _NullSpan:
-        return _NULL_SPAN
-
     def declare_track(self, *args, **kwargs) -> None:
         pass
 
     def spans(self) -> list[SpanRecord]:
         return []
 
-    def slowest(self, k: int = 10, clock: "str | None" = None) -> list[SpanRecord]:
+    def slowest(self, k: int = 10) -> list[SpanRecord]:
         return []
 
     @property
@@ -153,39 +130,6 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-
-class _WallSpan:
-    """Context manager measuring one wall-clock span."""
-
-    __slots__ = ("_tracer", "_name", "_cat", "_pid", "_tid", "_args", "_t0")
-
-    def __init__(self, tracer: "Tracer", name: str, cat: str, pid: int, tid: int, args):
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._pid = pid
-        self._tid = tid
-        self._args = args
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_WallSpan":
-        self._t0 = self._tracer._wall_now()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        t1 = self._tracer._wall_now()
-        self._tracer.record_span(
-            self._name,
-            self._t0,
-            t1 - self._t0,
-            cat=self._cat,
-            pid=self._pid,
-            tid=self._tid,
-            clock=WALL_CLOCK,
-            args=self._args,
-        )
-        return False
 
 
 @dataclass
@@ -213,14 +157,10 @@ class Tracer:
         self.dropped = 0
         self._spans: deque[SpanRecord] = deque(maxlen=capacity)
         self._tracks: dict[int, TrackInfo] = {}
-        self._epoch = time.perf_counter()
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _wall_now(self) -> float:
-        return time.perf_counter() - self._epoch
-
     def _append(self, record: SpanRecord) -> None:
         if len(self._spans) == self.capacity:
             self.dropped += 1
@@ -235,13 +175,12 @@ class Tracer:
         cat: str = "sim",
         pid: int = 0,
         tid: int = 0,
-        clock: str = SIM_CLOCK,
         args: "dict | None" = None,
     ) -> None:
         """Record one completed span with explicit timestamps."""
         if dur_s < 0:
             raise ValueError(f"span {name!r} has negative duration {dur_s}")
-        self._append(SpanRecord(name, cat, ts_s, dur_s, pid, tid, clock, "X", args))
+        self._append(SpanRecord(name, cat, ts_s, dur_s, pid, tid, "X", args))
 
     def instant(
         self,
@@ -251,23 +190,10 @@ class Tracer:
         cat: str = "sim",
         pid: int = 0,
         tid: int = 0,
-        clock: str = SIM_CLOCK,
         args: "dict | None" = None,
     ) -> None:
         """Record a zero-duration instant event (e.g. a state transition)."""
-        self._append(SpanRecord(name, cat, ts_s, 0.0, pid, tid, clock, "i", args))
-
-    def span(
-        self,
-        name: str,
-        *,
-        cat: str = "wall",
-        pid: int = PID_WALL,
-        tid: int = 0,
-        args: "dict | None" = None,
-    ) -> _WallSpan:
-        """Context manager measuring a wall-clock span around real compute."""
-        return _WallSpan(self, name, cat, pid, tid, args)
+        self._append(SpanRecord(name, cat, ts_s, 0.0, pid, tid, "i", args))
 
     # ------------------------------------------------------------------
     # Track metadata
@@ -301,14 +227,10 @@ class Tracer:
     def __iter__(self) -> Iterator[SpanRecord]:
         return iter(self._spans)
 
-    def slowest(self, k: int = 10, clock: "str | None" = None) -> list[SpanRecord]:
+    def slowest(self, k: int = 10) -> list[SpanRecord]:
         """The k longest spans (ties broken by start time then name, so
         the ranking is deterministic)."""
-        pool = [
-            s
-            for s in self._spans
-            if s.ph == "X" and (clock is None or s.clock == clock)
-        ]
+        pool = [s for s in self._spans if s.ph == "X"]
         pool.sort(key=lambda s: (-s.dur_s, s.ts_s, s.name, s.pid, s.tid))
         return pool[:k]
 
@@ -342,9 +264,6 @@ class ScopedTracer:
     def instant(self, name, ts_s, *, pid: int = 0, **kwargs) -> None:
         self.tracer.instant(name, ts_s, pid=self._pid(pid), **kwargs)
 
-    def span(self, name, *, pid: int = PID_WALL, **kwargs):
-        return self.tracer.span(name, pid=self._pid(pid), **kwargs)
-
     def declare_track(
         self,
         pid: int,
@@ -363,8 +282,8 @@ class ScopedTracer:
     def spans(self) -> list[SpanRecord]:
         return self.tracer.spans()
 
-    def slowest(self, k: int = 10, clock: "str | None" = None) -> list[SpanRecord]:
-        return self.tracer.slowest(k, clock)
+    def slowest(self, k: int = 10) -> list[SpanRecord]:
+        return self.tracer.slowest(k)
 
     @property
     def tracks(self) -> dict:

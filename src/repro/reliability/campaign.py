@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.experiments.profiles import polo_path_reports
 from repro.eye.motion import OculomotorConfig, OculomotorModel
 from repro.nn.quantization import QuantSpec
 from repro.recover.configio import encode
@@ -412,29 +413,14 @@ def _run_cell(
 
 def _abft_hardware_overhead(pruning_ratio: float) -> dict[str, int]:
     """Predict-path cycles with and without ABFT on the POLO accelerator."""
-    from repro.core import GazeViTConfig, SaccadeDetector
-    from repro.experiments.profiles import (
-        PAPER_FRAME_SHAPE,
-        PAPER_MAP_SHAPE,
-        PAPER_POOL_M,
-        pruned_vit_workload,
+    unprotected, protected = (
+        polo_path_reports(pruning_ratio, abft=abft)["predict"]
+        for abft in (False, True)
     )
-    from repro.hw import PoloAcceleratorModel, polo_accelerator
-
-    vit_ops = pruned_vit_workload(GazeViTConfig.paper(), pruning_ratio)
-    saccade_ops = SaccadeDetector(PAPER_MAP_SHAPE).workload(PAPER_MAP_SHAPE)
-    reports = {}
-    for abft in (False, True):
-        model = PoloAcceleratorModel(
-            polo_accelerator(abft=abft),
-            frame_shape=PAPER_FRAME_SHAPE,
-            pool_m=PAPER_POOL_M,
-        )
-        reports[abft] = model.path_report("predict", saccade_ops, vit_ops)
     return {
-        "unprotected_cycles": reports[False].cycles,
-        "protected_cycles": reports[True].cycles,
-        "abft_cycles": reports[True].abft_cycles,
+        "unprotected_cycles": unprotected.cycles,
+        "protected_cycles": protected.cycles,
+        "abft_cycles": protected.abft_cycles,
     }
 
 

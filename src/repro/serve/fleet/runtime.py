@@ -158,6 +158,7 @@ class FleetRuntime:
             stats=self.stats,
             directory=self._directory,
             bypass=self.bypass,
+            window_waits=self.config.rebalancer.enabled,
         )
         # Weak, so a dropped fleet is freed without the cycle collector.
         shard.home_of = weakref.WeakMethod(self._home_shard)

@@ -85,7 +85,7 @@ class ShardRuntime(ServeRuntime):
     """
 
     #: Queue waits of frames dispatched since the last rebalancer tick
-    #: (the rebalancer's P95 window).
+    #: (the rebalancer's P95 window); stays empty unless ``window_waits``.
     wait_samples: list[float]
     #: session id -> absolute sim time until which re-admission of that
     #: (re-homed) session's predict frames is breaker-guarded.
@@ -114,12 +114,14 @@ class ShardRuntime(ServeRuntime):
         stats: "dict[int, SessionStats] | None" = None,
         directory: "dict[int, ClientSession] | None" = None,
         bypass: "BypassLedger | None" = None,
+        window_waits: bool = False,
     ):
         # ``template`` sizes the per-shard pool/batcher; its n_sessions
         # refers to the whole fleet, of which the shard holds a subset
         # (none, when freshly spawned).  ``stats`` is the fleet's ledger,
         # ``directory`` its sessions by id and ``bypass`` its ledger's
-        # bypass columns.
+        # bypass columns.  ``window_waits`` is set when the fleet runs a
+        # rebalancer, the only reader of the queue-wait window.
         if shard_id < 0:
             raise ValueError(f"shard_id must be non-negative, got {shard_id}")
         self.shard_id = shard_id
@@ -144,6 +146,7 @@ class ShardRuntime(ServeRuntime):
         )
         self.rehome_guard_until = {}
         self.wait_samples = []
+        self.window_waits = window_waits
         self.spawned_at_s = None
         self.killed_at_s = None
         self.retired_at_s = None
@@ -219,8 +222,8 @@ class ShardRuntime(ServeRuntime):
         super()._degrade_now(request, now, cause)
 
     def _note_dispatch(self, batch: "list[FrameRequest]", now: float) -> None:
-        for request in batch:
-            self.wait_samples.append(now - request.arrival_s)
+        if self.window_waits:
+            self.wait_samples.extend(now - request.arrival_s for request in batch)
 
     def _admit(self, request: FrameRequest, now: float) -> bool:
         guard_until = self.rehome_guard_until.get(request.session_id)

@@ -27,7 +27,7 @@ from repro.obs.cli import (
     obs_from_args,
     resolve_obs_out,
 )
-from repro.obs.config import Obs, ObsConfig
+from repro.obs.config import Obs
 from repro.obs.slo import (
     SloConfigError,
     SloEngine,
@@ -147,7 +147,7 @@ def run_serving_cli(
     slo_engine = None
     if args.slo is not None:
         if obs is None:
-            obs = Obs(ObsConfig(top_k=args.obs_top))
+            obs = Obs()
         # Chaos and fleet configs wrap a serve template; serve is its own.
         serve = getattr(config, "serve", config)
         try:

@@ -109,21 +109,21 @@ STATE_PINS = {
     },
     "net": {
         0: "dedeb03ec2707ffb",
-        250: "730e6570007e27eb",
-        500: "274aab26b23220db",
-        750: "51757c6113f80b97",
-        1000: "f4548ea8370be2bf",
-        1250: "35b7e018ce5659d2",
-        1500: "4d1c8c904665df1d",
-        1750: "988295359e95b705",
-        2000: "168efb7b8392bdc2",
-        2250: "d42463ad6687f6c6",
-        2500: "e95355fa9774fc52",
-        2750: "fe114225dcfdb82a",
-        3000: "6523a333342e5c72",
-        3250: "696a571cc16a96c6",
-        "last": "1cc22f5efe3d17f9",
-        "finished": "375de62dae898f04",
+        250: "13227bac36cb9990",
+        500: "2b16f96cb40b9bd9",
+        750: "631aa2c9b29a790d",
+        1000: "a56e0c009735d7e6",
+        1250: "fc59bdeb557e96c0",
+        1500: "9535db7afe1bac8a",
+        1750: "30bb72b79570e8dc",
+        2000: "6b45f4ca8b7210ac",
+        2250: "0fcfcdb0ef588be4",
+        2500: "d499fee6fe7d1d57",
+        2750: "ecf432db59976386",
+        3000: "ee76d20acbb68f32",
+        3250: "97917f015c3903b7",
+        "last": "867b9efdcb8fd72c",
+        "finished": "3ab6e0a9676c2822",
     },
 }
 

@@ -92,6 +92,22 @@ class TestLifecycle:
         assert len(runtime.shards) == 2
 
 
+class TestQueueWaitWindow:
+    def test_fleet_without_rebalancer_keeps_no_window(self):
+        # Only the rebalancer reads a shard's queue-wait window, so a
+        # fleet without one neither fills nor checkpoints it.
+        runtime = FleetRuntime(fleet_config(n_shards=3))
+        runtime.start()
+        while runtime.step():
+            if runtime.events_processed % 25 == 0:
+                for entry in runtime.state_dict()["shards"]:
+                    assert entry["state"]["shard"]["wait_samples"] == []
+        runtime.finish()
+        shards = runtime.shards.values()
+        assert sum(shard.completed_frames for shard in shards) > 0
+        assert all(shard.wait_samples == [] for shard in shards)
+
+
 class TestSnapshotRoundtrip:
     def test_mid_run_state_dict_resumes_byte_identically(self):
         config = fleet_config(

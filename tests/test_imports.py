@@ -3,7 +3,10 @@
 ``repro.serve`` exports the fleet names eagerly, and ``repro.faults``
 imports ``repro.serve`` through its config: an import cycle between the
 two would show only when one of them is the first ``repro`` import of an
-interpreter, so each entry point gets a fresh one.
+interpreter, so each entry point gets a fresh one.  The same holds for
+every module whose project imports sit at module level rather than in
+a function body (the accelerator model's tracer pids, the trace CLI's
+paper-scale exemplar, the SDC campaign's accelerator overhead).
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ ENTRY_POINTS = (
     "repro.recover",
     "repro.exp",
     "repro.obs",
+    "repro.obs.cli",
     "repro.reliability",
+    "repro.core",
+    "repro.hw",
+    "repro.baselines",
+    "repro.experiments",
+    "repro.__main__",
 )
 
 
