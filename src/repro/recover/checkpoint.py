@@ -60,7 +60,12 @@ from repro.recover.errors import CheckpointError
 #: none for a deadline already passed; the batcher holds the armed
 #: deadline.  Every kind's heap, event indices and journal change, so
 #: every older checkpoint is refused.
-CHECKPOINT_FORMAT_VERSION = 9
+#: Version 10: a runtime reads its seeded predict arrivals from a cursor,
+#: checkpointed as two int columns (source rows and event seqs); the
+#: heap holds the work in flight and one payload-free entry for the
+#: cursor head, and a WINDOW that would dispatch nothing is dropped
+#: uncounted.  Every kind's payload, event indices and journal change.
+CHECKPOINT_FORMAT_VERSION = 10
 
 _MANIFEST_KEYS = frozenset(
     {

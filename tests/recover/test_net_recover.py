@@ -85,7 +85,7 @@ class TestNetCrashRecovery:
             doc["format_version"] = 5
             manifest.write_bytes(canonical_bytes(doc))
         with pytest.raises(
-            RecoveryError, match="is format 5; this build reads only 9 — rerun"
+            RecoveryError, match="is format 5; this build reads only 10 — rerun"
         ):
             resume(tmp_path)
 

@@ -23,8 +23,8 @@ from repro.recover.manager import restore_runtime, run_with_checkpoints
 #: ``chaos --sessions 12 --duration 1 --seed 7``: checkpoint 150 holds
 #: worker 0's OPEN breaker.
 CI = {"seed": 7, "serve": {"n_sessions": 12, "duration_s": 1.0}}
-#: A committed format-9 ``--net`` fleet checkpoint taken at event 810.
-FROZEN = Path(__file__).parent / "data" / "net-midpartition-format9"
+#: A committed format-10 ``--net`` fleet checkpoint taken at event 810.
+FROZEN = Path(__file__).parent / "data" / "net-midpartition-format10"
 
 
 def rewrite_payload(manifest_path: Path, payload_path: Path, tamper) -> None:

@@ -158,7 +158,7 @@ class TestCorruptionFallback:
             doc = json.loads(manifest.read_bytes())
             doc["format_version"] = 4
             manifest.write_bytes(canonical_bytes(doc))
-        with pytest.raises(RecoveryError, match="is format 4; this build reads only 9 — rerun"):
+        with pytest.raises(RecoveryError, match="is format 4; this build reads only 10 — rerun"):
             resume(tmp_path)
 
     def test_format_7_chaos_checkpoint_is_refused(self, tmp_path):
@@ -172,7 +172,7 @@ class TestCorruptionFallback:
             doc = json.loads(manifest.read_bytes())
             doc["format_version"] = 7
             manifest.write_bytes(canonical_bytes(doc))
-        with pytest.raises(RecoveryError, match="is format 7; this build reads only 9 — rerun"):
+        with pytest.raises(RecoveryError, match="is format 7; this build reads only 10 — rerun"):
             resume(tmp_path)
 
     def test_journal_divergence_detected(self, tmp_path):

@@ -2,11 +2,11 @@
 
 A fleet keeps its Algorithm-1 paths as ``uint8`` codes: the predict
 frames are one mask over the concatenated code rows, each shard is
-handed its rows of the stream by numpy indexing, and a runtime builds
-its heap entries in the pass that creates the request objects.  The
-oracle is the string path this replaces: every frame's path as a Python
-string, one compare per frame, one ``FrameRequest`` per predict frame
-and one append per request to partition the stream across shards.
+handed its rows of the stream by numpy indexing, and a runtime's
+arrival cursor holds those rows.  The oracle is the string path this
+replaces: every frame's path as a Python string, one compare per frame,
+one ``FrameRequest`` per predict frame and one append per request to
+partition the stream across shards.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.serve.request import BypassColumns, BypassFrames, FrameRequest
 from repro.serve.runtime import _ARRIVAL
 from repro.serve.telemetry import new_ledger
 from repro.system.session import PATHS, SessionConfig, decide_paths
+from tests.serve.test_arrival_seeding import cursor_entries
 
 
 def string_fleet_requests(fleet, deadline_s, decisions=None):
@@ -70,8 +71,6 @@ def pushed(requests, seq0: int = 0) -> list:
     ]
 
 
-def as_dicts(heap) -> list:
-    return [(t, kind, seq, request.to_dict()) for t, kind, seq, request in heap]
 
 
 @st.composite
@@ -123,7 +122,7 @@ class TestStreamOracle:
         runtime._event_seq = 3
         runtime.start()
         expected = pushed(string_fleet_requests(subset, config.deadline_s), 3)
-        assert as_dicts(runtime._heap) == expected
+        assert cursor_entries(runtime) == expected
         assert runtime._event_seq == 3 + len(expected)
 
     @settings(max_examples=30, deadline=None)
@@ -141,7 +140,7 @@ class TestStreamOracle:
         for request in string_fleet_requests(fleet.sessions, serve.deadline_s):
             slices[fleet._session_shard[request.session_id]].append(request)
         for shard_id, shard in fleet.shards.items():
-            assert as_dicts(shard._heap) == pushed(slices[shard_id])
+            assert cursor_entries(shard) == pushed(slices[shard_id])
             assert shard._event_seq == len(slices[shard_id])
 
     @settings(max_examples=60, deadline=None)
@@ -194,13 +193,14 @@ class TestChaosFleetCodes:
         ]
 
     def test_heap_holds_the_delivered_own_stream(self, chaos):
+        # The cursor the heap's head entry stands for.
         runtime = chaos_runtime(chaos)
         runtime.start()
         deadline_s = chaos.serve.deadline_s
         delivered = runtime.chaos.delivered(
             string_fleet_requests(runtime.fleet, deadline_s)
         )
-        assert as_dicts(runtime._heap) == [
+        assert cursor_entries(runtime) == [
             (t, _ARRIVAL, i, r.to_dict()) for i, (t, r) in enumerate(delivered)
         ]
 
