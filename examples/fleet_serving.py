@@ -29,6 +29,7 @@ from repro.serve import (
     serve_fleet,
 )
 from repro.system import table_to_text
+from repro.system.session import PATHS
 
 
 def main() -> None:
@@ -54,7 +55,7 @@ def main() -> None:
     )
     fleet = build_fleet(config)
     predict_load = sum(
-        sum(1 for d in s.decisions if d == "predict") for s in fleet
+        np.count_nonzero(PATHS[s.codes] == "predict") for s in fleet
     ) / config.duration_s
     service = BatchServiceModel()
     print(

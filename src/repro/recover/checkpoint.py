@@ -60,11 +60,13 @@ from repro.recover.errors import CheckpointError
 #: none for a deadline already passed; the batcher holds the armed
 #: deadline.  Every kind's heap, event indices and journal change, so
 #: every older checkpoint is refused.
-#: Version 10: a runtime reads its seeded predict arrivals from a cursor,
-#: checkpointed as two int columns (source rows and event seqs); the
-#: heap holds the work in flight and one payload-free entry for the
-#: cursor head, and a WINDOW that would dispatch nothing is dropped
-#: uncounted.  Every kind's payload, event indices and journal change.
+#: Version 10: a runtime reads its seeded predict arrivals from a cursor;
+#: the heap holds the work in flight and one entry for the cursor head,
+#: whose payload is the cursor as two int columns (``{"rows": [...],
+#: "seqs": [...]}``: source rows and event seqs).  Every kind's payload,
+#: event indices and journal change.  A state with several cursor
+#: entries in one runtime (written before a runtime kept one cursor) is
+#: merged into one on load.
 CHECKPOINT_FORMAT_VERSION = 10
 
 _MANIFEST_KEYS = frozenset(

@@ -229,11 +229,10 @@ class FleetRuntime:
             shard.fleet = [self.sessions[sid] for sid in placement[shard_id]]
             if shard.obs.enabled:
                 shard._declare_tracks()
-            if owner is None:
-                shard.start()
-            else:
+            shard.start()
+            if owner is not None:
                 rows = np.flatnonzero(owner == shard_id)
-                shard.start(rows.tolist(), stream.arrivals[rows].tolist())
+                shard._add_arrivals([(stream.arrivals[rows], rows)])
         if self.transport is not None:
             self._seed_net_schedule()
         for kill in sorted(
@@ -427,12 +426,18 @@ class FleetRuntime:
             return
         self.ring.remove(shard_id)
         payloads, lost = shard.kill(now)
+        # Each target numbers its sessions' rows in session-id order, as
+        # admitting them one by one would.
+        blocks: dict[int, list] = {}
         for sid in sorted(payloads):
             target_id = self.ring.route(sid)
             self.shards[target_id].admit_migrated(
                 payloads[sid], now, rehomed=True
             )
+            blocks.setdefault(target_id, []).append(payloads[sid].arrivals)
             self._session_shard[sid] = target_id
+        for target_id, arrivals in blocks.items():
+            self.shards[target_id]._add_arrivals(arrivals)
         rehomed = len(payloads)
         self.log.record_failover(now, shard_id, rehomed, lost)
         if self.obs.enabled:
@@ -636,6 +641,7 @@ class FleetRuntime:
     ) -> int:
         """Live-migrate one session; returns the frames it carried."""
         moved = source.extract_session(session_id, now)
+        target._add_arrivals([moved.arrivals])
         target.admit_migrated(moved, now)
         self._session_shard[session_id] = target.shard_id
         self.log.record_migration(

@@ -6,11 +6,12 @@ tie-breaks) and adds the three fleet-lifecycle operations the controller
 needs:
 
 * :meth:`extract_session` — live migration *out*: cut one session's
-  remaining rows out of its arrival cursor, its queued frames out of the
-  batcher, and its in-flight frames out of dispatched batches, packaged
-  as a :class:`MigrationPayload`.
-* :meth:`admit_migrated` — live migration *in*: add the rows as a cursor
-  of this shard and requeue the carried frames on its batcher.
+  remaining rows out of the shard's arrival cursor, its queued frames
+  out of the batcher, and its in-flight frames out of dispatched
+  batches, packaged as a :class:`MigrationPayload`.
+* :meth:`admit_migrated` — live migration *in*: join the session and
+  requeue the carried frames on its batcher; its rows merge into this
+  shard's one cursor (``_add_arrivals``).
 * :meth:`kill` — chaos failover: frames physically on the shard (queued
   or in flight) die with it and are recorded ``lost_shard`` on their
   sessions; future arrivals re-home with their sessions, bounding frame
@@ -36,7 +37,6 @@ queue budget.
 
 from __future__ import annotations
 
-import heapq
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -257,41 +257,23 @@ class ShardRuntime(ServeRuntime):
     # ------------------------------------------------------------------
     # Cursor and heap surgery (shared by migration and failover)
     # ------------------------------------------------------------------
-    def _cut_arrivals(self, session_id: int) -> "tuple[list[float], list[int]]":
-        """Cut ``session_id``'s entries out of the cursors; their ``(times,
-        rows)``, in the order they pop (a session's rows are all in the
-        one cursor it was seeded or migrated in with)."""
-        requests = self._requests
-        for cursor in self._cursors():
-            mine = [requests[row].session_id == session_id for row in cursor.rows]
-            if any(mine):
-                cut = cursor.cut(mine)
-                heap = [e for e in self._heap if e[3] is not cursor]
-                if cursor:
-                    heap.append(cursor.head_entry())
-                heapq.heapify(heap)
-                self._heap = heap
-                return cut
-        return [], []
-
-    def _merge_arrivals(
-        self, arrivals: "tuple[Sequence[float], Sequence[int]]"
-    ) -> None:
-        """Add a migrated session's ``(times, rows)`` as a cursor with the
-        next event seqs, as one push each would number them."""
-        self._add_cursor(*arrivals)
-
-    def _take_arrivals(self) -> "dict[int, tuple[list[float], list[int]]]":
-        """Every cursor's entries by session, in the order they pop (the
-        kill then clears the heap)."""
-        by_session: dict[int, tuple[list[float], list[int]]] = {}
-        for cursor in self._cursors():
-            for time_s, row in zip(cursor.times[::-1], cursor.rows[::-1]):
-                sid = self._requests[row].session_id
-                times_of, rows_of = by_session.setdefault(sid, ([], []))
-                times_of.append(time_s)
-                rows_of.append(row)
-        return by_session
+    def _cut_arrivals(
+        self, session_ids: "Iterable[int]"
+    ) -> "dict[int, tuple[list[float], list[int]]]":
+        """Cut the given sessions' entries out of the cursor; each one's
+        ``(times, rows)``, in the order they pop."""
+        cut: dict[int, tuple[list[float], list[int]]] = {
+            sid: ([], []) for sid in session_ids
+        }
+        requests, cursor = self._requests, self._arrivals
+        mine = [requests[row].session_id in cut for row in cursor.rows]
+        if any(mine):
+            for time_s, row in zip(*cursor.cut(mine)):
+                times, rows = cut[requests[row].session_id]
+                times.append(time_s)
+                rows.append(row)
+            self._reseat_arrivals()
+        return cut
 
     def _extract_inflight(self, session_id: int) -> list[FrameRequest]:
         """Pull one session's frames out of dispatched batches.
@@ -344,7 +326,7 @@ class ShardRuntime(ServeRuntime):
         """Remove one session and everything it owns (live migration)."""
         session = self.release(session_id)
         self._flush_backlog(session, now)
-        arrivals = self._cut_arrivals(session_id)
+        arrivals = self._cut_arrivals([session_id])[session_id]
         requeue = self.batcher.extract_session(session_id)
         requeue.extend(self._extract_inflight(session_id))
         requeue.sort(key=_frame_order)
@@ -360,10 +342,11 @@ class ShardRuntime(ServeRuntime):
     def admit_migrated(
         self, payload: MigrationPayload, now: float, rehomed: bool = False
     ) -> None:
-        """Install a migrated session: its arrivals added as a cursor
-        with the next event seqs (as one push each would number them),
-        carried frames requeued ahead of the window rule (their
-        arrival times are old)."""
+        """Install a migrated session: carried frames requeued ahead of
+        the window rule (their arrival times are old).  Its arrivals are
+        the caller's to add (:meth:`_add_arrivals`), before the requeue
+        numbers its events: a failover adds every session it re-homes to
+        one shard in one call."""
         session_id = payload.session.session_id
         self.join(payload.session)
         if self.obs.enabled:
@@ -377,7 +360,6 @@ class ShardRuntime(ServeRuntime):
                 pid=session_pid(session_id),
                 args={"moved_frames": len(payload.requeue)},
             )
-        self._merge_arrivals(payload.arrivals)
         if rehomed:
             self.guard_rehomed(session_id, now)
         else:
@@ -407,7 +389,7 @@ class ShardRuntime(ServeRuntime):
         for request in self.batcher.drain():
             self.stats[request.session_id].record_lost_shard()
             lost += 1
-        arrivals = self._take_arrivals()
+        arrivals = self._cut_arrivals(self._members)
         for _, kind, _, payload in self._heap:
             if kind == _COMPLETE:
                 for request in payload[1]:
@@ -424,9 +406,7 @@ class ShardRuntime(ServeRuntime):
         else:
             for session in sorted(self.fleet, key=lambda s: s.session_id):
                 sid = session.session_id
-                payloads[sid] = MigrationPayload(
-                    session, arrivals.get(sid, ((), ()))
-                )
+                payloads[sid] = MigrationPayload(session, arrivals[sid])
             self.fleet = []
             args = {"lost_frames": lost, "sessions": len(payloads)}
         if self.obs.enabled:
@@ -434,24 +414,6 @@ class ShardRuntime(ServeRuntime):
                 "shard.kill", now, cat="fleet", pid=PID_WORKERS, args=args
             )
         return payloads, lost
-
-    def start(
-        self, rows: "list[int] | None" = None, times: "list[float]" = ()
-    ) -> None:
-        """Seed the given rows of the arrival source, popping at
-        ``times`` (idempotent).
-
-        The fleet controller cuts ALL predict frames once from the dense
-        session list — global ``seq`` numbers must be unique fleet-wide
-        because migrated frames carry theirs onto other shards — and
-        hands each shard its rows, in global arrival order.  A freshly
-        spawned shard, or a ``--net`` one, starts with none.
-        """
-        if self._started:
-            return
-        if rows is not None:
-            self._seed(rows, times)
-        self._started = True
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.recover)

@@ -115,11 +115,6 @@ class ClientSession:
         return len(self.track)
 
     @cached_property
-    def decisions(self) -> list[str]:
-        """Every frame's Algorithm-1 path as a string."""
-        return PATHS[self.codes].tolist()
-
-    @cached_property
     def arrivals(self) -> np.ndarray:
         """Every frame's arrival time, ``start_s + frame / fps``."""
         return self.start_s + np.arange(self.n_frames) / self.track.fps

@@ -13,10 +13,13 @@ processed in deterministic order (time, then kind, then sequence):
 * ``ARRIVAL`` — a predict frame entered the system; it passes admission
   control and joins the cross-session batcher.
 
-The predict frames seeded at ``start`` are read from an
-:class:`ArrivalCursor` over the run's predict frames; the event
-heap holds only work in flight (COMPLETEs, WINDOWs and a chaos run's
-retried ARRIVALs) and one entry standing for each cursor's head.
+The predict frames seeded at ``start`` are read from the runtime's one
+:class:`ArrivalCursor` over the run's predict frames; the event heap
+holds only work in flight (COMPLETEs, WINDOWs and a chaos run's retried
+ARRIVALs) and one entry standing for the cursor's head.  Rows enter the
+cursor through :meth:`ServeRuntime._add_arrivals` alone (seeding, and in
+a fleet shard migration and failover in) and a fleet shard cuts them out
+through ``_cut_arrivals`` alone.
 
 Saccade and reuse frames bypass the pool entirely (Algorithm 1 serves
 them on-device), so they are not events in any runtime: each session
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -99,25 +102,18 @@ class ArrivalCursor:
     Entry ``k`` is row ``rows[k]`` of the runtime's arrival source,
     popping at ``times[k]`` with event seq ``seqs[k]``, sorted by ``(time,
     seq)``.  The columns are stored head last, so a pop frees its entry.
-    The runtime's heap holds one entry per cursor, :meth:`head_entry`,
-    and orders it among the work in flight and the other cursors' heads,
-    so the cursors pop their entries as one heap of ``(time, _ARRIVAL,
-    seq)`` entries would.  A runtime seeds one cursor at start; a fleet
-    shard adds one for each session that migrates in.
+    A runtime owns one cursor for its whole life; while the cursor has
+    entries, the runtime's heap holds its :meth:`head_entry` among the
+    work in flight, so the cursor pops its entries as one heap of
+    ``(time, _ARRIVAL, seq)`` entries would.
     """
 
     __slots__ = ("times", "rows", "seqs")
 
-    def __init__(
-        self,
-        times: "Sequence[float]",
-        rows: "Sequence[int]",
-        seqs: "Sequence[int]",
-    ):
-        """Columns given head first."""
-        self.times = list(reversed(times))
-        self.rows = list(reversed(rows))
-        self.seqs = list(reversed(seqs))
+    def __init__(self):
+        self.times: "list[float]" = []
+        self.rows: "list[int]" = []
+        self.seqs: "list[int]" = []
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -126,6 +122,25 @@ class ArrivalCursor:
         """The heap entry of the head: an ARRIVAL at its time and seq,
         with the cursor as its payload."""
         return (self.times[-1], _ARRIVAL, self.seqs[-1], self)
+
+    def merge(
+        self, times: "Sequence[float]", rows: "Sequence[int]",
+        seqs: "Sequence[int]",
+    ) -> None:
+        """Merge entries into the cursor, all of them sorted by ``(time,
+        seq)`` in one pass (the keys are unique, so the order is total)."""
+        times, rows, seqs = (
+            np.concatenate((np.asarray(old, dtype), np.asarray(new, dtype)))
+            for old, new, dtype in (
+                (self.times, times, np.float64),
+                (self.rows, rows, np.int64),
+                (self.seqs, seqs, np.int64),
+            )
+        )
+        order = np.lexsort((seqs, times))[::-1]  # head last
+        self.times = times[order].tolist()
+        self.rows = rows[order].tolist()
+        self.seqs = seqs[order].tolist()
 
     def cut(self, mine: "list[bool]") -> "tuple[list[float], list[int]]":
         """Remove the entries ``mine`` flags (head last, as stored);
@@ -205,8 +220,10 @@ class ServeRuntime:
         #: a fleet shard is handed its fleet's).  Once a row's ARRIVAL
         #: popped, its entry is None.
         self._requests: "list[FrameRequest | None] | None" = None
+        #: The seeded arrivals not yet applied: rows of the source.
+        self._arrivals = ArrivalCursor()
         #: ``(time_s, kind, seq, payload)`` entries: the work in flight
-        #: and each :class:`ArrivalCursor`'s head entry.
+        #: and, while it has rows, the cursor's head entry.
         self._heap: list[tuple[float, int, int, object]] = []
         self._event_seq = 0
         self._makespan_s = 0.0
@@ -345,25 +362,28 @@ class ServeRuntime:
         delivered = self.chaos.delivered(list(stream))
         return [r for _, r in delivered], [time_s for time_s, _ in delivered]
 
-    def _seed(self, rows: "list[int]", times: "list[float]") -> None:
-        """Seed the predict frames at ``rows`` of the source, popping at
-        ``times``."""
-        assert not self._cursors(), "arrivals are seeded once"
-        self._add_cursor(times, rows)
-
-    def _add_cursor(self, times: "list[float]", rows: "list[int]") -> None:
-        """Add a cursor over ``rows`` of the arrival source, popping at
-        ``times`` in that order, with the next event seqs: one
-        :meth:`_push` per row would pop them identically."""
-        if rows:
+    def _add_arrivals(
+        self, blocks: "Sequence[tuple[Sequence[float], Sequence[int]]]"
+    ) -> None:
+        """Add blocks of ``(times, rows)`` of the arrival source to the
+        cursor (at least one block), each row with the next event seq in
+        block order: one :meth:`_push` per row would pop them identically."""
+        times = np.concatenate([np.asarray(t, dtype=np.float64) for t, _ in blocks])
+        rows = np.concatenate([np.asarray(r, dtype=np.int64) for _, r in blocks])
+        if len(rows):
             seq0 = self._event_seq
             self._event_seq = seq0 + len(rows)
-            cursor = ArrivalCursor(times, rows, range(seq0, self._event_seq))
-            heappush(self._heap, cursor.head_entry())
+            self._arrivals.merge(times, rows, np.arange(seq0, self._event_seq))
+            self._reseat_arrivals()
 
-    def _cursors(self) -> "list[ArrivalCursor]":
-        """The cursors whose head entries are on the heap."""
-        return [e[3] for e in self._heap if e[3].__class__ is ArrivalCursor]
+    def _reseat_arrivals(self) -> None:
+        """Put the cursor's head entry on the heap in place of its old ones."""
+        cursor = self._arrivals
+        heap = [entry for entry in self._heap if entry[3] is not cursor]
+        heapify(heap)
+        if cursor:
+            heappush(heap, cursor.head_entry())
+        self._heap = heap
 
     # ------------------------------------------------------------------
     # Recording
@@ -688,11 +708,13 @@ class ServeRuntime:
         return self._started
 
     def start(self) -> None:
-        """Seed the cursor with the predict frames (idempotent)."""
+        """Seed the cursor with the predict frames (idempotent).  A fleet
+        shard, handed its fleet's source, is seeded by its fleet."""
         if self._started:
             return
-        self._requests, times = self._arrival_source()
-        self._seed(list(range(len(times))), times)
+        if self._requests is None:
+            self._requests, times = self._arrival_source()
+            self._add_arrivals([(times, np.arange(len(times)))])
         self._started = True
 
     def peek_event(self) -> "tuple[float, int, int] | None":
@@ -742,7 +764,7 @@ class ServeRuntime:
     def finish(self) -> FleetReport:
         """Close accounting and build the report (no event may be left)."""
         if self._heap:
-            pending = len(self._heap) + sum(len(c) - 1 for c in self._cursors())
+            pending = len(self._heap) + max(len(self._arrivals) - 1, 0)
             raise RuntimeError(f"finish() with {pending} events still pending")
         if self.slo is not None:
             evaluate_slo_through(self.slo, [(0, self)], None)
@@ -821,9 +843,11 @@ class ServeRuntime:
                 # shards the fleet's); a chaos frame's time is its
                 # delivery's.
                 self._requests, times = self._arrival_source()
-                return ArrivalCursor([times[r] for r in rows], rows, seqs)
-            requests = self._requests
-            return ArrivalCursor([requests[r].arrival_s for r in rows], rows, seqs)
+                times = [times[r] for r in rows]
+            else:
+                times = [self._requests[r].arrival_s for r in rows]
+            self._arrivals.merge(times, rows, seqs)
+            return self._arrivals
         if kind == _COMPLETE:
             worker = self.pool.workers[int(data["worker"])]  # type: ignore[index]
             batch = [FrameRequest.from_dict(r) for r in data["batch"]]  # type: ignore[index]
@@ -840,8 +864,8 @@ class ServeRuntime:
         The heap is serialized in its *raw list order* (already a valid
         binary heap) and restored verbatim, so subsequent pushes and pops
         reproduce the uninterrupted run's event ordering exactly — the
-        load-bearing detail behind bit-identical recovery.  A cursor is
-        its head entry's payload: its source rows (rebuilt from the
+        load-bearing detail behind bit-identical recovery.  The cursor
+        is its head entry's payload: its source rows (rebuilt from the
         config on restore) and their event seqs.  ``stats`` is the
         ledger slice of the sessions this runtime serves: all of them,
         or a fleet shard's members (the shards of a fleet partition its
@@ -883,10 +907,15 @@ class ServeRuntime:
         self._makespan_s = read(float, "makespan_s")
         # The pool first: COMPLETE payloads name its workers.
         self.pool.load_state(get("pool"), at + "pool")
+        self._arrivals = cursor = ArrivalCursor()
         self._heap = [
             (float(time_s), int(kind), int(seq), self._decode_payload(int(kind), data))
             for time_s, kind, seq, data in get("heap")
         ]
+        if sum(entry[3] is cursor for entry in self._heap) > 1:
+            # Cursor entries merged into the one cursor (an earlier
+            # build wrote a cursor per migrated session): one head.
+            self._reseat_arrivals()
         self.batcher.load_state(get("batcher"), at + "batcher")
         # One row per member session, in session-id order.
         rows = zip(self._member_ids(), get("stats"), strict=True)

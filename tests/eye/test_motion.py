@@ -18,7 +18,7 @@ from repro.eye import (
 from repro.eye.motion import POST_SACCADE_S, GazeTrack, generate_tracks
 from repro.serve.config import ServeConfig
 from repro.serve.request import build_fleet
-from repro.system.session import SessionConfig, decide_paths
+from repro.system.session import PATHS, SessionConfig, decide_paths
 from repro.utils.rng import RngMixin
 from tests.eye.test_events import scalar_post_saccade_mask
 
@@ -378,7 +378,7 @@ class TestFleetRows:
                 np.testing.assert_array_equal(
                     getattr(session.track, name), getattr(lone, name)
                 )
-            assert session.decisions == decide_paths(lone, session_config)
+            assert PATHS[session.codes].tolist() == decide_paths(lone, session_config)
 
     @pytest.mark.parametrize("name", TRACK_ARRAYS)
     def test_writing_into_a_session_track_raises(self, name):
@@ -419,7 +419,7 @@ def fleet_trace_digest(fleet) -> str:
         digest.update(np.ascontiguousarray(track.gaze_deg, dtype="<f8").tobytes())
         digest.update(np.ascontiguousarray(track.labels, dtype="<i8").tobytes())
         digest.update(np.ascontiguousarray(track.openness, dtype="<f8").tobytes())
-        digest.update("\n".join(session.decisions).encode())
+        digest.update("\n".join(PATHS[session.codes].tolist()).encode())
     return digest.hexdigest()
 
 

@@ -95,14 +95,14 @@ STATE_PINS = {
         25: "c468f03af58d28af",
         50: "5646fe5dea4a6e78",
         75: "ff0f9e085914786d",
-        100: "f02dbf114ee3b88d",
-        125: "ed237fc14c99e1f7",
-        150: "3ba297309bd43155",
-        175: "fa60c6f7496b794a",
-        200: "b907968943805814",
-        225: "341db1137a4a45f5",
-        250: "73b4607f855c9eea",
-        275: "f6d1a91b61d5db6c",
+        100: "bc572dedd410fa9a",
+        125: "e2c70588951c82dd",
+        150: "b8b5eaebb033dbba",
+        175: "0668471babfadb83",
+        200: "90a83af2515bd51d",
+        225: "17ece79ebe8556a6",
+        250: "64f29445f75f35ec",
+        275: "68e4d42f283014ec",
         300: "6bfbfa6ae71b1b6e",
         "last": "7acef05f789892aa",
         "finished": "d8184e8976b14f75",

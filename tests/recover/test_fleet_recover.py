@@ -71,6 +71,50 @@ class TestFleetCrashRecovery:
             run_fleet(config)
         )
 
+    def test_a_shard_state_with_two_cursor_entries_restores(self):
+        # An earlier build of format 10 wrote a migrated session's rows
+        # as a cursor entry of their own beside its shard's: on load the
+        # entries merge into the shard's one cursor.
+        config = chaos_fleet()
+        runtime = FleetRuntime(config)
+        runtime.start()
+        while not runtime.log.migrations:
+            runtime.step()
+        state = json.loads(canonical_bytes(runtime.state_dict()))
+        requests = runtime._requests
+        (migration,) = runtime.log.migrations
+        moved = migration["session_id"]
+        (entry,) = [e for e in state["shards"] if e["shard_id"] == migration["to"]]
+        heap = entry["state"]["heap"]
+        (cursor,) = [e for e in heap if e[1] == 2]
+        heap.remove(cursor)
+        for mine in (False, True):
+            part = [
+                (row, seq)
+                for row, seq in zip(cursor[3]["rows"], cursor[3]["seqs"])
+                if (requests[row].session_id == moved) == mine
+            ]
+            assert part
+            heap.append([
+                requests[part[0][0]].arrival_s, 2, part[0][1],
+                {"rows": [r for r, _ in part], "seqs": [q for _, q in part]},
+            ])
+        heap.sort(key=lambda e: e[:3])  # a valid heap, in raw order
+        restored = FleetRuntime(config)
+        restored.load_state(state)
+        shard = restored.shards[entry["shard_id"]]
+        (head,) = [e for e in shard._heap if e[1] == 2]
+        assert head == shard._arrivals.head_entry()
+        assert len(shard._arrivals) == len(cursor[3]["rows"])
+        while runtime.peek_event() is not None:
+            assert restored.peek_event() == runtime.peek_event()
+            runtime.step()
+            restored.step()
+        assert restored.peek_event() is None
+        assert fleet_report_bytes(restored.finish()) == fleet_report_bytes(
+            runtime.finish()
+        )
+
     def test_format_6_checkpoint_is_refused(self, tmp_path):
         # A format-6 fleet's event indices count the merged global order:
         # replaying its journal tail in shard-major order would apply

@@ -1,17 +1,18 @@
-"""Arrival seeding: the cursors pop what a heap of seeded ARRIVALs popped.
+"""Arrival seeding: the cursor pops what a heap of seeded ARRIVALs popped.
 
-A runtime reads the predict frames it seeds at ``start`` from an
+A runtime reads the predict frames it seeds at ``start`` from its one
 ``ArrivalCursor`` over its arrival source; the event heap holds the
-work in flight and one entry standing for each cursor's head, which
-pops the head and pushes its successor's.  A fleet shard adds a cursor
-for each session that migrates in.  The oracle below keeps the heap
-seeding the cursors replaced, test-local: :func:`push_each` pushes one
-ARRIVAL per seeded row, and a fleet shard's migration and failover move
-those heap entries (:func:`cut_from_heap`, :func:`push_merged`,
-:func:`take_from_heap`).
+work in flight and one entry standing for the cursor's head, which
+pops the head and pushes its successor's.  Rows enter the cursor
+through ``_add_arrivals`` (seeding, and a fleet shard's migration and
+failover in) and leave it through ``ShardRuntime._cut_arrivals``.  The
+oracle below keeps the heap seeding the cursor replaced, test-local:
+:func:`push_each` pushes one ARRIVAL per added row, and a fleet shard's
+migration and failover take those heap entries off
+(:func:`cut_from_heap`).
 
-The cursors and the heap cannot be compared entry for entry, so the
-checks compare what they produce: the cursors' entries are the heap's
+The cursor and the heap cannot be compared entry for entry, so the
+checks compare what they produce: the cursor's entries are the heap's
 ARRIVALs in pop order, a checkpoint names the rows the heap held as
 frame dicts, and, over drawn serve, chaos, fleet, ``--net`` and SLO
 runs, every report is byte-identical and the ``peek_event`` streams,
@@ -33,7 +34,7 @@ from repro.faults.config import RecoveryConfig
 from repro.faults.netfaults import ShardKill
 from repro.recover.codec import canonical_json
 from repro.reliability.softerror import SoftErrorConfig
-from repro.serve import ServeConfig, fleet_requests
+from repro.serve import FrameRequest, ServeConfig, fleet_requests
 from repro.serve.fleet import FleetConfig, FleetRuntime, NetConfig
 from repro.serve.fleet.shard import ShardRuntime
 from repro.serve.runtime import _ARRIVAL, ServeRuntime
@@ -54,44 +55,34 @@ SERVE = ServeConfig(
 # ----------------------------------------------------------------------
 # The oracle: seeded arrivals on the heap
 # ----------------------------------------------------------------------
-def push_each(runtime: ServeRuntime, rows: list, times: list) -> None:
-    """The seeding the cursor replaced: one ARRIVAL push per row."""
-    for row, time_s in zip(rows, times):
-        runtime._push(time_s, _ARRIVAL, runtime._requests[row])
+def push_each(runtime: ServeRuntime, blocks) -> None:
+    """The seeding the cursor replaced: one ARRIVAL push per row, block
+    by block.  A migrated block carries the requests
+    :func:`cut_from_heap` took off the source's heap."""
+    for times, rows in blocks:
+        for time_s, row in zip(times, rows):
+            request = row if isinstance(row, FrameRequest) else (
+                runtime._requests[row]
+            )
+            runtime._push(time_s, _ARRIVAL, request)
 
 
-def cut_from_heap(shard: ShardRuntime, session_id: int):
-    """Migration out: the session's ARRIVALs, taken off the heap and
-    sorted by ``(arrival_s, seq)``, as ``(times, requests)``."""
-    keep, cut = [], []
+def cut_from_heap(shard: ShardRuntime, session_ids) -> dict:
+    """Migration and failover out: each session's ARRIVALs, taken off
+    the heap and sorted by ``(arrival_s, seq)``, as ``(times,
+    requests)``."""
+    cut = {sid: [] for sid in session_ids}
+    keep = []
     for entry in shard._heap:
-        mine = entry[1] == _ARRIVAL and entry[3].session_id == session_id
-        (cut if mine else keep).append(entry)
+        mine = entry[1] == _ARRIVAL and entry[3].session_id in cut
+        (cut[entry[3].session_id] if mine else keep).append(entry)
     heapq.heapify(keep)
     shard._heap = keep
-    cut.sort(key=lambda entry: (entry[3].arrival_s, entry[3].seq))
-    return [entry[0] for entry in cut], [entry[3] for entry in cut]
-
-
-def push_merged(shard: ShardRuntime, arrivals) -> None:
-    """Migration in: one push per carried ARRIVAL, in order."""
-    for time_s, request in zip(*arrivals):
-        shard._push(time_s, _ARRIVAL, request)
-
-
-def take_from_heap(shard: ShardRuntime) -> dict:
-    """Failover: the killed shard's ARRIVALs by session, each sorted by
-    ``(arrival_s, seq)``, as ``(times, requests)`` (the kill then clears
-    the heap)."""
-    by_session: dict = {}
-    for time_s, kind, _, request in shard._heap:
-        if kind == _ARRIVAL:
-            by_session.setdefault(request.session_id, []).append((time_s, request))
-    for entries in by_session.values():
-        entries.sort(key=lambda entry: (entry[1].arrival_s, entry[1].seq))
+    for entries in cut.values():
+        entries.sort(key=lambda entry: (entry[3].arrival_s, entry[3].seq))
     return {
-        sid: ([t for t, _ in entries], [r for _, r in entries])
-        for sid, entries in by_session.items()
+        sid: ([entry[0] for entry in entries], [entry[3] for entry in entries])
+        for sid, entries in cut.items()
     }
 
 
@@ -100,26 +91,29 @@ def heap_seeded() -> contextlib.ExitStack:
     loop before the cursor."""
     stack = contextlib.ExitStack()
     for owner, name, oracle in (
-        (ServeRuntime, "_seed", push_each),
+        (ServeRuntime, "_add_arrivals", push_each),
         (ShardRuntime, "_cut_arrivals", cut_from_heap),
-        (ShardRuntime, "_merge_arrivals", push_merged),
-        (ShardRuntime, "_take_arrivals", take_from_heap),
     ):
         stack.enter_context(mock.patch.object(owner, name, oracle))
     return stack
 
 
 def cursor_entries(runtime: ServeRuntime) -> list:
-    """Every cursor's entries as heap entries, in pop order, payloads as
+    """The cursor's entries as heap entries, in pop order, payloads as
     dicts."""
     requests = runtime._requests or []
+    cursor = runtime._arrivals
     return sorted(
         (time_s, _ARRIVAL, seq, requests[row].to_dict())
-        for cursor in runtime._cursors()
         for time_s, row, seq in zip(
             cursor.times[::-1], cursor.rows[::-1], cursor.seqs[::-1]
         )
     )
+
+
+def cursor_heads(runtime: ServeRuntime) -> list:
+    """The heap's cursor entries: at most one, the cursor's head."""
+    return [entry for entry in runtime._heap if entry[3] is runtime._arrivals]
 
 
 def heap_arrivals(runtime: ServeRuntime) -> list:
@@ -132,7 +126,7 @@ def heap_arrivals(runtime: ServeRuntime) -> list:
 
 
 def checkpointed_arrivals(state: dict, runtime: ServeRuntime) -> list:
-    """A snapshot's cursors (their head entries' rows and seqs) as heap
+    """A snapshot's cursor (its head entry's rows and seqs) as heap
     entries, in pop order: the rows are rows of ``runtime``'s source."""
     requests = runtime._requests
     return sorted(
@@ -144,11 +138,11 @@ def checkpointed_arrivals(state: dict, runtime: ServeRuntime) -> list:
 
 
 def head_entries(runtime: ServeRuntime) -> list:
-    """The cursors' head entries, as a checkpoint writes them."""
+    """The cursor's head entry, as a checkpoint writes it."""
     return [
         [c.times[-1], _ARRIVAL, c.seqs[-1],
          {"rows": c.rows[::-1], "seqs": c.seqs[::-1]}]
-        for c in runtime._cursors()
+        for *_, c in cursor_heads(runtime)
     ]
 
 
@@ -182,7 +176,7 @@ class TestServeRuntimeSeeding:
         runtime = started(lambda: ServeRuntime(SERVE))
         reference = oracle(lambda: ServeRuntime(SERVE, fleet=runtime.fleet))
         # The heap holds the cursor head's entry, and nothing else yet.
-        (cursor,) = runtime._cursors()
+        cursor = runtime._arrivals
         assert runtime._heap == [cursor.head_entry()]
         assert cursor_entries(runtime) == heap_arrivals(reference)
         assert runtime._event_seq == reference._event_seq == len(cursor)
@@ -203,15 +197,28 @@ class TestServeRuntimeSeeding:
         runtime = ServeRuntime(SERVE)
         runtime._requests, times = runtime._arrival_source()
         runtime._event_seq = 7
-        runtime._seed(list(range(5)), times[:5])
-        (cursor,) = runtime._cursors()
-        assert cursor.seqs[::-1] == [7, 8, 9, 10, 11]
+        runtime._add_arrivals([(times[:5], range(5))])
+        assert runtime._arrivals.seqs[::-1] == [7, 8, 9, 10, 11]
         assert runtime._event_seq == 12
 
-    def test_seeding_requires_an_empty_cursor(self):
-        runtime = started(lambda: ServeRuntime(SERVE))
-        with pytest.raises(AssertionError):
-            runtime._seed([], [])
+    def test_added_blocks_merge_into_the_one_cursor(self):
+        # Blocks number their rows in block order and merge with the
+        # cursor's entries by (time, seq): the pops one push per row
+        # gives, from one head entry.
+        runtime, reference = ServeRuntime(SERVE), ServeRuntime(SERVE)
+        runtime._requests, times = runtime._arrival_source()
+        reference._requests = runtime._requests
+        calls = [
+            [(times[7:9], [7, 8]), ([], []), (times[:3], [0, 1, 2])],
+            [(times[5:6], [5]), (times[3:5], [3, 4])],
+        ]
+        for blocks in calls:
+            runtime._add_arrivals(blocks)
+            with heap_seeded():
+                reference._add_arrivals(blocks)
+        assert cursor_entries(runtime) == heap_arrivals(reference)
+        assert runtime._event_seq == reference._event_seq == 8
+        assert runtime._heap == [runtime._arrivals.head_entry()]
 
     def test_chaos_seeds_its_delivered_frames(self):
         config = ChaosConfig(
@@ -239,7 +246,7 @@ class TestShardSeeding:
         for shard_id, shard in fleet.shards.items():
             assert cursor_entries(shard) == heap_arrivals(reference.shards[shard_id])
             assert shard._event_seq == reference.shards[shard_id]._event_seq
-            seeded += sum(len(cursor) for cursor in shard._cursors())
+            seeded += len(shard._arrivals)
         assert seeded == len(fleet_requests(fleet.sessions, SERVE.deadline_s))
 
     @pytest.mark.parametrize("net", [False, True], ids=["direct", "net"])
@@ -283,8 +290,26 @@ def test_fleet_checkpoint_stores_arrivals_as_two_int_columns():
         )
         assert json.dumps(snapshot).count('"frame_index"') == in_flight
     assert future > 0
-    # A migrated session's rows are a cursor beside its shard's own.
-    assert max(cursors) > 1
+    # A migrated or re-homed session's rows merge into its new shard's
+    # one cursor.
+    assert max(cursors) <= 1
+
+
+def test_every_shard_heap_holds_at_most_one_cursor_entry():
+    # A kill re-homes its sessions and migrations move them; their rows
+    # merge into each target's one cursor, so a shard's heap never holds
+    # a second ARRIVAL entry.
+    fleet = started(lambda: FleetRuntime(fleet_config(net=False)))
+    rehomed_rows = 0
+    while fleet.step():
+        for shard in fleet.shards.values():
+            arrivals = [entry for entry in shard._heap if entry[1] == _ARRIVAL]
+            cursor = shard._arrivals
+            assert arrivals == ([cursor.head_entry()] if cursor else [])
+            if fleet.log.failovers and not rehomed_rows and shard.rehomed_in:
+                rehomed_rows = len(cursor)
+    assert fleet.log.failovers and fleet.log.migrations
+    assert rehomed_rows > 0
 
 
 # ----------------------------------------------------------------------

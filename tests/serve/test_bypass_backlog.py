@@ -43,6 +43,7 @@ from repro.serve.fleet.config import (
 from repro.serve.fleet.runtime import _SHARD_KIND_STRIDE
 from repro.serve.fleet.transport import K_NET_SEND
 from repro.serve.runtime import _ARRIVAL
+from repro.system.session import PATHS
 
 SERVE = ServeConfig(
     n_sessions=8,
@@ -169,7 +170,7 @@ def slo_digest(case: str) -> str:
 
 
 def predict_frames(sessions) -> int:
-    return sum(s.decisions.count("predict") for s in sessions)
+    return sum(PATHS[s.codes].tolist().count("predict") for s in sessions)
 
 
 def tally(runtime) -> dict:
@@ -244,7 +245,7 @@ def test_chaos_runs_seed_only_arriving_predict_frames():
     delivered = sum(
         path == "predict" and not trace.dropped[f]
         for session, trace in zip(runtime.fleet, runtime.chaos.traces)
-        for f, path in enumerate(session.decisions)
+        for f, path in enumerate(PATHS[session.codes].tolist())
     )
     assert runtime.chaos.report.input_dropped > 0
     assert counts[_ARRIVAL] == delivered + runtime.chaos.report.retries_scheduled

@@ -50,6 +50,7 @@ from repro.serve.fleet.config import (
 from repro.serve.fleet.shard import ShardRuntime
 from repro.serve.request import BypassLedger, build_fleet
 from repro.serve.telemetry import new_ledger
+from repro.system.session import PATHS
 
 #: Bypass latencies: the accelerator's, and two longer than a 10 ms
 #: frame period's worth of a deadline (they miss and reorder).
@@ -62,7 +63,7 @@ class PerFrameRecording:
     def _reference_backlog(self, session):
         cache = self.__dict__.setdefault("_reference_backlogs", {})
         if session.session_id not in cache:
-            decisions = session.decisions
+            decisions = PATHS[session.codes].tolist()
             frames = [f for f, path in enumerate(decisions) if path != "predict"]
             cache[session.session_id] = (
                 frames,

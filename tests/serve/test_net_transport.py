@@ -33,6 +33,7 @@ from repro.serve.fleet import (
 )
 from repro.serve.fleet.transport import COUNTER_NAMES, K_NET_SEND, _unit
 from repro.serve.request import fleet_requests
+from repro.system.session import PATHS
 
 #: ``(seed, key, draw)``: every lossy run's fault pattern rests on these
 #: exact sampler values.
@@ -160,7 +161,7 @@ def overlapping_fleet() -> FleetConfig:
 def predict_frames(config: FleetConfig) -> int:
     """Frames the headsets send to the pool: the only ones on the wire."""
     return sum(
-        s.decisions.count("predict") for s in FleetRuntime(config).sessions
+        PATHS[s.codes].tolist().count("predict") for s in FleetRuntime(config).sessions
     )
 
 

@@ -33,7 +33,7 @@ def string_fleet_requests(fleet, deadline_s, decisions=None):
     """The string-based stream: each frame's path as a string, compared
     one by one; ``decisions`` defaults to each session's own."""
     if decisions is None:
-        decisions = [s.decisions for s in fleet]
+        decisions = [PATHS[s.codes].tolist() for s in fleet]
     arrivals = np.concatenate([s.arrivals for s in fleet])
     sids = np.repeat([s.session_id for s in fleet], [s.n_frames for s in fleet])
     frames = np.concatenate([np.arange(s.n_frames) for s in fleet])
@@ -55,11 +55,10 @@ def string_fleet_requests(fleet, deadline_s, decisions=None):
 
 def string_bypass(session) -> BypassFrames:
     """A session's backlog cut from its decision strings."""
-    frames = [f for f, path in enumerate(session.decisions) if path != "predict"]
+    paths = PATHS[session.codes].tolist()
+    frames = [f for f, path in enumerate(paths) if path != "predict"]
     return BypassFrames(
-        frames,
-        session.arrivals[frames].tolist(),
-        [session.decisions[f] for f in frames],
+        frames, session.arrivals[frames].tolist(), [paths[f] for f in frames]
     )
 
 
@@ -182,10 +181,10 @@ class TestChaosFleetCodes:
             post_saccade_low_res=chaos.serve.post_saccade_low_res,
         )
         own = [decide_paths(s.track, config) for s in fleet]
-        clean = [s.decisions for s in build_fleet(chaos.serve)]
+        clean = [PATHS[s.codes].tolist() for s in build_fleet(chaos.serve)]
         # The faults move decisions, so a stale clean row would show.
         assert own != clean
-        assert [s.decisions for s in fleet] == own
+        assert [PATHS[s.codes].tolist() for s in fleet] == own
         deadline_s = chaos.serve.deadline_s
         expected = string_fleet_requests(fleet, deadline_s, own)
         assert [r.to_dict() for r in fleet_requests(fleet, deadline_s)] == [

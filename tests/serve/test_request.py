@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ServeConfig, build_fleet, fleet_requests
+from repro.system.session import PATHS
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ class TestBuildFleet:
         for i, session in enumerate(fleet):
             assert session.session_id == i
             assert session.n_frames == config.frames_per_session
-            assert len(session.decisions) == session.n_frames
+            assert len(session.codes) == session.n_frames
             assert session.start_s == pytest.approx(i * config.stagger_s)
 
     def test_sessions_are_independent_traces(self, fleet):
@@ -30,13 +31,13 @@ class TestBuildFleet:
 
     def test_decisions_use_algorithm1_vocabulary(self, fleet):
         for session in fleet:
-            assert set(session.decisions) <= {"saccade", "reuse", "predict"}
+            assert set(PATHS[session.codes].tolist()) <= {"saccade", "reuse", "predict"}
 
     def test_deterministic_rebuild(self, config, fleet):
         again = build_fleet(config)
         for a, b in zip(fleet, again):
             np.testing.assert_array_equal(a.track.gaze_deg, b.track.gaze_deg)
-            assert a.decisions == b.decisions
+            assert PATHS[a.codes].tolist() == PATHS[b.codes].tolist()
 
     def test_arrival_clock(self, fleet):
         session = fleet[2]
@@ -45,7 +46,7 @@ class TestBuildFleet:
 
 
 def predict_frames(sessions) -> int:
-    return sum(s.decisions.count("predict") for s in sessions)
+    return sum(PATHS[s.codes].tolist().count("predict") for s in sessions)
 
 
 class TestFleetRequests:
@@ -61,7 +62,7 @@ class TestFleetRequests:
         predict = [
             (rank, key)
             for rank, key in enumerate(everything)
-            if fleet[key[1]].decisions[key[2]] == "predict"
+            if PATHS[fleet[key[1]].codes[key[2]]] == "predict"
         ]
         assert 0 < len(requests) == predict_frames(fleet) < len(everything)
         assert [
@@ -74,7 +75,7 @@ class TestFleetRequests:
 
     def test_paths_match_session_decisions(self, config, fleet):
         for r in fleet_requests(fleet, config.deadline_s)[:200]:
-            assert r.path == fleet[r.session_id].decisions[r.frame_index]
+            assert r.path == PATHS[fleet[r.session_id].codes[r.frame_index]]
 
     @pytest.mark.parametrize("order", [[1, 0], [2, 3], [3, 1]])
     def test_reordered_sparse_fleet_takes_each_sessions_paths(
@@ -86,7 +87,7 @@ class TestFleetRequests:
         assert len(requests) == predict_frames(subset)
         assert {r.session_id for r in requests} == set(order)
         for r in requests:
-            assert r.path == fleet[r.session_id].decisions[r.frame_index]
+            assert r.path == PATHS[fleet[r.session_id].codes[r.frame_index]]
 
     def test_arrivals_bit_equal_session_clock(self, config, fleet):
         for r in fleet_requests(fleet, config.deadline_s):

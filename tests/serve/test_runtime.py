@@ -15,6 +15,7 @@ from repro.serve import (
     build_fleet,
     serve_fleet,
 )
+from repro.system.session import PATHS
 
 #: Light load: mostly reuse frames, pool rarely contended.
 LIGHT = ServeConfig(n_sessions=8, duration_s=0.5, n_workers=2, seed=1)
@@ -58,7 +59,7 @@ class TestBypassPaths:
         # per-session cold starts; everything else bypasses the batcher.
         n_predict = sum(s.counts["predict"] for s in report.sessions)
         assert n_predict == sum(
-             sum(1 for d in sess.decisions if d == "predict") for sess in fleet
+            PATHS[sess.codes].tolist().count("predict") for sess in fleet
         )
         assert sum(report.batch_occupancy.values()) <= n_predict
         dispatched = sum(b * c for b, c in report.batch_occupancy.items())

@@ -210,7 +210,7 @@ OBS_TREES: "dict[str, str]" = {
     "chaos-all-flags": "f9ef40ac123aa952",
     "chaos-obs": "ed7477b651d87db5",
     "fleet-all-flags": "6994581048537ea5",
-    "fleet-kill-recover-obs": "89e303b2d4908050",
+    "fleet-kill-recover-obs": "8af0998631515d8d",
     "fleet-net-obs": "70e862509158b98e",
     "fleet-obs": "39d5290ca7a515cd",
     "fleet-slo-obs": "e689d4223a8855fe",
